@@ -7,26 +7,17 @@ differences. Prints the worst relative error per tensor.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from grufcn.model import ArchConfig, backward, build, forward
 from grufcn.tensor_core import Rng
 
-
-def numerical_grad(f, x, eps=1e-6):
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    out = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = f(x)
-        flat[i] = orig - eps
-        lo = f(x)
-        flat[i] = orig
-        out[i] = (hi - lo) / (2 * eps)
-    return grad
+# the finite-difference oracle the test suite uses
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from gradcheck import max_rel_error, numerical_grad  # noqa: E402
 
 
 def main() -> int:
@@ -71,9 +62,7 @@ def main() -> int:
         def f(v, arr=arr):
             arr[...] = v
             return loss()
-        numeric = numerical_grad(f, arr.copy())
-        denom = np.maximum(1.0, np.maximum(np.abs(grads[name]), np.abs(numeric)))
-        err = float(np.max(np.abs(grads[name] - numeric) / denom))
+        err = max_rel_error(grads[name], numerical_grad(f, arr.copy()))
         worst_overall = max(worst_overall, err)
         print(f"{name},{err:.3e}")
     print(f"worst: {worst_overall:.3e} (tolerance {args.tol})")

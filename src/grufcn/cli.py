@@ -8,6 +8,7 @@ from --root or the GRUFCN_UCR_ROOT environment variable.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -97,7 +98,7 @@ def cmd_train(args) -> int:
     if run.epochs == 0:
         # keep the artifact contract even when no epoch ran
         model_mod.save_checkpoint(net, out_dir / "best.ckpt")
-    test_error, test_f1 = _evaluate_metrics(net, dataset, test_batch)
+    _, test_error, _, test_f1 = _test_metrics(net, dataset, test_batch)
     summary = {
         "dataset": dataset.name,
         "epochs": epochs,
@@ -116,20 +117,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _predict(net, x, chunk: int) -> np.ndarray:
-    preds = []
-    chunk = max(1, chunk)
-    for start in range(0, x.shape[0], chunk):
-        probs, _ = model_mod.forward(net, x[start:start + chunk], training=False)
-        preds.append(np.argmax(probs, axis=1))
-    return np.concatenate(preds)
-
-
-def _evaluate_metrics(net, dataset, chunk: int):
-    preds = _predict(net, dataset.test_x, chunk)
-    err = metrics.error_rate(preds, dataset.test_y)
+def _test_metrics(net, dataset, chunk: int):
+    """(predictions, error rate, confusion counts, macro-F1) on the test split."""
+    probs = train_mod.predict_proba(net, dataset.test_x, chunk)
+    preds = np.argmax(probs, axis=1)
     conf = metrics.confusion_counts(preds, dataset.test_y, dataset.num_classes)
-    return err, metrics.f1_scores(conf)
+    return preds, metrics.error_rate(preds, dataset.test_y), conf, metrics.f1_scores(conf)
 
 
 def cmd_eval(args) -> int:
@@ -145,11 +138,7 @@ def cmd_eval(args) -> int:
             f"checkpoint expects {net.config.num_classes} classes, "
             f"dataset {dataset.name} has {dataset.num_classes}"
         )
-    chunk = args.eval_batch or DEFAULT_TEST_BATCH
-    preds = _predict(net, dataset.test_x, chunk)
-    err = metrics.error_rate(preds, dataset.test_y)
-    conf = metrics.confusion_counts(preds, dataset.test_y, dataset.num_classes)
-    f1 = metrics.f1_scores(conf)
+    preds, err, conf, f1 = _test_metrics(net, dataset, args.eval_batch or DEFAULT_TEST_BATCH)
     print(f"test error: {err:.6f}")
     print(f"macro f1:   {f1:.6f}")
     print("class,tp,fp,fn")
@@ -193,9 +182,8 @@ def cmd_params(args) -> int:
     if args.check is not None:
         ref_path = args.check if args.check != "" else _shipped("published_param_counts.csv")
         mismatches = 0
-        import csv as _csv
         with open(ref_path, "r", encoding="utf-8") as fh:
-            for row in _csv.DictReader(fh):
+            for row in csv.DictReader(fh):
                 name = row["dataset"]
                 if name not in counts:
                     continue
@@ -251,9 +239,8 @@ def cmd_compare(args) -> int:
 
 def _load_class_counts(path, datasets) -> np.ndarray:
     if path:
-        import csv as _csv
         with open(path, "r", encoding="utf-8") as fh:
-            table = {row["dataset"]: int(row["classes"]) for row in _csv.DictReader(fh)}
+            table = {row["dataset"]: int(row["classes"]) for row in csv.DictReader(fh)}
         missing = [d for d in datasets if d not in table]
         if missing:
             raise CliError(f"class-counts file lacks entries for: {', '.join(missing)}")

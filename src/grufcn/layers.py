@@ -1,6 +1,6 @@
 """Forward and backward passes for every layer of the hybrid classifier:
 conv + batch-norm + ReLU blocks, GRU and LSTM cells, global average pooling,
-inverted dropout, and the dense softmax cross-entropy head.
+inverted dropout, and the dense softmax head with its cross-entropy loss.
 
 All layers operate on float64 batches. Backward passes return exact analytic
 gradients; the test suite checks each one against central finite differences.
@@ -8,7 +8,7 @@ gradients; the test suite checks each one against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,10 +43,6 @@ class ConvBlock:
     bn_moving_var: np.ndarray  # (Cout,)
     bn_momentum: float = 0.99
     bn_epsilon: float = 1e-3
-
-    @property
-    def out_channels(self) -> int:
-        return self.kernels.shape[2]
 
 
 def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
@@ -122,14 +118,18 @@ def conv_block_backward(cache, grad_out: np.ndarray):
 # ---------------------------------------------------------------------------
 # Recurrent cells
 # ---------------------------------------------------------------------------
+#
+# The dimension shuffle feeds the cell one time step of L features from a
+# zero state, so each step and its backward are written for h_prev = c_prev
+# = 0. Every term that multiplies the previous state vanishes: the U_*
+# matrices, the GRU reset gate and the LSTM forget gate never reach the
+# output and get exact-zero gradients. They stay allocated so checkpoints
+# and parameter counts keep the published architecture.
 
 @dataclass
 class GruCell:
-    """Update/reset-gated cell: 6 weight matrices, 3 bias vectors.
-
-    h = (1 - z) * h_prev + z * h_tilde, gates through hard_sigmoid,
-    candidate through tanh.
-    """
+    """Update/reset-gated cell: 6 weight matrices, 3 bias vectors, in
+    checkpoint order."""
 
     W_zx: np.ndarray  # (in, H)
     U_zh: np.ndarray  # (H, H)
@@ -141,82 +141,11 @@ class GruCell:
     U_h: np.ndarray
     b: np.ndarray
 
-    @property
-    def hidden_size(self) -> int:
-        return self.U_h.shape[0]
-
-    def param_names(self) -> list[str]:
-        return ["W_zx", "U_zh", "b_z", "W_rx", "U_rh", "b_r", "W_x", "U_h", "b"]
-
-
-def gru_step(cell: GruCell, x: np.ndarray, h_prev: np.ndarray):
-    """One step. x is (B, in), h_prev is (B, H); returns (h, cache)."""
-    az = x @ cell.W_zx + h_prev @ cell.U_zh + cell.b_z
-    ar = x @ cell.W_rx + h_prev @ cell.U_rh + cell.b_r
-    z = hard_sigmoid(az)
-    r = hard_sigmoid(ar)
-    rh = r * h_prev
-    ag = x @ cell.W_x + rh @ cell.U_h + cell.b
-    g = np.tanh(ag)
-    h = (1.0 - z) * h_prev + z * g
-    cache = {"x": x, "h_prev": h_prev, "az": az, "ar": ar, "z": z, "r": r,
-             "rh": rh, "g": g}
-    return h, cache
-
-
-def gru_backward(cell: GruCell, caches: list[dict], grad_h_final: np.ndarray):
-    """Backprop through time over a forward cache sequence.
-
-    Returns (grad_x_seq, grad_params) with gradients accumulated across all
-    time steps.
-    """
-    grads = {name: np.zeros_like(getattr(cell, name)) for name in cell.param_names()}
-    grad_x_seq = []
-    dh = np.asarray(grad_h_final, dtype=np.float64)
-    for cache in reversed(caches):
-        x, h_prev = cache["x"], cache["h_prev"]
-        z, r, g, rh = cache["z"], cache["r"], cache["g"], cache["rh"]
-        if dh.shape != h_prev.shape:
-            raise ShapeMismatchError(
-                f"hidden grad shape {dh.shape} != state shape {h_prev.shape}"
-            )
-        dz = dh * (g - h_prev)
-        dg = dh * z
-        dh_prev = dh * (1.0 - z)
-
-        dag = dg * (1.0 - g * g)
-        grads["W_x"] += x.T @ dag
-        grads["U_h"] += rh.T @ dag
-        grads["b"] += dag.sum(axis=0)
-        dx = dag @ cell.W_x.T
-        drh = dag @ cell.U_h.T
-        dr = drh * h_prev
-        dh_prev += drh * r
-
-        daz = dz * hard_sigmoid_grad(cache["az"])
-        grads["W_zx"] += x.T @ daz
-        grads["U_zh"] += h_prev.T @ daz
-        grads["b_z"] += daz.sum(axis=0)
-        dx += daz @ cell.W_zx.T
-        dh_prev += daz @ cell.U_zh.T
-
-        dar = dr * hard_sigmoid_grad(cache["ar"])
-        grads["W_rx"] += x.T @ dar
-        grads["U_rh"] += h_prev.T @ dar
-        grads["b_r"] += dar.sum(axis=0)
-        dx += dar @ cell.W_rx.T
-        dh_prev += dar @ cell.U_rh.T
-
-        grad_x_seq.append(dx)
-        dh = dh_prev
-    grad_x_seq.reverse()
-    return grad_x_seq, grads
-
 
 @dataclass
 class LstmCell:
     """Input/forget/output-gated cell with a separate memory state:
-    8 weight matrices, 4 bias vectors."""
+    8 weight matrices, 4 bias vectors, in checkpoint order."""
 
     W_ix: np.ndarray
     U_ih: np.ndarray
@@ -231,71 +160,66 @@ class LstmCell:
     U_oh: np.ndarray
     b_o: np.ndarray
 
-    @property
-    def hidden_size(self) -> int:
-        return self.U_ih.shape[0]
 
-    def param_names(self) -> list[str]:
-        return ["W_ix", "U_ih", "b_i", "W_fx", "U_fh", "b_f",
-                "W_gx", "U_gh", "b_g", "W_ox", "U_oh", "b_o"]
+def gru_step(cell: GruCell, x: np.ndarray):
+    """One step from a zero state. x is (B, in); returns (h, cache).
 
-
-def lstm_step(cell: LstmCell, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-    """One step: gates via hard_sigmoid, candidate/output via tanh.
-
-    c = f*c_prev + i*g; h = o*tanh(c). Returns (h, c, cache).
+    h = z * tanh(x W_x + b) with update gate z = hard_sigmoid(x W_zx + b_z).
     """
-    ai = x @ cell.W_ix + h_prev @ cell.U_ih + cell.b_i
-    af = x @ cell.W_fx + h_prev @ cell.U_fh + cell.b_f
-    ag = x @ cell.W_gx + h_prev @ cell.U_gh + cell.b_g
-    ao = x @ cell.W_ox + h_prev @ cell.U_oh + cell.b_o
-    i = hard_sigmoid(ai)
-    f = hard_sigmoid(af)
-    g = np.tanh(ag)
-    o = hard_sigmoid(ao)
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    cache = {"x": x, "h_prev": h_prev, "c_prev": c_prev, "ai": ai, "af": af,
-             "ag": ag, "ao": ao, "i": i, "f": f, "g": g, "o": o, "tc": tc}
-    return h, c, cache
+    az = x @ cell.W_zx + cell.b_z
+    z = hard_sigmoid(az)
+    g = np.tanh(x @ cell.W_x + cell.b)
+    return z * g, {"x": x, "az": az, "z": z, "g": g}
 
 
-def lstm_backward(cell: LstmCell, caches: list[dict], grad_h_final: np.ndarray):
-    """Backprop through time for the LSTM; mirrors gru_backward."""
-    grads = {name: np.zeros_like(getattr(cell, name)) for name in cell.param_names()}
-    grad_x_seq = []
-    dh = np.asarray(grad_h_final, dtype=np.float64)
-    dc = np.zeros_like(dh)
-    for cache in reversed(caches):
-        x, h_prev, c_prev = cache["x"], cache["h_prev"], cache["c_prev"]
-        i, f, g, o, tc = cache["i"], cache["f"], cache["g"], cache["o"], cache["tc"]
-        do = dh * tc
-        dc = dc + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dc_prev = dc * f
+def gru_backward(cell: GruCell, cache, dh: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of every cell tensor for the upstream hidden gradient dh."""
+    z, g = cache["z"], cache["g"]
+    _check_hidden_grad(dh, z)
+    return _input_grads(cell, cache["x"], (
+        ("W_zx", "b_z", dh * g * hard_sigmoid_grad(cache["az"])),
+        ("W_x", "b", dh * z * (1.0 - g * g)),
+    ))
 
-        dx = np.zeros_like(x)
-        dh_prev = np.zeros_like(h_prev)
-        for da, wx, uh, bname in (
-            (di * hard_sigmoid_grad(cache["ai"]), "W_ix", "U_ih", "b_i"),
-            (df * hard_sigmoid_grad(cache["af"]), "W_fx", "U_fh", "b_f"),
-            (dg * (1.0 - g * g), "W_gx", "U_gh", "b_g"),
-            (do * hard_sigmoid_grad(cache["ao"]), "W_ox", "U_oh", "b_o"),
-        ):
-            grads[wx] += x.T @ da
-            grads[uh] += h_prev.T @ da
-            grads[bname] += da.sum(axis=0)
-            dx += da @ getattr(cell, wx).T
-            dh_prev += da @ getattr(cell, uh).T
 
-        grad_x_seq.append(dx)
-        dh = dh_prev
-        dc = dc_prev
-    grad_x_seq.reverse()
-    return grad_x_seq, grads
+def lstm_step(cell: LstmCell, x: np.ndarray):
+    """One step from a zero state: c = i * g, h = o * tanh(c), gates via
+    hard_sigmoid, candidate via tanh. Returns (h, cache)."""
+    ai = x @ cell.W_ix + cell.b_i
+    ao = x @ cell.W_ox + cell.b_o
+    i, o = hard_sigmoid(ai), hard_sigmoid(ao)
+    g = np.tanh(x @ cell.W_gx + cell.b_g)
+    tc = np.tanh(i * g)
+    return o * tc, {"x": x, "ai": ai, "ao": ao, "i": i, "g": g, "o": o, "tc": tc}
+
+
+def lstm_backward(cell: LstmCell, cache, dh: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of every cell tensor for the upstream hidden gradient dh."""
+    i, g, o, tc = cache["i"], cache["g"], cache["o"], cache["tc"]
+    _check_hidden_grad(dh, o)
+    dc = dh * o * (1.0 - tc * tc)
+    return _input_grads(cell, cache["x"], (
+        ("W_ix", "b_i", dc * g * hard_sigmoid_grad(cache["ai"])),
+        ("W_gx", "b_g", dc * i * (1.0 - g * g)),
+        ("W_ox", "b_o", dh * tc * hard_sigmoid_grad(cache["ao"])),
+    ))
+
+
+def _check_hidden_grad(dh: np.ndarray, state: np.ndarray) -> None:
+    if dh.shape != state.shape:
+        raise ShapeMismatchError(
+            f"hidden grad shape {dh.shape} != state shape {state.shape}"
+        )
+
+
+def _input_grads(cell, x: np.ndarray, gates) -> dict[str, np.ndarray]:
+    """Exact zeros for every cell tensor except each (input weight, bias)
+    pair in gates, which gets x.T @ da and da summed over the batch."""
+    grads = {f.name: np.zeros_like(getattr(cell, f.name)) for f in fields(cell)}
+    for weight, bias, da in gates:
+        grads[weight] = x.T @ da
+        grads[bias] = da.sum(axis=0)
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -339,30 +263,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def dense_softmax_ce(layer: DenseSoftmax, x: np.ndarray, y_onehot: np.ndarray):
-    """Softmax over W.T@x + b with max-subtraction; mean cross-entropy loss.
+def dense_softmax(layer: DenseSoftmax, x: np.ndarray) -> np.ndarray:
+    """Class probabilities softmax(x @ W + b) for (B, F) features x."""
+    return softmax(x @ layer.W + layer.b)
 
-    x is (B, F), y_onehot is (B, C) with exactly one 1 per row.
-    Returns (probs, loss, cache).
-    """
-    y_onehot = np.asarray(y_onehot, dtype=np.float64)
-    if y_onehot.ndim != 2 or not (
-        np.all(np.isin(y_onehot, (0.0, 1.0))) and np.all(y_onehot.sum(axis=1) == 1.0)
-    ):
+
+def cross_entropy(probs: np.ndarray, y_onehot: np.ndarray) -> np.ndarray:
+    """Per-row cross-entropy -log p[true class]; y_onehot is (B, C) with
+    exactly one 1 per row."""
+    if y_onehot.shape != probs.shape:
+        raise ShapeMismatchError(f"labels shape {y_onehot.shape} != probs shape {probs.shape}")
+    if not (np.all(np.isin(y_onehot, (0.0, 1.0))) and np.all(y_onehot.sum(axis=1) == 1.0)):
         raise ValueError("y_onehot rows must contain exactly one 1")
-    logits = x @ layer.W + layer.b
-    probs = softmax(logits)
     eps = 1e-300  # guards log(0) for a fully-confident wrong prediction
-    loss = float(-np.mean(np.sum(y_onehot * np.log(probs + eps), axis=1)))
-    cache = {"layer": layer, "x": x, "probs": probs, "y": y_onehot}
-    return probs, loss, cache
+    return -np.sum(y_onehot * np.log(probs + eps), axis=1)
 
 
-def dense_softmax_ce_backward(cache):
-    """Gradients of the mean cross-entropy w.r.t. x, W, b."""
-    layer: DenseSoftmax = cache["layer"]
-    batch = cache["x"].shape[0]
-    dlogits = (cache["probs"] - cache["y"]) / batch
-    grad_x = dlogits @ layer.W.T
-    grads = {"W": cache["x"].T @ dlogits, "b": dlogits.sum(axis=0)}
-    return grad_x, grads
+def dense_softmax_backward(layer: DenseSoftmax, x: np.ndarray, probs: np.ndarray,
+                           y_onehot: np.ndarray):
+    """Gradients of the batch-mean cross-entropy w.r.t. x, W and b, given
+    the probabilities dense_softmax returned for x. Returns (grad_x, grads)."""
+    dlogits = (probs - y_onehot) / x.shape[0]
+    return dlogits @ layer.W.T, {"W": x.T @ dlogits, "b": dlogits.sum(axis=0)}

@@ -7,7 +7,7 @@ binary checkpoint serialization.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -66,40 +66,28 @@ class ArchConfig:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
-_GRU_NAMES = ["W_zx", "U_zh", "b_z", "W_rx", "U_rh", "b_r", "W_x", "U_h", "b"]
-_LSTM_NAMES = ["W_ix", "U_ih", "b_i", "W_fx", "U_fh", "b_f",
-               "W_gx", "U_gh", "b_g", "W_ox", "U_oh", "b_o"]
+def _cell_class(config: ArchConfig):
+    return GruCell if config.cell_kind == GRU else LstmCell
 
 
 def parameter_manifest(config: ArchConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Ordered (name, shape) list of every tensor the model allocates.
 
-    This ordering is the checkpoint blob order: conv blocks in network order
-    (kernels, bias, gamma, beta, moving mean, moving var), then the recurrent
-    cell matrices gate by gate, then the dense head.
+    This ordering is the checkpoint blob order and the initializer draw
+    order: conv blocks in network order (kernels, bias, gamma, beta, moving
+    mean, moving var), then the recurrent cell matrices gate by gate, then
+    the dense head.
     """
     manifest: list[tuple[str, tuple[int, ...]]] = []
     c_in = 1
     for i, (f, k) in enumerate(zip(config.conv_filters, config.conv_kernels)):
-        manifest += [
-            (f"conv{i}.kernels", (k, c_in, f)),
-            (f"conv{i}.bias", (f,)),
-            (f"conv{i}.bn_gamma", (f,)),
-            (f"conv{i}.bn_beta", (f,)),
-            (f"conv{i}.bn_moving_mean", (f,)),
-            (f"conv{i}.bn_moving_var", (f,)),
-        ]
+        manifest.append((f"conv{i}.kernels", (k, c_in, f)))
+        manifest += [(f"conv{i}.{name}", (f,)) for name in
+                     ("bias", "bn_gamma", "bn_beta", "bn_moving_mean", "bn_moving_var")]
         c_in = f
     length, hidden = config.series_length, config.hidden_size
-    names = _GRU_NAMES if config.cell_kind == GRU else _LSTM_NAMES
-    for name in names:
-        if name.startswith("W"):
-            shape = (length, hidden)
-        elif name.startswith("U"):
-            shape = (hidden, hidden)
-        else:
-            shape = (hidden,)
-        manifest.append((f"cell.{name}", shape))
+    shapes = {"W": (length, hidden), "U": (hidden, hidden), "b": (hidden,)}
+    manifest += [(f"cell.{f.name}", shapes[f.name[0]]) for f in fields(_cell_class(config))]
     feat = config.conv_filters[-1] + hidden
     manifest += [("head.W", (feat, config.num_classes)),
                  ("head.b", (config.num_classes,))]
@@ -122,25 +110,43 @@ class GruFcnModel:
     def parameters(self) -> dict[str, np.ndarray]:
         """name -> array views in checkpoint manifest order."""
         out: dict[str, np.ndarray] = {}
-        for i, block in enumerate(self.blocks):
-            out[f"conv{i}.kernels"] = block.kernels
-            out[f"conv{i}.bias"] = block.bias
-            out[f"conv{i}.bn_gamma"] = block.bn_gamma
-            out[f"conv{i}.bn_beta"] = block.bn_beta
-            out[f"conv{i}.bn_moving_mean"] = block.bn_moving_mean
-            out[f"conv{i}.bn_moving_var"] = block.bn_moving_var
-        for name in self.cell.param_names():
-            out[f"cell.{name}"] = getattr(self.cell, name)
-        out["head.W"] = self.head.W
-        out["head.b"] = self.head.b
+        for name, _ in parameter_manifest(self.config):
+            owner, attr = name.split(".")
+            part = (self.blocks[int(owner[len("conv"):])] if owner.startswith("conv")
+                    else getattr(self, owner))
+            out[name] = getattr(part, attr)
         return out
 
     def trainable_parameters(self) -> dict[str, np.ndarray]:
         return {k: v for k, v in self.parameters().items() if "moving" not in k}
 
 
+def _assemble(config: ArchConfig, tensors: dict[str, np.ndarray]) -> GruFcnModel:
+    """The model whose parameters() are the given manifest-named arrays."""
+    parts: dict[str, dict[str, np.ndarray]] = {}
+    for name, arr in tensors.items():
+        owner, attr = name.split(".")
+        parts.setdefault(owner, {})[attr] = arr
+    blocks = [ConvBlock(**parts[f"conv{i}"], bn_momentum=config.bn_momentum,
+                        bn_epsilon=config.bn_epsilon)
+              for i in range(len(config.conv_filters))]
+    return GruFcnModel(config=config, blocks=blocks,
+                       cell=_cell_class(config)(**parts["cell"]),
+                       head=DenseSoftmax(**parts["head"]))
+
+
+def _initial_value(rng: Rng, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    if name.endswith(".kernels"):
+        return he_uniform_init(rng, shape[0] * shape[1], shape)
+    if len(shape) == 2:
+        return glorot_uniform_init(rng, shape[0], shape[1], shape)
+    if name.endswith((".bn_gamma", ".bn_moving_var")):
+        return np.ones(shape)
+    return np.zeros(shape)
+
+
 def build(config: ArchConfig, rng: Rng | None = None) -> GruFcnModel:
-    """Allocate and initialize the model.
+    """Allocate and initialize the model, drawing in manifest order.
 
     Conv kernels are He-uniform with fan_in = k * Cin; recurrent and dense
     weights are glorot-uniform; every bias starts at zero; batch-norm starts
@@ -148,37 +154,8 @@ def build(config: ArchConfig, rng: Rng | None = None) -> GruFcnModel:
     """
     if rng is None:
         rng = Rng(config.seed)
-    blocks = []
-    c_in = 1
-    for f, k in zip(config.conv_filters, config.conv_kernels):
-        blocks.append(ConvBlock(
-            kernels=he_uniform_init(rng, k * c_in, (k, c_in, f)),
-            bias=np.zeros(f),
-            bn_gamma=np.ones(f),
-            bn_beta=np.zeros(f),
-            bn_moving_mean=np.zeros(f),
-            bn_moving_var=np.ones(f),
-            bn_momentum=config.bn_momentum,
-            bn_epsilon=config.bn_epsilon,
-        ))
-        c_in = f
-    length, hidden = config.series_length, config.hidden_size
-    names = _GRU_NAMES if config.cell_kind == GRU else _LSTM_NAMES
-    cell_params = {}
-    for name in names:
-        if name.startswith("W"):
-            cell_params[name] = glorot_uniform_init(rng, length, hidden, (length, hidden))
-        elif name.startswith("U"):
-            cell_params[name] = glorot_uniform_init(rng, hidden, hidden, (hidden, hidden))
-        else:
-            cell_params[name] = np.zeros(hidden)
-    cell = GruCell(**cell_params) if config.cell_kind == GRU else LstmCell(**cell_params)
-    feat = config.conv_filters[-1] + hidden
-    head = DenseSoftmax(
-        W=glorot_uniform_init(rng, feat, config.num_classes, (feat, config.num_classes)),
-        b=np.zeros(config.num_classes),
-    )
-    return GruFcnModel(config=config, blocks=blocks, cell=cell, head=head)
+    return _assemble(config, {name: _initial_value(rng, name, shape)
+                              for name, shape in parameter_manifest(config)})
 
 
 def forward(model: GruFcnModel, batch: np.ndarray, training: bool = False,
@@ -195,9 +172,6 @@ def forward(model: GruFcnModel, batch: np.ndarray, training: bool = False,
             f"batch shape {batch.shape} does not match series length "
             f"{model.config.series_length}"
         )
-    b = batch.shape[0]
-    hidden = model.config.hidden_size
-
     x = batch[:, :, None]
     conv_caches = []
     for block in model.blocks:
@@ -205,17 +179,12 @@ def forward(model: GruFcnModel, batch: np.ndarray, training: bool = False,
         conv_caches.append(cache)
     pooled = layers.global_avg_pool(x)
 
-    h0 = np.zeros((b, hidden))
-    if isinstance(model.cell, GruCell):
-        h, cell_cache = layers.gru_step(model.cell, batch, h0)
-    else:
-        c0 = np.zeros((b, hidden))
-        h, c, cell_cache = layers.lstm_step(model.cell, batch, h0, c0)
+    step = layers.gru_step if model.config.cell_kind == GRU else layers.lstm_step
+    h, cell_cache = step(model.cell, batch)
     h_dropped, mask = layers.dropout(h, model.config.dropout_rate, training, rng)
 
     features = np.concatenate([pooled, h_dropped], axis=1)
-    logits = features @ model.head.W + model.head.b
-    probs = layers.softmax(logits)
+    probs = layers.dense_softmax(model.head, features)
     cache = {
         "conv_caches": conv_caches,
         "conv_out_length": x.shape[1],
@@ -232,26 +201,17 @@ def backward(model: GruFcnModel, cache, y_onehot: np.ndarray):
     parameter, keyed by manifest name."""
     y = np.asarray(y_onehot, dtype=np.float64)
     probs = cache["probs"]
-    if y.shape != probs.shape:
-        raise ShapeMismatchError(f"labels shape {y.shape} != probs shape {probs.shape}")
-    b = probs.shape[0]
-    loss = float(-np.mean(np.sum(y * np.log(probs + 1e-300), axis=1)))
-
-    grads: dict[str, np.ndarray] = {}
-    dlogits = (probs - y) / b
-    grads["head.W"] = cache["features"].T @ dlogits
-    grads["head.b"] = dlogits.sum(axis=0)
-    dfeat = dlogits @ model.head.W.T
+    loss = float(np.mean(layers.cross_entropy(probs, y)))
+    dfeat, head_grads = layers.dense_softmax_backward(model.head, cache["features"], probs, y)
+    grads = {f"head.{name}": g for name, g in head_grads.items()}
 
     n_fcn = model.config.conv_filters[-1]
     dpooled = dfeat[:, :n_fcn]
     dh = dfeat[:, n_fcn:] * cache["dropout_mask"]
 
-    if isinstance(model.cell, GruCell):
-        _, cell_grads = layers.gru_backward(model.cell, [cache["cell_cache"]], dh)
-    else:
-        _, cell_grads = layers.lstm_backward(model.cell, [cache["cell_cache"]], dh)
-    for name, g in cell_grads.items():
+    cell_backward = (layers.gru_backward if model.config.cell_kind == GRU
+                     else layers.lstm_backward)
+    for name, g in cell_backward(model.cell, cache["cell_cache"], dh).items():
         grads[f"cell.{name}"] = g
 
     dx = layers.global_avg_pool_backward(dpooled, cache["conv_out_length"])
@@ -296,9 +256,17 @@ def load_checkpoint(path) -> GruFcnModel:
         manifest = [(name, tuple(shape)) for name, shape in header["manifest"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise TruncatedCheckpointError(f"unreadable checkpoint header: {exc}") from exc
-    config = ArchConfig(**cfg_dict)
-    expected = parameter_manifest(config)
-    if manifest != expected:
+    keys = {f.name for f in fields(ArchConfig)}
+    if set(cfg_dict) != keys:
+        raise CheckpointError(
+            f"checkpoint config keys differ from the architecture's: "
+            f"unknown {sorted(set(cfg_dict) - keys)}, missing {sorted(keys - set(cfg_dict))}"
+        )
+    try:
+        config = ArchConfig(**cfg_dict)
+    except (ValueError, TypeError) as exc:
+        raise CheckpointError(f"invalid checkpoint config: {exc}") from exc
+    if manifest != parameter_manifest(config):
         raise ManifestMismatchError(
             "checkpoint manifest does not match the declared architecture"
         )
@@ -308,12 +276,11 @@ def load_checkpoint(path) -> GruFcnModel:
         raise ManifestMismatchError(
             f"parameter payload holds {len(blob)} bytes, manifest needs {4 * total}"
         )
-    model = build(config)
+    tensors = {}
     offset = 0
-    params = model.parameters()
     for name, shape in manifest:
         n = int(np.prod(shape))
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset)
-        params[name][...] = arr.astype(np.float64).reshape(shape)
+        tensors[name] = arr.astype(np.float64).reshape(shape)
         offset += 4 * n
-    return model
+    return _assemble(config, tensors)

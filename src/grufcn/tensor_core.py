@@ -1,4 +1,4 @@
-"""Dense float64 tensor primitives: matmul, same-padded 1D convolution,
+"""Dense float64 tensor primitives: same-padded 1D convolution and
 deterministic initializers.
 
 Tensors are plain C-contiguous ``numpy.ndarray`` objects with dtype float64.
@@ -13,14 +13,6 @@ import numpy as np
 
 class ShapeMismatchError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
-
-
-def as_tensor(data, shape=None) -> np.ndarray:
-    """Coerce ``data`` to a contiguous float64 array, optionally reshaped."""
-    arr = np.ascontiguousarray(data, dtype=np.float64)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    return arr
 
 
 class Rng:
@@ -38,21 +30,6 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-major matrix product of a (m, k) and b (k, n)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatchError(
-            f"matmul expects 2-D operands, got {a.shape} and {b.shape}"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(
-            f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
-        )
-    return a @ b
 
 
 def same_padding(kernel_size: int) -> tuple[int, int]:

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as model_mod
+from .layers import cross_entropy
 from .model import GruFcnModel, save_checkpoint
 from .tensor_core import Rng, ShapeMismatchError
 
@@ -85,22 +86,21 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return eye[np.asarray(labels, dtype=int)]
 
 
+def predict_proba(net: GruFcnModel, x: np.ndarray, chunk: int) -> np.ndarray:
+    """Inference-mode class probabilities for every row of x, one forward
+    pass per chunk of at most chunk rows."""
+    chunk = max(1, chunk)
+    return np.concatenate([model_mod.forward(net, x[start:start + chunk], training=False)[0]
+                           for start in range(0, x.shape[0], chunk)])
+
+
 def evaluate(net: GruFcnModel, x: np.ndarray, y: np.ndarray,
              eval_batch: int) -> tuple[float, float]:
     """Inference-mode mean cross-entropy and error rate, chunked by
-    eval_batch (capped at the split size)."""
-    n = x.shape[0]
-    chunk = max(1, min(eval_batch, n))
-    total_loss = 0.0
-    wrong = 0
-    y_hot = one_hot(y, net.config.num_classes)
-    for start in range(0, n, chunk):
-        xb = x[start:start + chunk]
-        yb = y_hot[start:start + chunk]
-        probs, _ = model_mod.forward(net, xb, training=False)
-        total_loss += float(-np.sum(yb * np.log(probs + 1e-300)))
-        wrong += int(np.sum(np.argmax(probs, axis=1) != y[start:start + chunk]))
-    return total_loss / n, wrong / n
+    eval_batch."""
+    probs = predict_proba(net, x, eval_batch)
+    loss = float(np.mean(cross_entropy(probs, one_hot(y, net.config.num_classes))))
+    return loss, int(np.sum(np.argmax(probs, axis=1) != y)) / len(y)
 
 
 def fit(net: GruFcnModel, dataset, run: TrainRun) -> TrainRun:

@@ -244,3 +244,14 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(bad),
                      "--train-path", str(train), "--test-path", str(test)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_checkpoint_config_is_an_error(self, synthetic_splits, tmp_path, capsys):
+        ckpt = self.make_checkpoint(synthetic_splits, tmp_path)
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(raw.replace(b'"cell_kind": "gru"', b'"cell_kind": "rnn"', 1))
+        capsys.readouterr()
+        train, test = synthetic_splits
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--train-path", str(train), "--test-path", str(test)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cell_kind" in err

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from gradcheck import assert_grad_close, numerical_grad
@@ -9,8 +11,9 @@ from grufcn.layers import (
     LstmCell,
     conv_block_backward,
     conv_block_forward,
-    dense_softmax_ce,
-    dense_softmax_ce_backward,
+    cross_entropy,
+    dense_softmax,
+    dense_softmax_backward,
     dropout,
     global_avg_pool,
     global_avg_pool_backward,
@@ -155,148 +158,121 @@ class TestConvBlock:
             assert_grad_close(grads[name], numeric, GRAD_TOL, f"conv_block {name}")
 
 
+def zero_cell(cls, n_in, hidden):
+    return cls(*[np.zeros(s) for s in [(n_in, hidden), (hidden, hidden), (hidden,)]
+                 * (len(fields(cls)) // 3)])
+
+
+def general_gru(cell, x):
+    """The general GRU step, written from its equations, at h_prev = 0."""
+    h_prev = np.zeros((x.shape[0], cell.b.shape[0]))
+    z = hard_sigmoid(x @ cell.W_zx + h_prev @ cell.U_zh + cell.b_z)
+    r = hard_sigmoid(x @ cell.W_rx + h_prev @ cell.U_rh + cell.b_r)
+    g = np.tanh(x @ cell.W_x + (r * h_prev) @ cell.U_h + cell.b)
+    return (1.0 - z) * h_prev + z * g
+
+
+def general_lstm(cell, x):
+    """The general LSTM step, written from its equations, at h_prev = c_prev = 0."""
+    h_prev = c_prev = np.zeros((x.shape[0], cell.b_i.shape[0]))
+    i = hard_sigmoid(x @ cell.W_ix + h_prev @ cell.U_ih + cell.b_i)
+    f = hard_sigmoid(x @ cell.W_fx + h_prev @ cell.U_fh + cell.b_f)
+    g = np.tanh(x @ cell.W_gx + h_prev @ cell.U_gh + cell.b_g)
+    o = hard_sigmoid(x @ cell.W_ox + h_prev @ cell.U_oh + cell.b_o)
+    return o * np.tanh(f * c_prev + i * g)
+
+
+def assert_cell_matches_general(cell, step, backward, general, rng, batch, label):
+    """The step equals the general cell from a zero state, and its gradients
+    of every tensor, untrained ones included, match central finite
+    differences of the general cell's sum(h * grad_h)."""
+    n_in, hidden = getattr(cell, fields(cell)[0].name).shape
+    x = rng.normal(size=(batch, n_in))
+    grad_h = rng.normal(size=(batch, hidden))
+    h, cache = step(cell, x)
+    assert np.array_equal(h, general(cell, x))
+    grads = backward(cell, cache, grad_h)
+    assert list(grads) == [f.name for f in fields(cell)]
+
+    for f in fields(cell):
+        arr = getattr(cell, f.name)
+        def loss(v, arr=arr):
+            arr[...] = v
+            return float(np.sum(general(cell, x) * grad_h))
+        assert_grad_close(grads[f.name], numerical_grad(loss, arr.copy()),
+                          GRAD_TOL, f"{label} {f.name}")
+
+
 class TestGru:
     def test_zero_params_halve_state(self):
-        hidden = 4
-        cell = GruCell(*[np.zeros(s) for s in
-                         [(3, hidden), (hidden, hidden), (hidden,)] * 3])
-        h_prev = np.array([[1.0, -2.0, 0.5, 3.0]])
-        h, _ = gru_step(cell, np.zeros((1, 3)), h_prev)
-        assert np.allclose(h, 0.5 * h_prev)
+        # zero update-gate parameters put z at 0.5: h is half the candidate
+        rng = np.random.default_rng(0)
+        cell = zero_cell(GruCell, 3, 4)
+        cell.W_x[...] = rng.normal(size=(3, 4))
+        cell.b[...] = rng.normal(size=4)
+        x = rng.normal(size=(2, 3))
+        h, _ = gru_step(cell, x)
+        assert np.allclose(h, 0.5 * np.tanh(x @ cell.W_x + cell.b))
 
     def test_zero_state_zero_params(self):
-        hidden = 4
-        cell = GruCell(*[np.zeros(s) for s in
-                         [(3, hidden), (hidden, hidden), (hidden,)] * 3])
-        h, _ = gru_step(cell, np.ones((1, 3)), np.zeros((1, hidden)))
+        h, _ = gru_step(zero_cell(GruCell, 3, 4), np.ones((1, 3)))
         assert np.allclose(h, 0.0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_hidden_stays_in_open_unit_interval(self, seed):
         rng = np.random.default_rng(seed)
         cell = make_gru_cell(rng, 5, 6, scale=2.0)
-        h = np.zeros((3, 6))
         for _ in range(4):
-            h, _ = gru_step(cell, rng.normal(size=(3, 5)), h)
+            h, _ = gru_step(cell, rng.normal(size=(3, 5)))
             assert np.all(h > -1.0) and np.all(h < 1.0)
 
     def test_zero_final_grad_gives_zero_grads(self):
         rng = np.random.default_rng(0)
         cell = make_gru_cell(rng, 3, 4)
-        _, cache = gru_step(cell, rng.normal(size=(2, 3)), np.zeros((2, 4)))
-        grad_x_seq, grads = gru_backward(cell, [cache], np.zeros((2, 4)))
+        _, cache = gru_step(cell, rng.normal(size=(2, 3)))
+        grads = gru_backward(cell, cache, np.zeros((2, 4)))
         assert all(np.all(g == 0) for g in grads.values())
-        assert np.all(grad_x_seq[0] == 0)
 
     def test_zero_input_sequence_zeroes_feedforward_grads(self):
         rng = np.random.default_rng(1)
         cell = make_gru_cell(rng, 3, 4)
-        h = rng.normal(size=(2, 4)) * 0.1
-        caches = []
-        for _ in range(3):
-            h, cache = gru_step(cell, np.zeros((2, 3)), h)
-            caches.append(cache)
-        _, grads = gru_backward(cell, caches, rng.normal(size=(2, 4)))
+        _, cache = gru_step(cell, np.zeros((2, 3)))
+        grads = gru_backward(cell, cache, rng.normal(size=(2, 4)))
         for name in ("W_zx", "W_rx", "W_x"):
             assert np.all(grads[name] == 0)
+        assert np.any(grads["b"] != 0)
 
-    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("seed", range(10))
-    def test_backward_matches_finite_differences(self, steps, seed):
+    def test_backward_matches_finite_differences(self, batch, seed):
         rng = np.random.default_rng(100 + seed)
-        n_in, hidden, batch = 3, 4, 2
-        cell = make_gru_cell(rng, n_in, hidden)
-        xs = [rng.normal(size=(batch, n_in)) for _ in range(steps)]
-        h0 = rng.normal(size=(batch, hidden)) * 0.1
-        grad_h = rng.normal(size=(batch, hidden))
-
-        def run():
-            h = h0
-            caches = []
-            for x in xs:
-                h, cache = gru_step(cell, x, h)
-                caches.append(cache)
-            return h, caches
-
-        _, caches = run()
-        grad_x_seq, grads = gru_backward(cell, caches, grad_h)
-
-        def loss():
-            h, _ = run()
-            return float(np.sum(h * grad_h))
-
-        for name in cell.param_names():
-            arr = getattr(cell, name)
-            def f(v, arr=arr):
-                arr[...] = v
-                return loss()
-            assert_grad_close(grads[name], numerical_grad(f, arr.copy()),
-                              GRAD_TOL, f"gru {name}")
-        for t in range(steps):
-            def f(v, t=t):
-                xs[t][...] = v
-                return loss()
-            assert_grad_close(grad_x_seq[t], numerical_grad(f, xs[t].copy()),
-                              GRAD_TOL, f"gru x[{t}]")
+        assert_cell_matches_general(make_gru_cell(rng, 3, 4), gru_step, gru_backward,
+                                    general_gru, rng, batch, "gru")
 
 
 class TestLstm:
     def test_zero_params_zero_cell(self):
-        hidden = 4
-        cell = LstmCell(*[np.zeros(s) for s in
-                          [(3, hidden), (hidden, hidden), (hidden,)] * 4])
-        h, c, _ = lstm_step(cell, np.ones((1, 3)), np.zeros((1, hidden)),
-                            np.zeros((1, hidden)))
-        assert np.allclose(h, 0.0) and np.allclose(c, 0.0)
+        h, cache = lstm_step(zero_cell(LstmCell, 3, 4), np.ones((1, 3)))
+        assert np.allclose(h, 0.0) and np.allclose(cache["i"] * cache["g"], 0.0)
 
     def test_zero_params_gates_at_half(self):
-        hidden = 4
-        cell = LstmCell(*[np.zeros(s) for s in
-                          [(3, hidden), (hidden, hidden), (hidden,)] * 4])
-        c_prev = np.array([[1.0, -1.0, 2.0, 0.5]])
-        h, c, _ = lstm_step(cell, np.zeros((1, 3)), np.zeros((1, hidden)), c_prev)
-        assert np.allclose(c, 0.5 * c_prev)
-        assert np.allclose(h, 0.5 * np.tanh(0.5 * c_prev))
+        # zero input/output-gate parameters put i and o at 0.5
+        rng = np.random.default_rng(0)
+        cell = zero_cell(LstmCell, 3, 4)
+        cell.W_gx[...] = rng.normal(size=(3, 4))
+        cell.b_g[...] = rng.normal(size=4)
+        x = rng.normal(size=(2, 3))
+        h, cache = lstm_step(cell, x)
+        g = np.tanh(x @ cell.W_gx + cell.b_g)
+        assert np.allclose(cache["i"], 0.5) and np.allclose(cache["o"], 0.5)
+        assert np.allclose(h, 0.5 * np.tanh(0.5 * g))
 
-    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("seed", range(10))
-    def test_backward_matches_finite_differences(self, steps, seed):
+    def test_backward_matches_finite_differences(self, batch, seed):
         rng = np.random.default_rng(200 + seed)
-        n_in, hidden, batch = 3, 4, 2
-        cell = make_lstm_cell(rng, n_in, hidden)
-        xs = [rng.normal(size=(batch, n_in)) for _ in range(steps)]
-        h0 = rng.normal(size=(batch, hidden)) * 0.1
-        c0 = rng.normal(size=(batch, hidden)) * 0.1
-        grad_h = rng.normal(size=(batch, hidden))
-
-        def run():
-            h, c = h0, c0
-            caches = []
-            for x in xs:
-                h, c, cache = lstm_step(cell, x, h, c)
-                caches.append(cache)
-            return h, caches
-
-        _, caches = run()
-        grad_x_seq, grads = lstm_backward(cell, caches, grad_h)
-
-        def loss():
-            h, _ = run()
-            return float(np.sum(h * grad_h))
-
-        for name in cell.param_names():
-            arr = getattr(cell, name)
-            def f(v, arr=arr):
-                arr[...] = v
-                return loss()
-            assert_grad_close(grads[name], numerical_grad(f, arr.copy()),
-                              GRAD_TOL, f"lstm {name}")
-        for t in range(steps):
-            def f(v, t=t):
-                xs[t][...] = v
-                return loss()
-            assert_grad_close(grad_x_seq[t], numerical_grad(f, xs[t].copy()),
-                              GRAD_TOL, f"lstm x[{t}]")
+        assert_cell_matches_general(make_lstm_cell(rng, 3, 4), lstm_step, lstm_backward,
+                                    general_lstm, rng, batch, "lstm")
 
 
 class TestElementCounts:
@@ -305,14 +281,16 @@ class TestElementCounts:
         n_in, hidden = 7, 5
         gru = make_gru_cell(rng, n_in, hidden)
         lstm = make_lstm_cell(rng, n_in, hidden)
-        gru_total = sum(getattr(gru, n).size for n in gru.param_names())
-        lstm_total = sum(getattr(lstm, n).size for n in lstm.param_names())
+        gru_names = [f.name for f in fields(gru)]
+        lstm_names = [f.name for f in fields(lstm)]
+        gru_total = sum(getattr(gru, n).size for n in gru_names)
+        lstm_total = sum(getattr(lstm, n).size for n in lstm_names)
         assert gru_total == 3 * (n_in * hidden + hidden**2 + hidden)
         assert lstm_total == 4 * (n_in * hidden + hidden**2 + hidden)
-        assert len([n for n in gru.param_names() if not n.startswith("b")]) == 6
-        assert len([n for n in gru.param_names() if n.startswith("b")]) == 3
-        assert len([n for n in lstm.param_names() if not n.startswith("b")]) == 8
-        assert len([n for n in lstm.param_names() if n.startswith("b")]) == 4
+        assert len([n for n in gru_names if not n.startswith("b")]) == 6
+        assert len([n for n in gru_names if n.startswith("b")]) == 3
+        assert len([n for n in lstm_names if not n.startswith("b")]) == 8
+        assert len([n for n in lstm_names if n.startswith("b")]) == 4
 
 
 class TestGlobalAvgPool:
@@ -368,14 +346,14 @@ class TestDenseSoftmax:
         layer = DenseSoftmax(W=np.zeros((5, 4)), b=np.zeros(4))
         x = np.random.default_rng(0).normal(size=(2, 5))
         y = np.eye(4)[[1, 3]]
-        probs, loss, _ = dense_softmax_ce(layer, x, y)
+        probs = dense_softmax(layer, x)
         assert np.allclose(probs, 0.25)
-        assert loss == pytest.approx(np.log(4.0))
+        assert np.allclose(cross_entropy(probs, y), np.log(4.0))
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         layer = DenseSoftmax(W=rng.normal(size=(5, 3)), b=rng.normal(size=3))
-        probs, _, _ = dense_softmax_ce(layer, rng.normal(size=(4, 5)), np.eye(3)[[0, 1, 2, 0]])
+        probs = dense_softmax(layer, rng.normal(size=(4, 5)))
         assert np.all(probs >= 0)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -388,31 +366,40 @@ class TestDenseSoftmax:
         assert np.all(np.isfinite(softmax(logits + 5000.0)))
 
     def test_degenerate_onehot_rejected(self):
-        layer = DenseSoftmax(W=np.zeros((2, 3)), b=np.zeros(3))
+        probs = np.full((1, 3), 1 / 3)
         with pytest.raises(ValueError):
-            dense_softmax_ce(layer, np.zeros((1, 2)), np.array([[1.0, 1.0, 0.0]]))
+            cross_entropy(probs, np.array([[1.0, 1.0, 0.0]]))
         with pytest.raises(ValueError):
-            dense_softmax_ce(layer, np.zeros((1, 2)), np.array([[0.0, 0.0, 0.0]]))
+            cross_entropy(probs, np.array([[0.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError):
+            cross_entropy(probs, np.array([[1.0, 0.0]]))
+
+    def test_confident_wrong_prediction_has_finite_loss(self):
+        loss = cross_entropy(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
+        assert np.all(np.isfinite(loss)) and loss[0] > 600
 
     def test_logit_gradient_is_probs_minus_onehot(self):
         rng = np.random.default_rng(3)
         layer = DenseSoftmax(W=rng.normal(size=(4, 3)), b=rng.normal(size=3))
         x = rng.normal(size=(2, 4))
         y = np.eye(3)[[0, 2]]
-        probs, _, cache = dense_softmax_ce(layer, x, y)
-        grad_x, grads = dense_softmax_ce_backward(cache)
+        grad_x, grads = dense_softmax_backward(layer, x, dense_softmax(layer, x), y)
+
+        def mean_loss(features):
+            return float(np.mean(cross_entropy(dense_softmax(layer, features), y)))
 
         def loss_of_w(v):
             layer.W[...] = v
-            _, loss, _ = dense_softmax_ce(layer, x, y)
-            return loss
+            return mean_loss(x)
 
         assert_grad_close(grads["W"], numerical_grad(loss_of_w, layer.W.copy()),
                           GRAD_TOL, "dense W")
 
-        def loss_of_x(v):
-            _, loss, _ = dense_softmax_ce(layer, v, y)
-            return loss
+        def loss_of_b(v):
+            layer.b[...] = v
+            return mean_loss(x)
 
-        assert_grad_close(grad_x, numerical_grad(loss_of_x, x.copy()),
+        assert_grad_close(grads["b"], numerical_grad(loss_of_b, layer.b.copy()),
+                          GRAD_TOL, "dense b")
+        assert_grad_close(grad_x, numerical_grad(mean_loss, x.copy()),
                           GRAD_TOL, "dense x")

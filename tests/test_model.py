@@ -6,6 +6,7 @@ from grufcn.model import (
     ArchConfig,
     BadMagicError,
     CHECKPOINT_MAGIC,
+    CheckpointError,
     ManifestMismatchError,
     TruncatedCheckpointError,
     backward,
@@ -123,9 +124,9 @@ class TestBuild:
             assert np.all(block.bn_beta == 0)
             assert np.all(block.bn_moving_mean == 0)
             assert np.all(block.bn_moving_var == 1)
-        for name in model.cell.param_names():
-            if name.startswith("b"):
-                assert np.all(getattr(model.cell, name) == 0), name
+        for name, arr in model.parameters().items():
+            if name.startswith("cell.b"):
+                assert np.all(arr == 0), name
         assert np.all(model.head.b == 0)
 
     def test_trainable_excludes_moving_statistics(self):
@@ -285,6 +286,24 @@ class TestCheckpoint:
         doctored = CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + body[nl + 1:]
         path.write_bytes(doctored)
         with pytest.raises(ManifestMismatchError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("dropout", 0.5), ("seed", None), ("cell_kind", "rnn"), ("conv_filters", 128),
+    ], ids=["unknown-key", "missing-key", "bad-cell-kind", "bad-filters"])
+    def test_bad_header_config_rejected(self, tmp_path, key, value):
+        import json
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build(ArchConfig(10, 2)), path)
+        body = path.read_bytes()[len(CHECKPOINT_MAGIC):]
+        nl = body.index(b"\n")
+        header = json.loads(body[:nl])
+        if value is None:
+            del header["config"][key]
+        else:
+            header["config"][key] = value
+        path.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + body[nl:])
+        with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("seed", range(10))

@@ -5,45 +5,12 @@ from hypothesis import strategies as st
 
 from grufcn.tensor_core import (
     Rng,
-    ShapeMismatchError,
     conv1d_same,
     conv1d_same_backward,
     glorot_uniform_init,
     he_uniform_init,
-    matmul,
     same_padding,
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_arithmetic(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert np.array_equal(out, [[11.0]])
-
-    def test_zero_annihilator(self):
-        out = matmul(np.zeros((2, 3)), np.random.default_rng(0).normal(size=(3, 4)))
-        assert np.array_equal(out, np.zeros((2, 4)))
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(4, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_associative_on_small_inputs(self, seed):
-        rng = np.random.default_rng(seed)
-        dims = rng.integers(1, 17, size=4)
-        a = rng.normal(size=(dims[0], dims[1]))
-        b = rng.normal(size=(dims[1], dims[2]))
-        c = rng.normal(size=(dims[2], dims[3]))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        scale = max(1.0, np.abs(left).max())
-        assert np.abs(left - right).max() / scale < 1e-9
 
 
 class TestConv1dSame:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grufcn.data_ucr import UcrDataset
-from grufcn.model import ArchConfig, build, forward, load_checkpoint
+from grufcn.model import ArchConfig, backward, build, forward, load_checkpoint
 from grufcn.tensor_core import Rng, ShapeMismatchError
 from grufcn.train import (
     AdamState,
@@ -209,6 +209,27 @@ class TestFit:
         run = fit(model, make_synthetic_dataset(),
                   TrainRun(epochs=1, train_batch=5, eval_batch=4))
         assert len(run.history) == 1
+
+    @pytest.mark.parametrize("kind, frozen", [
+        ("gru", {"U_zh", "W_rx", "U_rh", "b_r", "U_h"}),
+        ("lstm", {"U_ih", "W_fx", "U_fh", "b_f", "U_gh", "U_oh"}),
+    ])
+    def test_zero_state_leaves_recurrent_tensors_untrained(self, kind, frozen):
+        # one step from a zero state: the U_* matrices, the GRU reset gate and
+        # the LSTM forget gate never reach the output
+        frozen = {f"cell.{name}" for name in frozen}
+        model = build(ArchConfig(24, 2, cell_kind=kind, seed=4))
+        ds = make_synthetic_dataset()
+        _, cache = forward(model, ds.train_x, training=True, rng=Rng(0))
+        _, grads = backward(model, cache, one_hot(ds.train_y, 2))
+        assert {name for name, g in grads.items() if not np.any(g)} == frozen
+        before = {k: v.copy() for k, v in model.parameters().items()}
+        fit(model, ds, TrainRun(epochs=2, train_batch=4, eval_batch=4, seed=4))
+        for name, arr in model.parameters().items():
+            if name in frozen:
+                assert np.array_equal(arr, before[name]), name
+            elif name.startswith("cell."):
+                assert not np.array_equal(arr, before[name]), name
 
     def test_learns_separable_synthetic(self):
         model = build(ArchConfig(24, 2, seed=0))
