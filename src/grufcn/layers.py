@@ -25,10 +25,6 @@ def hard_sigmoid_grad(u: np.ndarray) -> np.ndarray:
     return np.where((u > -2.5) & (u < 2.5), 0.2, 0.0)
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Conv block: conv1d_same -> batch norm -> ReLU
 # ---------------------------------------------------------------------------
@@ -49,8 +45,9 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
     """ReLU(BN(conv(x))). x is (B, L, Cin); returns ((B, L, Cout), cache).
 
     Training mode normalizes with batch statistics taken over all batch and
-    time positions per channel and updates the moving statistics in place;
-    inference mode uses the moving statistics.
+    time positions per channel, updates the moving statistics in place, and
+    returns the backward cache; inference mode uses the moving statistics
+    and returns None for the cache, so no activation outlives the pass.
     """
     if not np.all(np.isfinite(x)):
         raise FloatingPointError("non-finite input to conv block")
@@ -65,22 +62,18 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
         mean = block.bn_moving_mean
         var = block.bn_moving_var
     inv_std = 1.0 / np.sqrt(var + block.bn_epsilon)
-    x_hat = (y - mean) * inv_std
-    z = block.bn_gamma * x_hat + block.bn_beta
-    out = relu(z)
-    cache = {
-        "block": block,
-        "x": x,
-        "x_hat": x_hat,
-        "inv_std": inv_std,
-        "relu_mask": z > 0,
-        "training": training,
-    }
-    return out, cache
+    # y becomes x_hat in place; inference keeps no x_hat, so z reuses it too
+    x_hat = np.multiply(np.subtract(y, mean, out=y), inv_std, out=y)
+    z = np.multiply(x_hat, block.bn_gamma, out=None if training else x_hat)
+    z += block.bn_beta
+    cache = {"block": block, "x": x, "x_hat": x_hat, "inv_std": inv_std,
+             "relu_mask": z > 0} if training else None
+    return np.maximum(z, 0.0, out=z), cache
 
 
 def conv_block_backward(cache, grad_out: np.ndarray):
-    """Gradients of the composed ReLU(BN(conv)) w.r.t. input and parameters.
+    """Gradients of the composed ReLU(BN(conv)) w.r.t. input and parameters,
+    from a training-mode cache.
 
     Includes the batch-statistics coupling terms of training-mode batch norm.
     Returns (grad_x, grads) with grads keyed kernels/bias/bn_gamma/bn_beta.
@@ -91,18 +84,15 @@ def conv_block_backward(cache, grad_out: np.ndarray):
         raise ShapeMismatchError(
             f"grad shape {grad_out.shape} != forward output shape {x_hat.shape}"
         )
+    # dz becomes dx_hat and then dy in place; prod is the one scratch array
     dz = grad_out * cache["relu_mask"]
-    grad_gamma = np.sum(dz * x_hat, axis=(0, 1))
-    grad_beta = np.sum(dz, axis=(0, 1))
-    dx_hat = dz * block.bn_gamma
-    if cache["training"]:
-        dy = (
-            dx_hat
-            - dx_hat.mean(axis=(0, 1))
-            - x_hat * np.mean(dx_hat * x_hat, axis=(0, 1))
-        ) * cache["inv_std"]
-    else:
-        dy = dx_hat * cache["inv_std"]
+    prod = dz * x_hat
+    grad_gamma, grad_beta = prod.sum(axis=(0, 1)), dz.sum(axis=(0, 1))
+    dx_hat = np.multiply(dz, block.bn_gamma, out=dz)
+    mean_prod = np.multiply(dx_hat, x_hat, out=prod).mean(axis=(0, 1))
+    dy = np.subtract(dx_hat, dx_hat.mean(axis=(0, 1)), out=dx_hat)
+    dy -= np.multiply(x_hat, mean_prod, out=prod)
+    dy *= cache["inv_std"]
     grad_x, grad_kernels, grad_bias = conv1d_same_backward(
         cache["x"], block.kernels, dy
     )

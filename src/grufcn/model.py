@@ -7,6 +7,7 @@ binary checkpoint serialization.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -164,7 +165,8 @@ def forward(model: GruFcnModel, batch: np.ndarray, training: bool = False,
 
     The conv branch sees each series as L positions x 1 channel; the
     recurrent branch sees the dimension-shuffled series as one time step of
-    L features, started from a zero state, followed by dropout.
+    L features, started from a zero state, followed by dropout. Only a
+    training-mode cache holds the layer state that backward needs.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != model.config.series_length:
@@ -175,8 +177,8 @@ def forward(model: GruFcnModel, batch: np.ndarray, training: bool = False,
     x = batch[:, :, None]
     conv_caches = []
     for block in model.blocks:
-        x, cache = layers.conv_block_forward(block, x, training)
-        conv_caches.append(cache)
+        x, block_cache = layers.conv_block_forward(block, x, training)
+        conv_caches.append(block_cache)
     pooled = layers.global_avg_pool(x)
 
     step = layers.gru_step if model.config.cell_kind == GRU else layers.lstm_step
@@ -185,20 +187,19 @@ def forward(model: GruFcnModel, batch: np.ndarray, training: bool = False,
 
     features = np.concatenate([pooled, h_dropped], axis=1)
     probs = layers.dense_softmax(model.head, features)
-    cache = {
-        "conv_caches": conv_caches,
-        "conv_out_length": x.shape[1],
-        "cell_cache": cell_cache,
-        "dropout_mask": mask,
-        "features": features,
-        "probs": probs,
-    }
+    cache = {"features": features, "probs": probs}
+    if training:
+        cache.update(conv_caches=conv_caches, conv_out_length=x.shape[1],
+                     cell_cache=cell_cache, dropout_mask=mask)
     return probs, cache
 
 
 def backward(model: GruFcnModel, cache, y_onehot: np.ndarray):
     """Mean cross-entropy loss and its gradients w.r.t. every trainable
-    parameter, keyed by manifest name."""
+    parameter, keyed by manifest name, from a training-mode forward cache."""
+    if "conv_caches" not in cache:
+        raise ValueError("backward needs the cache of a training-mode forward pass; "
+                         "an inference-mode pass keeps no backward state")
     y = np.asarray(y_onehot, dtype=np.float64)
     probs = cache["probs"]
     loss = float(np.mean(layers.cross_entropy(probs, y)))
@@ -229,16 +230,25 @@ def backward(model: GruFcnModel, cache, y_onehot: np.ndarray):
 def save_checkpoint(model: GruFcnModel, path) -> None:
     """Single-file format: magic, one JSON header line (config + ordered
     tensor manifest), then all tensors as little-endian float32 in manifest
-    order."""
+    order. Written to a temp file that then replaces path, so a failed
+    write leaves any earlier file at path intact."""
     params = model.parameters()
     manifest = [[name, list(arr.shape)] for name, arr in params.items()]
     header = json.dumps({"config": asdict(model.config), "manifest": manifest})
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(header.encode("utf-8"))
-        fh.write(b"\n")
-        for arr in params.values():
-            fh.write(arr.astype("<f4").tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(header.encode("utf-8"))
+            fh.write(b"\n")
+            for arr in params.values():
+                fh.write(arr.astype("<f4").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> GruFcnModel:
@@ -281,6 +291,8 @@ def load_checkpoint(path) -> GruFcnModel:
     for name, shape in manifest:
         n = int(np.prod(shape))
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"checkpoint tensor {name} holds NaN or Inf")
         tensors[name] = arr.astype(np.float64).reshape(shape)
         offset += 4 * n
     return _assemble(config, tensors)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+IM2COL_ELEMENTS = 1 << 20  # float64 elements per im2col slice in conv1d_same (8 MiB)
+
 
 class ShapeMismatchError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
@@ -47,15 +49,12 @@ def same_padding(kernel_size: int) -> tuple[int, int]:
 def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Stride-1 cross-correlation with zero "same" padding.
 
-    x may be (L, Cin) or batched (B, L, Cin); kernels is (k, Cin, Cout),
-    bias is (Cout,). No kernel flip is applied.
+    x is (B, L, Cin), kernels is (k, Cin, Cout), bias is (Cout,); returns
+    (B, L, Cout). No kernel flip is applied.
     """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
     if x.ndim != 3 or kernels.ndim != 3:
         raise ShapeMismatchError(
             f"conv1d_same expects (B,L,Cin) input and (k,Cin,Cout) kernels, "
@@ -63,19 +62,21 @@ def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndar
         )
     k, c_in, c_out = kernels.shape
     if x.shape[2] != c_in:
-        raise ShapeMismatchError(
-            f"input channels {x.shape[2]} != kernel channels {c_in}"
-        )
-    left, right = same_padding(k)
+        raise ShapeMismatchError(f"input channels {x.shape[2]} != kernel channels {c_in}")
     batch, length, _ = x.shape
-    padded = np.zeros((batch, length + left + right, c_in))
-    padded[:, left:left + length] = x
     w = kernels.reshape(k * c_in, c_out)
-    # windows[b, t] = padded[b, t:t+k, :] flattened tap-major
-    windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=1)
-    windows = windows.transpose(0, 1, 3, 2).reshape(batch * length, k * c_in)
-    out = (windows @ w).reshape(batch, length, c_out) + bias
-    return out[0] if squeeze else out
+    step = max(1, IM2COL_ELEMENTS // max(1, length * k * c_in))
+    scratch = np.empty((min(step, batch) * length, k * c_in))
+    out = np.empty((batch, length, c_out))
+    # pad and im2col-copy a few whole series at a time (windows[b, t] = padded[b, t:t+k, :]
+    # flattened tap-major), so the batch's k-times window matrix never exists
+    for b in range(0, batch, step):
+        padded = np.pad(x[b:b + step], ((0, 0), same_padding(k), (0, 0)))
+        windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=1)
+        cols = scratch[:len(padded) * length]
+        np.copyto(cols.reshape(-1, length, k, c_in), windows.transpose(0, 1, 3, 2))
+        np.matmul(cols, w, out=out[b:b + step].reshape(-1, c_out))
+    return np.add(out, bias, out=out)
 
 
 def conv1d_same_backward(
@@ -83,36 +84,32 @@ def conv1d_same_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of conv1d_same w.r.t. input, kernels, and bias.
 
-    Shapes mirror the forward call; grad_out is (B, L, Cout) or (L, Cout).
+    x is the forward's (B, L, Cin) input, grad_out is (B, L, Cout). Each tap
+    does two 2-D GEMMs over all B*L positions through one reused (B*L, Cin)
+    scratch array, so no k-times window matrix is built and no tap allocates.
     """
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
-        grad_out = grad_out[None]
     k, c_in, c_out = kernels.shape
-    if grad_out.shape != (x.shape[0], x.shape[1], c_out):
+    if x.ndim != 3 or grad_out.shape != (x.shape[0], x.shape[1], c_out):
         raise ShapeMismatchError(
             f"grad shape {grad_out.shape} does not match forward output "
-            f"({x.shape[0]}, {x.shape[1]}, {c_out})"
+            f"for input {x.shape} and {c_out} output channels"
         )
-    left, right = same_padding(k)
     batch, length, _ = x.shape
-    padded = np.zeros((batch, length + left + right, c_in))
-    padded[:, left:left + length] = x
+    left, right = same_padding(k)
+    padded = np.pad(x, ((0, 0), (left, right), (0, 0)))
     grad_padded = np.zeros_like(padded)
-    grad_kernels = np.zeros_like(kernels)
-    # k is tiny (<= 8 here); a python loop over taps keeps this BLAS-bound
+    grad_kernels = np.empty_like(kernels)
+    grad_rows = grad_out.reshape(batch * length, c_out)
+    rows = np.empty((batch * length, c_in))
+    taps = rows.reshape(batch, length, c_in)
     for j in range(k):
-        tap = padded[:, j:j + length]            # (B, L, Cin)
-        grad_kernels[j] = np.einsum("bli,blo->io", tap, grad_out)
-        grad_padded[:, j:j + length] += grad_out @ kernels[j].T
-    grad_x = grad_padded[:, left:left + length]
-    grad_bias = grad_out.sum(axis=(0, 1))
-    if squeeze:
-        grad_x = grad_x[0]
-    return grad_x, grad_kernels, grad_bias
+        np.copyto(taps, padded[:, j:j + length])
+        np.matmul(rows.T, grad_rows, out=grad_kernels[j])
+        np.matmul(grad_rows, kernels[j].T, out=rows)
+        grad_padded[:, j:j + length] += taps
+    return grad_padded[:, left:left + length], grad_kernels, grad_out.sum(axis=(0, 1))
 
 
 def he_uniform_init(rng: Rng, fan_in: int, shape) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grufcn.cli import build_parser, main
+from grufcn.model import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture
@@ -255,3 +256,16 @@ class TestEval:
                      "--train-path", str(train), "--test-path", str(test)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "cell_kind" in err
+
+    def test_non_finite_checkpoint_is_an_error(self, synthetic_splits, tmp_path, capsys):
+        ckpt = self.make_checkpoint(synthetic_splits, tmp_path)
+        net = load_checkpoint(ckpt)
+        net.head.W[0, 0] = np.nan
+        save_checkpoint(net, ckpt)
+        capsys.readouterr()
+        train, test = synthetic_splits
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--train-path", str(train), "--test-path", str(test)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "head.W holds NaN or Inf" in err
+        assert "Traceback" not in err

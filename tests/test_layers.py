@@ -23,7 +23,7 @@ from grufcn.layers import (
     lstm_backward,
     lstm_step,
 )
-from grufcn.tensor_core import Rng
+from grufcn.tensor_core import Rng, conv1d_same
 
 GRAD_TOL = 1e-5
 
@@ -109,6 +109,33 @@ class TestConvBlock:
         frozen = block.bn_moving_mean.copy()
         conv_block_forward(block, x, training=False)
         assert np.array_equal(block.bn_moving_mean, frozen)
+
+    def test_inference_output_matches_batch_norm_formula(self):
+        # the in-place normalization must round exactly like the plain formula
+        rng = np.random.default_rng(6)
+        block = make_conv_block(rng, 5, 2, 3, gamma_scale=1.7)
+        block.bn_moving_mean[:] = rng.normal(size=3)
+        block.bn_moving_var[:] = rng.uniform(0.5, 2.0, size=3)
+        x = rng.normal(size=(3, 9, 2))
+        y = conv1d_same(x, block.kernels, block.bias)
+        inv_std = 1.0 / np.sqrt(block.bn_moving_var + block.bn_epsilon)
+        z = block.bn_gamma * ((y - block.bn_moving_mean) * inv_std) + block.bn_beta
+        out, cache = conv_block_forward(block, x, training=False)
+        assert cache is None
+        assert np.array_equal(out, np.maximum(z, 0.0))
+
+    def test_backward_leaves_its_inputs_untouched(self):
+        rng = np.random.default_rng(7)
+        block = make_conv_block(rng, 3, 2, 4)
+        _, cache = conv_block_forward(block, rng.normal(size=(2, 6, 2)), training=True)
+        grad_out = rng.normal(size=(2, 6, 4))
+        saved = {k: v.copy() for k, v in cache.items() if isinstance(v, np.ndarray)}
+        saved["grad_out"] = grad_out.copy()
+        first = conv_block_backward(cache, grad_out)
+        second = conv_block_backward(cache, grad_out)
+        assert all(np.array_equal({**cache, "grad_out": grad_out}[k], v) for k, v in saved.items())
+        assert np.array_equal(first[0], second[0])
+        assert all(np.array_equal(first[1][k], second[1][k]) for k in first[1])
 
     def test_non_finite_input_rejected(self):
         block = make_conv_block(np.random.default_rng(4), 3, 1, 2)

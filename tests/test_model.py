@@ -159,6 +159,13 @@ class TestForward:
         _, cache = forward(model, np.zeros((2, 40)), training=False)
         assert np.allclose(cache["features"][:, -model.config.hidden_size:], 0.0)
 
+    def test_inference_cache_keeps_no_backward_state(self):
+        model = build(ArchConfig(40, 5, seed=3))
+        _, cache = forward(model, np.zeros((2, 40)), training=False)
+        assert set(cache) == {"features", "probs"}
+        with pytest.raises(ValueError, match="training-mode"):
+            backward(model, cache, np.eye(5)[[0, 1]])
+
     def test_wrong_length_rejected(self):
         model = build(ArchConfig(40, 5))
         with pytest.raises(ShapeMismatchError):
@@ -286,6 +293,29 @@ class TestCheckpoint:
         doctored = CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + body[nl + 1:]
         path.write_bytes(doctored)
         with pytest.raises(ManifestMismatchError):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_earlier_checkpoint(self, tmp_path):
+        model = build(ArchConfig(10, 2))
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(model, path)
+        before = path.read_bytes()
+        # conv0.bias, the second tensor, cannot become float32: the write
+        # fails after conv0.kernels is out
+        model.blocks[0].bias = np.full(model.blocks[0].bias.shape, "x", dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, bad):
+        model = build(ArchConfig(10, 2))
+        model.cell.W_x[0, 0] = bad
+        model.head.W[0, 0] = bad
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError, match="cell.W_x holds NaN or Inf"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key, value", [

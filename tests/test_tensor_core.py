@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from gradcheck import assert_grad_close, max_rel_error, numerical_grad
 
+from grufcn import tensor_core
 from grufcn.tensor_core import (
     Rng,
+    ShapeMismatchError,
     conv1d_same,
     conv1d_same_backward,
     glorot_uniform_init,
@@ -17,19 +20,19 @@ class TestConv1dSame:
     def test_hand_convolution(self):
         x = np.array([[1.0], [2.0], [3.0]])
         kernels = np.ones((3, 1, 1))
-        out = conv1d_same(x, kernels, np.zeros(1))
+        out = conv1d_same(x[None], kernels, np.zeros(1))[0]
         assert np.allclose(out[:, 0], [3.0, 6.0, 5.0])
 
     def test_zero_kernel_gives_bias(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(9, 2))
-        out = conv1d_same(x, np.zeros((5, 2, 3)), np.array([1.0, -2.0, 0.5]))
+        out = conv1d_same(x[None], np.zeros((5, 2, 3)), np.array([1.0, -2.0, 0.5]))[0]
         assert np.allclose(out, np.broadcast_to([1.0, -2.0, 0.5], (9, 3)))
 
     def test_same_padding_shape_contract(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(176, 1))
-        out = conv1d_same(x, rng.normal(size=(8, 1, 128)), np.zeros(128))
+        out = conv1d_same(x[None], rng.normal(size=(8, 1, 128)), np.zeros(128))[0]
         assert out.shape == (176, 128)
 
     def test_even_kernel_pads_extra_zero_right(self):
@@ -38,12 +41,12 @@ class TestConv1dSame:
         assert same_padding(5) == (2, 2)
 
     def test_kernel_longer_than_input_is_legal(self):
-        out = conv1d_same(np.ones((2, 1)), np.ones((8, 1, 1)), np.zeros(1))
+        out = conv1d_same(np.ones((2, 1))[None], np.ones((8, 1, 1)), np.zeros(1))[0]
         assert out.shape == (2, 1)
 
     def test_kernel_size_zero_rejected(self):
         with pytest.raises(ValueError):
-            conv1d_same(np.ones((4, 1)), np.ones((0, 1, 1)), np.zeros(1))
+            conv1d_same(np.ones((4, 1))[None], np.ones((0, 1, 1)), np.zeros(1))
 
     def test_matches_direct_convolution(self):
         # brute-force reference: explicit loops over output positions and taps
@@ -59,6 +62,19 @@ class TestConv1dSame:
                 if 0 <= src < 7:
                     expected[t] += x[src] @ kernels[j]
         expected += bias
+        assert np.allclose(conv1d_same(x[None], kernels, bias)[0], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("series_per_slice", [0, 1, 2, 3])
+    def test_im2col_slices_match_direct_convolution(self, monkeypatch, series_per_slice):
+        # 0 elements still gives one series per slice; 2 leaves a short last slice
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(5, 7, 2))
+        kernels = rng.normal(size=(4, 2, 3))
+        bias = rng.normal(size=3)
+        left, _ = same_padding(4)
+        padded = np.pad(x, ((0, 0), (left, 4 - 1 - left), (0, 0)))
+        expected = sum(padded[:, j:j + 7] @ kernels[j] for j in range(4)) + bias
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", series_per_slice * 7 * 4 * 2)
         assert np.allclose(conv1d_same(x, kernels, bias), expected, atol=1e-12)
 
     @given(st.integers(1, 40), st.sampled_from([3, 5, 8]), st.integers(0, 10_000))
@@ -66,25 +82,67 @@ class TestConv1dSame:
     def test_length_preserved(self, length, k, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(length, 2))
-        out = conv1d_same(x, rng.normal(size=(k, 2, 3)), np.zeros(3))
+        out = conv1d_same(x[None], rng.normal(size=(k, 2, 3)), np.zeros(3))[0]
         assert out.shape == (length, 3)
 
+    def test_unbatched_input_rejected(self):
+        with pytest.raises(ShapeMismatchError):
+            conv1d_same(np.ones((4, 1)), np.ones((3, 1, 1)), np.zeros(1))
+        with pytest.raises(ShapeMismatchError):
+            conv1d_same_backward(np.ones((4, 1)), np.ones((3, 1, 1)), np.ones((4, 1)))
+
     def test_backward_matches_finite_differences(self):
-        from gradcheck import assert_grad_close, numerical_grad
-
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(2, 6, 2))
-        kernels = rng.normal(size=(5, 2, 3))
-        bias = rng.normal(size=3)
-        grad_out = rng.normal(size=(2, 6, 3))
+        # (kernel size, length): odd and even kernels, and kernels longer
+        # than the series
+        for k, length in ((5, 6), (8, 6), (8, 3), (5, 1)):
+            x = rng.normal(size=(2, length, 2))
+            kernels = rng.normal(size=(k, 2, 3))
+            bias = rng.normal(size=3)
+            grad_out = rng.normal(size=(2, length, 3))
 
-        gx, gk, gb = conv1d_same_backward(x, kernels, grad_out)
-        loss_x = lambda v: float(np.sum(conv1d_same(v, kernels, bias) * grad_out))
-        loss_k = lambda v: float(np.sum(conv1d_same(x, v, bias) * grad_out))
-        loss_b = lambda v: float(np.sum(conv1d_same(x, kernels, v) * grad_out))
-        assert_grad_close(gx, numerical_grad(loss_x, x), 1e-7, "conv x")
-        assert_grad_close(gk, numerical_grad(loss_k, kernels), 1e-7, "conv kernels")
-        assert_grad_close(gb, numerical_grad(loss_b, bias), 1e-7, "conv bias")
+            gx, gk, gb = conv1d_same_backward(x, kernels, grad_out)
+            loss_x = lambda v: float(np.sum(conv1d_same(v, kernels, bias) * grad_out))
+            loss_k = lambda v: float(np.sum(conv1d_same(x, v, bias) * grad_out))
+            loss_b = lambda v: float(np.sum(conv1d_same(x, kernels, v) * grad_out))
+            label = f"k={k} L={length}"
+            assert_grad_close(gx, numerical_grad(loss_x, x), 1e-7, f"conv x {label}")
+            assert_grad_close(gk, numerical_grad(loss_k, kernels), 1e-7,
+                              f"conv kernels {label}")
+            assert_grad_close(gb, numerical_grad(loss_b, bias), 1e-7, f"conv bias {label}")
+
+    @given(st.integers(1, 4), st.integers(1, 40), st.sampled_from([1, 3, 5, 8]),
+           st.sampled_from([1, 3]), st.integers(1, 4), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_backward_matches_einsum_reference(self, batch, length, k, c_in, c_out, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(batch, length, c_in))
+        kernels = rng.normal(size=(k, c_in, c_out))
+        grad_out = rng.normal(size=(batch, length, c_out))
+        got = conv1d_same_backward(x, kernels, grad_out)
+        # relative to max(1, |a|, |b|), as the gradient checks measure it: a
+        # bare relative error is unbounded where a sum cancels to near zero
+        for name, a, b in zip(("x", "kernels", "bias"), got,
+                              einsum_conv_backward(x, kernels, grad_out)):
+            assert a.shape == b.shape, name
+            assert max_rel_error(a, b) <= 1e-12, name
+
+
+def einsum_conv_backward(x, kernels, grad_out):
+    """Reference gradients of conv1d_same for (B, L, Cin) input, with each
+    tap's kernel gradient an einsum over a strided view instead of a GEMM."""
+    k, c_in, _ = kernels.shape
+    left, right = same_padding(k)
+    batch, length, _ = x.shape
+    padded = np.zeros((batch, length + left + right, c_in))
+    padded[:, left:left + length] = x
+    grad_padded = np.zeros_like(padded)
+    grad_kernels = np.zeros_like(kernels)
+    for j in range(k):
+        tap = padded[:, j:j + length]
+        grad_kernels[j] = np.einsum("bli,blo->io", tap, grad_out)
+        grad_padded[:, j:j + length] += grad_out @ kernels[j].T
+    return grad_padded[:, left:left + length], grad_kernels, grad_out.sum(axis=(0, 1))
 
 
 class TestInitializers:
