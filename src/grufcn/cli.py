@@ -36,17 +36,17 @@ def _shipped(name: str):
     return resources.files("grufcn.data").joinpath(name)
 
 
-def _resolve_dataset(args) -> data_ucr.UcrDataset:
+def _split_files(args) -> tuple[Path, Path, str]:
+    """(train file, test file, dataset name) from explicit paths or the archive root."""
     if args.train_path and args.test_path:
         name = args.dataset or Path(args.train_path).stem.replace("_TRAIN", "")
-        return data_ucr.make_dataset(args.train_path, args.test_path, name)
+        return Path(args.train_path), Path(args.test_path), name
     if not args.dataset:
         raise CliError("need --dataset (with --root) or --train-path/--test-path")
     root = args.root or os.environ.get(ROOT_ENV_VAR)
     if not root:
         raise CliError(f"no archive root: pass --root or set {ROOT_ENV_VAR}")
-    train_file, test_file = data_ucr.find_split_files(root, args.dataset)
-    return data_ucr.make_dataset(train_file, test_file, args.dataset)
+    return *data_ucr.find_split_files(root, args.dataset), args.dataset
 
 
 def _run_settings(args):
@@ -69,27 +69,17 @@ def _run_settings(args):
 
 
 def cmd_train(args) -> int:
-    dataset = _resolve_dataset(args)
+    dataset = data_ucr.make_dataset(*_split_files(args))
     epochs, train_batch, test_batch = _run_settings(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = model_mod.ArchConfig(
-        series_length=dataset.series_length,
-        num_classes=dataset.num_classes,
-        cell_kind=args.cell,
-        dropout_rate=args.dropout,
-        seed=args.seed,
-    )
+    config = model_mod.ArchConfig(series_length=dataset.series_length,
+                                  num_classes=dataset.num_classes, cell_kind=args.cell,
+                                  dropout_rate=args.dropout, seed=args.seed)
     net = model_mod.build(config)
-    schedule = train_mod.LrSchedule(initial=args.lr)
-    run = train_mod.TrainRun(
-        epochs=epochs,
-        train_batch=train_batch,
-        eval_batch=test_batch,
-        seed=args.seed,
-        schedule=schedule,
-        best_checkpoint_path=str(out_dir / "best.ckpt"),
-    )
+    run = train_mod.TrainRun(epochs=epochs, train_batch=train_batch, eval_batch=test_batch,
+                             seed=args.seed, schedule=train_mod.LrSchedule(initial=args.lr),
+                             best_checkpoint_path=str(out_dir / "best.ckpt"))
     started = time.perf_counter()
     train_mod.fit(net, dataset, run)
     elapsed = time.perf_counter() - started
@@ -98,7 +88,7 @@ def cmd_train(args) -> int:
     if run.epochs == 0:
         # keep the artifact contract even when no epoch ran
         model_mod.save_checkpoint(net, out_dir / "best.ckpt")
-    _, test_error, _, test_f1 = _test_metrics(net, dataset, test_batch)
+    _, test_error, _, test_f1 = _test_metrics(net, dataset.test_x, dataset.test_y, test_batch)
     summary = {
         "dataset": dataset.name,
         "epochs": epochs,
@@ -117,37 +107,38 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _test_metrics(net, dataset, chunk: int):
+def _test_metrics(net, test_x, test_y, chunk: int):
     """(predictions, error rate, confusion counts, macro-F1) on the test split."""
-    probs = train_mod.predict_proba(net, dataset.test_x, chunk)
-    preds = np.argmax(probs, axis=1)
-    conf = metrics.confusion_counts(preds, dataset.test_y, dataset.num_classes)
-    return preds, metrics.error_rate(preds, dataset.test_y), conf, metrics.f1_scores(conf)
+    preds = np.argmax(train_mod.predict_proba(net, test_x, chunk), axis=1)
+    conf = metrics.confusion_counts(preds, test_y, net.config.num_classes)
+    return preds, metrics.error_rate(preds, test_y), conf, metrics.f1_scores(conf)
 
 
 def cmd_eval(args) -> int:
     net = model_mod.load_checkpoint(args.checkpoint)
-    dataset = _resolve_dataset(args)
-    if dataset.series_length != net.config.series_length:
+    train_file, test_file, name = _split_files(args)
+    test_x, test_y, label_map = data_ucr.load_test_split(train_file, test_file, name)
+    if test_x.shape[1] != net.config.series_length:
         raise CliError(
             f"checkpoint expects series length {net.config.series_length}, "
-            f"dataset {dataset.name} has {dataset.series_length}"
+            f"dataset {name} has {test_x.shape[1]}"
         )
-    if dataset.num_classes != net.config.num_classes:
+    if len(label_map) != net.config.num_classes:
         raise CliError(
             f"checkpoint expects {net.config.num_classes} classes, "
-            f"dataset {dataset.name} has {dataset.num_classes}"
+            f"dataset {name} has {len(label_map)}"
         )
-    preds, err, conf, f1 = _test_metrics(net, dataset, args.eval_batch or DEFAULT_TEST_BATCH)
+    chunk = args.eval_batch or DEFAULT_TEST_BATCH
+    preds, err, conf, f1 = _test_metrics(net, test_x, test_y, chunk)
     print(f"test error: {err:.6f}")
     print(f"macro f1:   {f1:.6f}")
     print("class,tp,fp,fn")
-    for c in range(dataset.num_classes):
+    for c in range(len(label_map)):
         print(f"{c},{int(conf.tp[c])},{int(conf.fp[c])},{int(conf.fn[c])}")
     if args.predictions:
         with open(args.predictions, "w", encoding="utf-8") as fh:
             fh.write("index,predicted,truth\n")
-            for i, (p, t) in enumerate(zip(preds, dataset.test_y)):
+            for i, (p, t) in enumerate(zip(preds, test_y)):
                 fh.write(f"{i},{int(p)},{int(t)}\n")
     return 0
 

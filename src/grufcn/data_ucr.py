@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import difflib
+import functools
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -57,11 +59,10 @@ class DatasetRegistryEntry:
     test_batch: int
 
 
-def load_split(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse one split file into (raw labels, series matrix)."""
-    path = Path(path)
-    labels: list[float] = []
-    rows: list[list[float]] = []
+def _records(path):
+    """(place, line, delimiter) for each non-blank record of a split file,
+    after the checks that parse no value: every row has series values and
+    the same field count, and the file is not empty."""
     width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -69,52 +70,82 @@ def load_split(path) -> tuple[np.ndarray, np.ndarray]:
             if not line:
                 continue
             delim = "\t" if "\t" in line else ","
-            fields = line.split(delim)
-            if len(fields) < 2:
-                raise UcrParseError(f"{path}:{lineno}: record has no series values")
-            try:
-                values = [float(f) for f in fields]
-            except ValueError as exc:
-                raise UcrParseError(f"{path}:{lineno}: unparseable field ({exc})") from exc
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise UcrParseError(
-                    f"{path}:{lineno}: row has {len(values)} fields, expected {width}"
-                )
-            if not all(np.isfinite(values[1:])):
-                raise UcrParseError(f"{path}:{lineno}: non-finite series value")
-            labels.append(values[0])
-            rows.append(values[1:])
-    if not rows:
+            count, where = line.count(delim) + 1, f"{path}:{lineno}"
+            if count < 2:
+                raise UcrParseError(f"{where}: record has no series values")
+            width = width or count  # the first record sets the width
+            if count != width:
+                raise UcrParseError(f"{where}: row has {count} fields, expected {width}")
+            yield where, line, delim
+    if width is None:
         raise UcrParseError(f"{path}: empty split file")
+
+
+def _parse(where, fields) -> list[float]:
+    """Float values of a record's fields; the first is the label."""
+    try:
+        values = [float(f) for f in fields]
+    except ValueError as exc:
+        raise UcrParseError(f"{where}: unparseable field ({exc})") from exc
+    if not math.isfinite(values[0]):
+        raise UcrParseError(f"{where}: non-finite label")
+    return values
+
+
+def load_split(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse one split file into (raw labels, series matrix)."""
+    labels, rows = [], []
+    for where, line, delim in _records(path):
+        values = _parse(where, line.split(delim))
+        if not all(np.isfinite(values[1:])):
+            raise UcrParseError(f"{where}: non-finite series value")
+        labels.append(values[0])
+        rows.append(values[1:])
     return np.asarray(labels), np.asarray(rows, dtype=np.float64)
 
 
-def write_split(path, labels, series) -> None:
-    """Inverse of load_split (comma-delimited), for round-trip tests and
-    fixture generation."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for label, row in zip(labels, series):
-            fh.write(",".join(repr(float(v)) for v in [label, *row]) + "\n")
+def load_labels(path) -> tuple[np.ndarray, int]:
+    """(raw labels, series length) of one split file, with load_split's
+    checks on everything but the series values, which are counted, not parsed."""
+    labels = []
+    for where, line, delim in _records(path):
+        labels.append(_parse(where, [line[:line.index(delim)]])[0])
+    return np.asarray(labels), line.count(delim)
+
+
+def _join_splits(name, train_labels, train_length, test_labels, test_x):
+    """(label map, train indices, test indices) once the two splits' series
+    lengths agree; the map sorts the union of both splits' labels."""
+    if train_length != test_x.shape[1]:
+        raise UcrParseError(
+            f"{name}: train length {train_length} != test length {test_x.shape[1]}"
+        )
+    label_map = {lab: i for i, lab in enumerate(sorted(set(train_labels) | set(test_labels)))}
+    return label_map, *(np.asarray([label_map[lab] for lab in labels], dtype=int)
+                        for labels in (train_labels, test_labels))
 
 
 def make_dataset(train_path, test_path, name: str) -> UcrDataset:
-    """Load both splits and remap labels to contiguous indices by ascending
-    sort over the union of train and test labels."""
+    """Load both splits and remap labels to contiguous indices."""
     train_labels, train_x = load_split(train_path)
     test_labels, test_x = load_split(test_path)
-    if train_x.shape[1] != test_x.shape[1]:
-        raise UcrParseError(
-            f"{name}: train length {train_x.shape[1]} != test length {test_x.shape[1]}"
-        )
-    label_map = {lab: i for i, lab in enumerate(sorted(set(train_labels) | set(test_labels)))}
-    train_y = np.asarray([label_map[lab] for lab in train_labels], dtype=int)
-    test_y = np.asarray([label_map[lab] for lab in test_labels], dtype=int)
+    label_map, train_y, test_y = _join_splits(
+        name, train_labels, train_x.shape[1], test_labels, test_x)
     return UcrDataset(name, train_x, train_y, test_x, test_y, label_map)
 
 
-def _load_registry() -> dict[str, DatasetRegistryEntry]:
+def load_test_split(train_path, test_path, name: str):
+    """(test_x, test_y, label_map), equal to make_dataset's. The training
+    split adds only its labels and its length, so its values are not parsed."""
+    train_labels, train_length = load_labels(train_path)
+    test_labels, test_x = load_split(test_path)
+    label_map, _, test_y = _join_splits(name, train_labels, train_length, test_labels, test_x)
+    return test_x, test_y, label_map
+
+
+@functools.cache
+def registry() -> dict[str, DatasetRegistryEntry]:
+    """The shipped registry by dataset name, read once per process."""
     out = {}
     with resources.files("grufcn.data").joinpath("registry.csv").open("r") as fh:
         for row in csv.DictReader(fh):
@@ -130,16 +161,6 @@ def _load_registry() -> dict[str, DatasetRegistryEntry]:
                 test_batch=int(row["test_batch"]),
             )
     return out
-
-
-_REGISTRY: dict[str, DatasetRegistryEntry] | None = None
-
-
-def registry() -> dict[str, DatasetRegistryEntry]:
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _load_registry()
-    return _REGISTRY
 
 
 def registry_lookup(name: str) -> DatasetRegistryEntry:

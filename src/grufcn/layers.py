@@ -224,17 +224,19 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
 
 
 def global_avg_pool_backward(grad_out: np.ndarray, length: int) -> np.ndarray:
-    """Broadcast grad_out / L back to every time position."""
-    return np.repeat(grad_out[..., None, :], length, axis=-2) / length
+    """grad_out / L at every time position, as a read-only broadcast view."""
+    scaled = (grad_out / length)[..., None, :]
+    return np.broadcast_to(scaled, scaled.shape[:-2] + (length, scaled.shape[-1]))
 
 
 def dropout(x: np.ndarray, rate: float, training: bool, rng: Rng | None = None):
     """Inverted dropout: zero with probability rate, scale survivors by
-    1/(1-rate). Identity at inference or rate 0. Returns (out, mask)."""
+    1/(1-rate). Returns (out, mask); the mask is 1.0 where dropout is the
+    identity, at inference or rate 0."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return x, np.ones_like(x)
+        return x, 1.0
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)

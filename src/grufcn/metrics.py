@@ -51,10 +51,6 @@ class ConfusionCounts:
     fp: np.ndarray
     fn: np.ndarray
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.tp)
-
 
 def confusion_counts(predictions, truths, num_classes: int) -> ConfusionCounts:
     predictions = np.asarray(predictions, dtype=int)
@@ -69,10 +65,8 @@ def confusion_counts(predictions, truths, num_classes: int) -> ConfusionCounts:
     return ConfusionCounts(tp, fp, fn)
 
 
-def f1_scores(confusion: ConfusionCounts, averaging: str = "macro") -> float:
+def f1_scores(confusion: ConfusionCounts) -> float:
     """Macro-averaged f1 = 2PR/(P+R); a class with P+R = 0 scores 0."""
-    if averaging != "macro":
-        raise ValueError(f"unsupported averaging {averaging!r}")
     with np.errstate(invalid="ignore", divide="ignore"):
         precision = np.where(confusion.tp + confusion.fp > 0,
                              confusion.tp / np.maximum(confusion.tp + confusion.fp, 1), 0.0)
@@ -118,13 +112,6 @@ class ErrorMatrix:
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: bad value ({exc})") from exc
         return cls(models, datasets, np.asarray(rows, dtype=np.float64))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["dataset", *self.models])
-            for name, row in zip(self.datasets, self.errors):
-                writer.writerow([name] + ["" if np.isnan(v) else f"{v:.6f}" for v in row])
 
     def column(self, model: str) -> np.ndarray:
         return self.errors[:, self.models.index(model)]

@@ -21,11 +21,10 @@ class Rng:
     """Deterministic random source: identical seed, identical draw sequence."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._gen = np.random.Generator(np.random.PCG64(int(seed)))
 
     def uniform(self, low: float, high: float, shape) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape).astype(np.float64)
+        return self._gen.uniform(low, high, size=shape)
 
     def random(self, shape) -> np.ndarray:
         return self._gen.random(size=shape, dtype=np.float64)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from grufcn import data_ucr
 from grufcn.cli import build_parser, main
 from grufcn.model import load_checkpoint, save_checkpoint
 
@@ -268,4 +269,67 @@ class TestEval:
                      "--train-path", str(train), "--test-path", str(test)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "head.W holds NaN or Inf" in err
+        assert "Traceback" not in err
+
+    def run_eval(self, ckpt, train, test, preds):
+        return main(["eval", "--checkpoint", str(ckpt), "--train-path", str(train),
+                     "--test-path", str(test), "--eval-batch", "3",
+                     "--predictions", str(preds)])
+
+    def test_matches_full_parse_of_both_splits(self, synthetic_splits, tmp_path, capsys,
+                                               monkeypatch):
+        ckpt = self.make_checkpoint(synthetic_splits, tmp_path)
+        train, test = synthetic_splits
+        # the test split holds only label 2, so the map needs the training labels
+        only_two = tmp_path / "two_TEST.csv"
+        only_two.write_text("".join(line + "\n" for line in test.read_text().splitlines()
+                                    if line.startswith("2,")))
+
+        def full_parse(train_path, test_path, name):
+            ds = data_ucr.make_dataset(train_path, test_path, name)
+            return ds.test_x, ds.test_y, ds.label_map
+
+        for test_file in (test, only_two):
+            capsys.readouterr()
+            assert self.run_eval(ckpt, train, test_file, tmp_path / "label_only.csv") == 0
+            label_only = capsys.readouterr().out
+            with monkeypatch.context() as patch:
+                patch.setattr(data_ucr, "load_test_split", full_parse)
+                assert self.run_eval(ckpt, train, test_file, tmp_path / "full.csv") == 0
+            assert capsys.readouterr().out == label_only
+            assert ((tmp_path / "label_only.csv").read_bytes()
+                    == (tmp_path / "full.csv").read_bytes())
+        assert (tmp_path / "full.csv").read_text().splitlines()[1].endswith(",1")
+
+    def test_training_split_values_are_not_parsed(self, synthetic_splits, tmp_path, capsys,
+                                                  monkeypatch):
+        ckpt = self.make_checkpoint(synthetic_splits, tmp_path)
+        train, test = synthetic_splits
+        load_split = data_ucr.load_split
+
+        def test_split_only(path):
+            assert str(path) != str(train), "eval parsed the training split's values"
+            return load_split(path)
+
+        monkeypatch.setattr(data_ucr, "load_split", test_split_only)
+        capsys.readouterr()
+        assert self.run_eval(ckpt, train, test, tmp_path / "preds.csv") == 0
+        assert "test error:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("label", ["nan", "inf"])
+    def test_non_finite_label_is_an_error(self, synthetic_splits, tmp_path, capsys,
+                                          command, label):
+        ckpt = self.make_checkpoint(synthetic_splits, tmp_path)
+        train, test = synthetic_splits
+        lines = train.read_text().splitlines()
+        lines[2] = label + lines[2][1:]
+        train.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        if command == "train":
+            assert run_train(synthetic_splits, tmp_path / "again") == 1
+        else:
+            assert self.run_eval(ckpt, train, test, tmp_path / "preds.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "syn_TRAIN.csv:3: non-finite label" in err
         assert "Traceback" not in err

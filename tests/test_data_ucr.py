@@ -7,12 +7,14 @@ from grufcn.data_ucr import (
     UcrParseError,
     UnknownDatasetError,
     find_split_files,
+    load_labels,
     load_split,
+    load_test_split,
     make_dataset,
     registry,
     registry_lookup,
-    write_split,
 )
+from writers import write_split
 
 
 def write_lines(path, lines):
@@ -58,6 +60,13 @@ class TestLoadSplit:
         with pytest.raises(UcrParseError, match="non-finite"):
             load_split(path)
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+    def test_non_finite_label_rejected(self, tmp_path, label):
+        path = tmp_path / "s.csv"
+        write_lines(path, ["1,2.0,3.0", f"{label},4.0,5.0"])
+        with pytest.raises(UcrParseError, match=r"s\.csv:2: non-finite label"):
+            load_split(path)
+
     def test_label_only_row_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
         write_lines(path, ["1"])
@@ -83,6 +92,98 @@ class TestLoadSplit:
         got_labels, got_series = load_split(path)
         assert np.array_equal(got_labels, labels)
         assert np.array_equal(got_series, series)
+
+
+# (file lines, message) for every malformed split that load_labels rejects;
+# the error names the file and the offending line
+BAD_SPLITS = {
+    "ragged row": (["1,2.0,3.0", "2,4.0"], r"s\.csv:2: row has 2 fields, expected 3"),
+    "no series values": (["1,2.0", "", "2"], r"s\.csv:3: record has no series values"),
+    "unparseable label": (["1,2.0", "one,3.0"], r"s\.csv:2: unparseable field"),
+    "nan label": (["nan,2.0"], r"s\.csv:1: non-finite label"),
+    "inf label": (["1,2.0", "inf,3.0"], r"s\.csv:2: non-finite label"),
+    "empty file": ([], r"s\.csv: empty split file"),
+}
+
+
+class TestLoadLabels:
+    @pytest.mark.parametrize("lines", [
+        ["1,0.5,-0.25,3.0", "", "2,1.0,2.0,3.0", ""],
+        ["-1\t0.5\t1.5", "1\t2.5\t3.5"],
+        ["7.0,1e300,-2"],
+    ])
+    def test_matches_load_split(self, tmp_path, lines):
+        path = tmp_path / "s.csv"
+        write_lines(path, lines)
+        labels, length = load_labels(path)
+        full_labels, x = load_split(path)
+        assert np.array_equal(labels, full_labels)
+        assert length == x.shape[1]
+
+    @pytest.mark.parametrize("case", sorted(BAD_SPLITS))
+    def test_malformed_split_names_file_and_line(self, tmp_path, case):
+        lines, message = BAD_SPLITS[case]
+        path = tmp_path / "s.csv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(UcrParseError, match=message):
+            load_labels(path)
+        with pytest.raises(UcrParseError, match=message):
+            load_split(path)
+
+    def test_series_values_are_not_parsed(self, tmp_path):
+        # only the label field is read, so a bad series value goes unseen
+        path = tmp_path / "s.csv"
+        write_lines(path, ["1,2.0,oops", "2,nan,5.0"])
+        labels, length = load_labels(path)
+        assert np.array_equal(labels, [1.0, 2.0]) and length == 2
+
+
+class TestLoadTestSplit:
+    def test_matches_make_dataset(self, tmp_path):
+        train = tmp_path / "t_TRAIN"
+        test = tmp_path / "t_TEST"
+        # label 9 occurs only in the training split and still takes an index
+        write_lines(train, ["9,0.0,1.0", "2,2.0,3.0", "-1.5,0.5,0.5"])
+        write_lines(test, ["5,4.0,5.0", "2,6.0,7.0", "-1.5,8.0,9.0"])
+        test_x, test_y, label_map = load_test_split(train, test, "t")
+        ds = make_dataset(train, test, "t")
+        assert label_map == ds.label_map == {-1.5: 0, 2.0: 1, 5.0: 2, 9.0: 3}
+        assert np.array_equal(test_y, ds.test_y)
+        assert test_y.dtype == ds.test_y.dtype
+        assert np.array_equal(test_x, ds.test_x)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_make_dataset_on_random_splits(self, seed, tmp_path_factory):
+        rng = np.random.default_rng(seed)
+        length = int(rng.integers(1, 6))
+        work = tmp_path_factory.mktemp("split")
+        for split in ("TRAIN", "TEST"):
+            n = int(rng.integers(1, 8))
+            write_split(work / split, rng.integers(-3, 4, size=n) / 2, rng.normal(size=(n, length)))
+        test_x, test_y, label_map = load_test_split(work / "TRAIN", work / "TEST", "r")
+        ds = make_dataset(work / "TRAIN", work / "TEST", "r")
+        assert label_map == ds.label_map
+        assert np.array_equal(test_y, ds.test_y)
+        assert np.array_equal(test_x, ds.test_x)
+
+    def test_length_mismatch_between_splits_rejected(self, tmp_path):
+        train = tmp_path / "t_TRAIN"
+        test = tmp_path / "t_TEST"
+        write_lines(train, ["1,0.0,1.0"])
+        write_lines(test, ["1,0.0,1.0,2.0"])
+        with pytest.raises(UcrParseError, match="t: train length 2 != test length 3"):
+            load_test_split(train, test, "t")
+
+    @pytest.mark.parametrize("case", sorted(BAD_SPLITS))
+    def test_malformed_training_split_rejected(self, tmp_path, case):
+        lines, message = BAD_SPLITS[case]
+        train = tmp_path / "s.csv"
+        train.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        test = tmp_path / "t_TEST"
+        write_lines(test, ["1,0.0,1.0"])
+        with pytest.raises(UcrParseError, match=message):
+            load_test_split(train, test, "t")
 
 
 class TestMakeDataset:
@@ -114,6 +215,15 @@ class TestMakeDataset:
         write_lines(train, ["1,0.0,1.0"])
         write_lines(test, ["1,0.0,1.0,2.0"])
         with pytest.raises(UcrParseError, match="length"):
+            make_dataset(train, test, "t")
+
+    def test_nan_label_names_file_and_line(self, tmp_path):
+        # a NaN label used to reach the label map and escape as KeyError(nan)
+        train = tmp_path / "t_TRAIN"
+        test = tmp_path / "t_TEST"
+        write_lines(train, ["1,0.0,1.0"])
+        write_lines(test, ["1,0.0,1.0", "nan,2.0,3.0"])
+        with pytest.raises(UcrParseError, match=r"t_TEST:2: non-finite label"):
             make_dataset(train, test, "t")
 
     def test_values_are_used_raw(self, tmp_path):

@@ -22,6 +22,7 @@ from grufcn.metrics import (
     tie_average_ranks,
     wilcoxon_signed_rank,
 )
+from writers import write_error_matrix
 
 
 def brute_force_wilcoxon(a, b):
@@ -191,7 +192,7 @@ class TestErrorMatrixCsv:
         m = ErrorMatrix(["A", "B"], ["d1", "d2"],
                         np.array([[0.1, np.nan], [0.25, 0.5]]))
         path = tmp_path / "m.csv"
-        m.to_csv(path)
+        write_error_matrix(m, path)
         back = ErrorMatrix.from_csv(path)
         assert back.models == m.models
         assert back.datasets == m.datasets
