@@ -9,7 +9,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -55,25 +54,24 @@ class ConfusionCounts:
 def confusion_counts(predictions, truths, num_classes: int) -> ConfusionCounts:
     predictions = np.asarray(predictions, dtype=int)
     truths = np.asarray(truths, dtype=int)
-    tp = np.zeros(num_classes)
-    fp = np.zeros(num_classes)
-    fn = np.zeros(num_classes)
-    for c in range(num_classes):
-        tp[c] = np.sum((predictions == c) & (truths == c))
-        fp[c] = np.sum((predictions == c) & (truths != c))
-        fn[c] = np.sum((predictions != c) & (truths == c))
-    return ConfusionCounts(tp, fp, fn)
+    for labels in (predictions, truths):
+        if np.any((labels < 0) | (labels >= num_classes)):
+            raise ValueError(f"labels must lie in [0, {num_classes}), "
+                             f"got {labels.min()}..{labels.max()}")
+    hit = predictions == truths
+
+    def count(labels):
+        return np.bincount(labels, minlength=num_classes).astype(np.float64)
+
+    return ConfusionCounts(count(truths[hit]), count(predictions[~hit]), count(truths[~hit]))
 
 
 def f1_scores(confusion: ConfusionCounts) -> float:
     """Macro-averaged f1 = 2PR/(P+R); a class with P+R = 0 scores 0."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        precision = np.where(confusion.tp + confusion.fp > 0,
-                             confusion.tp / np.maximum(confusion.tp + confusion.fp, 1), 0.0)
-        recall = np.where(confusion.tp + confusion.fn > 0,
-                          confusion.tp / np.maximum(confusion.tp + confusion.fn, 1), 0.0)
-        denom = precision + recall
-        f1 = np.where(denom > 0, 2 * precision * recall / np.maximum(denom, 1e-300), 0.0)
+    tp, fp, fn = confusion.tp, confusion.fp, confusion.fn
+    precision = tp / np.maximum(tp + fp, 1)
+    recall = tp / np.maximum(tp + fn, 1)
+    f1 = 2 * precision * recall / np.maximum(precision + recall, 1e-300)
     return float(np.mean(f1))
 
 
@@ -121,16 +119,10 @@ def tie_average_ranks(values: np.ndarray) -> np.ndarray:
     """Ascending 1-based ranks with tied entries sharing the mean of their
     positions."""
     values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j < len(values) and values[order[j]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j]] = (i + j + 1) / 2
-        i = j
-    return ranks
+    if np.any(np.isnan(values)):
+        raise ValueError("cannot rank NaN values")
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[group]
 
 
 def rank_models(matrix: ErrorMatrix, missing_mode: str = "exclude"):
@@ -155,16 +147,10 @@ def rank_models(matrix: ErrorMatrix, missing_mode: str = "exclude"):
                 f"dataset {matrix.datasets[d]!r} has fewer than 2 entries; skipped"
             )
             continue
-        best = np.nanmin(row)
-        no_best[present & (row == best)] += 1
-        if missing_mode == "exclude":
-            ranks = tie_average_ranks(row[present])
-            rank_sums[present] += ranks
-            rank_counts[present] += 1
-        else:
-            filled = np.where(present, row, np.inf)
-            rank_sums += tie_average_ranks(filled)
-            rank_counts += 1
+        no_best[present & (row == np.nanmin(row))] += 1
+        counted = present | (missing_mode == "worst")
+        rank_sums[counted] += tie_average_ranks(np.where(present, row, np.inf)[counted])
+        rank_counts[counted] += 1
     mean_ranks = {m: rank_sums[i] / rank_counts[i] for i, m in enumerate(matrix.models)}
     best_counts = {m: int(no_best[i]) for i, m in enumerate(matrix.models)}
     return mean_ranks, best_counts
@@ -213,7 +199,7 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     _, tie_counts = np.unique(ranks, return_counts=True)
     var = n * (n + 1) * (2 * n + 1) / 24 - float(np.sum(tie_counts**3 - tie_counts)) / 48
     z = (w - mean + 0.5) / math.sqrt(var)
-    p = min(1.0, 2 * 0.5 * math.erfc(-z / math.sqrt(2)))
+    p = min(1.0, math.erfc(-z / math.sqrt(2)))
     return WilcoxonResult(w, p, n, exact=False)
 
 
@@ -222,22 +208,16 @@ def _exact_pvalue(ranks: np.ndarray, w: float) -> float:
 
     Tie-averaged ranks are half-integers, so everything is doubled to keep
     integer arithmetic; counts are convolved one rank at a time, which
-    enumerates all 2^n sign assignments without listing them.
+    enumerates all 2^n sign assignments without listing them. No count
+    exceeds 2^n, so int64 is exact for n <= EXACT_LIMIT.
     """
     doubled = [round(2 * r) for r in ranks]
-    total = sum(doubled)
-    counts = [0] * (total + 1)
+    counts = np.zeros(sum(doubled) + 1, dtype=np.int64)
     counts[0] = 1
-    upper = 0
     for r in doubled:
-        for s in range(upper, -1, -1):
-            if counts[s]:
-                counts[s + r] += counts[s]
-        upper += r
-    threshold = round(2 * w)
-    le = sum(counts[: threshold + 1])
-    p = Fraction(2 * le, 2 ** len(ranks))
-    return min(1.0, float(p))
+        counts[r:] += counts[:-r].copy()
+    le = int(counts[: round(2 * w) + 1].sum())
+    return min(1.0, 2 * le / 2 ** len(ranks))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ binary checkpoint serialization.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -58,6 +60,11 @@ class ArchConfig:
             raise ValueError(f"cell_kind must be '{GRU}' or '{LSTM}', got {self.cell_kind!r}")
         if len(self.conv_filters) != len(self.conv_kernels):
             raise ValueError("conv_filters and conv_kernels lengths differ")
+        if not self.conv_filters or min(self.conv_filters + self.conv_kernels) < 1:
+            raise ValueError(
+                f"need at least one conv block with filters and kernels >= 1; got "
+                f"filters {self.conv_filters}, kernels {self.conv_kernels}"
+            )
         if self.series_length < 1 or self.num_classes < 2 or self.hidden_size < 1:
             raise ValueError(
                 f"need series_length >= 1, num_classes >= 2, hidden_size >= 1; "
@@ -65,6 +72,10 @@ class ArchConfig:
             )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if not (isinstance(self.bn_momentum, numbers.Real) and 0.0 <= self.bn_momentum <= 1.0):
+            raise ValueError(f"bn_momentum must be in [0, 1], got {self.bn_momentum!r}")
+        if not (isinstance(self.bn_epsilon, numbers.Real) and 0.0 < self.bn_epsilon < math.inf):
+            raise ValueError(f"bn_epsilon must be a positive real, got {self.bn_epsilon!r}")
 
 
 def _cell_class(config: ArchConfig):

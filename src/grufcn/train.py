@@ -10,6 +10,7 @@ import numpy as np
 
 from . import model as model_mod
 from .layers import cross_entropy
+from .metrics import error_rate
 from .model import GruFcnModel, save_checkpoint
 from .tensor_core import Rng, ShapeMismatchError
 
@@ -100,7 +101,7 @@ def evaluate(net: GruFcnModel, x: np.ndarray, y: np.ndarray,
     eval_batch."""
     probs = predict_proba(net, x, eval_batch)
     loss = float(np.mean(cross_entropy(probs, one_hot(y, net.config.num_classes))))
-    return loss, int(np.sum(np.argmax(probs, axis=1) != y)) / len(y)
+    return loss, error_rate(np.argmax(probs, axis=1), y)
 
 
 def fit(net: GruFcnModel, dataset, run: TrainRun) -> TrainRun:

@@ -258,6 +258,25 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "cell_kind" in err
 
+    @pytest.mark.parametrize("old, new", [
+        (b'"conv_filters": [128, 256, 128], "conv_kernels": [8, 5, 3]',
+         b'"conv_filters": [], "conv_kernels": []'),
+        (b'"bn_epsilon": 0.001', b'"bn_epsilon": -10'),
+        (b'"bn_epsilon": 0.001', b'"bn_epsilon": "x"'),
+    ], ids=["empty-convs", "negative-bn-epsilon", "string-bn-epsilon"])
+    def test_invalid_checkpoint_config_value_is_an_error(self, synthetic_splits, tmp_path,
+                                                         capsys, old, new):
+        ckpt = self.make_checkpoint(synthetic_splits, tmp_path)
+        raw = ckpt.read_bytes()
+        assert old in raw
+        ckpt.write_bytes(raw.replace(old, new, 1))
+        capsys.readouterr()
+        train, test = synthetic_splits
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--train-path", str(train), "--test-path", str(test)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid checkpoint config:")
+
     def test_non_finite_checkpoint_is_an_error(self, synthetic_splits, tmp_path, capsys):
         ckpt = self.make_checkpoint(synthetic_splits, tmp_path)
         net = load_checkpoint(ckpt)

@@ -80,6 +80,21 @@ class TestMpce:
         assert mpce([0.3], [10]) < mpce([0.3], [2])
 
 
+class TestConfusionCounts:
+    def test_hand_example(self):
+        conf = confusion_counts([0, 1, 1, 2], [0, 0, 1, 1], num_classes=3)
+        assert np.array_equal(conf.tp, [1, 1, 0])
+        assert np.array_equal(conf.fp, [0, 1, 1])
+        assert np.array_equal(conf.fn, [1, 1, 0])
+
+    @pytest.mark.parametrize("preds, truths", [
+        ([0, 2], [0, 1]), ([0, 1], [0, -1]), ([3, 0], [0, 0]),
+    ])
+    def test_label_out_of_range_rejected(self, preds, truths):
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            confusion_counts(preds, truths, num_classes=2)
+
+
 class TestF1:
     def test_hand_example_two_thirds(self):
         conf = confusion_counts([0, 1, 1], [0, 0, 1], num_classes=2)
@@ -138,10 +153,18 @@ class TestTieAverageRanks:
 
     def test_matches_scipy_rankdata(self):
         rng = np.random.default_rng(1)
-        for _ in range(20):
+        specials = np.array([np.inf, -np.inf, -0.0, 0.0])
+        for trial in range(40):
             v = rng.integers(0, 6, size=15).astype(float)
+            if trial % 2:
+                where = rng.random(15) < 0.4
+                v[where] = rng.choice(specials, size=int(where.sum()))
             assert np.array_equal(tie_average_ranks(v),
                                   scipy.stats.rankdata(v, method="average"))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            tie_average_ranks([0.1, np.nan, 0.2])
 
 
 class TestRankModels:
@@ -356,6 +379,28 @@ class TestShippedReferenceTables:
             [registry_lookup(d).num_classes for d in shipped.datasets], dtype=float
         )
         assert mpce(shipped.column("GRU-FCN"), classes) == pytest.approx(0.0305, abs=5e-5)
+
+    @pytest.mark.parametrize("mode", ["exclude", "worst"])
+    def test_rank_models_matches_per_row_rankdata(self, shipped, mode):
+        # oracle: rank each row with scipy; "exclude" ranks only the present
+        # entries, "worst" ranks absent entries as tied at +inf
+        sums = np.zeros(len(shipped.models))
+        counts = np.zeros(len(shipped.models))
+        for row in shipped.errors:
+            present = ~np.isnan(row)
+            if mode == "exclude":
+                sums[present] += scipy.stats.rankdata(row[present])
+                counts[present] += 1
+            else:
+                sums += scipy.stats.rankdata(np.where(present, row, np.inf))
+                counts += 1
+        mean_ranks, no_best = rank_models(shipped, missing_mode=mode)
+        assert np.isnan(shipped.errors).any()
+        assert [mean_ranks[m] for m in shipped.models] == pytest.approx(sums / counts,
+                                                                      rel=1e-12)
+        best = np.nanmin(shipped.errors, axis=1, keepdims=True)
+        assert [no_best[m] for m in shipped.models] == list(
+            np.sum(shipped.errors == best, axis=0))
 
     def test_gru_fcn_has_lowest_mean_rank(self, shipped):
         mean_ranks, _ = rank_models(shipped, missing_mode="exclude")

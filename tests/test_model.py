@@ -19,6 +19,8 @@ from grufcn.model import (
 )
 from grufcn.tensor_core import Rng, ShapeMismatchError
 
+MISSING = object()  # header key to delete
+
 
 def closed_form_count(length, classes, cell_kind="gru", hidden=8,
                       filters=(128, 256, 128), kernels=(8, 5, 3)):
@@ -102,6 +104,15 @@ class TestArchConfig:
     def test_rejects_dropout_one(self):
         with pytest.raises(ValueError):
             ArchConfig(10, 2, dropout_rate=1.0)
+
+    @pytest.mark.parametrize("filters, kernels", [((), ()), ((8, 0), (3, 3)), ((8,), (-1,))])
+    def test_rejects_empty_or_nonpositive_conv_sizes(self, filters, kernels):
+        with pytest.raises(ValueError, match="conv block"):
+            ArchConfig(10, 2, conv_filters=filters, conv_kernels=kernels)
+
+    def test_accepts_batch_norm_bounds(self):
+        ArchConfig(10, 2, bn_momentum=0.0)
+        ArchConfig(10, 2, bn_momentum=1, bn_epsilon=1)
 
 
 class TestBuild:
@@ -318,20 +329,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="cell.W_x holds NaN or Inf"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("key, value", [
-        ("dropout", 0.5), ("seed", None), ("cell_kind", "rnn"), ("conv_filters", 128),
-    ], ids=["unknown-key", "missing-key", "bad-cell-kind", "bad-filters"])
-    def test_bad_header_config_rejected(self, tmp_path, key, value):
+    @pytest.mark.parametrize("changes", [
+        {"dropout": 0.5}, {"seed": MISSING}, {"cell_kind": "rnn"}, {"conv_filters": 128},
+        {"conv_filters": [], "conv_kernels": []}, {"bn_epsilon": -10}, {"bn_epsilon": 0},
+        {"bn_epsilon": "x"}, {"bn_epsilon": float("nan")}, {"bn_epsilon": float("inf")},
+        {"bn_momentum": None}, {"bn_momentum": 1.5}, {"bn_momentum": -0.1},
+    ], ids=["unknown-key", "missing-key", "bad-cell-kind", "bad-filters",
+            "empty-convs", "negative-bn-epsilon", "zero-bn-epsilon", "string-bn-epsilon",
+            "nan-bn-epsilon", "inf-bn-epsilon", "null-bn-momentum", "bn-momentum-above-one",
+            "negative-bn-momentum"])
+    def test_bad_header_config_rejected(self, tmp_path, changes):
         import json
         path = tmp_path / "m.ckpt"
         save_checkpoint(build(ArchConfig(10, 2)), path)
         body = path.read_bytes()[len(CHECKPOINT_MAGIC):]
         nl = body.index(b"\n")
         header = json.loads(body[:nl])
-        if value is None:
-            del header["config"][key]
-        else:
-            header["config"][key] = value
+        for key, value in changes.items():
+            if value is MISSING:
+                del header["config"][key]
+            else:
+                header["config"][key] = value
         path.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + body[nl:])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
