@@ -195,6 +195,7 @@ def cmd_compare(args) -> int:
     )
     class_counts = _load_class_counts(args.class_counts, matrix.datasets)
     mean_ranks, no_best = metrics.rank_models(matrix, missing_mode=args.missing_mode)
+    cd = metrics.nemenyi_cd(len(matrix.models), len(matrix.datasets), alpha=args.alpha)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -222,7 +223,6 @@ def cmd_compare(args) -> int:
                     cells.append("")
             fh.write(a + "," + ",".join(cells) + "\n")
 
-    cd = metrics.nemenyi_cd(len(matrix.models), len(matrix.datasets), alpha=args.alpha)
     print(f"critical difference (alpha={args.alpha}): {cd:.6f}")
     (out_dir / "cd_diagram.svg").write_text(metrics.cd_diagram_svg(mean_ranks, cd))
     return 0

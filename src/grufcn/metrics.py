@@ -109,7 +109,11 @@ class ErrorMatrix:
                     rows.append([float(v) if v != "" else np.nan for v in row[1:]])
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: bad value ({exc})") from exc
-        return cls(models, datasets, np.asarray(rows, dtype=np.float64))
+        errors = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(models))
+        empty = [m for m, gone in zip(models, np.isnan(errors).all(axis=0)) if gone]
+        if empty:
+            raise ValueError(f"{path}: no error entries for model(s) {', '.join(empty)}")
+        return cls(models, datasets, errors)
 
     def column(self, model: str) -> np.ndarray:
         return self.errors[:, self.models.index(model)]
@@ -151,6 +155,9 @@ def rank_models(matrix: ErrorMatrix, missing_mode: str = "exclude"):
         counted = present | (missing_mode == "worst")
         rank_sums[counted] += tie_average_ranks(np.where(present, row, np.inf)[counted])
         rank_counts[counted] += 1
+    unranked = [m for m, n in zip(matrix.models, rank_counts) if n == 0]
+    if unranked:
+        raise ValueError(f"no dataset ranks model(s) {', '.join(unranked)} against another")
     mean_ranks = {m: rank_sums[i] / rank_counts[i] for i, m in enumerate(matrix.models)}
     best_counts = {m: int(no_best[i]) for i, m in enumerate(matrix.models)}
     return mean_ranks, best_counts

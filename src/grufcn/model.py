@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import layers
+from . import layers, tensor_core
 from .layers import ConvBlock, DenseSoftmax, GruCell, LstmCell
 from .tensor_core import Rng, ShapeMismatchError, glorot_uniform_init, he_uniform_init
 
@@ -178,31 +178,52 @@ def forward(model: GruFcnModel, batch: np.ndarray, training: bool = False,
     recurrent branch sees the dimension-shuffled series as one time step of
     L features, started from a zero state, followed by dropout. Only a
     training-mode cache holds the layer state that backward needs.
+
+    At inference the conv branch runs over groups of whole series, each
+    through every block and the pooling before the next starts, so only one
+    group's activations are alive: at most `tensor_core.IM2COL_ELEMENTS`
+    floats per block output (or one series, if that is larger), however
+    large B is. Training runs the whole batch at once, since batch norm
+    takes its statistics over all of it.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != model.config.series_length:
+    config = model.config
+    if batch.ndim != 2 or batch.shape[1] != config.series_length:
         raise ShapeMismatchError(
             f"batch shape {batch.shape} does not match series length "
-            f"{model.config.series_length}"
+            f"{config.series_length}"
         )
-    x = batch[:, :, None]
-    conv_caches = []
-    for block in model.blocks:
-        x, block_cache = layers.conv_block_forward(block, x, training)
-        conv_caches.append(block_cache)
-    pooled = layers.global_avg_pool(x)
+    if training:
+        pooled, conv_caches = _conv_branch(model, batch[:, :, None], True)
+    else:
+        group = max(1, tensor_core.IM2COL_ELEMENTS
+                    // (config.series_length * max(config.conv_filters)))
+        pooled = np.empty((len(batch), config.conv_filters[-1]))
+        for start in range(0, len(batch), group):
+            pooled[start:start + group] = _conv_branch(
+                model, batch[start:start + group, :, None], False)[0]
 
-    step = layers.gru_step if model.config.cell_kind == GRU else layers.lstm_step
+    step = layers.gru_step if config.cell_kind == GRU else layers.lstm_step
     h, cell_cache = step(model.cell, batch)
-    h_dropped, mask = layers.dropout(h, model.config.dropout_rate, training, rng)
+    h_dropped, mask = layers.dropout(h, config.dropout_rate, training, rng)
 
     features = np.concatenate([pooled, h_dropped], axis=1)
     probs = layers.dense_softmax(model.head, features)
     cache = {"features": features, "probs": probs}
     if training:
-        cache.update(conv_caches=conv_caches, conv_out_length=x.shape[1],
+        cache.update(conv_caches=conv_caches, conv_out_length=config.series_length,
                      cell_cache=cell_cache, dropout_mask=mask)
     return probs, cache
+
+
+def _conv_branch(model: GruFcnModel, x: np.ndarray, training: bool):
+    """Pooled (B, F) conv-branch features of a (B, L, 1) input, and the
+    per-block caches."""
+    caches = []
+    for block in model.blocks:
+        x, block_cache = layers.conv_block_forward(block, x, training)
+        caches.append(block_cache)
+    return layers.global_avg_pool(x), caches
 
 
 def backward(model: GruFcnModel, cache, y_onehot: np.ndarray):

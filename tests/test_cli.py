@@ -125,6 +125,23 @@ class TestCompare:
         m1 = out[1].split(",")
         assert m1[0] == "M1" and m1[2] == "2"  # M1 best on 2 of 3 datasets
 
+    def test_bad_alpha_fails_before_any_output(self, capsys, tmp_path):
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--alpha", "0.01", "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: alpha")
+        assert captured.out == ""
+        assert not (out_dir / "wilcoxon_pvalues.csv").exists()
+
+    def test_model_without_entries_is_an_error(self, capsys, tmp_path, recwarn):
+        errs = tmp_path / "errs.csv"
+        errs.write_text("dataset,A,B\nAdiac,0.1,\nBeef,0.3,\n")
+        assert main(["compare", "--errors", str(errs), "--out", str(tmp_path / "c")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "model(s) B" in captured.err
+        assert captured.out == ""
+        assert len(recwarn) == 0
+
     def test_class_counts_file_must_cover_datasets(self, capsys, tmp_path):
         errs = tmp_path / "errs.csv"
         errs.write_text("dataset,M1,M2\nAdiac,0.1,0.2\n")

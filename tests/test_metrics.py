@@ -209,6 +209,13 @@ class TestRankModels:
         with pytest.raises(ValueError):
             rank_models(self.matrix(), missing_mode="drop")
 
+    def test_model_never_ranked_rejected(self):
+        # B's only entry sits in a row that is skipped for having one entry
+        m = ErrorMatrix(["A", "B", "C"], ["d1", "d2"],
+                        np.array([[0.1, np.nan, 0.2], [np.nan, 0.3, np.nan]]))
+        with pytest.warns(UserWarning, match="d2"), pytest.raises(ValueError, match="B"):
+            rank_models(m)
+
 
 class TestErrorMatrixCsv:
     def test_roundtrip_with_missing_entries(self, tmp_path):
@@ -222,6 +229,15 @@ class TestErrorMatrixCsv:
         assert np.array_equal(np.isnan(back.errors), np.isnan(m.errors))
         assert np.allclose(back.errors[~np.isnan(m.errors)],
                            m.errors[~np.isnan(m.errors)])
+
+    @pytest.mark.parametrize("rows, empty", [("d1,0.1,\nd2,0.2,\n", "B"), ("", "A, B")],
+                             ids=["empty-column", "header-only"])
+    def test_model_without_entries_rejected(self, tmp_path, rows, empty):
+        path = tmp_path / "m.csv"
+        path.write_text("dataset,A,B\n" + rows)
+        with pytest.raises(ValueError) as err:
+            ErrorMatrix.from_csv(path)
+        assert str(err.value).endswith(f"model(s) {empty}")
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from gradcheck import assert_grad_close, numerical_grad
 
+from grufcn import layers, tensor_core
 from grufcn.model import (
     ArchConfig,
     BadMagicError,
@@ -192,6 +195,68 @@ class TestForward:
         probs, _ = forward(model, np.random.default_rng(1).normal(size=(3, 40)),
                            training=False)
         assert np.allclose(probs.sum(axis=1), 1.0)
+
+
+class TestStreamedInference:
+    """Inference runs the conv branch over groups of whole series sized by
+    tensor_core.IM2COL_ELEMENTS; the grouping must not show in the output."""
+
+    LENGTH = 40
+
+    def model(self, cell_kind):
+        model = build(ArchConfig(self.LENGTH, 4, cell_kind=cell_kind, seed=5))
+        rng = np.random.default_rng(6)
+        for block in model.blocks:
+            block.bn_moving_mean[...] = rng.normal(0.0, 0.5, block.bn_moving_mean.shape)
+            block.bn_moving_var[...] = rng.uniform(0.5, 2.0, block.bn_moving_var.shape)
+        return model
+
+    def group_budget(self, monkeypatch, series):
+        # floats per group: series * L * the widest conv block's channels
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", series * self.LENGTH * 256)
+
+    @pytest.mark.parametrize("cell_kind", ["gru", "lstm"])
+    @pytest.mark.parametrize("series", [1, 2, 3])
+    def test_groups_match_one_group(self, monkeypatch, cell_kind, series):
+        model = self.model(cell_kind)
+        x = np.random.default_rng(0).normal(size=(5, self.LENGTH))
+        whole_probs, whole = forward(model, x, training=False)
+        self.group_budget(monkeypatch, series)
+        sizes = []
+        block_forward = layers.conv_block_forward
+
+        def spy(block, x, training):
+            sizes.append(len(x))
+            return block_forward(block, x, training)
+
+        monkeypatch.setattr(layers, "conv_block_forward", spy)
+        probs, cache = forward(model, x, training=False)
+        expected = [min(series, 5 - start) for start in range(0, 5, series)]
+        assert sizes == [n for n in expected for _ in model.blocks]
+        np.testing.assert_allclose(probs, whole_probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cache["features"], whole["features"], rtol=0, atol=1e-12)
+
+    def test_non_finite_input_in_last_group_rejected(self, monkeypatch):
+        model = self.model("gru")
+        x = np.random.default_rng(0).normal(size=(5, self.LENGTH))
+        x[4, 7] = np.nan
+        self.group_budget(monkeypatch, 2)
+        with pytest.raises(FloatingPointError):
+            forward(model, x, training=False)
+
+    def test_peak_memory_does_not_grow_with_batch(self, monkeypatch):
+        batch, length = 16, 1000
+        model = build(ArchConfig(length, 3, seed=1))
+        x = np.random.default_rng(0).normal(size=(batch, length))
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", length * 256)
+        tracemalloc.start()
+        try:
+            forward(model, x, training=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a whole-batch pass holds at least one (B, L, 256) float64 block output
+        assert peak < batch * length * 256 * 8 / 2
 
 
 class TestBackward:

@@ -1,6 +1,7 @@
 """The shipped scripts still run against the library."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +22,15 @@ def test_gradient_check_script_passes(cell):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert f"cell={cell}" in result.stdout
+
+
+def test_parity_script_prints_digests():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "parity.py"), "--cell", "gru"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    names = ["history.csv", "best.ckpt", "final.ckpt", "train stdout", "eval stdout"]
+    assert [line.rsplit(": ", 1)[0] for line in lines] == [f"gru {n}" for n in names]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", line.rsplit(": ", 1)[1]) for line in lines)
