@@ -53,18 +53,23 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
         raise FloatingPointError("non-finite input to conv block")
     y = conv1d_same(x, block.kernels, block.bias)
     if training:
+        # np.var's own steps, with y centred in place and its mean pass shared;
+        # the squared deviations' array is then reused for z
         mean = y.mean(axis=(0, 1))
-        var = y.var(axis=(0, 1))
+        centred = np.subtract(y, mean, out=y)
+        z = np.square(centred)
+        var = z.sum(axis=(0, 1)) / (z.shape[0] * z.shape[1])
         m = block.bn_momentum
         block.bn_moving_mean[...] = m * block.bn_moving_mean + (1 - m) * mean
         block.bn_moving_var[...] = m * block.bn_moving_var + (1 - m) * var
+        inv_std = 1.0 / np.sqrt(var + block.bn_epsilon)
+        x_hat = np.multiply(centred, inv_std, out=y)
+        np.multiply(x_hat, block.bn_gamma, out=z)
     else:
-        mean = block.bn_moving_mean
-        var = block.bn_moving_var
-    inv_std = 1.0 / np.sqrt(var + block.bn_epsilon)
-    # y becomes x_hat in place; inference keeps no x_hat, so z reuses it too
-    x_hat = np.multiply(np.subtract(y, mean, out=y), inv_std, out=y)
-    z = np.multiply(x_hat, block.bn_gamma, out=None if training else x_hat)
+        inv_std = 1.0 / np.sqrt(block.bn_moving_var + block.bn_epsilon)
+        # y becomes x_hat and then z in place: inference keeps no x_hat
+        x_hat = np.multiply(np.subtract(y, block.bn_moving_mean, out=y), inv_std, out=y)
+        z = np.multiply(x_hat, block.bn_gamma, out=x_hat)
     z += block.bn_beta
     cache = {"block": block, "x": x, "x_hat": x_hat, "inv_std": inv_std,
              "relu_mask": z > 0} if training else None
@@ -84,15 +89,17 @@ def conv_block_backward(cache, grad_out: np.ndarray):
         raise ShapeMismatchError(
             f"grad shape {grad_out.shape} != forward output shape {x_hat.shape}"
         )
-    # dz becomes dx_hat and then dy in place; prod is the one scratch array
+    # closed form: with n = B*L and dx_hat = gamma * dz, mean(dx_hat) is
+    # gamma * sum(dz) / n and mean(dx_hat * x_hat) is gamma * sum(dz * x_hat) / n,
+    # so dy = (dz - sum(dz)/n - x_hat * sum(dz * x_hat)/n) * gamma * inv_std;
+    # dz becomes dy in place and prod is the one scratch array
     dz = grad_out * cache["relu_mask"]
     prod = dz * x_hat
     grad_gamma, grad_beta = prod.sum(axis=(0, 1)), dz.sum(axis=(0, 1))
-    dx_hat = np.multiply(dz, block.bn_gamma, out=dz)
-    mean_prod = np.multiply(dx_hat, x_hat, out=prod).mean(axis=(0, 1))
-    dy = np.subtract(dx_hat, dx_hat.mean(axis=(0, 1)), out=dx_hat)
-    dy -= np.multiply(x_hat, mean_prod, out=prod)
-    dy *= cache["inv_std"]
+    n = x_hat.shape[0] * x_hat.shape[1]
+    dy = np.subtract(dz, grad_beta / n, out=dz)
+    dy -= np.multiply(x_hat, grad_gamma / n, out=prod)
+    dy *= block.bn_gamma * cache["inv_std"]
     grad_x, grad_kernels, grad_bias = conv1d_same_backward(
         cache["x"], block.kernels, dy
     )

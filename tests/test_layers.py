@@ -124,6 +124,26 @@ class TestConvBlock:
         assert cache is None
         assert np.array_equal(out, np.maximum(z, 0.0))
 
+    def test_training_statistics_match_mean_and_var_bitwise(self):
+        # the training forward shares the mean pass with the variance, which
+        # must still round exactly like y.mean and y.var
+        rng = np.random.default_rng(8)
+        block = make_conv_block(rng, 5, 2, 3, gamma_scale=1.7)
+        block.bn_moving_mean[:] = rng.normal(size=3)
+        block.bn_moving_var[:] = rng.uniform(0.5, 2.0, size=3)
+        x = rng.normal(size=(6, 40, 2)) * 3 + 1
+        y = conv1d_same(x, block.kernels, block.bias)
+        mean, var = y.mean(axis=(0, 1)), y.var(axis=(0, 1))
+        m = block.bn_momentum
+        moving_mean = m * block.bn_moving_mean + (1 - m) * mean
+        moving_var = m * block.bn_moving_var + (1 - m) * var
+        x_hat = (y - mean) * (1.0 / np.sqrt(var + block.bn_epsilon))
+        out, cache = conv_block_forward(block, x, training=True)
+        assert np.array_equal(block.bn_moving_mean, moving_mean)
+        assert np.array_equal(block.bn_moving_var, moving_var)
+        assert np.array_equal(cache["x_hat"], x_hat)
+        assert np.array_equal(out, np.maximum(x_hat * block.bn_gamma + block.bn_beta, 0.0))
+
     def test_backward_leaves_its_inputs_untouched(self):
         rng = np.random.default_rng(7)
         block = make_conv_block(rng, 3, 2, 4)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -215,6 +216,50 @@ class TestRankModels:
                         np.array([[0.1, np.nan, 0.2], [np.nan, 0.3, np.nan]]))
         with pytest.warns(UserWarning, match="d2"), pytest.raises(ValueError, match="B"):
             rank_models(m)
+
+    @pytest.mark.parametrize("mode", ["exclude", "worst"])
+    def test_matches_per_row_rankdata_on_random_tables(self, mode):
+        # oracle: a per-row loop; "worst" puts every absent entry behind every
+        # present one, +inf included, tied among themselves
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            errors = rng.integers(0, 4, size=(10, 5)) / 4
+            errors[rng.random(errors.shape) < 0.1] = np.inf
+            errors[rng.random(errors.shape) < 0.35] = np.nan
+            datasets = [f"d{d}" for d in range(10)]
+            sums, counts, best = np.zeros(5), np.zeros(5), np.zeros(5, dtype=int)
+            skipped = []
+            for name, row in zip(datasets, errors):
+                present = ~np.isnan(row)
+                if present.sum() < 2:
+                    skipped.append(name)
+                    continue
+                ranks = np.full(5, (present.sum() + 1 + 5) / 2)
+                ranks[present] = scipy.stats.rankdata(row[present])
+                counted = present if mode == "exclude" else np.ones(5, dtype=bool)
+                sums[counted] += ranks[counted]
+                counts[counted] += 1
+                best += present & (row == np.nanmin(row))
+            matrix = ErrorMatrix(list("ABCDE"), datasets, errors)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if np.any(counts == 0):
+                    with pytest.raises(ValueError, match="no dataset ranks"):
+                        rank_models(matrix, missing_mode=mode)
+                    continue
+                mean_ranks, no_best = rank_models(matrix, missing_mode=mode)
+            assert [str(w.message) for w in caught] == [
+                f"dataset {name!r} has fewer than 2 entries; skipped" for name in skipped]
+            assert [mean_ranks[m] for m in "ABCDE"] == list(sums / counts), trial
+            assert [no_best[m] for m in "ABCDE"] == list(best), trial
+
+    @pytest.mark.parametrize("mode", ["exclude", "worst"])
+    def test_present_inf_does_not_tie_with_absent_entries(self, mode):
+        m = ErrorMatrix(["A", "B", "C"], ["d1", "d2"],
+                        np.array([[0.1, np.inf, np.nan], [0.1, 0.2, 0.3]]))
+        mean_ranks, _ = rank_models(m, missing_mode=mode)
+        assert (mean_ranks["A"], mean_ranks["B"]) == (1.0, 2.0)
+        assert mean_ranks["C"] == 3.0
 
 
 class TestErrorMatrixCsv:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,17 @@ from grufcn.tensor_core import (
     he_uniform_init,
     same_padding,
 )
+
+
+# (kernel size, length, window rows per im2col slice) over a batch of 5:
+# slices of 1, 2 and 3 whole series (the last one short), slices cut inside a
+# series (kernel taps then cross slice boundaries), and kernels longer than
+# the series, whose outer taps have no valid position in some slices
+IM2COL_BUDGETS = [
+    (4, 7, 7), (4, 7, 14), (4, 7, 21),
+    (4, 7, 1), (5, 7, 3), (3, 7, 6),
+    (8, 3, 1), (8, 3, 2), (8, 3, 6),
+]
 
 
 class TestConv1dSame:
@@ -66,7 +79,7 @@ class TestConv1dSame:
 
     @pytest.mark.parametrize("series_per_slice", [0, 1, 2, 3])
     def test_im2col_slices_match_direct_convolution(self, monkeypatch, series_per_slice):
-        # 0 elements still gives one series per slice; 2 leaves a short last slice
+        # 0 elements still gives one window row per slice; 2 leaves a short last slice
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 7, 2))
         kernels = rng.normal(size=(4, 2, 3))
@@ -75,6 +88,18 @@ class TestConv1dSame:
         padded = np.pad(x, ((0, 0), (left, 4 - 1 - left), (0, 0)))
         expected = sum(padded[:, j:j + 7] @ kernels[j] for j in range(4)) + bias
         monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", series_per_slice * 7 * 4 * 2)
+        assert np.allclose(conv1d_same(x, kernels, bias), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("k, length, rows", IM2COL_BUDGETS)
+    def test_im2col_budgets_match_direct_sum(self, monkeypatch, k, length, rows):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(5, length, 2))
+        kernels = rng.normal(size=(k, 2, 3))
+        bias = rng.normal(size=3)
+        left, right = same_padding(k)
+        padded = np.pad(x, ((0, 0), (left, right), (0, 0)))
+        expected = sum(padded[:, j:j + length] @ kernels[j] for j in range(k)) + bias
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", rows * k * 2)
         assert np.allclose(conv1d_same(x, kernels, bias), expected, atol=1e-12)
 
     @given(st.integers(1, 40), st.sampled_from([3, 5, 8]), st.integers(0, 10_000))
@@ -126,6 +151,38 @@ class TestConv1dSame:
                               einsum_conv_backward(x, kernels, grad_out)):
             assert a.shape == b.shape, name
             assert max_rel_error(a, b) <= 1e-12, name
+
+    @pytest.mark.parametrize("k, length, rows", IM2COL_BUDGETS)
+    def test_backward_im2col_budgets_match_einsum_reference(self, monkeypatch, k,
+                                                            length, rows):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(5, length, 2))
+        kernels = rng.normal(size=(k, 2, 3))
+        grad_out = rng.normal(size=(5, length, 3))
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", rows * k * 2)
+        got = conv1d_same_backward(x, kernels, grad_out)
+        for name, a, b in zip(("x", "kernels", "bias"), got,
+                              einsum_conv_backward(x, kernels, grad_out)):
+            assert a.shape == b.shape, name
+            assert max_rel_error(a, b) <= 1e-12, name
+
+    def test_backward_memory_is_one_im2col_slice_beyond_its_gradients(self):
+        # the backward holds grad_x, one slice's scratch rows and padded copy
+        # (within 1.25 times the budget at k=5), and the kernel gradient with
+        # one product buffer; a batch-wide padded copy, its gradient or a
+        # (B*L, Cin) tap buffer would each add about x.nbytes
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(32, 300, 128))
+        kernels = rng.normal(size=(5, 128, 256))
+        grad_out = rng.normal(size=(32, 300, 256))
+        tracemalloc.start()
+        try:
+            conv1d_same_backward(x, kernels, grad_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = 1.25 * tensor_core.IM2COL_ELEMENTS * x.itemsize
+        assert peak < x.nbytes + budget + 2 * kernels.nbytes + (1 << 20)
 
 
 def einsum_conv_backward(x, kernels, grad_out):
