@@ -11,10 +11,13 @@ and the eval stdout:
 - gru: Coffee shape (L=286, 2 classes, 28 train / 28 test, batch 64);
 - lstm: Adiac shape (L=176, 37 classes, 134 train / 128 test, batch 128).
 
+With ``--tensors`` it also prints one sha256 per tensor of each checkpoint
+(``gru final.ckpt conv0.bias: ...``), so a diff names the tensors that moved.
+
 It runs the ``grufcn`` of its own checkout with one BLAS thread, so running
 it in two checkouts and diffing the output compares them:
 
-    python3 scripts/parity.py [--cell gru|lstm]
+    python3 scripts/parity.py [--cell gru|lstm] [--tensors]
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import synth  # noqa: E402
 from grufcn.cli import main as grufcn  # noqa: E402
+from grufcn.model import load_checkpoint  # noqa: E402
 
 SEED = 3
 EPOCHS = 3
@@ -60,7 +64,7 @@ def run(argv) -> str:
     return out.getvalue()
 
 
-def digests(cell: str, work: Path) -> dict[str, str]:
+def digests(cell: str, work: Path, tensors: bool) -> dict[str, str]:
     dataset, length, classes, n_train, n_test = RUNS[cell]
     train, test = work / f"{dataset}_TRAIN.tsv", work / f"{dataset}_TEST.tsv"
     synth.train_splits(SEED, length, classes, n_train, n_test, train, test)
@@ -71,18 +75,25 @@ def digests(cell: str, work: Path) -> dict[str, str]:
     eval_out = run(["eval", *splits, "--checkpoint", out_dir / "best.ckpt"])
     files = {name: sha256((out_dir / name).read_bytes())
              for name in ("history.csv", "best.ckpt", "final.ckpt")}
-    return {**files, "train stdout": sha256(train_out.encode()),
-            "eval stdout": sha256(eval_out.encode())}
+    result = {**files, "train stdout": sha256(train_out.encode()),
+              "eval stdout": sha256(eval_out.encode())}
+    if tensors:
+        for ckpt in ("best.ckpt", "final.ckpt"):
+            for name, arr in load_checkpoint(out_dir / ckpt).parameters().items():
+                result[f"{ckpt} {name}"] = sha256(arr.tobytes())
+    return result
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cell", choices=sorted(RUNS),
                         help="run only this half (default: both)")
+    parser.add_argument("--tensors", action="store_true",
+                        help="also print one digest per checkpoint tensor")
     args = parser.parse_args()
     for cell in [args.cell] if args.cell else sorted(RUNS):
         with tempfile.TemporaryDirectory() as tmp:
-            for name, digest in digests(cell, Path(tmp)).items():
+            for name, digest in digests(cell, Path(tmp), args.tensors).items():
                 print(f"{cell} {name}: {digest}")
     return 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -49,6 +50,16 @@ def _split_files(args) -> tuple[Path, Path, str]:
     return *data_ucr.find_split_files(root, args.dataset), args.dataset
 
 
+def _check_flags(args):
+    """Reject batch sizes below 1, negative epochs and a non-finite or non-positive lr."""
+    for flag, least in (("train_batch", 1), ("eval_batch", 1), ("epochs", 0)):
+        if getattr(args, flag, None) is not None and getattr(args, flag) < least:
+            raise CliError(f"--{flag.replace('_', '-')} must be at least {least}, "
+                           f"got {getattr(args, flag)}")
+    if hasattr(args, "lr") and not (math.isfinite(args.lr) and args.lr > 0):
+        raise CliError(f"--lr must be finite and positive, got {args.lr}")
+
+
 def _run_settings(args):
     """flags > registry > defaults for epochs and batch sizes."""
     epochs, train_batch, test_batch = DEFAULT_EPOCHS, DEFAULT_TRAIN_BATCH, DEFAULT_TEST_BATCH
@@ -69,6 +80,7 @@ def _run_settings(args):
 
 
 def cmd_train(args) -> int:
+    _check_flags(args)
     dataset = data_ucr.make_dataset(*_split_files(args))
     epochs, train_batch, test_batch = _run_settings(args)
     out_dir = Path(args.out)
@@ -115,6 +127,7 @@ def _test_metrics(net, test_x, test_y, chunk: int):
 
 
 def cmd_eval(args) -> int:
+    _check_flags(args)
     net = model_mod.load_checkpoint(args.checkpoint)
     train_file, test_file, name = _split_files(args)
     test_x, test_y, label_map = data_ucr.load_test_split(train_file, test_file, name)

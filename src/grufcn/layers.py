@@ -100,12 +100,12 @@ def conv_block_backward(cache, grad_out: np.ndarray):
     dy = np.subtract(dz, grad_beta / n, out=dz)
     dy -= np.multiply(x_hat, grad_gamma / n, out=prod)
     dy *= block.bn_gamma * cache["inv_std"]
-    grad_x, grad_kernels, grad_bias = conv1d_same_backward(
-        cache["x"], block.kernels, dy
-    )
+    grad_x, grad_kernels, _ = conv1d_same_backward(cache["x"], block.kernels, dy)
     grads = {
         "kernels": grad_kernels,
-        "bias": grad_bias,
+        # batch norm subtracts the batch mean, which cancels the conv bias, so
+        # its gradient is exactly zero; dy's channel sums are rounding noise
+        "bias": np.zeros_like(block.bias),
         "bn_gamma": grad_gamma,
         "bn_beta": grad_beta,
     }

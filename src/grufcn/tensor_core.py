@@ -3,14 +3,23 @@ deterministic initializers.
 
 Tensors are plain C-contiguous ``numpy.ndarray`` objects with dtype float64.
 Everything here is a pure function of its inputs; the only state lives in
-:class:`Rng`.
+:class:`Rng`. A conv runs as im2col GEMMs, or as Winograd F(4, k) GEMMs when
+k <= 5 and the input has WINOGRAD_MIN_CHANNELS or more channels.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from fractions import Fraction
+
 import numpy as np
+from numpy.polynomial import polynomial
 
 IM2COL_ELEMENTS = 1 << 20  # float64 elements per im2col slice of the conv (8 MiB)
+# Winograd over im2col time on one x86-64 core, 128 output channels: 3-6x
+# with 1 input channel, 1.1-1.9x with 8 or 16, 0.4-1.04x with 32
+WINOGRAD_MIN_CHANNELS = 32
 
 
 class ShapeMismatchError(ValueError):
@@ -45,42 +54,105 @@ def same_padding(kernel_size: int) -> tuple[int, int]:
     return left, kernel_size - 1 - left
 
 
-def _im2col_slices(x: np.ndarray, k: int):
-    """Walk the (B, L, Cin) input x in slices of at most IM2COL_ELEMENTS
-    window-matrix floats, yielding (series, positions, cols) per slice.
-
-    series and positions are the slices of x's first two axes covered, and
-    cols (one reused scratch array, overwritten by the next slice) holds
-    each covered (series, position) pair's window as a row: zero-padded
-    x[b, t - left + j, :] for taps j = 0..k-1, flattened tap-major. A slice
-    is a few whole series, or, when one series' window matrix is larger than
-    the budget, a position range of one series, so neither the batch's nor
-    one long series' k-times window matrix is ever built.
+def _padded_slices(x: np.ndarray, k: int, left: int, cost: int, unit: int = 1):
+    """Yield (series, positions, padded) over the (B, L, C) input x in slices
+    of whole series, or of one series' positions, of at most IM2COL_ELEMENTS
+    floats at cost per unit positions. Slices hold whole units, so the last
+    may reach past L. padded is x[series] from positions.start - left to
+    positions.stop + k - 1 - left, zero outside x.
     """
-    batch, length, c_in = x.shape
-    left, right = same_padding(k)
-    rows = max(1, IM2COL_ELEMENTS // (k * c_in))
-    series = max(1, rows // max(1, length))
-    positions = max(1, min(rows, length))
-    scratch = np.empty((min(series, batch) * positions, k * c_in))
+    batch, length, _ = x.shape
+    span = -(-length // unit) * unit  # one series' positions in whole units
+    step = max(1, IM2COL_ELEMENTS // cost) * unit
+    series, step = max(1, step // max(1, span)), max(1, min(step, span))
     for b in range(0, batch, series):
-        for t in range(0, length, positions):
-            stop = min(t + positions, length)
-            lo, hi = t - left, stop + right  # padded coordinates of the windows' span
-            padded = np.pad(x[b:b + series, max(lo, 0):min(hi, length)],
-                            ((0, 0), (max(-lo, 0), max(hi - length, 0)), (0, 0)))
-            windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=1)
-            cols = scratch[:windows.shape[0] * windows.shape[1]]
-            np.copyto(cols.reshape(windows.shape[:2] + (k, c_in)), windows.transpose(0, 1, 3, 2))
-            del padded, windows  # free this slice's padded copy before the next is made
-            yield slice(b, b + series), slice(t, stop), cols
+        for t in range(0, span, step):
+            stop = min(t + step, span)
+            lo, hi = t - left, stop + k - 1 - left
+            yield slice(b, b + series), slice(t, stop), np.pad(
+                x[b:b + series, max(lo, 0):min(hi, length)],
+                ((0, 0), (max(-lo, 0), max(hi - length, 0)), (0, 0)))
+
+
+def _im2col_slices(x: np.ndarray, k: int):
+    """Yield (series, positions, cols) over the _padded_slices of the
+    (B, L, Cin) input x: cols, one reused scratch array, holds each covered
+    (series, position) pair's window, zero-padded x[b, t - left + j, :] for
+    taps j = 0..k-1, as a row, tap-major.
+    """
+    c_in, scratch = x.shape[2], None
+    for series, positions, padded in _padded_slices(x, k, same_padding(k)[0], k * c_in):
+        windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=1)
+        rows = windows.shape[0] * windows.shape[1]
+        if scratch is None:  # the first slice is the largest
+            scratch = np.empty((rows, k * c_in))
+        cols = scratch[:rows]
+        np.copyto(cols.reshape(windows.shape[:2] + (k, c_in)), windows.transpose(0, 1, 3, 2))
+        del padded, windows  # free this slice's padded copy before the next is made
+        yield series, positions, cols
+
+
+@functools.cache
+def _winograd_matrices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A^T, B^T, G) such that A^T ((G w) * (B^T d)) holds the 4 outputs
+    sum_j d[i + j] w[j] of a k-tap kernel w on a tile d of k + 3 inputs
+    (Lavin & Gray, CVPR 2016): transposed Toom-Cook at the first k + 2 of the
+    points below and infinity, with B^T built exactly and rounded once.
+    """
+    points = [Fraction(p) for p in (0, 1, -1, 2, -2, 0.5, -0.5)][:k + 2]
+    b_t = []
+    for p in points:  # B^T's rows: each point's Lagrange basis polynomial, then prod (x - p)
+        rest = [q for q in points if q != p]
+        b_t.append([*polynomial.polyfromroots(rest) / math.prod(p - q for q in rest), 0])
+    b_t = np.array(b_t + [polynomial.polyfromroots(points)], dtype=np.float64)
+    # A and G evaluate a polynomial at each point, and take its top coefficient at infinity
+    a, g = (np.vstack([polynomial.polyvander(np.array(points, dtype=np.float64), n - 1),
+                       np.eye(n)[-1]]) for n in (4, k))
+    for m in (a, b_t, g):
+        m.flags.writeable = False  # every caller shares the cached arrays
+    return a.T, b_t, g
+
+
+def _winograd_correlate(x: np.ndarray, kernels: np.ndarray, left: int) -> np.ndarray:
+    """(B, L, Cout) correlation, without bias, of the (B, L, Cin) input x,
+    zero-padded by left positions before it, with (k <= 5, Cin, Cout)
+    kernels: per slice, B^T on each tile of 4 outputs' k + 3 inputs, k + 3
+    (tiles x Cin) @ (Cin x Cout) GEMMs with G-transformed kernels, then A^T.
+    """
+    c_in = x.shape[2]
+    k, _, c_out = kernels.shape
+    alpha = k + 3
+    a_t, b_t, g = _winograd_matrices(k)
+    u = np.matmul(g, kernels.reshape(k, -1)).reshape(alpha, c_in, c_out)
+    out = np.empty(x.shape[:2] + (c_out,))
+    # per tile: v, m and the padded copy (4n + k - 1 <= 8n positions for n tiles)
+    cost, v, m = (alpha + 8) * c_in + alpha * c_out, None, None
+    for series, positions, padded in _padded_slices(x, k, left, cost, 4):
+        windows = np.lib.stride_tricks.sliding_window_view(padded, alpha, axis=1)[:, ::4]
+        shape = windows.shape[:2]
+        n = shape[0] * shape[1]
+        if v is None:  # the first slice is the largest
+            v, m = np.empty((n, alpha, c_in)), np.empty((n, alpha, c_out))
+        np.matmul(b_t, windows.swapaxes(2, 3), out=v[:n].reshape(shape + (alpha, c_in)))
+        np.matmul(v[:n].swapaxes(0, 1), u, out=m[:n].swapaxes(0, 1))
+        del padded, windows  # free this slice's padded copy before the next is made
+        # tile i's row j is output position positions.start + 4i + j; the last may be cut
+        products, dest = m[:n].reshape(shape + (alpha, c_out)), out[series, positions]
+        full = dest.shape[1] // 4
+        np.matmul(a_t, products[:, :full],
+                  out=dest[:, :4 * full].reshape(shape[:1] + (full, 4, c_out)))
+        if full < shape[1]:
+            dest[:, 4 * full:] = np.matmul(a_t, products[:, full])[:, :dest.shape[1] - 4 * full]
+    return out
 
 
 def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Stride-1 cross-correlation with zero "same" padding.
 
     x is (B, L, Cin), kernels is (k, Cin, Cout), bias is (Cout,); returns
-    (B, L, Cout). No kernel flip is applied. Each im2col slice is one GEMM.
+    (B, L, Cout). No kernel flip is applied. A kernel of at most 5 taps over
+    WINOGRAD_MIN_CHANNELS or more input channels runs as Winograd F(4, k)
+    GEMMs; any other runs one GEMM per im2col slice.
     """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -93,11 +165,13 @@ def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndar
     k, c_in, c_out = kernels.shape
     if x.shape[2] != c_in:
         raise ShapeMismatchError(f"input channels {x.shape[2]} != kernel channels {c_in}")
-    w = kernels.reshape(k * c_in, c_out)
-    out = np.empty(x.shape[:2] + (c_out,))
-    for series, positions, cols in _im2col_slices(x, k):
-        # a slice is whole series or part of one series, so this view is contiguous
-        np.matmul(cols, w, out=out[series, positions].reshape(-1, c_out))
+    if k <= 5 and c_in >= WINOGRAD_MIN_CHANNELS:
+        out = _winograd_correlate(x, kernels, same_padding(k)[0])
+    else:
+        w, out = kernels.reshape(k * c_in, c_out), np.empty(x.shape[:2] + (c_out,))
+        for series, positions, cols in _im2col_slices(x, k):
+            # a slice is whole series or part of one series, so this view is contiguous
+            np.matmul(cols, w, out=out[series, positions].reshape(-1, c_out))
     return np.add(out, bias, out=out)
 
 
@@ -108,9 +182,10 @@ def conv1d_same_backward(
 
     x is the forward's (B, L, Cin) input, grad_out is (B, L, Cout). It walks
     the forward's im2col slices: per slice, one GEMM adds the kernel
-    gradient of all k taps and one GEMM writes the window gradients back
-    into the slice's scratch rows, which are then scatter-added into the
-    input gradient tap by tap, each tap clipped to the positions it reads
+    gradient of all k taps. Where the forward is Winograd, so is the input
+    gradient; otherwise one more GEMM per slice writes the window gradients
+    back into the slice's scratch rows, which are then scatter-added into
+    the input gradient tap by tap, each tap clipped to the positions it reads
     inside the series. Beyond the three gradients it allocates only one
     slice's scratch and padded copy and one kernel-sized product buffer.
     """
@@ -125,7 +200,11 @@ def conv1d_same_backward(
     length = x.shape[1]
     left, _ = same_padding(k)
     w = kernels.reshape(k * c_in, c_out)
-    grad_x = np.zeros_like(x)
+    winograd = k <= 5 and c_in >= WINOGRAD_MIN_CHANNELS
+    if winograd:  # grad_x[s] = sum_j grad_out[s + left - j] @ kernels[j].T
+        grad_x = _winograd_correlate(grad_out, kernels[::-1].transpose(0, 2, 1), k - 1 - left)
+    else:
+        grad_x = np.zeros_like(x)
     # the kernel gradient is summed transposed: on one x86-64 core with
     # OpenBLAS 0.3.31, g.T @ cols ran at about 47 gflop/s where cols.T @ g
     # ran at 34-41 on the model's shapes
@@ -135,6 +214,8 @@ def conv1d_same_backward(
         g = grad_out[series, positions]
         g_rows = g.reshape(-1, c_out)
         grad_w_t += np.matmul(g_rows.T, cols, out=product)
+        if winograd:
+            continue
         taps = np.matmul(g_rows, w.T, out=cols).reshape(g.shape[:2] + (k, c_in))
         for j in range(k):
             # row r of tap j reads x position positions.start + r + j - left;

@@ -205,6 +205,21 @@ class TestTrain:
         assert summary["cell_kind"] == "lstm"
         assert summary["parameter_count"] == 266016 + 32 * 16 + 137 * 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--train-batch", "0", "--train-batch must be at least 1, got 0"),
+        ("--eval-batch", "0", "--eval-batch must be at least 1, got 0"),
+        ("--eval-batch", "-3", "--eval-batch must be at least 1, got -3"),
+        ("--epochs", "-2", "--epochs must be at least 0, got -2"),
+        ("--lr", "-1", "--lr must be finite and positive, got -1.0"),
+        ("--lr", "nan", "--lr must be finite and positive, got nan"),
+    ])
+    def test_bad_run_setting_is_an_error(self, synthetic_splits, tmp_path, capsys,
+                                         flag, value, message):
+        out_dir = tmp_path / "run"
+        assert run_train(synthetic_splits, out_dir, extra=(flag, value)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
     def test_missing_dataset_and_paths_is_an_error(self, capsys):
         assert main(["train", "--out", "unused"]) == 1
         assert "need --dataset" in capsys.readouterr().err
@@ -231,6 +246,19 @@ class TestEval:
         assert "test error:" in out
         assert "macro f1:" in out
         assert "class,tp,fp,fn" in out
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_eval_batch_is_an_error(self, synthetic_splits, tmp_path, capsys, value):
+        ckpt = self.make_checkpoint(synthetic_splits, tmp_path)
+        capsys.readouterr()
+        train, test = synthetic_splits
+        preds = tmp_path / "preds.csv"
+        assert main(["eval", "--checkpoint", str(ckpt), "--train-path", str(train),
+                     "--test-path", str(test), "--eval-batch", value,
+                     "--predictions", str(preds)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: --eval-batch must be at least 1, got {value}\n")
+        assert not preds.exists()
 
     def test_predictions_csv(self, synthetic_splits, tmp_path, capsys):
         ckpt = self.make_checkpoint(synthetic_splits, tmp_path)

@@ -34,3 +34,17 @@ def test_parity_script_prints_digests():
     names = ["history.csv", "best.ckpt", "final.ckpt", "train stdout", "eval stdout"]
     assert [line.rsplit(": ", 1)[0] for line in lines] == [f"gru {n}" for n in names]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.rsplit(": ", 1)[1]) for line in lines)
+
+
+def test_parity_script_prints_tensor_digests():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "parity.py"), "--cell", "gru", "--tensors"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    names = [line.rsplit(": ", 1)[0] for line in result.stdout.splitlines()]
+    assert names[:5] == [f"gru {n}" for n in ("history.csv", "best.ckpt", "final.ckpt",
+                                              "train stdout", "eval stdout")]
+    tensors = [n for n in names[5:] if n.startswith("gru final.ckpt ")]
+    assert len(names) == 5 + 2 * len(tensors)
+    assert {"gru final.ckpt conv0.bias", "gru final.ckpt cell.U_h"} <= set(tensors)

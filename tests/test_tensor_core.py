@@ -29,6 +29,26 @@ IM2COL_BUDGETS = [
 ]
 
 
+# (kernel size, length) for kernels of at most 5 taps, where both conv paths
+# apply: L < 4, L mod 4 != 0, L < k and even k (mirrored padding in the backward)
+WINOGRAD_SHAPES = [(3, 1), (5, 2), (4, 3), (5, 4), (3, 6), (4, 9), (2, 13), (1, 5), (5, 16)]
+
+
+def direct_conv(x, kernels, bias):
+    """conv1d_same as a sum over taps of GEMMs on shifted zero-padded copies."""
+    k, length = kernels.shape[0], x.shape[1]
+    padded = np.pad(x, ((0, 0), same_padding(k), (0, 0)))
+    return sum(padded[:, j:j + length] @ kernels[j] for j in range(k)) + bias
+
+
+@pytest.fixture(params=["im2col", "winograd"])
+def conv_path(request, monkeypatch):
+    """Run the test once on each conv path, whatever the channel count."""
+    threshold = 1 if request.param == "winograd" else 1 << 30
+    monkeypatch.setattr(tensor_core, "WINOGRAD_MIN_CHANNELS", threshold)
+    return request.param
+
+
 class TestConv1dSame:
     def test_hand_convolution(self):
         x = np.array([[1.0], [2.0], [3.0]])
@@ -183,6 +203,86 @@ class TestConv1dSame:
             tracemalloc.stop()
         budget = 1.25 * tensor_core.IM2COL_ELEMENTS * x.itemsize
         assert peak < x.nbytes + budget + 2 * kernels.nbytes + (1 << 20)
+
+
+class TestWinograd:
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_transforms_reproduce_direct_correlation(self, k):
+        a_t, b_t, g = tensor_core._winograd_matrices(k)
+        assert (a_t.shape, b_t.shape, g.shape) == ((4, k + 3), (k + 3, k + 3), (k + 3, k))
+        assert tensor_core._winograd_matrices(k)[1] is b_t  # built once, then cached
+        rng = np.random.default_rng(k)
+        tiles, w = rng.normal(size=(k + 3, 50)), rng.normal(size=(k, 50))
+        expected = [sum(tiles[i + j] * w[j] for j in range(k)) for i in range(4)]
+        assert max_rel_error(a_t @ ((g @ w) * (b_t @ tiles)), np.array(expected)) <= 1e-14
+
+    @pytest.mark.parametrize("k, length", WINOGRAD_SHAPES)
+    def test_both_paths_match_direct_sum(self, conv_path, k, length):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(3, length, 2))
+        kernels = rng.normal(size=(k, 2, 3))
+        bias = rng.normal(size=3)
+        assert max_rel_error(conv1d_same(x, kernels, bias), direct_conv(x, kernels, bias)) <= 1e-12
+
+    @pytest.mark.parametrize("elements", [k * 2 * rows for k, _, rows in IM2COL_BUDGETS]
+                             + [0, 100, 200, 400, 600])
+    @pytest.mark.parametrize("k, length", [(4, 7), (5, 7), (3, 10)])
+    def test_both_paths_match_direct_sum_in_slices(self, monkeypatch, conv_path, k, length,
+                                                   elements):
+        # from one tile per slice to slices of several whole series
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(5, length, 2))
+        kernels = rng.normal(size=(k, 2, 3))
+        bias = rng.normal(size=3)
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", elements)
+        assert max_rel_error(conv1d_same(x, kernels, bias), direct_conv(x, kernels, bias)) <= 1e-12
+
+    @pytest.mark.parametrize("elements", [0, 100, 400, 1 << 20])
+    @pytest.mark.parametrize("k, length", WINOGRAD_SHAPES)
+    def test_input_gradient_matches_einsum_reference(self, monkeypatch, k, length, elements):
+        monkeypatch.setattr(tensor_core, "WINOGRAD_MIN_CHANNELS", 1)
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", elements)
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(3, length, 2))
+        kernels = rng.normal(size=(k, 2, 3))
+        grad_out = rng.normal(size=(3, length, 3))
+        got = conv1d_same_backward(x, kernels, grad_out)
+        for name, a, b in zip(("x", "kernels", "bias"), got,
+                              einsum_conv_backward(x, kernels, grad_out)):
+            assert a.shape == b.shape, name
+            assert max_rel_error(a, b) <= 1e-12, name
+
+    def test_model_blocks_take_the_winograd_path(self, monkeypatch):
+        # block 0 (1 channel, k=8) stays im2col; blocks 1 and 2 run Winograd,
+        # forward and input gradient
+        calls = []
+        correlate = tensor_core._winograd_correlate
+        monkeypatch.setattr(tensor_core, "_winograd_correlate",
+                            lambda x, kernels, left: calls.append(kernels.shape)
+                            or correlate(x, kernels, left))
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(2, 9, 1))
+        for k, c_out in ((8, 128), (5, 256), (3, 128)):
+            kernels = rng.normal(size=(k, x.shape[2], c_out))
+            conv1d_same_backward(x, kernels, rng.normal(size=(2, 9, c_out)))
+            x = conv1d_same(x, kernels, np.zeros(c_out))
+        assert calls == [(5, 256, 128), (5, 128, 256), (3, 128, 256), (3, 256, 128)]
+
+    def test_forward_memory_is_the_output_and_one_slice(self):
+        # a HandOutlines-length series through the 128->256 block
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(1, 2709, 128))
+        kernels = rng.normal(size=(5, 128, 256))
+        bias = np.zeros(256)
+        tracemalloc.start()
+        try:
+            out = conv1d_same(x, kernels, bias)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        transformed_kernels = 8 * 128 * 256 * 8
+        budget = tensor_core.IM2COL_ELEMENTS * x.itemsize
+        assert peak <= out.nbytes + budget + transformed_kernels + (1 << 20)
 
 
 def einsum_conv_backward(x, kernels, grad_out):
