@@ -186,16 +186,11 @@ def cmd_params(args) -> int:
     if args.check is not None:
         ref_path = args.check if args.check != "" else _shipped("published_param_counts.csv")
         mismatches = 0
-        with open(ref_path, "r", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                name = row["dataset"]
-                if name not in counts:
-                    continue
-                expected = (int(row["GRU-FCN"]), int(row["LSTM-FCN"]))
-                if counts[name] != expected:
-                    mismatches += 1
-                    print(f"MISMATCH {name}: computed {counts[name]}, "
-                          f"reference {expected}", file=sys.stderr)
+        for name, expected in _int_rows(ref_path, ("GRU-FCN", "LSTM-FCN")):
+            if name in counts and counts[name] != expected:
+                mismatches += 1
+                print(f"MISMATCH {name}: computed {counts[name]}, "
+                      f"reference {expected}", file=sys.stderr)
         print(f"reference check: {mismatches} mismatches")
         if mismatches:
             return 1
@@ -241,18 +236,29 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _int_rows(path, columns: tuple[str, ...]):
+    """(dataset, integer value of each column) for every row of a CSV file
+    with a header; a short row or a non-integer field names its line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                entry = row["dataset"], tuple(int(row[c]) for c in columns)
+            except (KeyError, TypeError, ValueError):
+                raise CliError(f"{path}, line {reader.line_num}: need a dataset and "
+                               f"integer {', '.join(columns)}") from None
+            yield entry
+
+
 def _load_class_counts(path, datasets) -> np.ndarray:
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            table = {row["dataset"]: int(row["classes"]) for row in csv.DictReader(fh)}
+        table = {name: classes for name, (classes,) in _int_rows(path, ("classes",))}
         missing = [d for d in datasets if d not in table]
         if missing:
             raise CliError(f"class-counts file lacks entries for: {', '.join(missing)}")
         return np.asarray([table[d] for d in datasets], dtype=np.float64)
-    counts = []
-    for d in datasets:
-        counts.append(data_ucr.registry_lookup(d).num_classes)
-    return np.asarray(counts, dtype=np.float64)
+    return np.asarray([data_ucr.registry_lookup(d).num_classes for d in datasets],
+                      dtype=np.float64)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -76,12 +76,13 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
     return np.maximum(z, 0.0, out=z), cache
 
 
-def conv_block_backward(cache, grad_out: np.ndarray):
+def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     """Gradients of the composed ReLU(BN(conv)) w.r.t. input and parameters,
     from a training-mode cache.
 
     Includes the batch-statistics coupling terms of training-mode batch norm.
-    Returns (grad_x, grads) with grads keyed kernels/bias/bn_gamma/bn_beta.
+    Returns (grad_x, grads) with grads keyed kernels/bias/bn_gamma/bn_beta;
+    grad_x is None unless input_grad.
     """
     block: ConvBlock = cache["block"]
     x_hat = cache["x_hat"]
@@ -100,7 +101,7 @@ def conv_block_backward(cache, grad_out: np.ndarray):
     dy = np.subtract(dz, grad_beta / n, out=dz)
     dy -= np.multiply(x_hat, grad_gamma / n, out=prod)
     dy *= block.bn_gamma * cache["inv_std"]
-    grad_x, grad_kernels, _ = conv1d_same_backward(cache["x"], block.kernels, dy)
+    grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, dy, input_grad)
     grads = {
         "kernels": grad_kernels,
         # batch norm subtracts the batch mean, which cancels the conv bias, so

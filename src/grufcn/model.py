@@ -248,8 +248,8 @@ def backward(model: GruFcnModel, cache, y_onehot: np.ndarray):
         grads[f"cell.{name}"] = g
 
     dx = layers.global_avg_pool_backward(dpooled, cache["conv_out_length"])
-    for i in reversed(range(len(model.blocks))):
-        dx, block_grads = layers.conv_block_backward(cache["conv_caches"][i], dx)
+    for i in reversed(range(len(model.blocks))):  # nothing reads the data's gradient
+        dx, block_grads = layers.conv_block_backward(cache["conv_caches"][i], dx, i > 0)
         for name, g in block_grads.items():
             grads[f"conv{i}.{name}"] = g
     return loss, grads

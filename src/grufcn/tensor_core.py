@@ -3,8 +3,8 @@ deterministic initializers.
 
 Tensors are plain C-contiguous ``numpy.ndarray`` objects with dtype float64.
 Everything here is a pure function of its inputs; the only state lives in
-:class:`Rng`. A conv runs as im2col GEMMs, or as Winograd F(4, k) GEMMs when
-k <= 5 and the input has WINOGRAD_MIN_CHANNELS or more channels.
+:class:`Rng`. A conv forward and its input gradient run one correlation
+routine, which picks im2col GEMMs or Winograd F(4, k) GEMMs by its own input.
 """
 
 from __future__ import annotations
@@ -74,14 +74,14 @@ def _padded_slices(x: np.ndarray, k: int, left: int, cost: int, unit: int = 1):
                 ((0, 0), (max(-lo, 0), max(hi - length, 0)), (0, 0)))
 
 
-def _im2col_slices(x: np.ndarray, k: int):
+def _im2col_slices(x: np.ndarray, k: int, left: int):
     """Yield (series, positions, cols) over the _padded_slices of the
     (B, L, Cin) input x: cols, one reused scratch array, holds each covered
     (series, position) pair's window, zero-padded x[b, t - left + j, :] for
     taps j = 0..k-1, as a row, tap-major.
     """
     c_in, scratch = x.shape[2], None
-    for series, positions, padded in _padded_slices(x, k, same_padding(k)[0], k * c_in):
+    for series, positions, padded in _padded_slices(x, k, left, k * c_in):
         windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=1)
         rows = windows.shape[0] * windows.shape[1]
         if scratch is None:  # the first slice is the largest
@@ -146,13 +146,25 @@ def _winograd_correlate(x: np.ndarray, kernels: np.ndarray, left: int) -> np.nda
     return out
 
 
+def _correlate(x: np.ndarray, kernels: np.ndarray, left: int) -> np.ndarray:
+    """out[b, t] = sum_j x[b, t - left + j] @ kernels[j], x zero outside its L
+    positions, for (B, L, Cin) x and (k, Cin, Cout) kernels: Winograd F(4, k)
+    GEMMs if k <= 5 and Cin >= WINOGRAD_MIN_CHANNELS, else im2col GEMMs."""
+    k, c_in, c_out = kernels.shape
+    if k <= 5 and c_in >= WINOGRAD_MIN_CHANNELS:
+        return _winograd_correlate(x, kernels, left)
+    w, out = kernels.reshape(k * c_in, c_out), np.empty(x.shape[:2] + (c_out,))
+    for series, positions, cols in _im2col_slices(x, k, left):
+        # a slice is whole series or part of one series, so this view is contiguous
+        np.matmul(cols, w, out=out[series, positions].reshape(-1, c_out))
+    return out
+
+
 def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Stride-1 cross-correlation with zero "same" padding.
 
     x is (B, L, Cin), kernels is (k, Cin, Cout), bias is (Cout,); returns
-    (B, L, Cout). No kernel flip is applied. A kernel of at most 5 taps over
-    WINOGRAD_MIN_CHANNELS or more input channels runs as Winograd F(4, k)
-    GEMMs; any other runs one GEMM per im2col slice.
+    (B, L, Cout). No kernel flip is applied.
     """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -162,32 +174,23 @@ def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndar
             f"conv1d_same expects (B,L,Cin) input and (k,Cin,Cout) kernels, "
             f"got {x.shape} and {kernels.shape}"
         )
-    k, c_in, c_out = kernels.shape
+    k, c_in, _ = kernels.shape
     if x.shape[2] != c_in:
         raise ShapeMismatchError(f"input channels {x.shape[2]} != kernel channels {c_in}")
-    if k <= 5 and c_in >= WINOGRAD_MIN_CHANNELS:
-        out = _winograd_correlate(x, kernels, same_padding(k)[0])
-    else:
-        w, out = kernels.reshape(k * c_in, c_out), np.empty(x.shape[:2] + (c_out,))
-        for series, positions, cols in _im2col_slices(x, k):
-            # a slice is whole series or part of one series, so this view is contiguous
-            np.matmul(cols, w, out=out[series, positions].reshape(-1, c_out))
+    out = _correlate(x, kernels, same_padding(k)[0])
     return np.add(out, bias, out=out)
 
 
 def conv1d_same_backward(
-    x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv1d_same w.r.t. input, kernels, and bias.
+    x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Gradients of conv1d_same w.r.t. its input (None unless input_grad) and
+    its kernels; the bias gradient, grad_out's channel sums, is not computed.
 
-    x is the forward's (B, L, Cin) input, grad_out is (B, L, Cout). It walks
-    the forward's im2col slices: per slice, one GEMM adds the kernel
-    gradient of all k taps. Where the forward is Winograd, so is the input
-    gradient; otherwise one more GEMM per slice writes the window gradients
-    back into the slice's scratch rows, which are then scatter-added into
-    the input gradient tap by tap, each tap clipped to the positions it reads
-    inside the series. Beyond the three gradients it allocates only one
-    slice's scratch and padded copy and one kernel-sized product buffer.
+    x is the forward's (B, L, Cin) input, grad_out is (B, L, Cout). The input
+    gradient correlates grad_out with the tap-reversed, transposed kernels
+    and mirrored padding. The kernel gradient walks the forward's im2col
+    slices of x, one GEMM per slice for all k taps.
     """
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -197,34 +200,19 @@ def conv1d_same_backward(
             f"grad shape {grad_out.shape} does not match forward output "
             f"for input {x.shape} and {c_out} output channels"
         )
-    length = x.shape[1]
-    left, _ = same_padding(k)
-    w = kernels.reshape(k * c_in, c_out)
-    winograd = k <= 5 and c_in >= WINOGRAD_MIN_CHANNELS
-    if winograd:  # grad_x[s] = sum_j grad_out[s + left - j] @ kernels[j].T
-        grad_x = _winograd_correlate(grad_out, kernels[::-1].transpose(0, 2, 1), k - 1 - left)
-    else:
-        grad_x = np.zeros_like(x)
+    left, right = same_padding(k)
+    # grad_x[s] = sum_j grad_out[s + left - j] @ kernels[j].T
+    grad_x = (_correlate(grad_out, kernels[::-1].transpose(0, 2, 1), right)
+              if input_grad else None)
     # the kernel gradient is summed transposed: on one x86-64 core with
     # OpenBLAS 0.3.31, g.T @ cols ran at about 47 gflop/s where cols.T @ g
     # ran at 34-41 on the model's shapes
     grad_w_t = np.zeros((c_out, k * c_in))
     product = np.empty_like(grad_w_t)
-    for series, positions, cols in _im2col_slices(x, k):
-        g = grad_out[series, positions]
-        g_rows = g.reshape(-1, c_out)
+    for series, positions, cols in _im2col_slices(x, k, left):
+        g_rows = grad_out[series, positions].reshape(-1, c_out)
         grad_w_t += np.matmul(g_rows.T, cols, out=product)
-        if winograd:
-            continue
-        taps = np.matmul(g_rows, w.T, out=cols).reshape(g.shape[:2] + (k, c_in))
-        for j in range(k):
-            # row r of tap j reads x position positions.start + r + j - left;
-            # keep the rows whose source lies inside the series
-            offset = positions.start + j - left
-            lo, hi = max(0, -offset), min(g.shape[1], length - offset)
-            if lo < hi:
-                grad_x[series, lo + offset:hi + offset] += taps[:, lo:hi, j]
-    return grad_x, grad_w_t.T.reshape(kernels.shape), grad_out.sum(axis=(0, 1))
+    return grad_x, grad_w_t.T.reshape(kernels.shape)
 
 
 def he_uniform_init(rng: Rng, fan_in: int, shape) -> np.ndarray:

@@ -77,6 +77,14 @@ class TestParams:
         assert "MISMATCH Adiac" in captured.err
         assert "reference check: 1 mismatches" in captured.out
 
+    @pytest.mark.parametrize("row", ["Adiac,275237", "Adiac,275237,many"])
+    def test_malformed_reference_row_is_an_error(self, capsys, tmp_path, row):
+        ref = tmp_path / "ref.csv"
+        ref.write_text(f"dataset,GRU-FCN,LSTM-FCN\n{row}\n")
+        assert main(["params", "Adiac", "--check", str(ref)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {ref}, line 2: need a dataset and integer GRU-FCN, LSTM-FCN\n"
+
     def test_unknown_dataset_suggests_names(self, capsys):
         assert main(["params", "Adiacc"]) == 1
         assert "Adiac" in capsys.readouterr().err
@@ -150,6 +158,18 @@ class TestCompare:
         assert main(["compare", "--errors", str(errs),
                      "--class-counts", str(counts), "--out", str(tmp_path / "c")]) == 1
         assert "Adiac" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["Adiac", "Adiac,five"])
+    def test_malformed_class_counts_row_is_an_error(self, capsys, tmp_path, row):
+        errs = tmp_path / "errs.csv"
+        errs.write_text("dataset,M1,M2\nAdiac,0.1,0.2\n")
+        counts = tmp_path / "counts.csv"
+        counts.write_text(f"dataset,classes\n{row}\n")
+        assert main(["compare", "--errors", str(errs),
+                     "--class-counts", str(counts), "--out", str(tmp_path / "c")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {counts}, line 2: need a dataset and integer classes\n"
+        assert captured.out == ""
 
 
 class TestTrain:

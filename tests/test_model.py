@@ -292,6 +292,21 @@ class TestBackward:
             numeric = numerical_grad(f, arr.copy())
             assert_grad_close(grads[name], numeric, 1e-4, name)
 
+    def test_first_block_input_gradient_is_skipped(self, monkeypatch):
+        # the backward correlates only for input gradients, and no layer
+        # reads the gradient of the data
+        model = build(ArchConfig(20, 2, dropout_rate=0.0, seed=1))
+        x = np.random.default_rng(3).normal(size=(4, 20))
+        _, cache = forward(model, x, training=True, rng=Rng(0))
+        calls = []
+        correlate = tensor_core._correlate
+        monkeypatch.setattr(tensor_core, "_correlate",
+                            lambda x, kernels, left: calls.append(kernels.shape)
+                            or correlate(x, kernels, left))
+        backward(model, cache, np.eye(2)[[0, 1, 1, 0]])
+        assert calls == [(3, 128, 256), (5, 256, 128)]
+        assert len(calls) == len(model.blocks) - 1
+
     def test_loss_decreases_along_negative_gradient(self):
         model = build(ArchConfig(20, 2, dropout_rate=0.0, seed=1))
         rng = np.random.default_rng(2)

@@ -1,5 +1,8 @@
 """The shipped scripts still run against the library."""
 
+import importlib
+import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -48,3 +51,26 @@ def test_parity_script_prints_tensor_digests():
     tensors = [n for n in names[5:] if n.startswith("gru final.ckpt ")]
     assert len(names) == 5 + 2 * len(tensors)
     assert {"gru final.ckpt conv0.bias", "gru final.ckpt cell.U_h"} <= set(tensors)
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    """perfbench/spans.py, imported without writing bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "spans", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_wrap_points_exist(spans):
+    # the traced benchmark replaces each point by name, and labels a conv
+    # span by the shape of its parameter 1
+    for point in spans.LAYERS + spans.BOUNDARY:
+        assert callable(getattr(importlib.import_module(point.module), point.attr, None)), point
+    convs = [p for p in spans.LAYERS if p.attr.startswith("conv1d_same")]
+    assert sorted(p.attr for p in convs) == ["conv1d_same", "conv1d_same_backward"]
+    for point in convs:
+        fn = getattr(importlib.import_module(point.module), point.attr)
+        assert list(inspect.signature(fn).parameters)[1] == "kernels", point

@@ -146,15 +146,23 @@ class TestConv1dSame:
             bias = rng.normal(size=3)
             grad_out = rng.normal(size=(2, length, 3))
 
-            gx, gk, gb = conv1d_same_backward(x, kernels, grad_out)
+            gx, gk = conv1d_same_backward(x, kernels, grad_out)
             loss_x = lambda v: float(np.sum(conv1d_same(v, kernels, bias) * grad_out))
             loss_k = lambda v: float(np.sum(conv1d_same(x, v, bias) * grad_out))
-            loss_b = lambda v: float(np.sum(conv1d_same(x, kernels, v) * grad_out))
             label = f"k={k} L={length}"
             assert_grad_close(gx, numerical_grad(loss_x, x), 1e-7, f"conv x {label}")
             assert_grad_close(gk, numerical_grad(loss_k, kernels), 1e-7,
                               f"conv kernels {label}")
-            assert_grad_close(gb, numerical_grad(loss_b, bias), 1e-7, f"conv bias {label}")
+
+    def test_skipped_input_gradient_leaves_the_kernel_gradient(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(3, 11, 2))
+        kernels = rng.normal(size=(5, 2, 3))
+        grad_out = rng.normal(size=(3, 11, 3))
+        gx, gk = conv1d_same_backward(x, kernels, grad_out)
+        skipped, gk_alone = conv1d_same_backward(x, kernels, grad_out, input_grad=False)
+        assert gx is not None and skipped is None
+        assert np.array_equal(gk_alone, gk)
 
     @given(st.integers(1, 4), st.integers(1, 40), st.sampled_from([1, 3, 5, 8]),
            st.sampled_from([1, 3]), st.integers(1, 4), st.integers(0, 10_000))
@@ -164,13 +172,7 @@ class TestConv1dSame:
         x = rng.normal(size=(batch, length, c_in))
         kernels = rng.normal(size=(k, c_in, c_out))
         grad_out = rng.normal(size=(batch, length, c_out))
-        got = conv1d_same_backward(x, kernels, grad_out)
-        # relative to max(1, |a|, |b|), as the gradient checks measure it: a
-        # bare relative error is unbounded where a sum cancels to near zero
-        for name, a, b in zip(("x", "kernels", "bias"), got,
-                              einsum_conv_backward(x, kernels, grad_out)):
-            assert a.shape == b.shape, name
-            assert max_rel_error(a, b) <= 1e-12, name
+        assert_backward_matches_einsum(x, kernels, grad_out)
 
     @pytest.mark.parametrize("k, length, rows", IM2COL_BUDGETS)
     def test_backward_im2col_budgets_match_einsum_reference(self, monkeypatch, k,
@@ -180,11 +182,7 @@ class TestConv1dSame:
         kernels = rng.normal(size=(k, 2, 3))
         grad_out = rng.normal(size=(5, length, 3))
         monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", rows * k * 2)
-        got = conv1d_same_backward(x, kernels, grad_out)
-        for name, a, b in zip(("x", "kernels", "bias"), got,
-                              einsum_conv_backward(x, kernels, grad_out)):
-            assert a.shape == b.shape, name
-            assert max_rel_error(a, b) <= 1e-12, name
+        assert_backward_matches_einsum(x, kernels, grad_out)
 
     def test_backward_memory_is_one_im2col_slice_beyond_its_gradients(self):
         # the backward holds grad_x, one slice's scratch rows and padded copy
@@ -246,11 +244,7 @@ class TestWinograd:
         x = rng.normal(size=(3, length, 2))
         kernels = rng.normal(size=(k, 2, 3))
         grad_out = rng.normal(size=(3, length, 3))
-        got = conv1d_same_backward(x, kernels, grad_out)
-        for name, a, b in zip(("x", "kernels", "bias"), got,
-                              einsum_conv_backward(x, kernels, grad_out)):
-            assert a.shape == b.shape, name
-            assert max_rel_error(a, b) <= 1e-12, name
+        assert_backward_matches_einsum(x, kernels, grad_out)
 
     def test_model_blocks_take_the_winograd_path(self, monkeypatch):
         # block 0 (1 channel, k=8) stays im2col; blocks 1 and 2 run Winograd,
@@ -299,7 +293,19 @@ def einsum_conv_backward(x, kernels, grad_out):
         tap = padded[:, j:j + length]
         grad_kernels[j] = np.einsum("bli,blo->io", tap, grad_out)
         grad_padded[:, j:j + length] += grad_out @ kernels[j].T
-    return grad_padded[:, left:left + length], grad_kernels, grad_out.sum(axis=(0, 1))
+    return grad_padded[:, left:left + length], grad_kernels
+
+
+def assert_backward_matches_einsum(x, kernels, grad_out):
+    """conv1d_same_backward returns exactly the reference's gradients, each
+    within 1e-12 relative to max(1, |a|, |b|), as the gradient checks
+    measure it: a bare relative error is unbounded where a sum cancels to
+    near zero."""
+    got = conv1d_same_backward(x, kernels, grad_out)
+    for name, a, b in zip(("x", "kernels"), got, einsum_conv_backward(x, kernels, grad_out),
+                          strict=True):
+        assert a.shape == b.shape, name
+        assert max_rel_error(a, b) <= 1e-12, name
 
 
 class TestInitializers:
