@@ -172,6 +172,11 @@ def cmd_params(args) -> int:
         names = [data_ucr.registry_lookup(args.dataset).name]
     else:
         raise CliError("need a dataset name or --all")
+    reference = None  # read and checked whole before any output
+    if args.check is not None:
+        reference = list(_int_rows(
+            args.check if args.check != "" else _shipped("published_param_counts.csv"),
+            ("GRU-FCN", "LSTM-FCN")))
     print("dataset,gru_fcn_params,lstm_fcn_params")
     counts = {}
     for name in names:
@@ -183,10 +188,9 @@ def cmd_params(args) -> int:
         total_l = sum(l for _, l in counts.values())
         print(f"Total,{total_g},{total_l}")
         counts["Total"] = (total_g, total_l)
-    if args.check is not None:
-        ref_path = args.check if args.check != "" else _shipped("published_param_counts.csv")
+    if reference is not None:
         mismatches = 0
-        for name, expected in _int_rows(ref_path, ("GRU-FCN", "LSTM-FCN")):
+        for name, expected in reference:
             if name in counts and counts[name] != expected:
                 mismatches += 1
                 print(f"MISMATCH {name}: computed {counts[name]}, "

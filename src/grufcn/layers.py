@@ -46,33 +46,37 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
 
     Training mode normalizes with batch statistics taken over all batch and
     time positions per channel, updates the moving statistics in place, and
-    returns the backward cache; inference mode uses the moving statistics
-    and returns None for the cache, so no activation outlives the pass.
+    returns the backward cache. Inference mode folds the moving statistics,
+    gamma and beta into one per-channel scale s = gamma / sqrt(var + eps),
+    which the conv multiplies into its weights, and one shift
+    (bias - mean) * s + beta, its bias: the block is the conv and a ReLU in
+    place, with None for the cache, so no activation outlives the pass. The
+    fold is redone on every call from Cout-float vectors; holding folded
+    kernels instead would keep a kernel-sized copy alive beside the conv.
     """
     if not np.all(np.isfinite(x)):
         raise FloatingPointError("non-finite input to conv block")
+    if not training:
+        scale = block.bn_gamma / np.sqrt(block.bn_moving_var + block.bn_epsilon)
+        shift = (block.bias - block.bn_moving_mean) * scale + block.bn_beta
+        z = conv1d_same(x, block.kernels, shift, scale=scale)
+        return np.maximum(z, 0.0, out=z), None
     y = conv1d_same(x, block.kernels, block.bias)
-    if training:
-        # np.var's own steps, with y centred in place and its mean pass shared;
-        # the squared deviations' array is then reused for z
-        mean = y.mean(axis=(0, 1))
-        centred = np.subtract(y, mean, out=y)
-        z = np.square(centred)
-        var = z.sum(axis=(0, 1)) / (z.shape[0] * z.shape[1])
-        m = block.bn_momentum
-        block.bn_moving_mean[...] = m * block.bn_moving_mean + (1 - m) * mean
-        block.bn_moving_var[...] = m * block.bn_moving_var + (1 - m) * var
-        inv_std = 1.0 / np.sqrt(var + block.bn_epsilon)
-        x_hat = np.multiply(centred, inv_std, out=y)
-        np.multiply(x_hat, block.bn_gamma, out=z)
-    else:
-        inv_std = 1.0 / np.sqrt(block.bn_moving_var + block.bn_epsilon)
-        # y becomes x_hat and then z in place: inference keeps no x_hat
-        x_hat = np.multiply(np.subtract(y, block.bn_moving_mean, out=y), inv_std, out=y)
-        z = np.multiply(x_hat, block.bn_gamma, out=x_hat)
+    # np.var's own steps, with y centred in place and its mean pass shared;
+    # the squared deviations' array is then reused for z
+    mean = y.mean(axis=(0, 1))
+    centred = np.subtract(y, mean, out=y)
+    z = np.square(centred)
+    var = z.sum(axis=(0, 1)) / (z.shape[0] * z.shape[1])
+    m = block.bn_momentum
+    block.bn_moving_mean[...] = m * block.bn_moving_mean + (1 - m) * mean
+    block.bn_moving_var[...] = m * block.bn_moving_var + (1 - m) * var
+    inv_std = 1.0 / np.sqrt(var + block.bn_epsilon)
+    x_hat = np.multiply(centred, inv_std, out=y)
+    np.multiply(x_hat, block.bn_gamma, out=z)
     z += block.bn_beta
     cache = {"block": block, "x": x, "x_hat": x_hat, "inv_std": inv_std,
-             "relu_mask": z > 0} if training else None
+             "relu_mask": z > 0}
     return np.maximum(z, 0.0, out=z), cache
 
 

@@ -113,17 +113,21 @@ def _winograd_matrices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a.T, b_t, g
 
 
-def _winograd_correlate(x: np.ndarray, kernels: np.ndarray, left: int) -> np.ndarray:
+def _winograd_correlate(x: np.ndarray, kernels: np.ndarray, left: int,
+                        scale: np.ndarray | None) -> np.ndarray:
     """(B, L, Cout) correlation, without bias, of the (B, L, Cin) input x,
     zero-padded by left positions before it, with (k <= 5, Cin, Cout)
-    kernels: per slice, B^T on each tile of 4 outputs' k + 3 inputs, k + 3
-    (tiles x Cin) @ (Cin x Cout) GEMMs with G-transformed kernels, then A^T.
+    kernels, each output channel times scale unless it is None: per slice,
+    B^T on each tile of 4 outputs' k + 3 inputs, k + 3 (tiles x Cin) @
+    (Cin x Cout) GEMMs with G-transformed (and scaled) kernels, then A^T.
     """
     c_in = x.shape[2]
     k, _, c_out = kernels.shape
     alpha = k + 3
     a_t, b_t, g = _winograd_matrices(k)
     u = np.matmul(g, kernels.reshape(k, -1)).reshape(alpha, c_in, c_out)
+    if scale is not None:
+        u *= scale
     out = np.empty(x.shape[:2] + (c_out,))
     # per tile: v, m and the padded copy (4n + k - 1 <= 8n positions for n tiles)
     cost, v, m = (alpha + 8) * c_in + alpha * c_out, None, None
@@ -146,25 +150,36 @@ def _winograd_correlate(x: np.ndarray, kernels: np.ndarray, left: int) -> np.nda
     return out
 
 
-def _correlate(x: np.ndarray, kernels: np.ndarray, left: int) -> np.ndarray:
+def _correlate(x: np.ndarray, kernels: np.ndarray, left: int,
+               scale: np.ndarray | None = None) -> np.ndarray:
     """out[b, t] = sum_j x[b, t - left + j] @ kernels[j], x zero outside its L
-    positions, for (B, L, Cin) x and (k, Cin, Cout) kernels: Winograd F(4, k)
-    GEMMs if k <= 5 and Cin >= WINOGRAD_MIN_CHANNELS, else im2col GEMMs."""
+    positions, for (B, L, Cin) x and (k, Cin, Cout) kernels, times the (Cout,)
+    scale unless it is None: Winograd F(4, k) GEMMs if k <= 5 and
+    Cin >= WINOGRAD_MIN_CHANNELS, else im2col GEMMs. The scale goes into the
+    weights, never the output: in place into Winograd's transformed kernels,
+    or into a copy of the (k * Cin, Cout) im2col weight matrix."""
     k, c_in, c_out = kernels.shape
     if k <= 5 and c_in >= WINOGRAD_MIN_CHANNELS:
-        return _winograd_correlate(x, kernels, left)
+        return _winograd_correlate(x, kernels, left, scale)
     w, out = kernels.reshape(k * c_in, c_out), np.empty(x.shape[:2] + (c_out,))
+    if scale is not None:
+        w = w * scale
     for series, positions, cols in _im2col_slices(x, k, left):
         # a slice is whole series or part of one series, so this view is contiguous
         np.matmul(cols, w, out=out[series, positions].reshape(-1, c_out))
     return out
 
 
-def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, *,
+                scale: np.ndarray | None = None) -> np.ndarray:
     """Stride-1 cross-correlation with zero "same" padding.
 
     x is (B, L, Cin), kernels is (k, Cin, Cout), bias is (Cout,); returns
-    (B, L, Cout). No kernel flip is applied.
+    (B, L, Cout). No kernel flip is applied. A (Cout,) scale, if given,
+    multiplies each output channel before the bias is added. It is folded
+    into the weights the correlation multiplies by: Winograd's transformed
+    kernels, which it builds anyway, or an im2col weight copy (8 x 128
+    floats for the model's block 0), so the output takes no extra pass.
     """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -177,7 +192,7 @@ def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndar
     k, c_in, _ = kernels.shape
     if x.shape[2] != c_in:
         raise ShapeMismatchError(f"input channels {x.shape[2]} != kernel channels {c_in}")
-    out = _correlate(x, kernels, same_padding(k)[0])
+    out = _correlate(x, kernels, same_padding(k)[0], scale)
     return np.add(out, bias, out=out)
 
 

@@ -85,6 +85,23 @@ class TestParams:
         err = capsys.readouterr().err
         assert err == f"error: {ref}, line 2: need a dataset and integer GRU-FCN, LSTM-FCN\n"
 
+    def test_malformed_reference_fails_before_any_output(self, capsys, tmp_path):
+        ref = tmp_path / "bad.csv"
+        ref.write_text("dataset,GRU-FCN,LSTM-FCN\nAdiac,12\n")
+        assert main(["params", "Adiac", "--check", str(ref)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert captured.err.startswith(f"error: {ref}, line 2:")
+
+    def test_missing_reference_fails_before_any_output(self, capsys, tmp_path):
+        ref = tmp_path / "absent.csv"
+        assert main(["params", "Adiac", "--check", str(ref)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert captured.err.startswith("error: [Errno 2]") and str(ref) in captured.err
+
     def test_unknown_dataset_suggests_names(self, capsys):
         assert main(["params", "Adiacc"]) == 1
         assert "Adiac" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -111,18 +112,43 @@ class TestConvBlock:
         assert np.array_equal(block.bn_moving_mean, frozen)
 
     def test_inference_output_matches_batch_norm_formula(self):
-        # the in-place normalization must round exactly like the plain formula
+        # batch norm folded into the conv's scale and bias rounds differently
+        # from the plain formula, but only in the last bits; Cin = 2 reaches
+        # the im2col path, Cin = 40 the Winograd path
         rng = np.random.default_rng(6)
-        block = make_conv_block(rng, 5, 2, 3, gamma_scale=1.7)
-        block.bn_moving_mean[:] = rng.normal(size=3)
-        block.bn_moving_var[:] = rng.uniform(0.5, 2.0, size=3)
-        x = rng.normal(size=(3, 9, 2))
-        y = conv1d_same(x, block.kernels, block.bias)
-        inv_std = 1.0 / np.sqrt(block.bn_moving_var + block.bn_epsilon)
-        z = block.bn_gamma * ((y - block.bn_moving_mean) * inv_std) + block.bn_beta
-        out, cache = conv_block_forward(block, x, training=False)
-        assert cache is None
-        assert np.array_equal(out, np.maximum(z, 0.0))
+        for c_in in (2, 40):
+            block = make_conv_block(rng, 5, c_in, 3)
+            block.bn_gamma[:] = rng.normal(size=3) * 1.7
+            block.bn_moving_mean[:] = rng.normal(size=3)
+            block.bn_moving_var[:] = rng.uniform(0.5, 2.0, size=3)
+            x = rng.normal(size=(3, 9, c_in))
+            y = conv1d_same(x, block.kernels, block.bias)
+            inv_std = 1.0 / np.sqrt(block.bn_moving_var + block.bn_epsilon)
+            z = block.bn_gamma * ((y - block.bn_moving_mean) * inv_std) + block.bn_beta
+            out, cache = conv_block_forward(block, x, training=False)
+            assert cache is None
+            np.testing.assert_allclose(out, np.maximum(z, 0.0), rtol=0,
+                                       atol=1e-12 * np.abs(z).max())
+
+    def test_inference_fold_makes_no_kernel_sized_copy(self):
+        # a HandOutlines-length series through the 128->256 block: the fold
+        # adds a few Cout vectors to the conv's own peak, not scaled kernels
+        rng = np.random.default_rng(9)
+        block = make_conv_block(rng, 5, 128, 256)
+        x = rng.normal(size=(1, 2709, 128))
+        conv1d_same(x, block.kernels, block.bias)  # builds the cached transforms
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        conv_peak = traced_peak(lambda: conv1d_same(x, block.kernels, block.bias))
+        block_peak = traced_peak(lambda: conv_block_forward(block, x, training=False))
+        assert block_peak <= conv_peak + (64 << 10)
 
     def test_training_statistics_match_mean_and_var_bitwise(self):
         # the training forward shares the mean pass with the variance, which

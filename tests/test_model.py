@@ -259,6 +259,54 @@ class TestStreamedInference:
         assert peak < batch * length * 256 * 8 / 2
 
 
+class TestFoldedInference:
+    """Inference folds each block's batch norm into its conv; the model's
+    output must match unfolded blocks, group by group."""
+
+    LENGTH = 40
+
+    def reference(self, model, x):
+        # conv, then the plain batch-norm formula, then ReLU, whole batch
+        h = x[:, :, None]
+        for block in model.blocks:
+            y = tensor_core.conv1d_same(h, block.kernels, block.bias)
+            inv_std = 1.0 / np.sqrt(block.bn_moving_var + block.bn_epsilon)
+            h = np.maximum(
+                block.bn_gamma * ((y - block.bn_moving_mean) * inv_std) + block.bn_beta, 0.0)
+        features = np.concatenate(
+            [layers.global_avg_pool(h), layers.gru_step(model.cell, x)[0]], axis=1)
+        return layers.dense_softmax(model.head, features), features
+
+    def test_forward_matches_unfolded_blocks(self, monkeypatch):
+        model = build(ArchConfig(self.LENGTH, 4, seed=7))
+        rng = np.random.default_rng(8)
+        for block in model.blocks:
+            c_out = block.bias.shape
+            block.bias[...] = rng.normal(0.0, 0.5, c_out)
+            block.bn_moving_mean[...] = rng.normal(0.0, 0.5, c_out)
+            block.bn_moving_var[...] = rng.uniform(0.5, 2.0, c_out)
+            block.bn_gamma[...] = rng.normal(1.0, 0.5, c_out)
+            block.bn_beta[...] = rng.normal(0.0, 0.5, c_out)
+        x = rng.normal(size=(7, self.LENGTH))
+        expected_probs, expected_features = self.reference(model, x)
+        # groups of 2 series: 4 groups for 7 series
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 2 * self.LENGTH * 256)
+        taps = []
+        conv = layers.conv1d_same
+
+        def spy(x, kernels, *args, **kwargs):
+            taps.append(kernels.shape[0])
+            return conv(x, kernels, *args, **kwargs)
+
+        monkeypatch.setattr(layers, "conv1d_same", spy)
+        probs, cache = forward(model, x, training=False)
+        # one conv per block per group, so traced benches keep their conv spans
+        assert taps == list(model.config.conv_kernels) * 4
+        np.testing.assert_allclose(probs, expected_probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cache["features"], expected_features, rtol=0, atol=1e-12)
+        assert np.array_equal(probs.argmax(axis=1), expected_probs.argmax(axis=1))
+
+
 class TestBackward:
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     def test_matches_finite_differences_end_to_end(self, kind):

@@ -252,8 +252,8 @@ class TestWinograd:
         calls = []
         correlate = tensor_core._winograd_correlate
         monkeypatch.setattr(tensor_core, "_winograd_correlate",
-                            lambda x, kernels, left: calls.append(kernels.shape)
-                            or correlate(x, kernels, left))
+                            lambda x, kernels, left, scale: calls.append(kernels.shape)
+                            or correlate(x, kernels, left, scale))
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2, 9, 1))
         for k, c_out in ((8, 128), (5, 256), (3, 128)):
