@@ -14,6 +14,8 @@ import numpy as np
 
 from .tensor_core import Rng, ShapeMismatchError, conv1d_same, conv1d_same_backward
 
+BN_CHUNK_ELEMENTS = 1 << 17  # float64 elements per batch-norm chunk of a block output (1 MiB)
+
 
 def hard_sigmoid(u: np.ndarray) -> np.ndarray:
     """clamp(0.2*u + 0.5, 0, 1) -- the piecewise-linear gate activation."""
@@ -41,43 +43,66 @@ class ConvBlock:
     bn_epsilon: float = 1e-3
 
 
+def _chunks(shape):
+    """Yield (series, positions) index pairs that cover a (B, L, C) array in
+    chunks of whole series, or of one series' positions, of at most
+    BN_CHUNK_ELEMENTS floats (or one position, if C is larger)."""
+    batch, length, channels = shape
+    rows = max(1, BN_CHUNK_ELEMENTS // channels)
+    series, step = max(1, rows // length), min(rows, length)
+    for b in range(0, batch, series):
+        for t in range(0, length, step):
+            yield slice(b, b + series), slice(t, t + step)
+
+
 def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
     """ReLU(BN(conv(x))). x is (B, L, Cin); returns ((B, L, Cout), cache).
 
     Training mode normalizes with batch statistics taken over all batch and
     time positions per channel, updates the moving statistics in place, and
-    returns the backward cache. Inference mode folds the moving statistics,
-    gamma and beta into one per-channel scale s = gamma / sqrt(var + eps),
-    which the conv multiplies into its weights, and one shift
-    (bias - mean) * s + beta, its bias: the block is the conv and a ReLU in
-    place, with None for the cache, so no activation outlives the pass. The
-    fold is redone on every call from Cout-float vectors; holding folded
-    kernels instead would keep a kernel-sized copy alive beside the conv.
+    returns the backward cache. The conv output is centred and normalized in
+    place into the cached x_hat, a chunk at a time, so that each chunk's
+    chained passes run from cache; the returned output is the only other
+    block-sized array, and the cache keeps x_hat and x but not the output.
+    The batch statistics must be finite, which any non-finite input or conv
+    output makes them fail.
+
+    Inference mode folds the moving statistics, gamma and beta into one
+    per-channel scale s = gamma / sqrt(var + eps), which the conv multiplies
+    into its weights, and one shift (bias - mean) * s + beta, its bias: the
+    block is the conv and a ReLU in place, with None for the cache, so no
+    activation outlives the pass. The fold is redone on every call from
+    Cout-float vectors; holding folded kernels instead would keep a
+    kernel-sized copy alive beside the conv. Inference checks nothing for
+    finiteness; `model.forward` checks its input and pooled features.
     """
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError("non-finite input to conv block")
     if not training:
         scale = block.bn_gamma / np.sqrt(block.bn_moving_var + block.bn_epsilon)
         shift = (block.bias - block.bn_moving_mean) * scale + block.bn_beta
         z = conv1d_same(x, block.kernels, shift, scale=scale)
         return np.maximum(z, 0.0, out=z), None
     y = conv1d_same(x, block.kernels, block.bias)
-    # np.var's own steps, with y centred in place and its mean pass shared;
-    # the squared deviations' array is then reused for z
-    mean = y.mean(axis=(0, 1))
-    centred = np.subtract(y, mean, out=y)
-    z = np.square(centred)
-    var = z.sum(axis=(0, 1)) / (z.shape[0] * z.shape[1])
+    n, chunks = y.shape[0] * y.shape[1], list(_chunks(y.shape))
+    # np.var's own steps within a chunk: centre y in place, sum the squares
+    mean, var = y.mean(axis=(0, 1)), np.zeros(y.shape[2])
+    for chunk in chunks:
+        centred = np.subtract(y[chunk], mean, out=y[chunk])
+        var += np.einsum("blc,blc->c", centred, centred)
+    var /= n
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
+        raise FloatingPointError("non-finite batch statistics in conv block: its input "
+                                 "holds NaN or Inf, or the weights overflowed")
     m = block.bn_momentum
     block.bn_moving_mean[...] = m * block.bn_moving_mean + (1 - m) * mean
     block.bn_moving_var[...] = m * block.bn_moving_var + (1 - m) * var
     inv_std = 1.0 / np.sqrt(var + block.bn_epsilon)
-    x_hat = np.multiply(centred, inv_std, out=y)
-    np.multiply(x_hat, block.bn_gamma, out=z)
-    z += block.bn_beta
-    cache = {"block": block, "x": x, "x_hat": x_hat, "inv_std": inv_std,
-             "relu_mask": z > 0}
-    return np.maximum(z, 0.0, out=z), cache
+    out = np.empty_like(y)
+    for chunk in chunks:
+        x_hat = np.multiply(y[chunk], inv_std, out=y[chunk])
+        z = np.multiply(x_hat, block.bn_gamma, out=out[chunk])
+        z += block.bn_beta
+        np.maximum(z, 0.0, out=z)
+    return out, {"block": block, "x": x, "x_hat": y, "inv_std": inv_std}
 
 
 def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
@@ -86,7 +111,8 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
 
     Includes the batch-statistics coupling terms of training-mode batch norm.
     Returns (grad_x, grads) with grads keyed kernels/bias/bn_gamma/bn_beta;
-    grad_x is None unless input_grad.
+    grad_x is None unless input_grad. grad_out is read a chunk at a time, so
+    a broadcast view (the pooling's gradient) is never copied whole.
     """
     block: ConvBlock = cache["block"]
     x_hat = cache["x_hat"]
@@ -97,15 +123,26 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     # closed form: with n = B*L and dx_hat = gamma * dz, mean(dx_hat) is
     # gamma * sum(dz) / n and mean(dx_hat * x_hat) is gamma * sum(dz * x_hat) / n,
     # so dy = (dz - sum(dz)/n - x_hat * sum(dz * x_hat)/n) * gamma * inv_std;
-    # dz becomes dy in place and prod is the one scratch array
-    dz = grad_out * cache["relu_mask"]
-    prod = dz * x_hat
-    grad_gamma, grad_beta = prod.sum(axis=(0, 1)), dz.sum(axis=(0, 1))
-    n = x_hat.shape[0] * x_hat.shape[1]
-    dy = np.subtract(dz, grad_beta / n, out=dz)
-    dy -= np.multiply(x_hat, grad_gamma / n, out=prod)
-    dy *= block.bn_gamma * cache["inv_std"]
-    grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, dy, input_grad)
+    # dz becomes dy in place, and the conv backward applies gamma * inv_std.
+    # The ReLU gate is recomputed per chunk, exactly as the forward's z > 0:
+    # caching it, or the last block's output that nothing else keeps, would
+    # hold a block-sized array through the whole backward
+    n, chunks = x_hat.shape[0] * x_hat.shape[1], list(_chunks(x_hat.shape))
+    dz = np.empty_like(x_hat)
+    grad_gamma, grad_beta = np.zeros(x_hat.shape[2]), np.zeros(x_hat.shape[2])
+    for chunk in chunks:
+        z = x_hat[chunk] * block.bn_gamma
+        z += block.bn_beta
+        d = np.multiply(grad_out[chunk], z > 0, out=dz[chunk])
+        grad_gamma += np.einsum("blc,blc->c", d, x_hat[chunk])
+        grad_beta += d.sum(axis=(0, 1))
+    mean_dz, mean_prod = grad_beta / n, grad_gamma / n
+    for chunk in chunks:
+        dy = dz[chunk]
+        dy -= mean_dz
+        dy -= x_hat[chunk] * mean_prod
+    grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, dz, input_grad,
+                                                scale=block.bn_gamma * cache["inv_std"])
     grads = {
         "kernels": grad_kernels,
         # batch norm subtracts the batch mean, which cancels the conv bias, so

@@ -185,6 +185,10 @@ def forward(model: GruFcnModel, batch: np.ndarray, training: bool = False,
     floats per block output (or one series, if that is larger), however
     large B is. Training runs the whole batch at once, since batch norm
     takes its statistics over all of it.
+
+    A non-finite input, or non-finite pooled conv features, raises
+    FloatingPointError: NaN survives the ReLU and +Inf the pooling, so every
+    non-finite block output is caught without a check per block.
     """
     batch = np.asarray(batch, dtype=np.float64)
     config = model.config
@@ -193,6 +197,8 @@ def forward(model: GruFcnModel, batch: np.ndarray, training: bool = False,
             f"batch shape {batch.shape} does not match series length "
             f"{config.series_length}"
         )
+    if not np.all(np.isfinite(batch)):
+        raise FloatingPointError("non-finite value in the input batch")
     if training:
         pooled, conv_caches = _conv_branch(model, batch[:, :, None], True)
     else:
@@ -202,6 +208,8 @@ def forward(model: GruFcnModel, batch: np.ndarray, training: bool = False,
         for start in range(0, len(batch), group):
             pooled[start:start + group] = _conv_branch(
                 model, batch[start:start + group, :, None], False)[0]
+    if not np.all(np.isfinite(pooled)):
+        raise FloatingPointError("non-finite conv-branch features: the weights overflowed")
 
     step = layers.gru_step if config.cell_kind == GRU else layers.lstm_step
     h, cell_cache = step(model.cell, batch)
@@ -263,8 +271,14 @@ def save_checkpoint(model: GruFcnModel, path) -> None:
     """Single-file format: magic, one JSON header line (config + ordered
     tensor manifest), then all tensors as little-endian float32 in manifest
     order. Written to a temp file that then replaces path, so a failed
-    write leaves any earlier file at path intact."""
+    write leaves any earlier file at path intact. A tensor that is not
+    finite in float32 raises CheckpointError before anything is written."""
     params = model.parameters()
+    with np.errstate(over="ignore"):  # an overflow is reported by name below
+        blobs = {name: arr.astype("<f4") for name, arr in params.items()}
+    for name, blob in blobs.items():
+        if not np.all(np.isfinite(blob)):
+            raise CheckpointError(f"checkpoint tensor {name} overflows float32 or holds NaN")
     manifest = [[name, list(arr.shape)] for name, arr in params.items()]
     header = json.dumps({"config": asdict(model.config), "manifest": manifest})
     tmp = f"{os.fspath(path)}.tmp"
@@ -273,8 +287,8 @@ def save_checkpoint(model: GruFcnModel, path) -> None:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(header.encode("utf-8"))
             fh.write(b"\n")
-            for arr in params.values():
-                fh.write(arr.astype("<f4").tobytes())
+            for blob in blobs.values():
+                fh.write(blob.tobytes())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

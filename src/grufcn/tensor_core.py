@@ -197,15 +197,19 @@ def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, *,
 
 
 def conv1d_same_backward(
-    x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray, input_grad: bool = True
+    x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray, input_grad: bool = True,
+    *, scale: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients of conv1d_same w.r.t. its input (None unless input_grad) and
     its kernels; the bias gradient, grad_out's channel sums, is not computed.
 
-    x is the forward's (B, L, Cin) input, grad_out is (B, L, Cout). The input
-    gradient correlates grad_out with the tap-reversed, transposed kernels
-    and mirrored padding. The kernel gradient walks the forward's im2col
-    slices of x, one GEMM per slice for all k taps.
+    x is the forward's (B, L, Cin) input, grad_out is (B, L, Cout). A (Cout,)
+    scale, if given, multiplies each channel of grad_out, the mirror of the
+    forward's scale, without a pass over it: the input gradient correlates
+    grad_out with the tap-reversed, transposed kernels times scale (a
+    kernel-sized copy) and mirrored padding. The kernel gradient walks the
+    forward's im2col slices of x, one GEMM per slice for all k taps, and
+    scales the rows of its (Cout, k * Cin) sum.
     """
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -216,9 +220,11 @@ def conv1d_same_backward(
             f"for input {x.shape} and {c_out} output channels"
         )
     left, right = same_padding(k)
-    # grad_x[s] = sum_j grad_out[s + left - j] @ kernels[j].T
-    grad_x = (_correlate(grad_out, kernels[::-1].transpose(0, 2, 1), right)
-              if input_grad else None)
+    grad_x = None
+    if input_grad:
+        # grad_x[s] = sum_j (grad_out * scale)[s + left - j] @ kernels[j].T
+        weights = kernels if scale is None else kernels * scale
+        grad_x = _correlate(grad_out, weights[::-1].transpose(0, 2, 1), right)
     # the kernel gradient is summed transposed: on one x86-64 core with
     # OpenBLAS 0.3.31, g.T @ cols ran at about 47 gflop/s where cols.T @ g
     # ran at 34-41 on the model's shapes
@@ -227,6 +233,8 @@ def conv1d_same_backward(
     for series, positions, cols in _im2col_slices(x, k, left):
         g_rows = grad_out[series, positions].reshape(-1, c_out)
         grad_w_t += np.matmul(g_rows.T, cols, out=product)
+    if scale is not None:
+        grad_w_t *= scale[:, None]
     return grad_x, grad_w_t.T.reshape(kernels.shape)
 
 

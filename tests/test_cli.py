@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from writers import set_checkpoint_value
 
 from grufcn import data_ucr
 from grufcn.cli import build_parser, main
-from grufcn.model import load_checkpoint, save_checkpoint
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -257,6 +263,35 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
 
+    def test_diverging_run_is_one_error_line_without_traceback(self, synthetic_splits,
+                                                               tmp_path):
+        # the weights overflow within the first steps; the CLI runs as a
+        # program so that an uncaught exception would print its traceback
+        train, test = synthetic_splits
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "grufcn.cli", "train", "--train-path", str(train),
+             "--test-path", str(test), "--out", str(tmp_path / "run"), "--epochs", "2",
+             "--train-batch", "4", "--lr", "1e200"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: non-finite batch statistics in conv block")
+        assert len(result.stderr.splitlines()) == 1
+
+    def test_checkpoint_overflowing_float32_is_an_error(self, synthetic_splits, tmp_path,
+                                                        capsys):
+        # at this rate a batch-norm moving variance outgrows float32 while
+        # every float64 weight stays finite; no checkpoint is written
+        out_dir = tmp_path / "run"
+        assert run_train(synthetic_splits, out_dir, extra=("--lr", "1e10")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint tensor ") and "overflows float32" in err
+        assert "Traceback" not in err
+        assert not list(out_dir.glob("*.ckpt*"))
+
     def test_missing_dataset_and_paths_is_an_error(self, capsys):
         assert main(["train", "--out", "unused"]) == 1
         assert "need --dataset" in capsys.readouterr().err
@@ -361,9 +396,7 @@ class TestEval:
 
     def test_non_finite_checkpoint_is_an_error(self, synthetic_splits, tmp_path, capsys):
         ckpt = self.make_checkpoint(synthetic_splits, tmp_path)
-        net = load_checkpoint(ckpt)
-        net.head.W[0, 0] = np.nan
-        save_checkpoint(net, ckpt)
+        set_checkpoint_value(ckpt, "head.W", np.nan)
         capsys.readouterr()
         train, test = synthetic_splits
         assert main(["eval", "--checkpoint", str(ckpt),

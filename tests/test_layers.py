@@ -1,10 +1,11 @@
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from gradcheck import assert_grad_close, numerical_grad
+from gradcheck import assert_grad_close, max_rel_error, numerical_grad
 
+from grufcn import layers
 from grufcn.layers import (
     ConvBlock,
     DenseSoftmax,
@@ -24,7 +25,7 @@ from grufcn.layers import (
     lstm_backward,
     lstm_step,
 )
-from grufcn.tensor_core import Rng, conv1d_same
+from grufcn.tensor_core import Rng, conv1d_same, conv1d_same_backward
 
 GRAD_TOL = 1e-5
 
@@ -190,6 +191,15 @@ class TestConvBlock:
         with pytest.raises(FloatingPointError):
             conv_block_forward(block, bad, training=True)
 
+    def test_overflowing_conv_output_rejected(self):
+        # a finite input whose conv overflows makes the batch statistics
+        # non-finite, which the training forward checks
+        rng = np.random.default_rng(4)
+        block = make_conv_block(rng, 3, 2, 2)
+        block.kernels[...] = 1e300
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            conv_block_forward(block, rng.normal(size=(2, 5, 2)) * 1e10, training=True)
+
     def test_zero_grad_out_gives_zero_grads(self):
         rng = np.random.default_rng(5)
         block = make_conv_block(rng, 3, 2, 4)
@@ -274,6 +284,93 @@ def assert_cell_matches_general(cell, step, backward, general, rng, batch, label
             return float(np.sum(general(cell, x) * grad_h))
         assert_grad_close(grads[f.name], numerical_grad(loss, arr.copy()),
                           GRAD_TOL, f"{label} {f.name}")
+
+
+def training_pass(block, x, grad_out):
+    """One training-mode forward and backward of a copy of block: the
+    output, x_hat, moving statistics and every gradient, by name."""
+    block = replace(block, bn_moving_mean=block.bn_moving_mean.copy(),
+                    bn_moving_var=block.bn_moving_var.copy())
+    out, cache = conv_block_forward(block, x, training=True)
+    grad_x, grads = conv_block_backward(cache, grad_out)
+    return {"out": out, "x_hat": cache["x_hat"], "moving_mean": block.bn_moving_mean,
+            "moving_var": block.bn_moving_var, "grad_x": grad_x, **grads}
+
+
+def plain_training_pass(block, x, grad_out):
+    """training_pass from the textbook batch-norm formulas, whole arrays."""
+    y = conv1d_same(x, block.kernels, block.bias)
+    mean, var = y.mean(axis=(0, 1)), y.var(axis=(0, 1))
+    inv_std = 1.0 / np.sqrt(var + block.bn_epsilon)
+    x_hat = (y - mean) * inv_std
+    z = x_hat * block.bn_gamma + block.bn_beta
+    dz = grad_out * (z > 0)
+    dy = block.bn_gamma * inv_std * (dz - dz.mean(axis=(0, 1))
+                                     - x_hat * (dz * x_hat).mean(axis=(0, 1)))
+    grad_x, grad_kernels = conv1d_same_backward(x, block.kernels, dy)
+    m = block.bn_momentum
+    return {"out": np.maximum(z, 0.0), "x_hat": x_hat,
+            "moving_mean": m * block.bn_moving_mean + (1 - m) * mean,
+            "moving_var": m * block.bn_moving_var + (1 - m) * var,
+            "grad_x": grad_x, "kernels": grad_kernels, "bias": np.zeros_like(block.bias),
+            "bn_gamma": (dz * x_hat).sum(axis=(0, 1)), "bn_beta": dz.sum(axis=(0, 1))}
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkedTrainingBlock:
+    """Training batch norm and ReLU run over chunks of layers.BN_CHUNK_ELEMENTS
+    floats; the chunking must not show beyond rounding."""
+
+    # floats per chunk of a (5, 7, 3) block output: one position, three
+    # positions (7 = 3 + 3 + 1), two whole series (5 = 2 + 2 + 1)
+    @pytest.mark.parametrize("elements", [1, 9, 42])
+    @pytest.mark.parametrize("c_in", [2, 40])  # the im2col and Winograd input gradients
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_chunks_match_one_chunk_and_plain_formula(self, monkeypatch, elements, c_in,
+                                                      pooled):
+        rng = np.random.default_rng(12)
+        block = make_conv_block(rng, 5, c_in, 3, gamma_scale=1.7)
+        block.bn_moving_mean[:] = rng.normal(size=3)
+        block.bn_moving_var[:] = rng.uniform(0.5, 2.0, size=3)
+        x = rng.normal(size=(5, 7, c_in)) * 3 + 1
+        # the last block's upstream gradient is the pooling's broadcast view
+        grad_out = (global_avg_pool_backward(rng.normal(size=(5, 3)), 7) if pooled
+                    else rng.normal(size=(5, 7, 3)))
+        one_chunk = training_pass(block, x, grad_out)
+        monkeypatch.setattr(layers, "BN_CHUNK_ELEMENTS", elements)
+        assert len(list(layers._chunks((5, 7, 3)))) >= 3
+        chunked = training_pass(block, x, grad_out)
+        plain = plain_training_pass(block, x, grad_out)
+        assert chunked.keys() == plain.keys()
+        for name, value in chunked.items():
+            assert max_rel_error(value, one_chunk[name]) <= 1e-12, name
+            assert max_rel_error(value, plain[name]) <= 1e-12, name
+
+    def test_pass_holds_three_block_sized_arrays_beyond_the_conv_backward(self):
+        # the 128 -> 256, k = 5 block: x_hat, the output and dz, plus the
+        # kernel copy the scaled input gradient makes and chunk temporaries;
+        # a squared-deviation array, a dz * x_hat product or a ReLU mask would
+        # each add a block-sized array, or an eighth of one
+        rng = np.random.default_rng(10)
+        block = make_conv_block(rng, 5, 128, 256)
+        x = rng.normal(size=(32, 176, 128))
+        grad_out = rng.normal(size=(32, 176, 256))
+        conv_peak = traced_peak(lambda: conv1d_same_backward(x, block.kernels, grad_out))
+
+        def step():
+            _, cache = conv_block_forward(block, x, training=True)
+            conv_block_backward(cache, grad_out)
+
+        bound = conv_peak + 3 * grad_out.nbytes + block.kernels.nbytes + (1 << 20)
+        assert traced_peak(step) <= bound
 
 
 class TestGru:

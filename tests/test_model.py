@@ -1,10 +1,13 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from gradcheck import assert_grad_close, numerical_grad
+from writers import set_checkpoint_value
 
 from grufcn import layers, tensor_core
+from grufcn import model as model_mod
 from grufcn.model import (
     ArchConfig,
     BadMagicError,
@@ -244,6 +247,17 @@ class TestStreamedInference:
         with pytest.raises(FloatingPointError):
             forward(model, x, training=False)
 
+    def test_overflow_inside_a_block_rejected(self):
+        # the input is finite; block 1's conv overflows to Inf or NaN, which
+        # the ReLU passes and block 2 turns into NaN: only the pooled
+        # features show it
+        model = self.model("gru")
+        model.blocks[1].kernels[...] = 1e308
+        x = np.random.default_rng(0).normal(size=(3, self.LENGTH))
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
+                                                      match="conv-branch features"):
+            forward(model, x, training=False)
+
     def test_peak_memory_does_not_grow_with_batch(self, monkeypatch):
         batch, length = 16, 1000
         model = build(ArchConfig(length, 3, seed=1))
@@ -447,13 +461,32 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
+    @pytest.mark.parametrize("bad", [1e39, -1e39, np.nan, np.inf])
+    def test_tensor_not_finite_in_float32_is_refused_before_writing(self, tmp_path,
+                                                                    monkeypatch, bad):
+        model = build(ArchConfig(10, 2))
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(model, path)
+        before = path.read_bytes()
+        model.blocks[1].bn_moving_var[3] = bad
+        opened = []
+        monkeypatch.setattr(model_mod, "open", raising=False,
+                            value=lambda *a, **k: opened.append(a) or open(*a, **k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the cast's overflow is reported, not warned
+            with pytest.raises(CheckpointError, match="tensor conv1.bn_moving_var "):
+                save_checkpoint(model, path)
+        assert opened == []
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_rejected(self, tmp_path, bad):
         model = build(ArchConfig(10, 2))
-        model.cell.W_x[0, 0] = bad
-        model.head.W[0, 0] = bad
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
+        set_checkpoint_value(path, "cell.W_x", bad)
+        set_checkpoint_value(path, "head.W", bad)
         with pytest.raises(CheckpointError, match="cell.W_x holds NaN or Inf"):
             load_checkpoint(path)
 

@@ -164,6 +164,23 @@ class TestConv1dSame:
         assert gx is not None and skipped is None
         assert np.array_equal(gk_alone, gk)
 
+    @pytest.mark.parametrize("k, length", [(5, 9), (4, 7), (3, 13), (1, 5), (5, 2)])
+    def test_scaled_backward_is_the_backward_of_the_scaled_gradient(self, conv_path, k,
+                                                                     length):
+        # the scale goes into a kernel copy and the kernel gradient's rows
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(3, length, 4))
+        kernels = rng.normal(size=(k, 4, 3))
+        grad_out = rng.normal(size=(3, length, 3))
+        scale = rng.normal(size=3) * 2
+        got = conv1d_same_backward(x, kernels, grad_out, scale=scale)
+        expected = conv1d_same_backward(x, kernels, grad_out * scale)
+        for name, a, b in zip(("x", "kernels"), got, expected, strict=True):
+            assert max_rel_error(a, b) <= 1e-12, name
+        skipped, grad_kernels = conv1d_same_backward(x, kernels, grad_out, input_grad=False,
+                                                     scale=scale)
+        assert skipped is None and np.array_equal(grad_kernels, got[1])
+
     @given(st.integers(1, 4), st.integers(1, 40), st.sampled_from([1, 3, 5, 8]),
            st.sampled_from([1, 3]), st.integers(1, 4), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
