@@ -51,13 +51,16 @@ def _split_files(args) -> tuple[Path, Path, str]:
 
 
 def _check_flags(args):
-    """Reject batch sizes below 1, negative epochs and a non-finite or non-positive lr."""
-    for flag, least in (("train_batch", 1), ("eval_batch", 1), ("epochs", 0)):
+    """Reject batch sizes below 1, a negative epoch count or seed, a
+    non-finite or non-positive lr and a dropout rate outside [0, 1)."""
+    for flag, least in (("train_batch", 1), ("eval_batch", 1), ("epochs", 0), ("seed", 0)):
         if getattr(args, flag, None) is not None and getattr(args, flag) < least:
             raise CliError(f"--{flag.replace('_', '-')} must be at least {least}, "
                            f"got {getattr(args, flag)}")
     if hasattr(args, "lr") and not (math.isfinite(args.lr) and args.lr > 0):
         raise CliError(f"--lr must be finite and positive, got {args.lr}")
+    if hasattr(args, "dropout") and not 0.0 <= args.dropout < 1.0:
+        raise CliError(f"--dropout must be in [0, 1), got {args.dropout}")
 
 
 def _run_settings(args):
@@ -113,7 +116,8 @@ def cmd_train(args) -> int:
         "final_test_f1_macro": test_f1,
         "wall_clock_seconds": elapsed,
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    model_mod.write_atomic(out_dir / "summary.json",
+                           [(json.dumps(summary, indent=2) + "\n").encode("utf-8")])
     print(f"trained {dataset.name}: test error {test_error:.6f}, "
           f"macro f1 {test_f1:.6f}, params {summary['parameter_count']}")
     return 0

@@ -8,11 +8,12 @@ gradients; the test suite checks each one against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .tensor_core import Rng, ShapeMismatchError, conv1d_same, conv1d_same_backward
+from .tensor_core import Rng, ShapeMismatchError, batch_slices, conv1d_same, conv1d_same_backward
 
 BN_CHUNK_ELEMENTS = 1 << 17  # float64 elements per batch-norm chunk of a block output (1 MiB)
 
@@ -33,6 +34,8 @@ def hard_sigmoid_grad(u: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ConvBlock:
+    # not the bias, which batch norm's mean cancels, or the moving statistics
+    TRAINED: ClassVar[tuple[str, ...]] = ("kernels", "bn_gamma", "bn_beta")
     kernels: np.ndarray        # (k, Cin, Cout)
     bias: np.ndarray           # (Cout,)
     bn_gamma: np.ndarray       # (Cout,)
@@ -44,15 +47,11 @@ class ConvBlock:
 
 
 def _chunks(shape):
-    """Yield (series, positions) index pairs that cover a (B, L, C) array in
+    """The (series, positions) index pairs that cover a (B, L, C) array in
     chunks of whole series, or of one series' positions, of at most
     BN_CHUNK_ELEMENTS floats (or one position, if C is larger)."""
     batch, length, channels = shape
-    rows = max(1, BN_CHUNK_ELEMENTS // channels)
-    series, step = max(1, rows // length), min(rows, length)
-    for b in range(0, batch, series):
-        for t in range(0, length, step):
-            yield slice(b, b + series), slice(t, t + step)
+    return batch_slices(batch, length, max(1, BN_CHUNK_ELEMENTS // channels))
 
 
 def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
@@ -110,8 +109,8 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     from a training-mode cache.
 
     Includes the batch-statistics coupling terms of training-mode batch norm.
-    Returns (grad_x, grads) with grads keyed kernels/bias/bn_gamma/bn_beta;
-    grad_x is None unless input_grad. grad_out is read a chunk at a time, so
+    Returns (grad_x, grads) with grads keyed by ConvBlock.TRAINED; grad_x is
+    None unless input_grad. grad_out is read a chunk at a time, so
     a broadcast view (the pooling's gradient) is never copied whole.
     """
     block: ConvBlock = cache["block"]
@@ -143,15 +142,7 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
         dy -= x_hat[chunk] * mean_prod
     grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, dz, input_grad,
                                                 scale=block.bn_gamma * cache["inv_std"])
-    grads = {
-        "kernels": grad_kernels,
-        # batch norm subtracts the batch mean, which cancels the conv bias, so
-        # its gradient is exactly zero; dy's channel sums are rounding noise
-        "bias": np.zeros_like(block.bias),
-        "bn_gamma": grad_gamma,
-        "bn_beta": grad_beta,
-    }
-    return grad_x, grads
+    return grad_x, {"kernels": grad_kernels, "bn_gamma": grad_gamma, "bn_beta": grad_beta}
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +153,15 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
 # zero state, so each step and its backward are written for h_prev = c_prev
 # = 0. Every term that multiplies the previous state vanishes: the U_*
 # matrices, the GRU reset gate and the LSTM forget gate never reach the
-# output and get exact-zero gradients. They stay allocated so checkpoints
-# and parameter counts keep the published architecture.
+# output, so each cell's TRAINED leaves them out. They stay allocated so
+# checkpoints and parameter counts keep the published architecture.
 
 @dataclass
 class GruCell:
     """Update/reset-gated cell: 6 weight matrices, 3 bias vectors, in
     checkpoint order."""
 
+    TRAINED: ClassVar[tuple[str, ...]] = ("W_zx", "b_z", "W_x", "b")
     W_zx: np.ndarray  # (in, H)
     U_zh: np.ndarray  # (H, H)
     b_z: np.ndarray   # (H,)
@@ -186,6 +178,7 @@ class LstmCell:
     """Input/forget/output-gated cell with a separate memory state:
     8 weight matrices, 4 bias vectors, in checkpoint order."""
 
+    TRAINED: ClassVar[tuple[str, ...]] = ("W_ix", "b_i", "W_gx", "b_g", "W_ox", "b_o")
     W_ix: np.ndarray
     U_ih: np.ndarray
     b_i: np.ndarray
@@ -212,10 +205,10 @@ def gru_step(cell: GruCell, x: np.ndarray):
 
 
 def gru_backward(cell: GruCell, cache, dh: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of every cell tensor for the upstream hidden gradient dh."""
+    """Gradients of GruCell.TRAINED for the upstream hidden gradient dh."""
     z, g = cache["z"], cache["g"]
     _check_hidden_grad(dh, z)
-    return _input_grads(cell, cache["x"], (
+    return _input_grads(cache["x"], (
         ("W_zx", "b_z", dh * g * hard_sigmoid_grad(cache["az"])),
         ("W_x", "b", dh * z * (1.0 - g * g)),
     ))
@@ -233,11 +226,11 @@ def lstm_step(cell: LstmCell, x: np.ndarray):
 
 
 def lstm_backward(cell: LstmCell, cache, dh: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of every cell tensor for the upstream hidden gradient dh."""
+    """Gradients of LstmCell.TRAINED for the upstream hidden gradient dh."""
     i, g, o, tc = cache["i"], cache["g"], cache["o"], cache["tc"]
     _check_hidden_grad(dh, o)
     dc = dh * o * (1.0 - tc * tc)
-    return _input_grads(cell, cache["x"], (
+    return _input_grads(cache["x"], (
         ("W_ix", "b_i", dc * g * hard_sigmoid_grad(cache["ai"])),
         ("W_gx", "b_g", dc * i * (1.0 - g * g)),
         ("W_ox", "b_o", dh * tc * hard_sigmoid_grad(cache["ao"])),
@@ -251,10 +244,10 @@ def _check_hidden_grad(dh: np.ndarray, state: np.ndarray) -> None:
         )
 
 
-def _input_grads(cell, x: np.ndarray, gates) -> dict[str, np.ndarray]:
-    """Exact zeros for every cell tensor except each (input weight, bias)
-    pair in gates, which gets x.T @ da and da summed over the batch."""
-    grads = {f.name: np.zeros_like(getattr(cell, f.name)) for f in fields(cell)}
+def _input_grads(x: np.ndarray, gates) -> dict[str, np.ndarray]:
+    """x.T @ da and da summed over the batch for each (input weight, bias)
+    pair in gates."""
+    grads = {}
     for weight, bias, da in gates:
         grads[weight] = x.T @ da
         grads[bias] = da.sum(axis=0)
@@ -294,6 +287,7 @@ def dropout(x: np.ndarray, rate: float, training: bool, rng: Rng | None = None):
 
 @dataclass
 class DenseSoftmax:
+    TRAINED: ClassVar[tuple[str, ...]] = ("W", "b")
     W: np.ndarray  # (F, C)
     b: np.ndarray  # (C,)
 

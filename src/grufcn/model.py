@@ -119,18 +119,21 @@ class GruFcnModel:
     cell: GruCell | LstmCell
     head: DenseSoftmax
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        """name -> array views in checkpoint manifest order."""
-        out: dict[str, np.ndarray] = {}
+    def _tensors(self):
+        """(manifest name, owning layer, field name) in manifest order."""
         for name, _ in parameter_manifest(self.config):
             owner, attr = name.split(".")
-            part = (self.blocks[int(owner[len("conv"):])] if owner.startswith("conv")
-                    else getattr(self, owner))
-            out[name] = getattr(part, attr)
-        return out
+            yield name, (self.blocks[int(owner[len("conv"):])] if owner.startswith("conv")
+                         else getattr(self, owner)), attr
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        """name -> array views in checkpoint manifest order."""
+        return {name: getattr(part, attr) for name, part, attr in self._tensors()}
 
     def trainable_parameters(self) -> dict[str, np.ndarray]:
-        return {k: v for k, v in self.parameters().items() if "moving" not in k}
+        """The parameters() that their layer's TRAINED declaration names."""
+        return {name: getattr(part, attr) for name, part, attr in self._tensors()
+                if attr in part.TRAINED}
 
 
 def _assemble(config: ArchConfig, tensors: dict[str, np.ndarray]) -> GruFcnModel:
@@ -235,8 +238,8 @@ def _conv_branch(model: GruFcnModel, x: np.ndarray, training: bool):
 
 
 def backward(model: GruFcnModel, cache, y_onehot: np.ndarray):
-    """Mean cross-entropy loss and its gradients w.r.t. every trainable
-    parameter, keyed by manifest name, from a training-mode forward cache."""
+    """Mean cross-entropy loss and its gradients w.r.t. trainable_parameters(),
+    keyed by manifest name, from a training-mode forward cache."""
     if "conv_caches" not in cache:
         raise ValueError("backward needs the cache of a training-mode forward pass; "
                          "an inference-mode pass keeps no backward state")
@@ -267,12 +270,26 @@ def backward(model: GruFcnModel, cache, y_onehot: np.ndarray):
 # Checkpoint I/O
 # ---------------------------------------------------------------------------
 
+def write_atomic(path, parts) -> None:
+    """Write parts (bytes-like objects) to a temp file, fsync it, and move it
+    over path, so a failed write leaves any earlier file at path intact."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(parts)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_checkpoint(model: GruFcnModel, path) -> None:
     """Single-file format: magic, one JSON header line (config + ordered
     tensor manifest), then all tensors as little-endian float32 in manifest
-    order. Written to a temp file that then replaces path, so a failed
-    write leaves any earlier file at path intact. A tensor that is not
-    finite in float32 raises CheckpointError before anything is written."""
+    order, written with write_atomic. A tensor that is not finite in float32
+    raises CheckpointError before anything is written."""
     params = model.parameters()
     with np.errstate(over="ignore"):  # an overflow is reported by name below
         blobs = {name: arr.astype("<f4") for name, arr in params.items()}
@@ -281,20 +298,7 @@ def save_checkpoint(model: GruFcnModel, path) -> None:
             raise CheckpointError(f"checkpoint tensor {name} overflows float32 or holds NaN")
     manifest = [[name, list(arr.shape)] for name, arr in params.items()]
     header = json.dumps({"config": asdict(model.config), "manifest": manifest})
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(header.encode("utf-8"))
-            fh.write(b"\n")
-            for blob in blobs.values():
-                fh.write(blob.tobytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    write_atomic(path, [CHECKPOINT_MAGIC, header.encode("utf-8") + b"\n", *blobs.values()])
 
 
 def load_checkpoint(path) -> GruFcnModel:

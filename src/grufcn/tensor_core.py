@@ -54,24 +54,30 @@ def same_padding(kernel_size: int) -> tuple[int, int]:
     return left, kernel_size - 1 - left
 
 
+def batch_slices(batch: int, length: int, rows: int):
+    """Yield (series, positions) slices that cover batch series of length
+    positions in slices of whole series, or of one series' positions, of at
+    most rows (series, position) pairs (at least one position)."""
+    series, step = max(1, rows // max(1, length)), max(1, min(rows, length))
+    for b in range(0, batch, series):
+        for t in range(0, length, step):
+            yield slice(b, b + series), slice(t, min(t + step, length))
+
+
 def _padded_slices(x: np.ndarray, k: int, left: int, cost: int, unit: int = 1):
-    """Yield (series, positions, padded) over the (B, L, C) input x in slices
-    of whole series, or of one series' positions, of at most IM2COL_ELEMENTS
-    floats at cost per unit positions. Slices hold whole units, so the last
-    may reach past L. padded is x[series] from positions.start - left to
-    positions.stop + k - 1 - left, zero outside x.
+    """Yield (series, positions, padded) over the (B, L, C) input x in
+    batch_slices of at most IM2COL_ELEMENTS floats at cost per unit
+    positions. Slices hold whole units, so the last may reach past L. padded
+    is x[series] from positions.start - left to positions.stop + k - 1 - left,
+    zero outside x.
     """
     batch, length, _ = x.shape
     span = -(-length // unit) * unit  # one series' positions in whole units
-    step = max(1, IM2COL_ELEMENTS // cost) * unit
-    series, step = max(1, step // max(1, span)), max(1, min(step, span))
-    for b in range(0, batch, series):
-        for t in range(0, span, step):
-            stop = min(t + step, span)
-            lo, hi = t - left, stop + k - 1 - left
-            yield slice(b, b + series), slice(t, stop), np.pad(
-                x[b:b + series, max(lo, 0):min(hi, length)],
-                ((0, 0), (max(-lo, 0), max(hi - length, 0)), (0, 0)))
+    for series, positions in batch_slices(batch, span, max(1, IM2COL_ELEMENTS // cost) * unit):
+        lo, hi = positions.start - left, positions.stop + k - 1 - left
+        yield series, positions, np.pad(
+            x[series, max(lo, 0):min(hi, length)],
+            ((0, 0), (max(-lo, 0), max(hi - length, 0)), (0, 0)))
 
 
 def _im2col_slices(x: np.ndarray, k: int, left: int):

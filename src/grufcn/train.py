@@ -11,16 +11,15 @@ import numpy as np
 from . import model as model_mod
 from .layers import cross_entropy
 from .metrics import error_rate
-from .model import GruFcnModel, save_checkpoint
+from .model import GruFcnModel, save_checkpoint, write_atomic
 from .tensor_core import Rng, ShapeMismatchError
+
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass
 class AdamState:
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -30,7 +29,6 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
               grads: dict[str, np.ndarray]) -> None:
     """One bias-corrected Adam update, applied to params in place."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -39,11 +37,11 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
             )
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
-        m[...] = b1 * m + (1 - b1) * g
-        v[...] = b2 * v + (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** state.t)
-        v_hat = v / (1 - b2 ** state.t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        m[...] = BETA1 * m + (1 - BETA1) * g
+        v[...] = BETA2 * v + (1 - BETA2) * g * g
+        m_hat = m / (1 - BETA1 ** state.t)
+        v_hat = v / (1 - BETA2 ** state.t)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + EPSILON)
 
 
 @dataclass
@@ -131,6 +129,7 @@ def fit(net: GruFcnModel, dataset, run: TrainRun) -> TrainRun:
             loss, grads = model_mod.backward(net, cache, yb)
             losses.append(loss * len(idx))
             adam_step(adam, net.trainable_parameters(), grads)
+            del cache, grads  # else they live through the next forward or the evaluation
         train_loss = sum(losses) / n
         eval_loss, eval_error = evaluate(
             net, dataset.test_x, dataset.test_y, run.eval_batch
@@ -144,11 +143,9 @@ def fit(net: GruFcnModel, dataset, run: TrainRun) -> TrainRun:
 
 
 def write_history_csv(path, history: list[EpochRecord]) -> None:
-    """epoch,lr,train_loss,eval_loss,eval_error with 6-decimal fixed floats."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("epoch,lr,train_loss,eval_loss,eval_error\n")
-        for rec in history:
-            fh.write(
-                f"{rec.epoch},{rec.lr:.6f},{rec.train_loss:.6f},"
-                f"{rec.eval_loss:.6f},{rec.eval_error:.6f}\n"
-            )
+    """epoch,lr,train_loss,eval_loss,eval_error with 6-decimal fixed floats,
+    written with write_atomic."""
+    text = "epoch,lr,train_loss,eval_loss,eval_error\n" + "".join(
+        f"{rec.epoch},{rec.lr:.6f},{rec.train_loss:.6f},"
+        f"{rec.eval_loss:.6f},{rec.eval_error:.6f}\n" for rec in history)
+    write_atomic(path, [text.encode("utf-8")])

@@ -69,13 +69,18 @@ def _layer_instance_errors(seed):
 
     worst = max(worst, max_rel_error(
         grad_x, numerical_grad(lambda v: conv_loss(x, v), x.copy())))
-    for name, arr in (("kernels", block.kernels), ("bias", block.bias),
-                      ("bn_gamma", block.bn_gamma), ("bn_beta", block.bn_beta)):
+    # every tensor but the moving statistics; batch norm cancels the bias,
+    # which gets no analytic gradient and must have a zero numeric one
+    assert list(grads) == list(layers.ConvBlock.TRAINED)
+    for name in ("kernels", "bias", "bn_gamma", "bn_beta"):
+        arr = getattr(block, name)
         worst = max(worst, max_rel_error(
-            grads[name], numerical_grad(lambda v, a=arr: conv_loss(a, v), arr.copy())))
+            grads.get(name, np.zeros_like(arr)),
+            numerical_grad(lambda v, a=arr: conv_loss(a, v), arr.copy())))
 
-    # recurrent cells, one step from a zero state; every tensor is checked,
-    # including those the zero state leaves with an exact-zero gradient
+    # recurrent cells, one step from a zero state; every tensor is checked:
+    # a trained one against its analytic gradient, one the zero state leaves
+    # untrained against zero
     for step, backward, make_cell in ((layers.gru_step, layers.gru_backward, make_gru_cell),
                                       (layers.lstm_step, layers.lstm_backward, make_lstm_cell)):
         n_in, hidden = 3, 3
@@ -84,6 +89,7 @@ def _layer_instance_errors(seed):
         grad_h = rng.normal(size=(2, hidden))
         _, cache = step(cell, xt)
         cell_grads = backward(cell, cache, grad_h)
+        assert list(cell_grads) == list(type(cell).TRAINED)
 
         def cell_loss(arr, v):
             arr[...] = v
@@ -93,7 +99,7 @@ def _layer_instance_errors(seed):
         for f in fields(cell):
             arr = getattr(cell, f.name)
             worst = max(worst, max_rel_error(
-                cell_grads[f.name],
+                cell_grads.get(f.name, np.zeros_like(arr)),
                 numerical_grad(lambda v, a=arr: cell_loss(a, v), arr.copy())))
 
     # global average pooling
@@ -150,12 +156,18 @@ def _end_to_end_instance_error(seed):
     loss()
     _, cache = forward(model, x, training=True, rng=Rng(0))
     _, grads = backward(model, cache, y)
+    assert grads.keys() == model.trainable_parameters().keys()
     worst = 0.0
-    for name, arr in model.trainable_parameters().items():
+    # every tensor but the moving statistics; an untrained one must have a
+    # zero numeric gradient
+    for name, arr in model.parameters().items():
+        if "moving" in name:
+            continue
         def f(v, arr=arr):
             arr[...] = v
             return loss()
-        worst = max(worst, max_rel_error(grads[name], numerical_grad(f, arr.copy())))
+        worst = max(worst, max_rel_error(grads.get(name, np.zeros_like(arr)),
+                                         numerical_grad(f, arr.copy())))
     return worst
 
 

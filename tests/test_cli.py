@@ -9,6 +9,8 @@ import pytest
 from writers import set_checkpoint_value
 
 from grufcn import data_ucr
+from grufcn import model as model_mod
+from grufcn import train as train_mod
 from grufcn.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -255,6 +257,10 @@ class TestTrain:
         ("--epochs", "-2", "--epochs must be at least 0, got -2"),
         ("--lr", "-1", "--lr must be finite and positive, got -1.0"),
         ("--lr", "nan", "--lr must be finite and positive, got nan"),
+        ("--dropout", "1.5", "--dropout must be in [0, 1), got 1.5"),
+        ("--dropout", "nan", "--dropout must be in [0, 1), got nan"),
+        ("--dropout", "-0.1", "--dropout must be in [0, 1), got -0.1"),
+        ("--seed", "-1", "--seed must be at least 0, got -1"),
     ])
     def test_bad_run_setting_is_an_error(self, synthetic_splits, tmp_path, capsys,
                                          flag, value, message):
@@ -262,6 +268,21 @@ class TestTrain:
         assert run_train(synthetic_splits, out_dir, extra=(flag, value)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
+
+    def test_every_artifact_is_written_atomically(self, synthetic_splits, tmp_path, capsys,
+                                                  monkeypatch):
+        written = []
+
+        def recording(path, parts, write=model_mod.write_atomic):
+            written.append(Path(path).name)
+            write(path, parts)
+        for module in (model_mod, train_mod):
+            monkeypatch.setattr(module, "write_atomic", recording)
+        out_dir = tmp_path / "run"
+        assert run_train(synthetic_splits, out_dir) == 0
+        capsys.readouterr()
+        artifacts = ["best.ckpt", "final.ckpt", "history.csv", "summary.json"]
+        assert sorted(set(written)) == sorted(p.name for p in out_dir.iterdir()) == artifacts
 
     def test_diverging_run_is_one_error_line_without_traceback(self, synthetic_splits,
                                                                tmp_path):

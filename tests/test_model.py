@@ -22,6 +22,7 @@ from grufcn.model import (
     parameter_count,
     parameter_manifest,
     save_checkpoint,
+    write_atomic,
 )
 from grufcn.tensor_core import Rng, ShapeMismatchError
 
@@ -147,11 +148,15 @@ class TestBuild:
         assert np.all(model.head.b == 0)
 
     def test_trainable_excludes_moving_statistics(self):
+        # and the conv biases batch norm cancels, and the 5 cell tensors a
+        # zero state leaves untrained
         model = build(ArchConfig(30, 3))
         trainable = model.trainable_parameters()
         assert "conv0.bn_moving_mean" not in trainable
+        assert "conv0.bias" not in trainable
         assert "conv0.kernels" in trainable
-        assert len(model.parameters()) - len(trainable) == 2 * len(model.blocks)
+        assert len(model.parameters()) - len(trainable) == 3 * len(model.blocks) + 5
+        assert list(trainable) == [n for n in model.parameters() if n in trainable]
 
 
 class TestForward:
@@ -384,6 +389,19 @@ class TestBackward:
         _, cache = forward(model, x, training=True, rng=Rng(0))
         loss1, _ = backward(model, cache, y)
         assert loss1 < loss0
+
+
+def test_failed_atomic_write_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "history.csv"
+    write_atomic(path, [b"old\n"])
+
+    def parts():
+        yield b"new"
+        raise OSError("disk full")
+    with pytest.raises(OSError, match="disk full"):
+        write_atomic(path, parts())
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["history.csv"]
 
 
 class TestCheckpoint:

@@ -10,12 +10,28 @@ from grufcn import tensor_core
 from grufcn.tensor_core import (
     Rng,
     ShapeMismatchError,
+    batch_slices,
     conv1d_same,
     conv1d_same_backward,
     glorot_uniform_init,
     he_uniform_init,
     same_padding,
 )
+
+
+@pytest.mark.parametrize("length", [1, 3, 7])
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, 6, 7, 14, 20, 100])
+def test_batch_slices_hold_whole_series_or_one_series_positions(length, rows):
+    # rows // length whole series per slice when one fits, else slices of
+    # rows positions of one series; at least one position per slice
+    if rows >= length:
+        per = rows // length
+        expected = [(slice(b, b + per), slice(0, length)) for b in range(0, 5, per)]
+    else:
+        step = max(1, rows)
+        expected = [(slice(b, b + 1), slice(t, min(t + step, length)))
+                    for b in range(5) for t in range(0, length, step)]
+    assert list(batch_slices(5, length, rows)) == expected
 
 
 # (kernel size, length, window rows per im2col slice) over a batch of 5:

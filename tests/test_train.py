@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grufcn import train as train_mod
 from grufcn.data_ucr import UcrDataset
 from grufcn.model import ArchConfig, backward, build, forward, load_checkpoint
 from grufcn.tensor_core import Rng, ShapeMismatchError
@@ -16,6 +17,7 @@ from grufcn.train import (
     one_hot,
     write_history_csv,
 )
+from test_layers import traced_peak
 
 
 def reference_adam(grad_fn, p0, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -214,7 +216,7 @@ class TestFit:
         ("gru", {"U_zh", "W_rx", "U_rh", "b_r", "U_h"}),
         ("lstm", {"U_ih", "W_fx", "U_fh", "b_f", "U_gh", "U_oh"}),
     ])
-    def test_zero_state_leaves_recurrent_tensors_untrained(self, kind, frozen):
+    def test_zero_state_leaves_recurrent_tensors_untrained(self, monkeypatch, kind, frozen):
         # one step from a zero state: the U_* matrices, the GRU reset gate and
         # the LSTM forget gate never reach the output; batch norm cancels the
         # conv biases
@@ -223,14 +225,45 @@ class TestFit:
         ds = make_synthetic_dataset()
         _, cache = forward(model, ds.train_x, training=True, rng=Rng(0))
         _, grads = backward(model, cache, one_hot(ds.train_y, 2))
-        assert {name for name, g in grads.items() if not np.any(g)} == frozen
+        # backward returns a gradient, and no all-zero one, for exactly the
+        # trainable tensors: every tensor but the moving statistics and frozen
+        trainable = model.trainable_parameters().keys()
+        assert grads.keys() == trainable
+        assert all(np.any(g) for g in grads.values())
+        assert {n for n in model.parameters() if "moving" not in n} - trainable == frozen
         before = {k: v.copy() for k, v in model.parameters().items()}
+        states = []
+        monkeypatch.setattr(train_mod, "adam_step",
+                            lambda state, *a: states.append(state) or adam_step(state, *a))
         fit(model, ds, TrainRun(epochs=2, train_batch=4, eval_batch=4, seed=4))
+        # Adam keeps moments for the trained tensors only
+        assert states and states[-1].m.keys() == states[-1].v.keys() == trainable
         for name, arr in model.parameters().items():
             if name in frozen:
                 assert np.array_equal(arr, before[name]), name
             elif name.startswith("cell."):
                 assert not np.array_equal(arr, before[name]), name
+
+    def test_step_arrays_die_before_the_next_step(self):
+        # two steps of 8 series: the second forward must not run beside the
+        # first step's forward cache or gradients, so fit peaks where one
+        # step does once Adam's moments exist, plus the moments
+        model = build(ArchConfig(32, 2, seed=1))
+        ds = make_synthetic_dataset(n_train=16, n_test=2, length=32)
+        state = AdamState()
+
+        def step():
+            _, cache = forward(model, ds.train_x[:8], training=True, rng=Rng(0))
+            _, grads = backward(model, cache, one_hot(ds.train_y[:8], 2))
+            adam_step(state, model.trainable_parameters(), grads)
+
+        step()  # allocates the moments outside the trace
+        one_step = traced_peak(step)
+        moments = sum(m.nbytes + v.nbytes for m, v in zip(state.m.values(), state.v.values()))
+        model = build(ArchConfig(32, 2, seed=1))
+        two_steps = traced_peak(lambda: fit(model, ds, TrainRun(epochs=1, train_batch=8,
+                                                                eval_batch=2)))
+        assert two_steps <= one_step + moments + (1 << 18)
 
     def test_learns_separable_synthetic(self):
         model = build(ArchConfig(24, 2, seed=0))
