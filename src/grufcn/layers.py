@@ -13,7 +13,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .tensor_core import Rng, ShapeMismatchError, batch_slices, conv1d_same, conv1d_same_backward
+from .tensor_core import (Rng, ShapeMismatchError, batch_slices, conv1d_same,
+                          conv1d_same_backward, ordered_map)
 
 BN_CHUNK_ELEMENTS = 1 << 17  # float64 elements per batch-norm chunk of a block output (1 MiB)
 
@@ -63,6 +64,8 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
     place into the cached x_hat, a chunk at a time, so that each chunk's
     chained passes run from cache; the returned output is the only other
     block-sized array, and the cache keeps x_hat and x but not the output.
+    The chunks run on tensor_core.WORKERS threads like the conv's slices,
+    and their partial sums are added in chunk order.
     The batch statistics must be finite, which any non-finite input or conv
     output makes them fail.
 
@@ -84,9 +87,13 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
     n, chunks = y.shape[0] * y.shape[1], list(_chunks(y.shape))
     # np.var's own steps within a chunk: centre y in place, sum the squares
     mean, var = y.mean(axis=(0, 1)), np.zeros(y.shape[2])
-    for chunk in chunks:
+
+    def centre(chunk):
         centred = np.subtract(y[chunk], mean, out=y[chunk])
-        var += np.einsum("blc,blc->c", centred, centred)
+        return np.einsum("blc,blc->c", centred, centred)
+
+    for part in ordered_map(centre, chunks):
+        var += part
     var /= n
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
         raise FloatingPointError("non-finite batch statistics in conv block: its input "
@@ -96,11 +103,15 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
     block.bn_moving_var[...] = m * block.bn_moving_var + (1 - m) * var
     inv_std = 1.0 / np.sqrt(var + block.bn_epsilon)
     out = np.empty_like(y)
-    for chunk in chunks:
+
+    def normalize(chunk):
         x_hat = np.multiply(y[chunk], inv_std, out=y[chunk])
         z = np.multiply(x_hat, block.bn_gamma, out=out[chunk])
         z += block.bn_beta
         np.maximum(z, 0.0, out=z)
+
+    for _ in ordered_map(normalize, chunks):
+        pass
     return out, {"block": block, "x": x, "x_hat": y, "inv_std": inv_std}
 
 
@@ -111,7 +122,8 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     Includes the batch-statistics coupling terms of training-mode batch norm.
     Returns (grad_x, grads) with grads keyed by ConvBlock.TRAINED; grad_x is
     None unless input_grad. grad_out is read a chunk at a time, so
-    a broadcast view (the pooling's gradient) is never copied whole.
+    a broadcast view (the pooling's gradient) is never copied whole; the
+    chunks run as in the forward.
     """
     block: ConvBlock = cache["block"]
     x_hat = cache["x_hat"]
@@ -129,17 +141,25 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     n, chunks = x_hat.shape[0] * x_hat.shape[1], list(_chunks(x_hat.shape))
     dz = np.empty_like(x_hat)
     grad_gamma, grad_beta = np.zeros(x_hat.shape[2]), np.zeros(x_hat.shape[2])
-    for chunk in chunks:
+
+    def gate(chunk):
         z = x_hat[chunk] * block.bn_gamma
         z += block.bn_beta
         d = np.multiply(grad_out[chunk], z > 0, out=dz[chunk])
-        grad_gamma += np.einsum("blc,blc->c", d, x_hat[chunk])
-        grad_beta += d.sum(axis=(0, 1))
+        return np.einsum("blc,blc->c", d, x_hat[chunk]), d.sum(axis=(0, 1))
+
+    for part_gamma, part_beta in ordered_map(gate, chunks):
+        grad_gamma += part_gamma
+        grad_beta += part_beta
     mean_dz, mean_prod = grad_beta / n, grad_gamma / n
-    for chunk in chunks:
+
+    def couple(chunk):
         dy = dz[chunk]
         dy -= mean_dz
         dy -= x_hat[chunk] * mean_prod
+
+    for _ in ordered_map(couple, chunks):
+        pass
     grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, dz, input_grad,
                                                 scale=block.bn_gamma * cache["inv_std"])
     return grad_x, {"kernels": grad_kernels, "bn_gamma": grad_gamma, "bn_beta": grad_beta}
@@ -204,8 +224,9 @@ def gru_step(cell: GruCell, x: np.ndarray):
     return z * g, {"x": x, "az": az, "z": z, "g": g}
 
 
-def gru_backward(cell: GruCell, cache, dh: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of GruCell.TRAINED for the upstream hidden gradient dh."""
+def gru_backward(cache, dh: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of GruCell.TRAINED from gru_step's cache and the upstream
+    hidden gradient dh."""
     z, g = cache["z"], cache["g"]
     _check_hidden_grad(dh, z)
     return _input_grads(cache["x"], (
@@ -225,8 +246,9 @@ def lstm_step(cell: LstmCell, x: np.ndarray):
     return o * tc, {"x": x, "ai": ai, "ao": ao, "i": i, "g": g, "o": o, "tc": tc}
 
 
-def lstm_backward(cell: LstmCell, cache, dh: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of LstmCell.TRAINED for the upstream hidden gradient dh."""
+def lstm_backward(cache, dh: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of LstmCell.TRAINED from lstm_step's cache and the upstream
+    hidden gradient dh."""
     i, g, o, tc = cache["i"], cache["g"], cache["o"], cache["tc"]
     _check_hidden_grad(dh, o)
     dc = dh * o * (1.0 - tc * tc)

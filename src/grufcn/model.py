@@ -255,7 +255,7 @@ def backward(model: GruFcnModel, cache, y_onehot: np.ndarray):
 
     cell_backward = (layers.gru_backward if model.config.cell_kind == GRU
                      else layers.lstm_backward)
-    for name, g in cell_backward(model.cell, cache["cell_cache"], dh).items():
+    for name, g in cell_backward(cache["cell_cache"], dh).items():
         grads[f"cell.{name}"] = g
 
     dx = layers.global_avg_pool_backward(dpooled, cache["conv_out_length"])

@@ -2,24 +2,96 @@
 deterministic initializers.
 
 Tensors are plain C-contiguous ``numpy.ndarray`` objects with dtype float64.
-Everything here is a pure function of its inputs; the only state lives in
-:class:`Rng`. A conv forward and its input gradient run one correlation
-routine, which picks im2col GEMMs or Winograd F(4, k) GEMMs by its own input.
+Apart from :class:`Rng`, whose draws advance its state, every function here
+returns the same result for the same inputs. The conv runs its slices on a
+pool of WORKERS threads, which the first conv starts if WORKERS > 1. That
+changes no result: the slices depend on IM2COL_ELEMENTS alone, and their
+kernel-gradient products are summed in slice order. A conv forward and its
+input gradient run one correlation routine, which picks im2col GEMMs or
+Winograd F(4, k) GEMMs by its own input.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial
 
-IM2COL_ELEMENTS = 1 << 20  # float64 elements per im2col slice of the conv (8 MiB)
+IM2COL_ELEMENTS = 1 << 19  # float64 elements per im2col slice of the conv (4 MiB)
 # Winograd over im2col time on one x86-64 core, 128 output channels: 3-6x
 # with 1 input channel, 1.1-1.9x with 8 or 16, 0.4-1.04x with 32
 WINOGRAD_MIN_CHANNELS = 32
+
+
+def worker_count() -> int:
+    """Conv slices run at once: the usable CPUs over the BLAS threads each
+    GEMM takes, read from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, as
+    OpenBLAS reads them. With neither set to a positive count, BLAS already
+    spreads each GEMM over every core, so slices run one at a time."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas_threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if blas_threads > 0:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            return max(1, cpus // blas_threads)
+    return 1
+
+
+WORKERS = worker_count()
+
+
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(workers, thread_name_prefix="grufcn-conv")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def ordered_map(fn, items, ahead: int | None = None):
+    """Yield fn(item) for each item, in order, with fn running on WORKERS
+    pool threads at once, or in the calling thread if WORKERS is 1 or there
+    is one item, where a pool thread would only add a hand-off. Every item
+    is queued at once, so a thread that finishes one takes the next without
+    waiting for the caller, unless ahead is given: then item i + ahead is
+    queued only once the caller has taken result i and asks for the next,
+    so at most ahead results exist at a time if the caller drops each
+    before asking. Items not started when the caller stops are cancelled,
+    and those running are waited for. fn runs under the caller's numpy
+    floating-point error handling, which is kept per thread."""
+    items = list(items)
+    if WORKERS == 1 or len(items) == 1:
+        yield from map(fn, items)
+        return
+    errors = np.geterr()
+
+    def run(item):
+        with np.errstate(**errors):
+            return fn(item)
+
+    ahead = len(items) if ahead is None else ahead
+    pool, running = _pool(WORKERS), deque()
+    try:
+        for item in items:
+            if len(running) == ahead:
+                yield running.popleft().result()
+            running.append(pool.submit(run, item))
+        while running:
+            yield running.popleft().result()
+    finally:
+        for future in running:
+            future.cancel()
+        wait(running)
 
 
 class ShapeMismatchError(ValueError):
@@ -64,38 +136,48 @@ def batch_slices(batch: int, length: int, rows: int):
             yield slice(b, b + series), slice(t, min(t + step, length))
 
 
-def _padded_slices(x: np.ndarray, k: int, left: int, cost: int, unit: int = 1):
-    """Yield (series, positions, padded) over the (B, L, C) input x in
-    batch_slices of at most IM2COL_ELEMENTS floats at cost per unit
-    positions. Slices hold whole units, so the last may reach past L. padded
-    is x[series] from positions.start - left to positions.stop + k - 1 - left,
-    zero outside x.
-    """
+def _slices(x: np.ndarray, cost: int, unit: int = 1):
+    """The batch_slices of the (B, L, C) input x that hold at most
+    IM2COL_ELEMENTS floats at cost per unit positions. Slices hold whole
+    units, so the last may reach past L."""
     batch, length, _ = x.shape
     span = -(-length // unit) * unit  # one series' positions in whole units
-    for series, positions in batch_slices(batch, span, max(1, IM2COL_ELEMENTS // cost) * unit):
-        lo, hi = positions.start - left, positions.stop + k - 1 - left
-        yield series, positions, np.pad(
-            x[series, max(lo, 0):min(hi, length)],
-            ((0, 0), (max(-lo, 0), max(hi - length, 0)), (0, 0)))
+    return batch_slices(batch, span, max(1, IM2COL_ELEMENTS // cost) * unit)
 
 
-def _im2col_slices(x: np.ndarray, k: int, left: int):
-    """Yield (series, positions, cols) over the _padded_slices of the
-    (B, L, Cin) input x: cols, one reused scratch array, holds each covered
-    (series, position) pair's window, zero-padded x[b, t - left + j, :] for
-    taps j = 0..k-1, as a row, tap-major.
-    """
-    c_in, scratch = x.shape[2], None
-    for series, positions, padded in _padded_slices(x, k, left, k * c_in):
-        windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=1)
-        rows = windows.shape[0] * windows.shape[1]
-        if scratch is None:  # the first slice is the largest
-            scratch = np.empty((rows, k * c_in))
-        cols = scratch[:rows]
-        np.copyto(cols.reshape(windows.shape[:2] + (k, c_in)), windows.transpose(0, 1, 3, 2))
-        del padded, windows  # free this slice's padded copy before the next is made
-        yield series, positions, cols
+def _padded(x: np.ndarray, series: slice, positions: slice, k: int, left: int) -> np.ndarray:
+    """x[series] from positions.start - left to positions.stop + k - 1 - left,
+    zero outside x. (np.pad makes the same array with about three times the
+    Python overhead, which every slice pays.)"""
+    lo, hi = positions.start - left, positions.stop + k - 1 - left
+    part = x[series, max(lo, 0):min(hi, x.shape[1])]
+    padded = np.empty((part.shape[0], hi - lo, x.shape[2]))
+    start = max(-lo, 0)
+    stop = start + part.shape[1]
+    padded[:, :start] = 0.0
+    padded[:, stop:] = 0.0
+    padded[:, start:stop] = part
+    return padded
+
+
+def _windows(padded: np.ndarray, taps: int, step: int) -> np.ndarray:
+    """The read-only (S, n, taps, C) view of the (S, P, C) array padded whose
+    window i is rows i * step to i * step + taps - 1, for the n that fit."""
+    s0, s1, s2 = padded.strides
+    n = (padded.shape[1] - taps) // step + 1
+    return np.lib.stride_tricks.as_strided(
+        padded, (padded.shape[0], n, taps, padded.shape[2]), (s0, step * s1, s1, s2),
+        writeable=False)
+
+
+def _im2col(x: np.ndarray, series: slice, positions: slice, k: int, left: int) -> np.ndarray:
+    """Each covered (series, position) pair's window of the (B, L, Cin)
+    input x, zero-padded x[b, t - left + j, :] for taps j = 0..k-1, as a
+    row, tap-major."""
+    windows = _windows(_padded(x, series, positions, k, left), k, 1)
+    cols = np.empty((windows.shape[0] * windows.shape[1], k * x.shape[2]))
+    np.copyto(cols.reshape(windows.shape), windows)
+    return cols
 
 
 @functools.cache
@@ -135,24 +217,26 @@ def _winograd_correlate(x: np.ndarray, kernels: np.ndarray, left: int,
     if scale is not None:
         u *= scale
     out = np.empty(x.shape[:2] + (c_out,))
-    # per tile: v, m and the padded copy (4n + k - 1 <= 8n positions for n tiles)
-    cost, v, m = (alpha + 8) * c_in + alpha * c_out, None, None
-    for series, positions, padded in _padded_slices(x, k, left, cost, 4):
-        windows = np.lib.stride_tricks.sliding_window_view(padded, alpha, axis=1)[:, ::4]
+
+    def run(item):
+        series, positions = item
+        windows = _windows(_padded(x, series, positions, k, left), alpha, 4)
         shape = windows.shape[:2]
         n = shape[0] * shape[1]
-        if v is None:  # the first slice is the largest
-            v, m = np.empty((n, alpha, c_in)), np.empty((n, alpha, c_out))
-        np.matmul(b_t, windows.swapaxes(2, 3), out=v[:n].reshape(shape + (alpha, c_in)))
-        np.matmul(v[:n].swapaxes(0, 1), u, out=m[:n].swapaxes(0, 1))
-        del padded, windows  # free this slice's padded copy before the next is made
+        v, m = np.empty((n, alpha, c_in)), np.empty((n, alpha, c_out))
+        np.matmul(b_t, windows, out=v.reshape(shape + (alpha, c_in)))
+        np.matmul(v.swapaxes(0, 1), u, out=m.swapaxes(0, 1))
         # tile i's row j is output position positions.start + 4i + j; the last may be cut
-        products, dest = m[:n].reshape(shape + (alpha, c_out)), out[series, positions]
+        products, dest = m.reshape(shape + (alpha, c_out)), out[series, positions]
         full = dest.shape[1] // 4
         np.matmul(a_t, products[:, :full],
                   out=dest[:, :4 * full].reshape(shape[:1] + (full, 4, c_out)))
         if full < shape[1]:
             dest[:, 4 * full:] = np.matmul(a_t, products[:, full])[:, :dest.shape[1] - 4 * full]
+
+    # per tile: v, m and the padded copy (4n + k - 1 <= 8n positions for n tiles)
+    for _ in ordered_map(run, _slices(x, (alpha + 8) * c_in + alpha * c_out, 4)):
+        pass
     return out
 
 
@@ -170,9 +254,15 @@ def _correlate(x: np.ndarray, kernels: np.ndarray, left: int,
     w, out = kernels.reshape(k * c_in, c_out), np.empty(x.shape[:2] + (c_out,))
     if scale is not None:
         w = w * scale
-    for series, positions, cols in _im2col_slices(x, k, left):
+
+    def run(item):
+        series, positions = item
         # a slice is whole series or part of one series, so this view is contiguous
-        np.matmul(cols, w, out=out[series, positions].reshape(-1, c_out))
+        np.matmul(_im2col(x, series, positions, k, left), w,
+                  out=out[series, positions].reshape(-1, c_out))
+
+    for _ in ordered_map(run, _slices(x, k * c_in)):
+        pass
     return out
 
 
@@ -234,11 +324,16 @@ def conv1d_same_backward(
     # the kernel gradient is summed transposed: on one x86-64 core with
     # OpenBLAS 0.3.31, g.T @ cols ran at about 47 gflop/s where cols.T @ g
     # ran at 34-41 on the model's shapes
+
+    def product(item):
+        series, positions = item
+        return grad_out[series, positions].reshape(-1, c_out).T @ _im2col(
+            x, series, positions, k, left)
+
     grad_w_t = np.zeros((c_out, k * c_in))
-    product = np.empty_like(grad_w_t)
-    for series, positions, cols in _im2col_slices(x, k, left):
-        g_rows = grad_out[series, positions].reshape(-1, c_out)
-        grad_w_t += np.matmul(g_rows.T, cols, out=product)
+    for part in ordered_map(product, _slices(x, k * c_in), ahead=WORKERS):
+        grad_w_t += part
+        del part  # so at most WORKERS products exist at once
     if scale is not None:
         grad_w_t *= scale[:, None]
     return grad_x, grad_w_t.T.reshape(kernels.shape)

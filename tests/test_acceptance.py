@@ -88,7 +88,7 @@ def _layer_instance_errors(seed):
         xt = rng.normal(size=(2, n_in))
         grad_h = rng.normal(size=(2, hidden))
         _, cache = step(cell, xt)
-        cell_grads = backward(cell, cache, grad_h)
+        cell_grads = backward(cache, grad_h)
         assert list(cell_grads) == list(type(cell).TRAINED)
 
         def cell_loss(arr, v):

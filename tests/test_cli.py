@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from writers import set_checkpoint_value
 
-from grufcn import data_ucr
+from grufcn import data_ucr, tensor_core
 from grufcn import model as model_mod
 from grufcn import train as train_mod
 from grufcn.cli import build_parser, main
@@ -223,6 +223,27 @@ class TestTrain:
         capsys.readouterr()
         for name in ("history.csv", "best.ckpt", "final.ckpt"):
             assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
+
+    def test_artifacts_are_the_same_at_every_worker_count(self, synthetic_splits, tmp_path,
+                                                          capsys, monkeypatch):
+        # 64 floats per slice cuts every conv of a 16-position series into
+        # 2 slices or more, run on 1 and on 2 threads
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 64)
+        train, test = synthetic_splits
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(tensor_core, "WORKERS", workers)
+            out_dir = tmp_path / f"workers{workers}"
+            assert run_train(synthetic_splits, out_dir, seed=4) == 0
+            capsys.readouterr()
+            assert main(["eval", "--checkpoint", str(out_dir / "best.ckpt"),
+                         "--train-path", str(train), "--test-path", str(test),
+                         "--predictions", str(out_dir / "predictions.csv")]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        for name in ("history.csv", "best.ckpt", "final.ckpt", "predictions.csv"):
+            assert ((tmp_path / "workers1" / name).read_bytes()
+                    == (tmp_path / "workers2" / name).read_bytes()), name
 
     def test_seed_changes_artifacts(self, synthetic_splits, tmp_path, capsys):
         run_a = tmp_path / "a"

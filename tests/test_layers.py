@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from gradcheck import assert_grad_close, max_rel_error, numerical_grad
 
-from grufcn import layers
+from grufcn import layers, tensor_core
 from grufcn.layers import (
     ConvBlock,
     DenseSoftmax,
@@ -278,7 +278,7 @@ def assert_cell_matches_general(cell, step, backward, general, rng, batch, label
     grad_h = rng.normal(size=(batch, hidden))
     h, cache = step(cell, x)
     assert np.array_equal(h, general(cell, x))
-    grads = backward(cell, cache, grad_h)
+    grads = backward(cache, grad_h)
     assert list(grads) == list(type(cell).TRAINED)
 
     for f in fields(cell):
@@ -358,6 +358,25 @@ class TestChunkedTrainingBlock:
             assert max_rel_error(value, one_chunk[name]) <= 1e-12, name
             assert max_rel_error(value, plain[name]) <= 1e-12, name
 
+    @pytest.mark.parametrize("elements", [1, 9, 42])
+    @pytest.mark.parametrize("c_in", [2, 40])
+    def test_chunks_are_bitwise_the_same_at_every_worker_count(self, monkeypatch, elements,
+                                                               c_in):
+        # the chunks run on tensor_core.WORKERS threads; their partial sums
+        # are added in chunk order, so the worker count must not show at all
+        rng = np.random.default_rng(13)
+        block = make_conv_block(rng, 5, c_in, 3, gamma_scale=1.7)
+        x = rng.normal(size=(5, 7, c_in)) * 3 + 1
+        grad_out = rng.normal(size=(5, 7, 3))
+        monkeypatch.setattr(layers, "BN_CHUNK_ELEMENTS", elements)
+        passes = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tensor_core, "WORKERS", workers)
+            passes.append(training_pass(block, x, grad_out))
+        for other in passes[1:]:
+            for name, value in passes[0].items():
+                assert np.array_equal(other[name], value), name
+
     def test_pass_holds_three_block_sized_arrays_beyond_the_conv_backward(self):
         # the 128 -> 256, k = 5 block: x_hat, the output and dz, plus the
         # kernel copy the scaled input gradient makes and chunk temporaries;
@@ -404,14 +423,14 @@ class TestGru:
         rng = np.random.default_rng(0)
         cell = make_gru_cell(rng, 3, 4)
         _, cache = gru_step(cell, rng.normal(size=(2, 3)))
-        grads = gru_backward(cell, cache, np.zeros((2, 4)))
+        grads = gru_backward(cache, np.zeros((2, 4)))
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_zero_input_sequence_zeroes_feedforward_grads(self):
         rng = np.random.default_rng(1)
         cell = make_gru_cell(rng, 3, 4)
         _, cache = gru_step(cell, np.zeros((2, 3)))
-        grads = gru_backward(cell, cache, rng.normal(size=(2, 4)))
+        grads = gru_backward(cache, rng.normal(size=(2, 4)))
         for name in ("W_zx", "W_x"):
             assert np.all(grads[name] == 0)
         assert "W_rx" not in grads  # untrained: the zero state hides the reset gate

@@ -268,6 +268,7 @@ class TestStreamedInference:
         model = build(ArchConfig(length, 3, seed=1))
         x = np.random.default_rng(0).normal(size=(batch, length))
         monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", length * 256)
+        monkeypatch.setattr(tensor_core, "WORKERS", 2)
         tracemalloc.start()
         try:
             forward(model, x, training=False)
@@ -324,6 +325,73 @@ class TestFoldedInference:
         np.testing.assert_allclose(probs, expected_probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(cache["features"], expected_features, rtol=0, atol=1e-12)
         assert np.array_equal(probs.argmax(axis=1), expected_probs.argmax(axis=1))
+
+
+class TestWorkers:
+    """The conv runs its slices on tensor_core.WORKERS threads; inference and
+    a training step must give bitwise the same results at any worker count.
+    At 64 floats per slice every conv of a 40-position series runs 5 or
+    more slices: 5 per series for block 0 (8 taps, 1 channel), more for the
+    rest, and 25 for block 0 of the 5-series training batch."""
+
+    LENGTH = 40
+
+    def model(self):
+        model = build(ArchConfig(self.LENGTH, 4, cell_kind="lstm", dropout_rate=0.5, seed=9))
+        rng = np.random.default_rng(10)
+        for block in model.blocks:
+            block.bn_moving_mean[...] = rng.normal(0.0, 0.5, block.bn_moving_mean.shape)
+            block.bn_moving_var[...] = rng.uniform(0.5, 2.0, block.bn_moving_var.shape)
+        return model
+
+    def at_each_worker_count(self, monkeypatch, run):
+        """run() at 1, 2 and 3 workers, with at least 5 slices per conv."""
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 64)
+        counts, results = [], []
+        ordered_map = tensor_core.ordered_map
+
+        def spy(fn, items, **kwargs):
+            items = list(items)
+            counts.append(len(items))
+            return ordered_map(fn, items, **kwargs)
+
+        monkeypatch.setattr(tensor_core, "ordered_map", spy)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tensor_core, "WORKERS", workers)
+            results.append(run())
+        assert counts and min(counts) >= 5
+        return results
+
+    def test_inference_is_bitwise_the_same(self, monkeypatch):
+        model = self.model()
+        x = np.random.default_rng(11).normal(size=(5, self.LENGTH))
+        results = self.at_each_worker_count(
+            monkeypatch, lambda: forward(model, x, training=False))
+        for probs, cache in results[1:]:
+            assert np.array_equal(probs, results[0][0])
+            assert np.array_equal(cache["features"], results[0][1]["features"])
+
+    def test_training_step_is_bitwise_the_same(self, monkeypatch):
+        # batch norm and ReLU in chunks of 7 positions (128 channels) or 3 (256)
+        monkeypatch.setattr(layers, "BN_CHUNK_ELEMENTS", 1000)
+        rng = np.random.default_rng(12)
+        x, y = rng.normal(size=(5, self.LENGTH)), np.eye(4)[[0, 3, 1, 2, 1]]
+
+        def step():
+            model = self.model()
+            _, cache = forward(model, x, training=True, rng=Rng(13))
+            loss, grads = backward(model, cache, y)
+            return loss, grads, model.parameters()
+
+        results = self.at_each_worker_count(monkeypatch, step)
+        loss, grads, params = results[0]
+        for other_loss, other_grads, other_params in results[1:]:
+            assert other_loss == loss
+            assert list(other_grads) == list(grads)
+            for name in grads:
+                assert np.array_equal(other_grads[name], grads[name]), name
+            for name in params:  # the moving statistics the step updated
+                assert np.array_equal(other_params[name], params[name]), name
 
 
 class TestBackward:

@@ -1,4 +1,9 @@
+import multiprocessing
+import os
+import sys
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -217,11 +222,12 @@ class TestConv1dSame:
         monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", rows * k * 2)
         assert_backward_matches_einsum(x, kernels, grad_out)
 
-    def test_backward_memory_is_one_im2col_slice_beyond_its_gradients(self):
-        # the backward holds grad_x, one slice's scratch rows and padded copy
-        # (within 1.25 times the budget at k=5), and the kernel gradient with
-        # one product buffer; a batch-wide padded copy, its gradient or a
-        # (B*L, Cin) tap buffer would each add about x.nbytes
+    def test_backward_memory_is_one_im2col_slice_beyond_its_gradients(self, monkeypatch):
+        # the backward holds grad_x, the kernel gradient and, per worker, one
+        # slice's scratch rows, padded copy and kernel-gradient product
+        # (within 1.25 times the budget at k=5); a batch-wide padded copy,
+        # its gradient or a (B*L, Cin) tap buffer would each add about x.nbytes
+        monkeypatch.setattr(tensor_core, "WORKERS", 2)
         rng = np.random.default_rng(7)
         x = rng.normal(size=(32, 300, 128))
         kernels = rng.normal(size=(5, 128, 256))
@@ -232,7 +238,7 @@ class TestConv1dSame:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        budget = 1.25 * tensor_core.IM2COL_ELEMENTS * x.itemsize
+        budget = 1.25 * tensor_core.WORKERS * tensor_core.IM2COL_ELEMENTS * x.itemsize
         assert peak < x.nbytes + budget + 2 * kernels.nbytes + (1 << 20)
 
 
@@ -295,8 +301,10 @@ class TestWinograd:
             x = conv1d_same(x, kernels, np.zeros(c_out))
         assert calls == [(5, 256, 128), (5, 128, 256), (3, 128, 256), (3, 256, 128)]
 
-    def test_forward_memory_is_the_output_and_one_slice(self):
-        # a HandOutlines-length series through the 128->256 block
+    def test_forward_memory_is_the_output_and_one_slice(self, monkeypatch):
+        # a HandOutlines-length series through the 128->256 block, one slice
+        # per worker
+        monkeypatch.setattr(tensor_core, "WORKERS", 2)
         rng = np.random.default_rng(12)
         x = rng.normal(size=(1, 2709, 128))
         kernels = rng.normal(size=(5, 128, 256))
@@ -308,7 +316,7 @@ class TestWinograd:
         finally:
             tracemalloc.stop()
         transformed_kernels = 8 * 128 * 256 * 8
-        budget = tensor_core.IM2COL_ELEMENTS * x.itemsize
+        budget = tensor_core.WORKERS * tensor_core.IM2COL_ELEMENTS * x.itemsize
         assert peak <= out.nbytes + budget + transformed_kernels + (1 << 20)
 
 
@@ -372,3 +380,148 @@ class TestInitializers:
             he_uniform_init(Rng(0), 0, (3,))
         with pytest.raises(ValueError):
             glorot_uniform_init(Rng(0), 0, 0, (3,))
+
+
+class TestWorkers:
+    """The conv's slices run on WORKERS threads; the slices and the order
+    their kernel-gradient products are summed in depend on IM2COL_ELEMENTS
+    alone, so every worker count gives bitwise the same result."""
+
+    @pytest.mark.parametrize("openblas, omp, cpus, expected", [
+        (None, None, 2, 1),   # BLAS unpinned: it already runs on every core
+        (None, None, 8, 1),
+        ("1", None, 2, 2),
+        ("1", "4", 2, 2),     # OPENBLAS_NUM_THREADS first, as OpenBLAS reads them
+        ("2", "1", 4, 2),
+        (None, "1", 3, 3),
+        ("0", "1", 2, 2),     # not a positive count: the next variable decides
+        ("x", None, 2, 1),
+        ("4", None, 2, 1),    # more BLAS threads than CPUs still runs one slice
+    ])
+    def test_worker_count_is_cpus_over_blas_threads(self, monkeypatch, openblas, omp, cpus,
+                                                    expected):
+        for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        monkeypatch.setattr(tensor_core.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert tensor_core.worker_count() == expected
+
+    def slice_counts(self, monkeypatch):
+        """The item counts of every ordered_map call from now on."""
+        counts = []
+        ordered_map = tensor_core.ordered_map
+
+        def spy(fn, items, **kwargs):
+            items = list(items)
+            counts.append(len(items))
+            return ordered_map(fn, items, **kwargs)
+
+        monkeypatch.setattr(tensor_core, "ordered_map", spy)
+        return counts
+
+    # 7 series of 9 positions: 54 floats per slice gives 7 one-series slices
+    # for the im2col forward and the kernel gradient, and 14 or 21 slices
+    # of part of a series for the rest; 30 gives 14 or 21 slices throughout
+    @pytest.mark.parametrize("elements", [30, 54])
+    def test_conv_is_bitwise_the_same_at_every_worker_count(self, monkeypatch, conv_path,
+                                                           elements):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(7, 9, 2))
+        kernels = rng.normal(size=(3, 2, 3))
+        bias, scale = rng.normal(size=3), rng.normal(size=3)
+        grad_out = rng.normal(size=(7, 9, 3))
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", elements)
+        counts = self.slice_counts(monkeypatch)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tensor_core, "WORKERS", workers)
+            results.append((conv1d_same(x, kernels, bias, scale=scale),
+                            *conv1d_same_backward(x, kernels, grad_out, scale=scale)))
+        # forward, input gradient, kernel gradient per worker count
+        assert len(counts) == 9 and min(counts) >= 5
+        assert any(n % 2 for n in counts) and any(n % 3 for n in counts)
+        for result in results[1:]:
+            for got, expected in zip(result, results[0], strict=True):
+                assert np.array_equal(got, expected)
+
+    def test_many_threads_switching_often_keep_the_result(self, monkeypatch):
+        # more workers than cores, with the interpreter switching threads
+        # every microsecond: a lost or reordered product would show
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(13, 11, 4))
+        kernels = rng.normal(size=(4, 4, 5))
+        grad_out = rng.normal(size=(13, 11, 5))
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 4 * 16)
+        monkeypatch.setattr(tensor_core, "WORKERS", 1)
+        expected = conv1d_same_backward(x, kernels, grad_out)
+        monkeypatch.setattr(tensor_core, "WORKERS", 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = conv1d_same_backward(x, kernels, grad_out)
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_kernel_gradient_holds_at_most_one_product_per_worker(self, monkeypatch, workers):
+        # 12 one-series slices whose (512, 320) products, 1.3 MB each, dwarf
+        # their scratch rows: the sum and `workers` products are alive at once
+        monkeypatch.setattr(tensor_core, "WORKERS", workers)
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 4 * 5 * 64)
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(12, 4, 64))
+        kernels = rng.normal(size=(5, 64, 512))
+        grad_out = rng.normal(size=(12, 4, 512))
+        tracemalloc.start()
+        try:
+            conv1d_same_backward(x, kernels, grad_out, input_grad=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (1 + workers + 0.5) * kernels.nbytes
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_workers_follow_the_callers_floating_point_errors(self, monkeypatch, workers):
+        monkeypatch.setattr(tensor_core, "WORKERS", workers)
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 6)
+        x, kernels = np.full((2, 3, 2), 1e300), np.full((3, 2, 2), 1e300)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            conv1d_same(x, kernels, np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                assert np.all(np.isinf(conv1d_same(x, kernels, np.zeros(2))))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_starts_its_own_pool(self, monkeypatch):
+        # the child inherits the started pool but none of its threads
+        monkeypatch.setattr(tensor_core, "WORKERS", 2)
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 6)
+        x, kernels = np.ones((2, 3, 2)), np.ones((3, 2, 2))
+        expected = conv1d_same(x, kernels, np.zeros(2))
+        child = multiprocessing.get_context("fork").Process(
+            target=lambda: os._exit(0 if np.array_equal(
+                conv1d_same(x, kernels, np.zeros(2)), expected) else 1))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
+
+    def test_results_come_in_item_order_and_a_failure_is_raised(self, monkeypatch):
+        monkeypatch.setattr(tensor_core, "WORKERS", 3)
+
+        def fn(i):
+            if i == 7:
+                raise ValueError("item 7")
+            time.sleep(0.001 * (i % 3))  # later items often finish first
+            return i
+
+        assert list(tensor_core.ordered_map(fn, range(7))) == list(range(7))
+        with pytest.raises(ValueError, match="item 7"):
+            list(tensor_core.ordered_map(fn, range(20)))
