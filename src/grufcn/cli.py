@@ -153,10 +153,9 @@ def cmd_eval(args) -> int:
     for c in range(len(label_map)):
         print(f"{c},{int(conf.tp[c])},{int(conf.fp[c])},{int(conf.fn[c])}")
     if args.predictions:
-        with open(args.predictions, "w", encoding="utf-8") as fh:
-            fh.write("index,predicted,truth\n")
-            for i, (p, t) in enumerate(zip(preds, test_y)):
-                fh.write(f"{i},{int(p)},{int(t)}\n")
+        rows = "".join(f"{i},{int(p)},{int(t)}\n" for i, (p, t) in enumerate(zip(preds, test_y)))
+        model_mod.write_atomic(args.predictions,
+                               [f"index,predicted,truth\n{rows}".encode("utf-8")])
     return 0
 
 

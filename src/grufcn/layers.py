@@ -63,7 +63,8 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
     returns the backward cache. The conv output is centred and normalized in
     place into the cached x_hat, a chunk at a time, so that each chunk's
     chained passes run from cache; the returned output is the only other
-    block-sized array, and the cache keeps x_hat and x but not the output.
+    block-sized array. The cache keeps x_hat, copies of gamma and beta, and
+    x, but not the output, which the next block's backward can rebuild.
     The chunks run on tensor_core.WORKERS threads like the conv's slices,
     and their partial sums are added in chunk order.
     The batch statistics must be finite, which any non-finite input or conv
@@ -102,31 +103,36 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
     block.bn_moving_mean[...] = m * block.bn_moving_mean + (1 - m) * mean
     block.bn_moving_var[...] = m * block.bn_moving_var + (1 - m) * var
     inv_std = 1.0 / np.sqrt(var + block.bn_epsilon)
+    gamma, beta = block.bn_gamma.copy(), block.bn_beta.copy()
     out = np.empty_like(y)
 
     def normalize(chunk):
         x_hat = np.multiply(y[chunk], inv_std, out=y[chunk])
-        z = np.multiply(x_hat, block.bn_gamma, out=out[chunk])
-        z += block.bn_beta
+        z = np.multiply(x_hat, gamma, out=out[chunk])
+        z += beta
         np.maximum(z, 0.0, out=z)
 
     for _ in ordered_map(normalize, chunks):
         pass
-    return out, {"block": block, "x": x, "x_hat": y, "inv_std": inv_std}
+    return out, {"block": block, "x": x, "relu": None, "x_hat": y, "inv_std": inv_std,
+                 "gamma": gamma, "beta": beta}
 
 
 def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     """Gradients of the composed ReLU(BN(conv)) w.r.t. input and parameters,
     from a training-mode cache.
 
-    Includes the batch-statistics coupling terms of training-mode batch norm.
-    Returns (grad_x, grads) with grads keyed by ConvBlock.TRAINED; grad_x is
-    None unless input_grad. grad_out is read a chunk at a time, so
-    a broadcast view (the pooling's gradient) is never copied whole; the
-    chunks run as in the forward.
+    Includes the batch-statistics coupling terms of training-mode batch norm,
+    with the gamma and beta the forward ran with. Returns (grad_x, grads)
+    with grads keyed by ConvBlock.TRAINED; grad_x is None unless input_grad.
+    grad_out is read a chunk at a time, so a broadcast view (the pooling's
+    gradient) is never copied whole; the chunks run as in the forward. The
+    cache's x and relu go to conv1d_same_backward: the block's input, or
+    with relu = (gamma, beta) the previous block's x_hat, which its kernel
+    gradient rebuilds the input from.
     """
     block: ConvBlock = cache["block"]
-    x_hat = cache["x_hat"]
+    x_hat, gamma, beta = cache["x_hat"], cache["gamma"], cache["beta"]
     if grad_out.shape != x_hat.shape:
         raise ShapeMismatchError(
             f"grad shape {grad_out.shape} != forward output shape {x_hat.shape}"
@@ -143,8 +149,8 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     grad_gamma, grad_beta = np.zeros(x_hat.shape[2]), np.zeros(x_hat.shape[2])
 
     def gate(chunk):
-        z = x_hat[chunk] * block.bn_gamma
-        z += block.bn_beta
+        z = x_hat[chunk] * gamma
+        z += beta
         d = np.multiply(grad_out[chunk], z > 0, out=dz[chunk])
         return np.einsum("blc,blc->c", d, x_hat[chunk]), d.sum(axis=(0, 1))
 
@@ -161,7 +167,8 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     for _ in ordered_map(couple, chunks):
         pass
     grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, dz, input_grad,
-                                                scale=block.bn_gamma * cache["inv_std"])
+                                                scale=gamma * cache["inv_std"],
+                                                relu=cache["relu"])
     return grad_x, {"kernels": grad_kernels, "bn_gamma": grad_gamma, "bn_beta": grad_beta}
 
 

@@ -54,6 +54,11 @@ class ArchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.conv_filters, self.conv_kernels = tuple(self.conv_filters), tuple(self.conv_kernels)
+        whole = (self.series_length, self.num_classes, self.hidden_size, self.seed,
+                 *self.conv_filters, *self.conv_kernels)
+        if not all(isinstance(n, numbers.Integral) for n in whole):
+            raise ValueError(f"sizes and seed must be integers, got {self}")
         self.conv_filters = tuple(int(f) for f in self.conv_filters)
         self.conv_kernels = tuple(int(k) for k in self.conv_kernels)
         if self.cell_kind not in (GRU, LSTM):
@@ -229,10 +234,14 @@ def forward(model: GruFcnModel, batch: np.ndarray, training: bool = False,
 
 def _conv_branch(model: GruFcnModel, x: np.ndarray, training: bool):
     """Pooled (B, F) conv-branch features of a (B, L, 1) input, and the
-    per-block caches."""
+    per-block caches. A training cache of block i > 0 swaps its input, block
+    i - 1's output, for the x_hat, gamma and beta it is rebuilt from."""
     caches = []
     for block in model.blocks:
         x, block_cache = layers.conv_block_forward(block, x, training)
+        if training and caches:
+            prev = caches[-1]
+            block_cache.update(x=prev["x_hat"], relu=(prev["gamma"], prev["beta"]))
         caches.append(block_cache)
     return layers.global_avg_pool(x), caches
 
@@ -314,7 +323,7 @@ def load_checkpoint(path) -> GruFcnModel:
         header = json.loads(rest[:newline].decode("utf-8"))
         cfg_dict = dict(header["config"])
         manifest = [(name, tuple(shape)) for name, shape in header["manifest"]]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise TruncatedCheckpointError(f"unreadable checkpoint header: {exc}") from exc
     keys = {f.name for f in fields(ArchConfig)}
     if set(cfg_dict) != keys:
@@ -326,20 +335,22 @@ def load_checkpoint(path) -> GruFcnModel:
         config = ArchConfig(**cfg_dict)
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"invalid checkpoint config: {exc}") from exc
-    if manifest != parameter_manifest(config):
+    # a header size need only equal the config's (3.0 == 3), so shapes come from the config
+    expected = parameter_manifest(config)
+    if manifest != expected:
         raise ManifestMismatchError(
             "checkpoint manifest does not match the declared architecture"
         )
     blob = rest[newline + 1:]
-    total = sum(int(np.prod(s)) for _, s in manifest)
+    total = sum(math.prod(s) for _, s in expected)  # exact, where np.prod wraps at 2**63
     if len(blob) != 4 * total:
         raise ManifestMismatchError(
             f"parameter payload holds {len(blob)} bytes, manifest needs {4 * total}"
         )
     tensors = {}
     offset = 0
-    for name, shape in manifest:
-        n = int(np.prod(shape))
+    for name, shape in expected:
+        n = math.prod(shape)
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset)
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"checkpoint tensor {name} holds NaN or Inf")

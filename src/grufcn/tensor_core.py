@@ -145,10 +145,13 @@ def _slices(x: np.ndarray, cost: int, unit: int = 1):
     return batch_slices(batch, span, max(1, IM2COL_ELEMENTS // cost) * unit)
 
 
-def _padded(x: np.ndarray, series: slice, positions: slice, k: int, left: int) -> np.ndarray:
+def _padded(x: np.ndarray, series: slice, positions: slice, k: int, left: int,
+            relu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """x[series] from positions.start - left to positions.stop + k - 1 - left,
-    zero outside x. (np.pad makes the same array with about three times the
-    Python overhead, which every slice pays.)"""
+    zero outside x; with relu = (gamma, beta), max(x * gamma + beta, 0) there
+    instead, in a training block's own three passes, so bitwise its output.
+    (np.pad makes the same array with about three times the Python overhead,
+    which every slice pays.)"""
     lo, hi = positions.start - left, positions.stop + k - 1 - left
     part = x[series, max(lo, 0):min(hi, x.shape[1])]
     padded = np.empty((part.shape[0], hi - lo, x.shape[2]))
@@ -156,7 +159,13 @@ def _padded(x: np.ndarray, series: slice, positions: slice, k: int, left: int) -
     stop = start + part.shape[1]
     padded[:, :start] = 0.0
     padded[:, stop:] = 0.0
-    padded[:, start:stop] = part
+    rows = padded[:, start:stop]
+    if relu is None:
+        rows[...] = part
+    else:
+        np.multiply(part, relu[0], out=rows)
+        rows += relu[1]
+        np.maximum(rows, 0.0, out=rows)
     return padded
 
 
@@ -170,11 +179,12 @@ def _windows(padded: np.ndarray, taps: int, step: int) -> np.ndarray:
         writeable=False)
 
 
-def _im2col(x: np.ndarray, series: slice, positions: slice, k: int, left: int) -> np.ndarray:
+def _im2col(x: np.ndarray, series: slice, positions: slice, k: int, left: int,
+            relu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Each covered (series, position) pair's window of the (B, L, Cin)
     input x, zero-padded x[b, t - left + j, :] for taps j = 0..k-1, as a
-    row, tap-major."""
-    windows = _windows(_padded(x, series, positions, k, left), k, 1)
+    row, tap-major; x is read through relu as in _padded."""
+    windows = _windows(_padded(x, series, positions, k, left, relu), k, 1)
     cols = np.empty((windows.shape[0] * windows.shape[1], k * x.shape[2]))
     np.copyto(cols.reshape(windows.shape), windows)
     return cols
@@ -294,18 +304,22 @@ def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, *,
 
 def conv1d_same_backward(
     x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray, input_grad: bool = True,
-    *, scale: np.ndarray | None = None,
+    *, scale: np.ndarray | None = None, relu: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients of conv1d_same w.r.t. its input (None unless input_grad) and
     its kernels; the bias gradient, grad_out's channel sums, is not computed.
 
-    x is the forward's (B, L, Cin) input, grad_out is (B, L, Cout). A (Cout,)
+    x is the forward's (B, L, Cin) input, grad_out is (B, L, Cout). With a
+    pair of (Cin,) vectors relu = (gamma, beta), x is instead what the
+    forward's input was made from, ReLU(x * gamma + beta) as a training
+    block makes its output: each slice rebuilds its input rows into the
+    padded copy it makes anyway, so no input-sized array exists. A (Cout,)
     scale, if given, multiplies each channel of grad_out, the mirror of the
     forward's scale, without a pass over it: the input gradient correlates
     grad_out with the tap-reversed, transposed kernels times scale (a
-    kernel-sized copy) and mirrored padding. The kernel gradient walks the
-    forward's im2col slices of x, one GEMM per slice for all k taps, and
-    scales the rows of its (Cout, k * Cin) sum.
+    kernel-sized copy) and mirrored padding, and reads no x. The kernel
+    gradient walks the forward's im2col slices of x, one GEMM per slice for
+    all k taps, and scales the rows of its (Cout, k * Cin) sum.
     """
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -328,7 +342,7 @@ def conv1d_same_backward(
     def product(item):
         series, positions = item
         return grad_out[series, positions].reshape(-1, c_out).T @ _im2col(
-            x, series, positions, k, left)
+            x, series, positions, k, left, relu)
 
     grad_w_t = np.zeros((c_out, k * c_in))
     for part in ordered_map(product, _slices(x, k * c_in), ahead=WORKERS):

@@ -386,6 +386,23 @@ class TestEval:
         assert lines[0] == "index,predicted,truth"
         assert len(lines) == 1 + 8
 
+    def test_failed_predictions_write_keeps_the_earlier_file(self, synthetic_splits, tmp_path,
+                                                              capsys, monkeypatch):
+        ckpt = self.make_checkpoint(synthetic_splits, tmp_path)
+        train, test = synthetic_splits
+        preds = tmp_path / "preds.csv"
+        preds.write_text("earlier\n")
+
+        def fail(fd):
+            raise OSError("disk full")
+        monkeypatch.setattr(model_mod.os, "fsync", fail)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--train-path", str(train),
+                     "--test-path", str(test), "--predictions", str(preds)]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert preds.read_text() == "earlier\n"
+        assert not preds.with_name("preds.csv.tmp").exists()
+
     def test_series_length_mismatch_is_an_error(self, synthetic_splits, tmp_path, capsys):
         ckpt = self.make_checkpoint(synthetic_splits, tmp_path)
         short_train = tmp_path / "short_TRAIN.csv"

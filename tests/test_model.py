@@ -1,8 +1,13 @@
+import dataclasses
+import json
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from gradcheck import assert_grad_close, numerical_grad
 from writers import set_checkpoint_value
 
@@ -116,6 +121,15 @@ class TestArchConfig:
     def test_rejects_empty_or_nonpositive_conv_sizes(self, filters, kernels):
         with pytest.raises(ValueError, match="conv block"):
             ArchConfig(10, 2, conv_filters=filters, conv_kernels=kernels)
+
+    @pytest.mark.parametrize("changes", [
+        {"series_length": 10.0}, {"num_classes": "2"}, {"hidden_size": 2.5}, {"seed": 0.5},
+        {"conv_filters": (8, math.inf), "conv_kernels": (3, 3)},
+        {"conv_filters": (8,), "conv_kernels": (3.0,)},
+    ])
+    def test_rejects_non_integer_sizes_and_seed(self, changes):
+        with pytest.raises(ValueError, match="must be integers"):
+            ArchConfig(**{"series_length": 10, "num_classes": 2, **changes})
 
     def test_accepts_batch_norm_bounds(self):
         ArchConfig(10, 2, bn_momentum=0.0)
@@ -459,6 +473,66 @@ class TestBackward:
         assert loss1 < loss0
 
 
+class TestRebuiltBlockInputs:
+    """A training cache of block i > 0 keeps block i - 1's x_hat and its
+    forward-time gamma and beta instead of its input, which the conv
+    backward rebuilds from them a slice at a time."""
+
+    LENGTH = 40
+
+    def test_blocks_past_the_first_cache_no_input(self):
+        model = build(ArchConfig(self.LENGTH, 4, seed=2))
+        x = np.random.default_rng(3).normal(size=(3, self.LENGTH))
+        caches = forward(model, x, training=True, rng=Rng(0))[1]["conv_caches"]
+        assert caches[0]["x"].shape == (3, self.LENGTH, 1) and caches[0]["relu"] is None
+        for prev, cache in zip(caches, caches[1:]):
+            assert cache["x"] is prev["x_hat"]
+            assert cache["relu"][0] is prev["gamma"] and cache["relu"][1] is prev["beta"]
+
+    def test_step_reads_the_forwards_gamma_and_beta(self, monkeypatch):
+        # 64 floats per slice cut every series, so the rebuild reaches both
+        # padding edges; every block's gamma and beta change between the
+        # second forward and its backward
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 64)
+        model = build(ArchConfig(self.LENGTH, 4, cell_kind="lstm", dropout_rate=0.5, seed=9))
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(5, self.LENGTH)), np.eye(4)[[0, 3, 1, 2, 1]]
+
+        def step(overwrite):
+            _, cache = forward(model, x, training=True, rng=Rng(1))
+            if overwrite:
+                for block in model.blocks:
+                    block.bn_gamma[...] = rng.normal(size=block.bn_gamma.shape)
+                    block.bn_beta[...] = rng.normal(size=block.bn_beta.shape)
+            return backward(model, cache, y)
+
+        loss, grads = step(False)
+        loss_after, grads_after = step(True)
+        assert loss_after == loss
+        for name, grad in grads.items():
+            assert np.array_equal(grads_after[name], grad), name
+
+    def test_training_step_peak_in_block_outputs(self, monkeypatch):
+        # a scaled Adiac shape; a unit is one (B, L, 128) float64 block output
+        monkeypatch.setattr(tensor_core, "WORKERS", 2)
+        batch, length = 32, 176
+        model = build(ArchConfig(length, 37, cell_kind="lstm", seed=3))
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(batch, length)), np.eye(37)[rng.integers(0, 37, batch)]
+        tracemalloc.start()
+        try:
+            _, cache = forward(model, x, training=True, rng=Rng(1))
+            backward(model, cache, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # block 1's backward holds the three x_hats (1 + 2 + 1 units), its
+        # incoming gradient and dz (2 each) and its input gradient (1): 9,
+        # and about 2.3 more of slices, weights and smaller arrays (11.3
+        # measured). Caching blocks 1 and 2's inputs as well adds 3 (14.3).
+        assert peak < 12.8 * batch * length * 128 * 8
+
+
 def test_failed_atomic_write_keeps_the_earlier_file(tmp_path):
     path = tmp_path / "history.csv"
     write_atomic(path, [b"old\n"])
@@ -581,10 +655,12 @@ class TestCheckpoint:
         {"conv_filters": [], "conv_kernels": []}, {"bn_epsilon": -10}, {"bn_epsilon": 0},
         {"bn_epsilon": "x"}, {"bn_epsilon": float("nan")}, {"bn_epsilon": float("inf")},
         {"bn_momentum": None}, {"bn_momentum": 1.5}, {"bn_momentum": -0.1},
+        {"series_length": 10.0}, {"hidden_size": 8.0}, {"conv_filters": [math.inf, 256, 128]},
     ], ids=["unknown-key", "missing-key", "bad-cell-kind", "bad-filters",
             "empty-convs", "negative-bn-epsilon", "zero-bn-epsilon", "string-bn-epsilon",
             "nan-bn-epsilon", "inf-bn-epsilon", "null-bn-momentum", "bn-momentum-above-one",
-            "negative-bn-momentum"])
+            "negative-bn-momentum", "float-series-length", "float-hidden-size",
+            "infinite-conv-filters"])
     def test_bad_header_config_rejected(self, tmp_path, changes):
         import json
         path = tmp_path / "m.ckpt"
@@ -599,6 +675,41 @@ class TestCheckpoint:
                 header["config"][key] = value
         path.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + body[nl:])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_deeply_nested_header_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + b"[" * 100_000 + b"\n")
+        with pytest.raises(TruncatedCheckpointError, match="unreadable checkpoint header"):
+            load_checkpoint(path)
+
+    def test_header_sizes_written_as_floats_load_by_the_configs_shapes(self, tmp_path):
+        # 3.0 == 3, so the manifests match; the tensors take the config's shapes
+        model = build(ArchConfig(10, 2))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        body = path.read_bytes()[len(CHECKPOINT_MAGIC):]
+        nl = body.index(b"\n")
+        header = json.loads(body[:nl])
+        for entry in header["manifest"]:
+            entry[1] = [float(n) for n in entry[1]]
+        path.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + body[nl:])
+        loaded = load_checkpoint(path)
+        for name, arr in model.parameters().items():
+            assert loaded.parameters()[name].shape == arr.shape, name
+
+    def test_payload_size_is_exact_past_int64(self, tmp_path):
+        # the (2**62, 4) cell matrices hold 2**64 floats each, a count that
+        # int64 products wrap to 0: a payload without them must not pass
+        config = ArchConfig(2 ** 62, 2, hidden_size=4, conv_filters=(2,), conv_kernels=(3,))
+        manifest = parameter_manifest(config)
+        rest = sum(math.prod(shape) for _, shape in manifest if config.series_length not in shape)
+        header = {"config": dataclasses.asdict(config),
+                  "manifest": [[name, list(shape)] for name, shape in manifest]}
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n"
+                         + bytes(4 * rest))
+        with pytest.raises(ManifestMismatchError, match="payload"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -617,3 +728,89 @@ class TestCheckpoint:
         model, loaded = self.roundtrip(config, tmp_path, tag=str(seed))
         for name, arr in model.parameters().items():
             assert np.max(np.abs(arr - loaded.parameters()[name])) < 1e-6, name
+
+
+def _json_paths(node, prefix=()):
+    """Every key path into a parsed JSON value, itself first."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.integers(-2 ** 70, 2 ** 70)
+    | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _variants(old):
+    """Values near a header's number or list with a wrong type or size: the
+    number as a float or string, negated, off by one, huge, infinite or NaN;
+    the list one item short or long, or its numbers as floats."""
+    if isinstance(old, list):
+        return st.sampled_from([old[:-1], old + old[-1:],
+                                [float(v) if isinstance(v, int) else v for v in old]])
+    if isinstance(old, (int, float)) and not isinstance(old, bool):
+        return st.sampled_from([float(old), str(old), -old, old + 1, old - 1, old * 2 ** 40,
+                                math.inf, -math.inf, math.nan])
+    return st.nothing()
+
+
+class TestCheckpointFuzz:
+    """load_checkpoint on mutations of a real small checkpoint returns a
+    model or raises CheckpointError, and nothing else."""
+
+    CONFIG = ArchConfig(6, 3, hidden_size=2, conv_filters=(2, 3), conv_kernels=(3, 2), seed=4)
+
+    @pytest.fixture(scope="class")
+    def original(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+        save_checkpoint(build(self.CONFIG), path)
+        raw = path.read_bytes()
+        newline = raw.index(b"\n", len(CHECKPOINT_MAGIC))
+        return path, raw, json.loads(raw[len(CHECKPOINT_MAGIC):newline]), raw[newline:]
+
+    @staticmethod
+    @st.composite
+    def mutations(draw, original):
+        _, raw, header, payload = original
+        kind = draw(st.sampled_from(["truncate", "flip", "edit"]))
+        if kind == "truncate":
+            return raw[:draw(st.integers(0, len(raw) - 1))]
+        if kind == "flip":
+            data = bytearray(raw)
+            for _ in range(draw(st.integers(1, 4))):
+                data[draw(st.integers(0, len(raw) - 1))] ^= draw(st.integers(1, 255))
+            return bytes(data)
+        header = json.loads(json.dumps(header))
+        for _ in range(draw(st.integers(1, 3))):
+            path = draw(st.sampled_from(list(_json_paths(header))))
+            if not path:
+                header = draw(JSON_VALUES)
+                continue
+            parent = header
+            for key in path[:-1]:
+                parent = parent[key]
+            value = draw(st.just(MISSING) | JSON_VALUES | _variants(parent[path[-1]]))
+            if value is MISSING:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            if isinstance(parent, dict) and draw(st.booleans()):
+                parent[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+        return CHECKPOINT_MAGIC + json.dumps(header).encode("utf-8") + payload
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_load_returns_a_model_or_raises_checkpoint_error(self, original, data):
+        path = original[0].with_name("mutated.ckpt")
+        path.write_bytes(data.draw(self.mutations(original)))
+        try:
+            loaded = load_checkpoint(path)
+        except CheckpointError:
+            return
+        assert isinstance(loaded, model_mod.GruFcnModel)

@@ -525,3 +525,35 @@ class TestWorkers:
         assert list(tensor_core.ordered_map(fn, range(7))) == list(range(7))
         with pytest.raises(ValueError, match="item 7"):
             list(tensor_core.ordered_map(fn, range(20)))
+
+
+class TestRebuiltInput:
+    """With relu = (gamma, beta), conv1d_same_backward reads x as
+    ReLU(x * gamma + beta), rebuilt a slice at a time into the slice's
+    padded copy; its gradients must be bitwise those of the materialized
+    input, however the slices cut the series and however many workers."""
+
+    # 5 series of 9 positions, 3 channels: slices of 1 or 4 positions cut
+    # each series, so some slices reach past its start or end; 9 and 18 are
+    # one and two whole series
+    @pytest.mark.parametrize("positions", [1, 4, 9, 18])
+    @pytest.mark.parametrize("k", [4, 5])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_gradients_are_bitwise_those_of_the_materialized_input(self, monkeypatch,
+                                                                   positions, k, workers):
+        rng = np.random.default_rng(17)
+        x_hat = rng.normal(size=(5, 9, 3))
+        gamma, beta = rng.normal(size=3), rng.normal(size=3)
+        kernels = rng.normal(size=(k, 3, 6))
+        grad_out = rng.normal(size=(5, 9, 6))
+        scale = rng.normal(size=6)
+        x = np.maximum(x_hat * gamma + beta, 0.0)  # as a training block makes its output
+        assert 0 < np.count_nonzero(x) < x.size
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", positions * k * 3)
+        monkeypatch.setattr(tensor_core, "WORKERS", workers)
+        starts = {p.start for _, p in tensor_core._slices(x_hat, k * 3)}
+        assert (len(starts) > 1) == (positions < 9)
+        expected = conv1d_same_backward(x, kernels, grad_out, scale=scale)
+        got = conv1d_same_backward(x_hat, kernels, grad_out, scale=scale, relu=(gamma, beta))
+        for a, b in zip(got, expected, strict=True):
+            assert np.array_equal(a, b)
