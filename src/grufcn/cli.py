@@ -245,16 +245,22 @@ def cmd_compare(args) -> int:
 
 def _int_rows(path, columns: tuple[str, ...]):
     """(dataset, integer value of each column) for every row of a CSV file
-    with a header; a short row or a non-integer field names its line."""
+    with a header; a short row, a non-integer field or a malformed CSV line
+    names its line."""
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                entry = row["dataset"], tuple(int(row[c]) for c in columns)
-            except (KeyError, TypeError, ValueError):
-                raise CliError(f"{path}, line {reader.line_num}: need a dataset and "
-                               f"integer {', '.join(columns)}") from None
-            yield entry
+        try:
+            for row in reader:
+                try:
+                    entry = row["dataset"], tuple(int(row[c]) for c in columns)
+                except (KeyError, TypeError, ValueError):
+                    raise CliError(f"{path}, line {reader.line_num}: need a dataset and "
+                                   f"integer {', '.join(columns)}") from None
+                yield entry
+        except csv.Error as exc:  # the DictReader counts only the rows it returned
+            raise CliError(f"{path}, line {reader.reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:  # text is decoded in blocks, so no line is known
+            raise CliError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _load_class_counts(path, datasets) -> np.ndarray:

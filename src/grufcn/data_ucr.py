@@ -65,18 +65,21 @@ def _records(path):
     the same field count, and the file is not empty."""
     width = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            delim = "\t" if "\t" in line else ","
-            count, where = line.count(delim) + 1, f"{path}:{lineno}"
-            if count < 2:
-                raise UcrParseError(f"{where}: record has no series values")
-            width = width or count  # the first record sets the width
-            if count != width:
-                raise UcrParseError(f"{where}: row has {count} fields, expected {width}")
-            yield where, line, delim
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                delim = "\t" if "\t" in line else ","
+                count, where = line.count(delim) + 1, f"{path}:{lineno}"
+                if count < 2:
+                    raise UcrParseError(f"{where}: record has no series values")
+                width = width or count  # the first record sets the width
+                if count != width:
+                    raise UcrParseError(f"{where}: row has {count} fields, expected {width}")
+                yield where, line, delim
+        except UnicodeDecodeError as exc:  # text is decoded in blocks, so no line is known
+            raise UcrParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if width is None:
         raise UcrParseError(f"{path}: empty split file")
 

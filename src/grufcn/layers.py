@@ -1,6 +1,7 @@
 """Forward and backward passes for every layer of the hybrid classifier:
-conv + batch-norm + ReLU blocks, GRU and LSTM cells, global average pooling,
-inverted dropout, and the dense softmax head with its cross-entropy loss.
+conv + batch-norm + ReLU blocks and the conv branch they make with global
+average pooling, GRU and LSTM cells, inverted dropout, and the dense softmax
+head with its cross-entropy loss.
 
 All layers operate on float64 batches. Backward passes return exact analytic
 gradients; the test suite checks each one against central finite differences.
@@ -13,7 +14,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .tensor_core import (Rng, ShapeMismatchError, batch_slices, conv1d_same,
+from . import tensor_core
+from .tensor_core import (Rng, ShapeMismatchError, _bn_relu, batch_slices, conv1d_same,
                           conv1d_same_backward, ordered_map)
 
 BN_CHUNK_ELEMENTS = 1 << 17  # float64 elements per batch-norm chunk of a block output (1 MiB)
@@ -64,7 +66,8 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
     place into the cached x_hat, a chunk at a time, so that each chunk's
     chained passes run from cache; the returned output is the only other
     block-sized array. The cache keeps x_hat, copies of gamma and beta, and
-    x, but not the output, which the next block's backward can rebuild.
+    x, but not the output, which the next block's backward can rebuild
+    (conv_branch links the caches so).
     The chunks run on tensor_core.WORKERS threads like the conv's slices,
     and their partial sums are added in chunk order.
     The batch statistics must be finite, which any non-finite input or conv
@@ -107,10 +110,7 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
     out = np.empty_like(y)
 
     def normalize(chunk):
-        x_hat = np.multiply(y[chunk], inv_std, out=y[chunk])
-        z = np.multiply(x_hat, gamma, out=out[chunk])
-        z += beta
-        np.maximum(z, 0.0, out=z)
+        _bn_relu(np.multiply(y[chunk], inv_std, out=y[chunk]), gamma, beta, out[chunk])
 
     for _ in ordered_map(normalize, chunks):
         pass
@@ -141,17 +141,16 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     # gamma * sum(dz) / n and mean(dx_hat * x_hat) is gamma * sum(dz * x_hat) / n,
     # so dy = (dz - sum(dz)/n - x_hat * sum(dz * x_hat)/n) * gamma * inv_std;
     # dz becomes dy in place, and the conv backward applies gamma * inv_std.
-    # The ReLU gate is recomputed per chunk, exactly as the forward's z > 0:
-    # caching it, or the last block's output that nothing else keeps, would
-    # hold a block-sized array through the whole backward
+    # The ReLU gate is recomputed per chunk from the forward's own output
+    # values, into dz: caching it, or the last block's output that nothing
+    # else keeps, would hold a block-sized array through the whole backward
     n, chunks = x_hat.shape[0] * x_hat.shape[1], list(_chunks(x_hat.shape))
     dz = np.empty_like(x_hat)
     grad_gamma, grad_beta = np.zeros(x_hat.shape[2]), np.zeros(x_hat.shape[2])
 
     def gate(chunk):
-        z = x_hat[chunk] * gamma
-        z += beta
-        d = np.multiply(grad_out[chunk], z > 0, out=dz[chunk])
+        out = _bn_relu(x_hat[chunk], gamma, beta, dz[chunk])
+        d = np.multiply(grad_out[chunk], out > 0, out=out)
         return np.einsum("blc,blc->c", d, x_hat[chunk]), d.sum(axis=(0, 1))
 
     for part_gamma, part_beta in ordered_map(gate, chunks):
@@ -170,6 +169,53 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
                                                 scale=gamma * cache["inv_std"],
                                                 relu=cache["relu"])
     return grad_x, {"kernels": grad_kernels, "bn_gamma": grad_gamma, "bn_beta": grad_beta}
+
+
+def _blocks_pooled(blocks: list[ConvBlock], x: np.ndarray, training: bool):
+    """Pooled features of x through every block, and the block caches. A
+    training cache of block i > 0 swaps its input, block i - 1's output, for
+    the x_hat, gamma and beta it is rebuilt from."""
+    caches = []
+    for block in blocks:
+        x, cache = conv_block_forward(block, x, training)
+        if training and caches:
+            prev = caches[-1]
+            cache.update(x=prev["x_hat"], relu=(prev["gamma"], prev["beta"]))
+        caches.append(cache)
+    return global_avg_pool(x), caches
+
+
+def conv_branch(blocks: list[ConvBlock], x: np.ndarray, training: bool):
+    """Pooled (B, Cout) features of the blocks run in turn over a (B, L, Cin)
+    input, and in training mode the per-block caches (else None).
+
+    Training runs the whole batch at once, since batch norm takes its
+    statistics over all of it. At inference the blocks run over groups of
+    whole series, each through every block and the pooling before the next
+    starts, so only one group's activations are alive: at most
+    `tensor_core.IM2COL_ELEMENTS` floats per block output (or one series, if
+    that is larger), however large B is.
+    """
+    if training:
+        return _blocks_pooled(blocks, x, True)
+    widest = max(block.kernels.shape[2] for block in blocks)
+    group = max(1, tensor_core.IM2COL_ELEMENTS // (x.shape[1] * widest))
+    pooled = np.empty((len(x), blocks[-1].kernels.shape[2]))
+    for start in range(0, len(x), group):
+        pooled[start:start + group] = _blocks_pooled(blocks, x[start:start + group], False)[0]
+    return pooled, None
+
+
+def conv_branch_backward(caches, grad_pooled: np.ndarray) -> list[dict[str, np.ndarray]]:
+    """Each block's gradients, keyed by ConvBlock.TRAINED, in block order,
+    from conv_branch's training caches and the gradient of its pooled
+    features. The blocks run last to first; nothing reads the gradient of
+    the branch's input, so block 0 computes none."""
+    grad = global_avg_pool_backward(grad_pooled, caches[-1]["x_hat"].shape[1])
+    grads = [None] * len(caches)
+    for i in reversed(range(len(caches))):
+        grad, grads[i] = conv_block_backward(caches[i], grad, i > 0)
+    return grads
 
 
 # ---------------------------------------------------------------------------

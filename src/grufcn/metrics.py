@@ -90,25 +90,33 @@ class ErrorMatrix:
         with open(path, "r", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"{path}: empty error-matrix file") from None
-            if not header or header[0] != "dataset":
-                raise ValueError(f"{path}: first header column must be 'dataset'")
-            models = header[1:]
-            datasets, rows = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
-                    )
-                datasets.append(row[0])
-                try:
-                    rows.append([float(v) if v != "" else np.nan for v in row[1:]])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad value ({exc})") from exc
+                header = next(reader, None)
+                if header is None:
+                    raise ValueError(f"{path}: empty error-matrix file")
+                if not header or header[0] != "dataset":
+                    raise ValueError(f"{path}: first header column must be 'dataset'")
+                models = header[1:]
+                datasets, rows = [], []
+                for row in reader:
+                    if not row:
+                        continue
+                    if len(row) != len(header):
+                        raise ValueError(f"{path}:{reader.line_num}: expected "
+                                         f"{len(header)} columns, got {len(row)}")
+                    datasets.append(row[0])
+                    try:
+                        rows.append([float(v) if v != "" else np.nan for v in row[1:]])
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{reader.line_num}: bad value ({exc})") from exc
+            except csv.Error as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            except UnicodeDecodeError as exc:  # text is decoded in blocks, so no line is known
+                raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        # results go by model name, and a repeated dataset would count twice
+        for kind, names in (("model", models), ("dataset", datasets)):
+            if len(set(names)) < len(names):
+                repeated = sorted({n for n in names if names.count(n) > 1})
+                raise ValueError(f"{path}: repeated {kind} name(s) {', '.join(repeated)}")
         errors = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(models))
         empty = [m for m, gone in zip(models, np.isnan(errors).all(axis=0)) if gone]
         if empty:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import layers, tensor_core
+from . import layers
 from .layers import ConvBlock, DenseSoftmax, GruCell, LstmCell
 from .tensor_core import Rng, ShapeMismatchError, glorot_uniform_init, he_uniform_init
 
@@ -186,13 +186,7 @@ def forward(model: GruFcnModel, batch: np.ndarray, training: bool = False,
     recurrent branch sees the dimension-shuffled series as one time step of
     L features, started from a zero state, followed by dropout. Only a
     training-mode cache holds the layer state that backward needs.
-
-    At inference the conv branch runs over groups of whole series, each
-    through every block and the pooling before the next starts, so only one
-    group's activations are alive: at most `tensor_core.IM2COL_ELEMENTS`
-    floats per block output (or one series, if that is larger), however
-    large B is. Training runs the whole batch at once, since batch norm
-    takes its statistics over all of it.
+    `layers.conv_branch` bounds the conv branch's memory at inference.
 
     A non-finite input, or non-finite pooled conv features, raises
     FloatingPointError: NaN survives the ReLU and +Inf the pooling, so every
@@ -207,15 +201,7 @@ def forward(model: GruFcnModel, batch: np.ndarray, training: bool = False,
         )
     if not np.all(np.isfinite(batch)):
         raise FloatingPointError("non-finite value in the input batch")
-    if training:
-        pooled, conv_caches = _conv_branch(model, batch[:, :, None], True)
-    else:
-        group = max(1, tensor_core.IM2COL_ELEMENTS
-                    // (config.series_length * max(config.conv_filters)))
-        pooled = np.empty((len(batch), config.conv_filters[-1]))
-        for start in range(0, len(batch), group):
-            pooled[start:start + group] = _conv_branch(
-                model, batch[start:start + group, :, None], False)[0]
+    pooled, conv_caches = layers.conv_branch(model.blocks, batch[:, :, None], training)
     if not np.all(np.isfinite(pooled)):
         raise FloatingPointError("non-finite conv-branch features: the weights overflowed")
 
@@ -227,23 +213,8 @@ def forward(model: GruFcnModel, batch: np.ndarray, training: bool = False,
     probs = layers.dense_softmax(model.head, features)
     cache = {"features": features, "probs": probs}
     if training:
-        cache.update(conv_caches=conv_caches, conv_out_length=config.series_length,
-                     cell_cache=cell_cache, dropout_mask=mask)
+        cache.update(conv_caches=conv_caches, cell_cache=cell_cache, dropout_mask=mask)
     return probs, cache
-
-
-def _conv_branch(model: GruFcnModel, x: np.ndarray, training: bool):
-    """Pooled (B, F) conv-branch features of a (B, L, 1) input, and the
-    per-block caches. A training cache of block i > 0 swaps its input, block
-    i - 1's output, for the x_hat, gamma and beta it is rebuilt from."""
-    caches = []
-    for block in model.blocks:
-        x, block_cache = layers.conv_block_forward(block, x, training)
-        if training and caches:
-            prev = caches[-1]
-            block_cache.update(x=prev["x_hat"], relu=(prev["gamma"], prev["beta"]))
-        caches.append(block_cache)
-    return layers.global_avg_pool(x), caches
 
 
 def backward(model: GruFcnModel, cache, y_onehot: np.ndarray):
@@ -267,9 +238,7 @@ def backward(model: GruFcnModel, cache, y_onehot: np.ndarray):
     for name, g in cell_backward(cache["cell_cache"], dh).items():
         grads[f"cell.{name}"] = g
 
-    dx = layers.global_avg_pool_backward(dpooled, cache["conv_out_length"])
-    for i in reversed(range(len(model.blocks))):  # nothing reads the data's gradient
-        dx, block_grads = layers.conv_block_backward(cache["conv_caches"][i], dx, i > 0)
+    for i, block_grads in enumerate(layers.conv_branch_backward(cache["conv_caches"], dpooled)):
         for name, g in block_grads.items():
             grads[f"conv{i}.{name}"] = g
     return loss, grads

@@ -145,13 +145,22 @@ def _slices(x: np.ndarray, cost: int, unit: int = 1):
     return batch_slices(batch, span, max(1, IM2COL_ELEMENTS // cost) * unit)
 
 
+def _bn_relu(x_hat: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+    """out = max(x_hat * gamma + beta, 0) in three in-place passes: the one
+    sequence that makes a training block's output and rebuilds it, so a
+    rebuilt value is bitwise the forward's."""
+    np.multiply(x_hat, gamma, out=out)
+    out += beta
+    return np.maximum(out, 0.0, out=out)
+
+
 def _padded(x: np.ndarray, series: slice, positions: slice, k: int, left: int,
             relu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """x[series] from positions.start - left to positions.stop + k - 1 - left,
-    zero outside x; with relu = (gamma, beta), max(x * gamma + beta, 0) there
-    instead, in a training block's own three passes, so bitwise its output.
-    (np.pad makes the same array with about three times the Python overhead,
-    which every slice pays.)"""
+    zero outside x; with relu = (gamma, beta), _bn_relu of x there instead,
+    so bitwise a training block's output. (np.pad makes the same array with
+    about three times the Python overhead, which every slice pays.)"""
     lo, hi = positions.start - left, positions.stop + k - 1 - left
     part = x[series, max(lo, 0):min(hi, x.shape[1])]
     padded = np.empty((part.shape[0], hi - lo, x.shape[2]))
@@ -163,9 +172,7 @@ def _padded(x: np.ndarray, series: slice, positions: slice, k: int, left: int,
     if relu is None:
         rows[...] = part
     else:
-        np.multiply(part, relu[0], out=rows)
-        rows += relu[1]
-        np.maximum(rows, 0.0, out=rows)
+        _bn_relu(part, *relu, rows)
     return padded
 
 

@@ -15,6 +15,8 @@ from .model import GruFcnModel, save_checkpoint, write_atomic
 from .tensor_core import Rng, ShapeMismatchError
 
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+# the learning rate falls by LR_FACTOR every LR_INTERVAL epochs, to LR_FLOOR
+LR_FACTOR, LR_INTERVAL, LR_FLOOR = 0.8, 100, 1e-4
 
 
 @dataclass
@@ -47,16 +49,14 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
 @dataclass
 class LrSchedule:
     initial: float = 0.01
-    factor: float = 0.8
-    interval: int = 100
-    floor: float = 0.0001
 
 
 def lr_at(schedule: LrSchedule, epoch: int) -> float:
-    """max(floor, initial * factor^(epoch // interval)); non-increasing."""
+    """max(LR_FLOOR, initial * LR_FACTOR^(epoch // LR_INTERVAL));
+    non-increasing."""
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
-    return max(schedule.floor, schedule.initial * schedule.factor ** (epoch // schedule.interval))
+    return max(LR_FLOOR, schedule.initial * LR_FACTOR ** (epoch // LR_INTERVAL))
 
 
 @dataclass

@@ -526,3 +526,52 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "syn_TRAIN.csv:3: non-finite label" in err
         assert "Traceback" not in err
+
+
+# the csv module refuses a field over 131072 characters with csv.Error; the
+# split reader splits lines itself, so only text files read as CSV get it
+FAULTS = {"non-utf8": b"\xff,1,2\n", "oversized-field": b"d" * 140_000 + b",1,2\n"}
+
+
+class TestBadInputFiles:
+    """A damaged input file ends each subcommand in one error line that
+    names the file, with exit status 1 and no traceback."""
+
+    @staticmethod
+    def assert_one_error(capsys, path, code):
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command, split", [("train", 0), ("train", 1),
+                                                ("eval", 0), ("eval", 1)])
+    def test_split_file_with_a_non_utf8_byte(self, synthetic_splits, tmp_path, capsys,
+                                             command, split):
+        if command == "eval":
+            ckpt = TestEval().make_checkpoint(synthetic_splits, tmp_path)
+        damaged = synthetic_splits[split]
+        damaged.write_bytes(damaged.read_bytes() + FAULTS["non-utf8"])
+        capsys.readouterr()
+        if command == "train":
+            code = run_train(synthetic_splits, tmp_path / "run")
+        else:
+            code = TestEval().run_eval(ckpt, *synthetic_splits, tmp_path / "preds.csv")
+        self.assert_one_error(capsys, damaged, code)
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_params_reference(self, capsys, tmp_path, fault):
+        ref = tmp_path / "ref.csv"
+        ref.write_bytes(b"dataset,GRU-FCN,LSTM-FCN\nAdiac,275237,276717\n" + FAULTS[fault])
+        self.assert_one_error(capsys, ref, main(["params", "Adiac", "--check", str(ref)]))
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("flag", ["--errors", "--class-counts"])
+    def test_compare_tables(self, capsys, tmp_path, flag, fault):
+        files = {"--errors": tmp_path / "errs.csv", "--class-counts": tmp_path / "counts.csv"}
+        files["--errors"].write_bytes(b"dataset,M1,M2\nAdiac,0.1,0.2\n")
+        files["--class-counts"].write_bytes(b"dataset,classes\nAdiac,37\n")
+        files[flag].write_bytes(files[flag].read_bytes() + FAULTS[fault])
+        code = main(["compare", "--errors", str(files["--errors"]), "--class-counts",
+                     str(files["--class-counts"]), "--out", str(tmp_path / "c")])
+        self.assert_one_error(capsys, files[flag], code)
+        assert not (tmp_path / "c").exists()

@@ -14,6 +14,7 @@ from grufcn.data_ucr import (
     registry,
     registry_lookup,
 )
+from mutations import mutations
 from writers import write_split
 
 
@@ -130,6 +131,13 @@ class TestLoadLabels:
         with pytest.raises(UcrParseError, match=message):
             load_split(path)
 
+    def test_non_utf8_byte_names_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"1,0.5,\xff\n")
+        for load in (load_split, load_labels):
+            with pytest.raises(UcrParseError, match=r"s\.csv: not UTF-8 text"):
+                load(path)
+
     def test_series_values_are_not_parsed(self, tmp_path):
         # only the label field is read, so a bad series value goes unseen
         path = tmp_path / "s.csv"
@@ -184,6 +192,54 @@ class TestLoadTestSplit:
         write_lines(test, ["1,0.0,1.0"])
         with pytest.raises(UcrParseError, match=message):
             load_test_split(train, test, "t")
+
+
+class TestSplitFuzz:
+    """load_split, load_labels and load_test_split on damaged copies of a
+    small split file return a valid result or raise UcrParseError naming
+    the damaged file (or, for a length mismatch, the dataset)."""
+
+    @pytest.fixture(scope="class")
+    def splits(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("fuzz")
+        rng = np.random.default_rng(5)
+        for split, n in (("TRAIN", 4), ("TEST", 3)):
+            write_split(work / f"f_{split}.csv", rng.integers(1, 4, n), rng.normal(size=(n, 5)))
+        return work / "f_TRAIN.csv", work / "f_TEST.csv"
+
+    @staticmethod
+    def outcome(load, *args):
+        try:
+            return load(*args)
+        except UcrParseError as exc:
+            return exc
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_loaders_return_a_split_or_name_the_file(self, splits, data):
+        side = data.draw(st.sampled_from([0, 1]))
+        path = splits[side].with_name(f"mutated_{splits[side].name}")
+        path.write_bytes(data.draw(mutations(splits[side].read_bytes())))
+        full, labels = self.outcome(load_split, path), self.outcome(load_labels, path)
+        for result in (full, labels):
+            if isinstance(result, UcrParseError):
+                assert str(result).startswith(str(path)), result
+        if not isinstance(full, UcrParseError):
+            raw_labels, x = full
+            assert x.dtype == np.float64 and x.ndim == 2 and x.shape[1] >= 1
+            assert raw_labels.shape == (x.shape[0],) and x.shape[0] >= 1
+            assert np.all(np.isfinite(raw_labels)) and np.all(np.isfinite(x))
+            # load_labels checks a subset of what load_split checks
+            assert np.array_equal(labels[0], raw_labels) and labels[1] == x.shape[1]
+        pair = [path if i == side else p for i, p in enumerate(splits)]
+        joined = self.outcome(load_test_split, *pair, "f")
+        if isinstance(joined, UcrParseError):
+            assert str(joined).startswith((str(path), "f: train length")), joined
+            return
+        test_x, test_y, label_map = joined
+        assert np.array_equal(test_x, load_split(pair[1])[1])
+        assert sorted(label_map.values()) == list(range(len(label_map)))
+        assert np.all((test_y >= 0) & (test_y < len(label_map)))
 
 
 class TestMakeDataset:

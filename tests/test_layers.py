@@ -13,6 +13,8 @@ from grufcn.layers import (
     LstmCell,
     conv_block_backward,
     conv_block_forward,
+    conv_branch,
+    conv_branch_backward,
     cross_entropy,
     dense_softmax,
     dense_softmax_backward,
@@ -394,6 +396,36 @@ class TestChunkedTrainingBlock:
 
         bound = conv_peak + 3 * grad_out.nbytes + block.kernels.nbytes + (1 << 20)
         assert traced_peak(step) <= bound
+
+
+class TestConvBranch:
+    """conv_branch and conv_branch_backward on their own: blocks 1 and 2
+    rebuild their inputs from the previous block's cache."""
+
+    def test_backward_matches_finite_differences(self, monkeypatch):
+        # 12 floats per im2col slice: 3, 1 and 1 positions of a 10-position series
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 12)
+        rng = np.random.default_rng(21)
+        blocks = [make_conv_block(rng, 4, 1, 3), make_conv_block(rng, 3, 3, 4),
+                  make_conv_block(rng, 2, 4, 2)]
+        x = rng.normal(size=(3, 10, 1))
+        grad_pooled = rng.normal(size=(3, 2))
+
+        def loss():
+            return float(np.sum(conv_branch(blocks, x, True)[0] * grad_pooled))
+
+        grads = conv_branch_backward(conv_branch(blocks, x, True)[1], grad_pooled)
+        assert len(grads) == len(blocks)
+        for i, block in enumerate(blocks):
+            assert list(grads[i]) == list(ConvBlock.TRAINED)
+            for name in ConvBlock.TRAINED:
+                arr = getattr(block, name)
+
+                def f(v, arr=arr):
+                    arr[...] = v
+                    return loss()
+                assert_grad_close(grads[i][name], numerical_grad(f, arr.copy()), GRAD_TOL,
+                                  f"block {i} {name}")
 
 
 class TestGru:

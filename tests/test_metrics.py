@@ -1,6 +1,7 @@
 import itertools
 import warnings
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from grufcn.metrics import (
     tie_average_ranks,
     wilcoxon_signed_rank,
 )
+from mutations import mutations
 from writers import write_error_matrix
 
 
@@ -296,9 +298,62 @@ class TestErrorMatrixCsv:
         with pytest.raises(ValueError, match=":2"):
             ErrorMatrix.from_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("dataset,A,B,A\nd1,0.1,0.2,0.3\n", r"m\.csv: repeated model name\(s\) A$"),
+        ("dataset,A,B\nd1,0.1,0.2\nd2,0.2,0.1\nd1,0.3,0.1\n",
+         r"m\.csv: repeated dataset name\(s\) d1$"),
+    ], ids=["model", "dataset"])
+    def test_repeated_name_rejected(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            ErrorMatrix.from_csv(path)
+
+    def test_non_utf8_byte_names_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"dataset,A,B\nd1,0.1,0.2\xff\n")
+        with pytest.raises(ValueError, match=r"m\.csv: not UTF-8 text"):
+            ErrorMatrix.from_csv(path)
+
+    def test_oversized_field_names_line(self, tmp_path):
+        # the csv module refuses fields over 131072 characters with csv.Error
+        path = tmp_path / "m.csv"
+        path.write_text("dataset,A,B\nd1,0.1,0.2\n" + "d" * 140_000 + ",0.1,0.2\n")
+        with pytest.raises(ValueError, match=r"m\.csv:3: field larger than field limit"):
+            ErrorMatrix.from_csv(path)
+
     def test_column_lookup(self):
         m = ErrorMatrix(["A", "B"], ["d1"], np.array([[0.1, 0.2]]))
         assert np.array_equal(m.column("B"), [0.2])
+
+
+class TestErrorMatrixFuzz:
+    """ErrorMatrix.from_csv on damaged copies of a corner of the shipped
+    error table returns a consistent matrix or raises a ValueError naming
+    the file."""
+
+    @pytest.fixture(scope="class")
+    def original(self, tmp_path_factory):
+        table = resources.files("grufcn.data").joinpath("published_errors.csv").read_text()
+        # five rows and six models, one entry (ArrowHead, MCNN) missing
+        raw = "".join(",".join(line.split(",")[:7]) + "\n" for line in table.splitlines()[:6])
+        return tmp_path_factory.mktemp("fuzz") / "errors.csv", raw.encode("utf-8")
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_from_csv_returns_a_matrix_or_names_the_file(self, original, data):
+        path, raw = original
+        path.write_bytes(data.draw(mutations(raw)))
+        try:
+            matrix = ErrorMatrix.from_csv(path)
+        except ValueError as exc:
+            assert str(exc).startswith(str(path)), exc
+            return
+        assert matrix.errors.dtype == np.float64
+        assert matrix.errors.shape == (len(matrix.datasets), len(matrix.models))
+        assert not np.any(np.all(np.isnan(matrix.errors), axis=0))
+        for names in (matrix.models, matrix.datasets):
+            assert len(set(names)) == len(names)
 
 
 class TestWilcoxon:

@@ -9,7 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from writers import write_split
+
+from grufcn.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -74,3 +78,20 @@ def test_perfbench_wrap_points_exist(spans):
     for point in convs:
         fn = getattr(importlib.import_module(point.module), point.attr)
         assert list(inspect.signature(fn).parameters)[1] == "kernels", point
+
+
+def test_traced_training_reaches_every_blocks_wrappers(spans, tmp_path, capsys):
+    # the traced benchmark's per-block metrics read these spans, so the conv
+    # branch must call each block through the names it patches
+    rng = np.random.default_rng(0)
+    for split in ("TRAIN", "TEST"):
+        write_split(tmp_path / f"t_{split}", rng.integers(1, 3, 6), rng.normal(size=(6, 16)))
+    tracer = spans.Tracer()
+    with tracer.patched(spans.LAYERS):
+        assert main(["train", "--train-path", str(tmp_path / "t_TRAIN"),
+                     "--test-path", str(tmp_path / "t_TEST"), "--epochs", "1",
+                     "--out", str(tmp_path / "run")]) == 0
+    names = {span.name for span in tracer.take()}
+    for i in range(3):
+        assert {f"layers.conv_block_forward.conv{i}",
+                f"layers.conv_block_backward.conv{i}"} <= names, sorted(names)

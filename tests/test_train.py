@@ -6,6 +6,7 @@ from grufcn.data_ucr import UcrDataset
 from grufcn.model import ArchConfig, backward, build, forward, load_checkpoint
 from grufcn.tensor_core import Rng, ShapeMismatchError
 from grufcn.train import (
+    LR_FLOOR,
     AdamState,
     EpochRecord,
     LrSchedule,
@@ -105,14 +106,14 @@ class TestLrSchedule:
         assert lr_at(s, 100) == pytest.approx(0.008)
         assert lr_at(s, 250) == pytest.approx(0.0064)
         assert lr_at(s, 2050) == pytest.approx(0.01 * 0.8 ** 20)
-        assert lr_at(s, 2050) > s.floor
-        assert lr_at(s, 2150) == s.floor  # 0.01 * 0.8**21 dips below the floor
+        assert lr_at(s, 2050) > LR_FLOOR
+        assert lr_at(s, 2150) == LR_FLOOR  # 0.01 * 0.8**21 dips below the floor
 
     def test_non_increasing(self):
         s = LrSchedule()
         rates = [lr_at(s, e) for e in range(0, 3000, 7)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
-        assert all(r >= s.floor for r in rates)
+        assert all(r >= LR_FLOOR for r in rates)
 
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
