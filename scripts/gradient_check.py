@@ -15,12 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from grufcn.model import ArchConfig, backward, build, forward
-from grufcn.tensor_core import Rng
+from grufcn.model import ArchConfig, build
 
 # the finite-difference oracle the test suite uses
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from gradcheck import max_rel_error, numerical_grad  # noqa: E402
+from gradcheck import model_gradient_errors  # noqa: E402
 
 
 def main() -> int:
@@ -44,34 +43,16 @@ def main() -> int:
     model = build(config)
     x = rng.normal(size=(3, config.series_length))
     y = np.eye(config.num_classes)[rng.integers(0, config.num_classes, size=3)]
-
-    def loss():
-        for block in model.blocks:
-            block.bn_moving_mean[:] = 0
-            block.bn_moving_var[:] = 1
-        _, cache = forward(model, x, training=True, rng=Rng(0))
-        value, _ = backward(model, cache, y)
-        return value
-
-    loss()
-    _, cache = forward(model, x, training=True, rng=Rng(0))
-    _, grads = backward(model, cache, y)
-
-    if grads.keys() != model.trainable_parameters().keys():
-        print(f"gradients of {sorted(grads)}, trainable {sorted(model.trainable_parameters())}")
+    try:
+        errors = model_gradient_errors(model, x, y)
+    except AssertionError as exc:
+        print(exc)
         return 1
-    worst_overall = 0.0
+    worst_overall = max(errors.values())
     print(f"config: L={config.series_length} C={config.num_classes} "
           f"cell={config.cell_kind}")
     print("tensor,max_relative_error")
-    for name, arr in model.parameters().items():
-        if "moving" in name:
-            continue
-        def f(v, arr=arr):
-            arr[...] = v
-            return loss()
-        err = max_rel_error(grads.get(name, np.zeros_like(arr)), numerical_grad(f, arr.copy()))
-        worst_overall = max(worst_overall, err)
+    for name, err in errors.items():
         print(f"{name},{err:.3e}")
     print(f"worst: {worst_overall:.3e} (tolerance {args.tol})")
     return 0 if worst_overall <= args.tol else 1

@@ -8,7 +8,6 @@ from --root or the GRUFCN_UCR_ROOT environment variable.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -29,10 +28,6 @@ DEFAULT_TRAIN_BATCH = 128
 DEFAULT_TEST_BATCH = 128
 
 
-class CliError(Exception):
-    pass
-
-
 def _shipped(name: str):
     return resources.files("grufcn.data").joinpath(name)
 
@@ -43,10 +38,10 @@ def _split_files(args) -> tuple[Path, Path, str]:
         name = args.dataset or Path(args.train_path).stem.replace("_TRAIN", "")
         return Path(args.train_path), Path(args.test_path), name
     if not args.dataset:
-        raise CliError("need --dataset (with --root) or --train-path/--test-path")
+        raise ValueError("need --dataset (with --root) or --train-path/--test-path")
     root = args.root or os.environ.get(ROOT_ENV_VAR)
     if not root:
-        raise CliError(f"no archive root: pass --root or set {ROOT_ENV_VAR}")
+        raise ValueError(f"no archive root: pass --root or set {ROOT_ENV_VAR}")
     return *data_ucr.find_split_files(root, args.dataset), args.dataset
 
 
@@ -55,12 +50,12 @@ def _check_flags(args):
     non-finite or non-positive lr and a dropout rate outside [0, 1)."""
     for flag, least in (("train_batch", 1), ("eval_batch", 1), ("epochs", 0), ("seed", 0)):
         if getattr(args, flag, None) is not None and getattr(args, flag) < least:
-            raise CliError(f"--{flag.replace('_', '-')} must be at least {least}, "
-                           f"got {getattr(args, flag)}")
+            raise ValueError(f"--{flag.replace('_', '-')} must be at least {least}, "
+                             f"got {getattr(args, flag)}")
     if hasattr(args, "lr") and not (math.isfinite(args.lr) and args.lr > 0):
-        raise CliError(f"--lr must be finite and positive, got {args.lr}")
+        raise ValueError(f"--lr must be finite and positive, got {args.lr}")
     if hasattr(args, "dropout") and not 0.0 <= args.dropout < 1.0:
-        raise CliError(f"--dropout must be in [0, 1), got {args.dropout}")
+        raise ValueError(f"--dropout must be in [0, 1), got {args.dropout}")
 
 
 def _run_settings(args):
@@ -136,12 +131,12 @@ def cmd_eval(args) -> int:
     train_file, test_file, name = _split_files(args)
     test_x, test_y, label_map = data_ucr.load_test_split(train_file, test_file, name)
     if test_x.shape[1] != net.config.series_length:
-        raise CliError(
+        raise ValueError(
             f"checkpoint expects series length {net.config.series_length}, "
             f"dataset {name} has {test_x.shape[1]}"
         )
     if len(label_map) != net.config.num_classes:
-        raise CliError(
+        raise ValueError(
             f"checkpoint expects {net.config.num_classes} classes, "
             f"dataset {name} has {len(label_map)}"
         )
@@ -174,31 +169,23 @@ def cmd_params(args) -> int:
     elif args.dataset:
         names = [data_ucr.registry_lookup(args.dataset).name]
     else:
-        raise CliError("need a dataset name or --all")
+        raise ValueError("need a dataset name or --all")
+    counts = {name: _count_pair(reg[name]) for name in names}
+    if args.all:
+        counts["Total"] = tuple(map(sum, zip(*counts.values())))
     reference = None  # read and checked whole before any output
     if args.check is not None:
-        reference = list(_int_rows(
-            args.check if args.check != "" else _shipped("published_param_counts.csv"),
-            ("GRU-FCN", "LSTM-FCN")))
+        reference = _int_table(args.check or _shipped("published_param_counts.csv"),
+                               ("GRU-FCN", "LSTM-FCN"), counts)
     print("dataset,gru_fcn_params,lstm_fcn_params")
-    counts = {}
-    for name in names:
-        g, l = _count_pair(reg[name])
-        counts[name] = (g, l)
+    for name, (g, l) in counts.items():
         print(f"{name},{g},{l}")
-    if args.all:
-        total_g = sum(g for g, _ in counts.values())
-        total_l = sum(l for _, l in counts.values())
-        print(f"Total,{total_g},{total_l}")
-        counts["Total"] = (total_g, total_l)
     if reference is not None:
-        mismatches = 0
-        for name, expected in reference:
-            if name in counts and counts[name] != expected:
-                mismatches += 1
-                print(f"MISMATCH {name}: computed {counts[name]}, "
-                      f"reference {expected}", file=sys.stderr)
-        print(f"reference check: {mismatches} mismatches")
+        mismatches = [name for name in counts if counts[name] != reference[name]]
+        for name in mismatches:
+            print(f"MISMATCH {name}: computed {counts[name]}, "
+                  f"reference {reference[name]}", file=sys.stderr)
+        print(f"reference check: {len(mismatches)} mismatches")
         if mismatches:
             return 1
     return 0
@@ -243,33 +230,32 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _int_rows(path, columns: tuple[str, ...]):
-    """(dataset, integer value of each column) for every row of a CSV file
-    with a header; a short row, a non-integer field or a malformed CSV line
-    names its line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+def _int_table(path, columns: tuple[str, ...], names) -> dict[str, tuple[int, ...]]:
+    """{dataset: integer value of each column} from a per-dataset table,
+    which must have a row for each of names; a short row or a non-integer
+    field names its line."""
+    rows = data_ucr.read_table(path)
+    header = next(rows)
+    table = {}
+    for line, row in rows:
         try:
-            for row in reader:
-                try:
-                    entry = row["dataset"], tuple(int(row[c]) for c in columns)
-                except (KeyError, TypeError, ValueError):
-                    raise CliError(f"{path}, line {reader.line_num}: need a dataset and "
-                                   f"integer {', '.join(columns)}") from None
-                yield entry
-        except csv.Error as exc:  # the DictReader counts only the rows it returned
-            raise CliError(f"{path}, line {reader.reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:  # text is decoded in blocks, so no line is known
-            raise CliError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            table[row[0]] = tuple(int(row[header.index(c)]) for c in columns)
+        except (IndexError, ValueError):
+            raise ValueError(f"{path}:{line}: need a dataset and integer "
+                             f"{', '.join(columns)}") from None
+    missing = [name for name in names if name not in table]
+    if missing:
+        raise ValueError(f"{path}: no row for dataset(s) {', '.join(missing)}")
+    return table
 
 
 def _load_class_counts(path, datasets) -> np.ndarray:
     if path:
-        table = {name: classes for name, (classes,) in _int_rows(path, ("classes",))}
-        missing = [d for d in datasets if d not in table]
-        if missing:
-            raise CliError(f"class-counts file lacks entries for: {', '.join(missing)}")
-        return np.asarray([table[d] for d in datasets], dtype=np.float64)
+        table = _int_table(path, ("classes",), datasets)
+        few = [d for d in datasets if table[d][0] < 2]
+        if few:
+            raise ValueError(f"{path}: fewer than 2 classes for dataset(s) {', '.join(few)}")
+        return np.asarray([table[d][0] for d in datasets], dtype=np.float64)
     return np.asarray([data_ucr.registry_lookup(d).num_classes for d in datasets],
                       dtype=np.float64)
 
@@ -345,7 +331,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, KeyError, OSError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,7 @@
 registry (85 univariate benchmark datasets).
 
 Split files are plain text, one record per line: the label field first,
-then L numeric values, comma- or tab-delimited (detected per file). Labels
+then L numeric values, comma- or tab-delimited (detected per record). Labels
 are remapped to contiguous indices by ascending sort over the union of both
 splits. Series values are used raw; no normalization is applied.
 """
@@ -24,7 +24,7 @@ class UcrParseError(ValueError):
     """A split file could not be parsed; the message names the line."""
 
 
-class UnknownDatasetError(KeyError):
+class UnknownDatasetError(ValueError):
     """Dataset name not in the registry; the message lists near matches."""
 
 
@@ -146,24 +146,45 @@ def load_test_split(train_path, test_path, name: str):
     return test_x, test_y, label_map
 
 
+def read_table(path):
+    """Stream a per-dataset CSV table: yield its header, whose first column
+    must be ``dataset``, then (line number, fields) for each row. Blank lines
+    are skipped. A malformed CSV line, a byte that is not UTF-8, an empty
+    file or a repeated dataset name raises a ValueError that begins with
+    ``FILE:`` or, where one line is at fault, ``FILE:LINE:``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            rows = filter(None, reader)
+            header = next(rows, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            if header[0] != "dataset":
+                raise ValueError(f"{path}:{reader.line_num}: first header column must be "
+                                 f"'dataset'")
+            yield header
+            names = []
+            for row in rows:
+                names.append(row[0])
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:  # text is decoded in blocks, so no line is known
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    # a repeated dataset would count twice
+    if len(set(names)) < len(names):
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        raise ValueError(f"{path}: repeated dataset name(s) {', '.join(repeated)}")
+
+
 @functools.cache
 def registry() -> dict[str, DatasetRegistryEntry]:
-    """The shipped registry by dataset name, read once per process."""
-    out = {}
-    with resources.files("grufcn.data").joinpath("registry.csv").open("r") as fh:
-        for row in csv.DictReader(fh):
-            out[row["name"]] = DatasetRegistryEntry(
-                name=row["name"],
-                type_tag=row["type"],
-                num_classes=int(row["classes"]),
-                series_length=int(row["length"]),
-                train_size=int(row["train_size"]),
-                test_size=int(row["test_size"]),
-                epochs=int(row["epochs"]),
-                train_batch=int(row["train_batch"]),
-                test_batch=int(row["test_batch"]),
-            )
-    return out
+    """The shipped registry by dataset name, read once per process. Its
+    columns are DatasetRegistryEntry's fields, in order."""
+    rows = read_table(resources.files("grufcn.data").joinpath("registry.csv"))
+    next(rows)
+    return {name: DatasetRegistryEntry(name, tag, *map(int, counts))
+            for _, (name, tag, *counts) in rows}
 
 
 def registry_lookup(name: str) -> DatasetRegistryEntry:

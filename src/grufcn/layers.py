@@ -15,7 +15,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import tensor_core
-from .tensor_core import (Rng, ShapeMismatchError, _bn_relu, batch_slices, conv1d_same,
+from .tensor_core import (ShapeMismatchError, _bn_relu, batch_slices, conv1d_same,
                           conv1d_same_backward, ordered_map)
 
 BN_CHUNK_ELEMENTS = 1 << 17  # float64 elements per batch-norm chunk of a block output (1 MiB)
@@ -346,7 +346,8 @@ def global_avg_pool_backward(grad_out: np.ndarray, length: int) -> np.ndarray:
     return np.broadcast_to(scaled, scaled.shape[:-2] + (length, scaled.shape[-1]))
 
 
-def dropout(x: np.ndarray, rate: float, training: bool, rng: Rng | None = None):
+def dropout(x: np.ndarray, rate: float, training: bool,
+            rng: np.random.Generator | None = None):
     """Inverted dropout: zero with probability rate, scale survivors by
     1/(1-rate). Returns (out, mask); the mask is 1.0 where dropout is the
     identity, at inference or rate 0."""

@@ -5,12 +5,13 @@ test, and critical-difference values for post-hoc rank comparison.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data_ucr import read_table
 
 
 class UndefinedTestError(ValueError):
@@ -87,37 +88,23 @@ class ErrorMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "ErrorMatrix":
-        with open(path, "r", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        rows = read_table(path)
+        header = next(rows)
+        models = header[1:]
+        if len(set(models)) < len(models):  # results go by model name
+            repeated = sorted({m for m in models if models.count(m) > 1})
+            raise ValueError(f"{path}: repeated model name(s) {', '.join(repeated)}")
+        datasets, values = [], []
+        for line, row in rows:
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{line}: expected {len(header)} columns, "
+                                 f"got {len(row)}")
+            datasets.append(row[0])
             try:
-                header = next(reader, None)
-                if header is None:
-                    raise ValueError(f"{path}: empty error-matrix file")
-                if not header or header[0] != "dataset":
-                    raise ValueError(f"{path}: first header column must be 'dataset'")
-                models = header[1:]
-                datasets, rows = [], []
-                for row in reader:
-                    if not row:
-                        continue
-                    if len(row) != len(header):
-                        raise ValueError(f"{path}:{reader.line_num}: expected "
-                                         f"{len(header)} columns, got {len(row)}")
-                    datasets.append(row[0])
-                    try:
-                        rows.append([float(v) if v != "" else np.nan for v in row[1:]])
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{reader.line_num}: bad value ({exc})") from exc
-            except csv.Error as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            except UnicodeDecodeError as exc:  # text is decoded in blocks, so no line is known
-                raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        # results go by model name, and a repeated dataset would count twice
-        for kind, names in (("model", models), ("dataset", datasets)):
-            if len(set(names)) < len(names):
-                repeated = sorted({n for n in names if names.count(n) > 1})
-                raise ValueError(f"{path}: repeated {kind} name(s) {', '.join(repeated)}")
-        errors = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(models))
+                values.append([float(v) if v != "" else np.nan for v in row[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: bad value ({exc})") from exc
+        errors = np.asarray(values, dtype=np.float64).reshape(len(values), len(models))
         empty = [m for m, gone in zip(models, np.isnan(errors).all(axis=0)) if gone]
         if empty:
             raise ValueError(f"{path}: no error entries for model(s) {', '.join(empty)}")

@@ -155,7 +155,7 @@ def _assemble(config: ArchConfig, tensors: dict[str, np.ndarray]) -> GruFcnModel
                        head=DenseSoftmax(**parts["head"]))
 
 
-def _initial_value(rng: Rng, name: str, shape: tuple[int, ...]) -> np.ndarray:
+def _initial_value(rng: np.random.Generator, name: str, shape: tuple[int, ...]) -> np.ndarray:
     if name.endswith(".kernels"):
         return he_uniform_init(rng, shape[0] * shape[1], shape)
     if len(shape) == 2:
@@ -165,7 +165,7 @@ def _initial_value(rng: Rng, name: str, shape: tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape)
 
 
-def build(config: ArchConfig, rng: Rng | None = None) -> GruFcnModel:
+def build(config: ArchConfig, rng: np.random.Generator | None = None) -> GruFcnModel:
     """Allocate and initialize the model, drawing in manifest order.
 
     Conv kernels are He-uniform with fan_in = k * Cin; recurrent and dense
@@ -179,7 +179,7 @@ def build(config: ArchConfig, rng: Rng | None = None) -> GruFcnModel:
 
 
 def forward(model: GruFcnModel, batch: np.ndarray, training: bool = False,
-            rng: Rng | None = None):
+            rng: np.random.Generator | None = None):
     """Class probabilities for a (B, L) batch; returns (probs, cache).
 
     The conv branch sees each series as L positions x 1 channel; the

@@ -2,13 +2,13 @@
 deterministic initializers.
 
 Tensors are plain C-contiguous ``numpy.ndarray`` objects with dtype float64.
-Apart from :class:`Rng`, whose draws advance its state, every function here
-returns the same result for the same inputs. The conv runs its slices on a
-pool of WORKERS threads, which the first conv starts if WORKERS > 1. That
-changes no result: the slices depend on IM2COL_ELEMENTS alone, and their
-kernel-gradient products are summed in slice order. A conv forward and its
-input gradient run one correlation routine, which picks im2col GEMMs or
-Winograd F(4, k) GEMMs by its own input.
+Apart from the generators :func:`Rng` returns, whose draws advance their
+state, every function here returns the same result for the same inputs.
+The conv runs its slices on a pool of WORKERS threads, which the first conv
+starts if WORKERS > 1. That changes no result: the slices depend on
+IM2COL_ELEMENTS alone, and their kernel-gradient products are summed in
+slice order. A conv forward and its input gradient run one correlation
+routine, which picks im2col GEMMs or Winograd F(4, k) GEMMs by its own input.
 """
 
 from __future__ import annotations
@@ -98,20 +98,10 @@ class ShapeMismatchError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class Rng:
-    """Deterministic random source: identical seed, identical draw sequence."""
-
-    def __init__(self, seed: int):
-        self._gen = np.random.Generator(np.random.PCG64(int(seed)))
-
-    def uniform(self, low: float, high: float, shape) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape)
-
-    def random(self, shape) -> np.ndarray:
-        return self._gen.random(size=shape, dtype=np.float64)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+def Rng(seed: int) -> np.random.Generator:
+    """Deterministic random source: identical seed, identical draw sequence.
+    PCG64 is named, not left to ``default_rng``, whose generator may change."""
+    return np.random.Generator(np.random.PCG64(int(seed)))
 
 
 def same_padding(kernel_size: int) -> tuple[int, int]:
@@ -360,7 +350,7 @@ def conv1d_same_backward(
     return grad_x, grad_w_t.T.reshape(kernels.shape)
 
 
-def he_uniform_init(rng: Rng, fan_in: int, shape) -> np.ndarray:
+def he_uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     """Uniform on [-sqrt(6/fan_in), +sqrt(6/fan_in)]."""
     if fan_in < 1:
         raise ValueError(f"fan_in must be >= 1, got {fan_in}")
@@ -368,7 +358,8 @@ def he_uniform_init(rng: Rng, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, shape)
 
 
-def glorot_uniform_init(rng: Rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
+def glorot_uniform_init(rng: np.random.Generator, fan_in: int, fan_out: int,
+                        shape) -> np.ndarray:
     """Uniform on [-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out))]."""
     if fan_in + fan_out < 1:
         raise ValueError(f"fan_in + fan_out must be >= 1, got {fan_in}+{fan_out}")

@@ -11,7 +11,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from gradcheck import max_rel_error, numerical_grad
+from gradcheck import max_rel_error, model_gradient_errors, numerical_grad
 
 from grufcn import cli, layers, metrics
 from grufcn.data_ucr import UcrDataset, find_split_files, make_dataset
@@ -141,34 +141,9 @@ def _end_to_end_instance_error(seed):
         seed=seed,
     )
     model = build(config)
-    from grufcn.model import backward
     x = rng.normal(size=(3, config.series_length))
     y = np.eye(config.num_classes)[rng.integers(0, config.num_classes, size=3)]
-
-    def loss():
-        for block in model.blocks:
-            block.bn_moving_mean[:] = 0
-            block.bn_moving_var[:] = 1
-        _, cache = forward(model, x, training=True, rng=Rng(0))
-        value, _ = backward(model, cache, y)
-        return value
-
-    loss()
-    _, cache = forward(model, x, training=True, rng=Rng(0))
-    _, grads = backward(model, cache, y)
-    assert grads.keys() == model.trainable_parameters().keys()
-    worst = 0.0
-    # every tensor but the moving statistics; an untrained one must have a
-    # zero numeric gradient
-    for name, arr in model.parameters().items():
-        if "moving" in name:
-            continue
-        def f(v, arr=arr):
-            arr[...] = v
-            return loss()
-        worst = max(worst, max_rel_error(grads.get(name, np.zeros_like(arr)),
-                                         numerical_grad(f, arr.copy())))
-    return worst
+    return max(model_gradient_errors(model, x, y).values())
 
 
 def test_criterion_2_gradient_checks(capsys):

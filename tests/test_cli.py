@@ -1,14 +1,19 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mutations import mutations
 from writers import set_checkpoint_value
 
-from grufcn import data_ucr, tensor_core
+from grufcn import cli, data_ucr, tensor_core
 from grufcn import model as model_mod
 from grufcn import train as train_mod
 from grufcn.cli import build_parser, main
@@ -91,7 +96,7 @@ class TestParams:
         ref.write_text(f"dataset,GRU-FCN,LSTM-FCN\n{row}\n")
         assert main(["params", "Adiac", "--check", str(ref)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {ref}, line 2: need a dataset and integer GRU-FCN, LSTM-FCN\n"
+        assert err == f"error: {ref}:2: need a dataset and integer GRU-FCN, LSTM-FCN\n"
 
     def test_malformed_reference_fails_before_any_output(self, capsys, tmp_path):
         ref = tmp_path / "bad.csv"
@@ -100,7 +105,7 @@ class TestParams:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("error:") == 1
-        assert captured.err.startswith(f"error: {ref}, line 2:")
+        assert captured.err.startswith(f"error: {ref}:2:")
 
     def test_missing_reference_fails_before_any_output(self, capsys, tmp_path):
         ref = tmp_path / "absent.csv"
@@ -113,6 +118,62 @@ class TestParams:
     def test_unknown_dataset_suggests_names(self, capsys):
         assert main(["params", "Adiacc"]) == 1
         assert "Adiac" in capsys.readouterr().err
+
+    def test_unknown_dataset_is_one_plain_error_line(self, capsys):
+        assert main(["params", "Adiacc"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown dataset 'Adiacc'; close matches: Adiac\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text, missing", [
+        ("", None),
+        ("dataset,GRU-FCN,LSTM-FCN\n", "Adiac"),
+        ("dataset,GRU-FCN,LSTM-FCN\nBeef,1,2\n", "Adiac"),
+    ], ids=["empty", "header-only", "no-adiac"])
+    def test_reference_without_a_printed_row_fails_before_any_output(self, capsys, tmp_path,
+                                                                     text, missing):
+        ref = tmp_path / "ref.csv"
+        ref.write_text(text)
+        assert main(["params", "Adiac", "--check", str(ref)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {ref}: ") and captured.err.count("\n") == 1
+        if missing:
+            assert captured.err.endswith(f"dataset(s) {missing}\n")
+
+    def test_all_check_needs_the_total_row(self, capsys, tmp_path):
+        shipped = cli._shipped("published_param_counts.csv").read_text()
+        ref = tmp_path / "ref.csv"
+        ref.write_text("".join(line + "\n" for line in shipped.splitlines()
+                               if not line.startswith("Total,")))
+        assert main(["params", "--all", "--check", str(ref)]) == 1
+        assert capsys.readouterr().err == f"error: {ref}: no row for dataset(s) Total\n"
+
+    def test_repeated_reference_row_is_an_error(self, capsys, tmp_path):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("dataset,GRU-FCN,LSTM-FCN\nAdiac,275237,276717\nAdiac,1,2\n")
+        assert main(["params", "Adiac", "--check", str(ref)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {ref}: repeated dataset name(s) Adiac\n"
+        assert captured.out == ""
+
+    def test_blank_first_line_of_the_reference_is_skipped(self, capsys, tmp_path):
+        outputs = []
+        for lead in ("", "\n"):
+            ref = tmp_path / "ref.csv"
+            ref.write_text(lead + "dataset,GRU-FCN,LSTM-FCN\nAdiac,275237,276717\n")
+            assert main(["params", "Adiac", "--check", str(ref)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert "reference check: 0 mismatches" in outputs[0].out
+
+    def test_key_error_in_a_subcommand_is_not_an_error_line(self, capsys, monkeypatch):
+        def fail(entry):
+            raise KeyError("not an input error")
+        monkeypatch.setattr(cli, "_count_pair", fail)
+        with pytest.raises(KeyError, match="not an input error"):
+            main(["params", "Adiac"])
+        assert capsys.readouterr().err == ""
 
     def test_no_dataset_and_no_all_is_an_error(self, capsys):
         assert main(["params"]) == 1
@@ -193,8 +254,92 @@ class TestCompare:
         assert main(["compare", "--errors", str(errs),
                      "--class-counts", str(counts), "--out", str(tmp_path / "c")]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: {counts}, line 2: need a dataset and integer classes\n"
+        assert captured.err == f"error: {counts}:2: need a dataset and integer classes\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("classes", ["1", "0", "-3"])
+    def test_class_count_below_two_is_an_error(self, capsys, tmp_path, classes):
+        errs = tmp_path / "errs.csv"
+        errs.write_text("dataset,A\nAdiac,0.1\nBeef,0.3\n")
+        counts = tmp_path / "counts.csv"
+        counts.write_text(f"dataset,classes\nAdiac,{classes}\nBeef,5\n")
+        assert main(["compare", "--errors", str(errs),
+                     "--class-counts", str(counts), "--out", str(tmp_path / "c")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {counts}: fewer than 2 classes for dataset(s) Adiac\n"
+        assert captured.out == ""
+
+    def test_repeated_class_counts_row_is_an_error(self, capsys, tmp_path):
+        errs = tmp_path / "errs.csv"
+        errs.write_text("dataset,A\nAdiac,0.1\nBeef,0.3\n")
+        counts = tmp_path / "counts.csv"
+        counts.write_text("dataset,classes\nAdiac,37\nBeef,5\nAdiac,2\n")
+        assert main(["compare", "--errors", str(errs),
+                     "--class-counts", str(counts), "--out", str(tmp_path / "c")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {counts}: repeated dataset name(s) Adiac\n"
+        assert captured.out == ""
+
+    def test_dataset_outside_the_registry_is_one_plain_error_line(self, capsys, tmp_path):
+        errs = tmp_path / "errs.csv"
+        errs.write_text("dataset,A\nAdiacc,0.1\n")
+        assert main(["compare", "--errors", str(errs), "--out", str(tmp_path / "c")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown dataset 'Adiacc'; close matches: Adiac\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("table", ["--errors", "--class-counts"])
+    def test_blank_first_line_is_skipped(self, capsys, tmp_path, table):
+        texts = {"--errors": "dataset,M1,M2\nAdiac,0.1,0.2\nBeef,0.3,0.1\n",
+                 "--class-counts": "dataset,classes\nAdiac,37\nBeef,5\n"}
+        outputs = []
+        for lead in ("", "\n"):
+            argv = ["compare", "--out", str(tmp_path / f"c{len(outputs)}")]
+            for flag, text in texts.items():
+                path = tmp_path / f"{flag[2:]}.csv"
+                path.write_text(lead + text if flag == table else text)
+                argv += [flag, str(path)]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert ((tmp_path / "c0" / "wilcoxon_pvalues.csv").read_bytes()
+                == (tmp_path / "c1" / "wilcoxon_pvalues.csv").read_bytes())
+
+
+class TestClassCountsFuzz:
+    """compare --class-counts on damaged copies of a small class-count table
+    prints the comparison with counts of at least 2 classes, or ends in one
+    error line that names the file."""
+
+    DATASETS = ("Adiac", "Beef", "Coffee", "ECG200")
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("fuzz")
+        errors = folder / "errors.csv"
+        errors.write_text("dataset,A,B\n" + "".join(
+            f"{name},0.{i + 1},0.{5 - i}\n" for i, name in enumerate(self.DATASETS)))
+        raw = "dataset,classes\n" + "".join(
+            f"{name},{data_ucr.registry_lookup(name).num_classes}\n" for name in self.DATASETS)
+        return errors, folder / "counts.csv", raw.encode("utf-8"), folder / "out"
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_compare_prints_or_names_the_file(self, files, data):
+        errors, counts, raw, out_dir = files
+        counts.write_bytes(data.draw(mutations(raw)))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["compare", "--errors", str(errors), "--class-counts", str(counts),
+                         "--out", str(out_dir)])
+        if code:
+            assert code == 1 and out.getvalue() == ""
+            assert err.getvalue().startswith(f"error: {counts}") \
+                and err.getvalue().count("\n") == 1, err.getvalue()
+            return
+        assert err.getvalue() == ""
+        assert out.getvalue().splitlines()[0] == "model,mean_rank,no_best,mpce"
+        assert np.all(cli._load_class_counts(counts, list(self.DATASETS)) >= 2)
 
 
 class TestTrain:
