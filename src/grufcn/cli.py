@@ -131,15 +131,11 @@ def cmd_eval(args) -> int:
     train_file, test_file, name = _split_files(args)
     test_x, test_y, label_map = data_ucr.load_test_split(train_file, test_file, name)
     if test_x.shape[1] != net.config.series_length:
-        raise ValueError(
-            f"checkpoint expects series length {net.config.series_length}, "
-            f"dataset {name} has {test_x.shape[1]}"
-        )
+        raise ValueError(f"{args.checkpoint}: checkpoint expects series length "
+                         f"{net.config.series_length}, {test_file} has {test_x.shape[1]}")
     if len(label_map) != net.config.num_classes:
-        raise ValueError(
-            f"checkpoint expects {net.config.num_classes} classes, "
-            f"dataset {name} has {len(label_map)}"
-        )
+        raise ValueError(f"{args.checkpoint}: checkpoint expects {net.config.num_classes} "
+                         f"classes, {train_file} and {test_file} hold {len(label_map)}")
     chunk = args.eval_batch or DEFAULT_TEST_BATCH
     preds, err, conf, f1 = _test_metrics(net, test_x, test_y, chunk)
     print(f"test error: {err:.6f}")
@@ -192,10 +188,12 @@ def cmd_params(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    matrix = metrics.ErrorMatrix.from_csv(
-        args.errors if args.errors else _shipped("published_errors.csv")
-    )
-    class_counts = _load_class_counts(args.class_counts, matrix.datasets)
+    errors = args.errors or _shipped("published_errors.csv")
+    matrix = metrics.ErrorMatrix.from_csv(errors)
+    try:
+        class_counts = _load_class_counts(args.class_counts, matrix.datasets)
+    except data_ucr.UnknownDatasetError as exc:  # a row of the error table names it
+        raise data_ucr.UnknownDatasetError(f"{errors}: {exc}") from None
     mean_ranks, no_best = metrics.rank_models(matrix, missing_mode=args.missing_mode)
     cd = metrics.nemenyi_cd(len(matrix.models), len(matrix.datasets), alpha=args.alpha)
     out_dir = Path(args.out)

@@ -116,13 +116,12 @@ def load_labels(path) -> tuple[np.ndarray, int]:
     return np.asarray(labels), line.count(delim)
 
 
-def _join_splits(name, train_labels, train_length, test_labels, test_x):
+def _join_splits(train_path, test_path, train_labels, train_length, test_labels, test_x):
     """(label map, train indices, test indices) once the two splits' series
     lengths agree; the map sorts the union of both splits' labels."""
     if train_length != test_x.shape[1]:
-        raise UcrParseError(
-            f"{name}: train length {train_length} != test length {test_x.shape[1]}"
-        )
+        raise UcrParseError(f"{train_path}: train length {train_length} != test length "
+                            f"{test_x.shape[1]} of {test_path}")
     label_map = {lab: i for i, lab in enumerate(sorted(set(train_labels) | set(test_labels)))}
     return label_map, *(np.asarray([label_map[lab] for lab in labels], dtype=int)
                         for labels in (train_labels, test_labels))
@@ -133,7 +132,7 @@ def make_dataset(train_path, test_path, name: str) -> UcrDataset:
     train_labels, train_x = load_split(train_path)
     test_labels, test_x = load_split(test_path)
     label_map, train_y, test_y = _join_splits(
-        name, train_labels, train_x.shape[1], test_labels, test_x)
+        train_path, test_path, train_labels, train_x.shape[1], test_labels, test_x)
     return UcrDataset(name, train_x, train_y, test_x, test_y, label_map)
 
 
@@ -142,7 +141,8 @@ def load_test_split(train_path, test_path, name: str):
     split adds only its labels and its length, so its values are not parsed."""
     train_labels, train_length = load_labels(train_path)
     test_labels, test_x = load_split(test_path)
-    label_map, _, test_y = _join_splits(name, train_labels, train_length, test_labels, test_x)
+    label_map, _, test_y = _join_splits(train_path, test_path, train_labels, train_length,
+                                        test_labels, test_x)
     return test_x, test_y, label_map
 
 

@@ -15,8 +15,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import tensor_core
-from .tensor_core import (ShapeMismatchError, _bn_relu, batch_slices, conv1d_same,
-                          conv1d_same_backward, ordered_map)
+from .tensor_core import (_bn_relu, batch_slices, conv1d_same, conv1d_same_backward,
+                          ordered_map)
 
 BN_CHUNK_ELEMENTS = 1 << 17  # float64 elements per batch-norm chunk of a block output (1 MiB)
 
@@ -134,7 +134,7 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     block: ConvBlock = cache["block"]
     x_hat, gamma, beta = cache["x_hat"], cache["gamma"], cache["beta"]
     if grad_out.shape != x_hat.shape:
-        raise ShapeMismatchError(
+        raise ValueError(
             f"grad shape {grad_out.shape} != forward output shape {x_hat.shape}"
         )
     # closed form: with n = B*L and dx_hat = gamma * dz, mean(dx_hat) is
@@ -314,7 +314,7 @@ def lstm_backward(cache, dh: np.ndarray) -> dict[str, np.ndarray]:
 
 def _check_hidden_grad(dh: np.ndarray, state: np.ndarray) -> None:
     if dh.shape != state.shape:
-        raise ShapeMismatchError(
+        raise ValueError(
             f"hidden grad shape {dh.shape} != state shape {state.shape}"
         )
 
@@ -383,7 +383,7 @@ def cross_entropy(probs: np.ndarray, y_onehot: np.ndarray) -> np.ndarray:
     """Per-row cross-entropy -log p[true class]; y_onehot is (B, C) with
     exactly one 1 per row."""
     if y_onehot.shape != probs.shape:
-        raise ShapeMismatchError(f"labels shape {y_onehot.shape} != probs shape {probs.shape}")
+        raise ValueError(f"labels shape {y_onehot.shape} != probs shape {probs.shape}")
     if not (np.all(np.isin(y_onehot, (0.0, 1.0))) and np.all(y_onehot.sum(axis=1) == 1.0)):
         raise ValueError("y_onehot rows must contain exactly one 1")
     eps = 1e-300  # guards log(0) for a fully-confident wrong prediction

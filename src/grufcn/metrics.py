@@ -104,6 +104,8 @@ class ErrorMatrix:
                 values.append([float(v) if v != "" else np.nan for v in row[1:]])
             except ValueError as exc:
                 raise ValueError(f"{path}:{line}: bad value ({exc})") from exc
+            if any(v < 0 or v == math.inf for v in values[-1]):  # NaN is a missing entry
+                raise ValueError(f"{path}:{line}: error rates must be finite and >= 0")
         errors = np.asarray(values, dtype=np.float64).reshape(len(values), len(models))
         empty = [m for m, gone in zip(models, np.isnan(errors).all(axis=0)) if gone]
         if empty:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import layers
 from .layers import ConvBlock, DenseSoftmax, GruCell, LstmCell
-from .tensor_core import Rng, ShapeMismatchError, glorot_uniform_init, he_uniform_init
+from .tensor_core import Rng, glorot_uniform_init, he_uniform_init
 
 CHECKPOINT_MAGIC = b"GRUFCN1\n"
 
@@ -25,19 +25,8 @@ LSTM = "lstm"
 
 
 class CheckpointError(ValueError):
-    """Base class for malformed checkpoint files."""
-
-
-class BadMagicError(CheckpointError):
-    pass
-
-
-class TruncatedCheckpointError(CheckpointError):
-    pass
-
-
-class ManifestMismatchError(CheckpointError):
-    pass
+    """A checkpoint file is malformed, or a model cannot be saved as one;
+    the message begins with the file."""
 
 
 @dataclass
@@ -195,7 +184,7 @@ def forward(model: GruFcnModel, batch: np.ndarray, training: bool = False,
     batch = np.asarray(batch, dtype=np.float64)
     config = model.config
     if batch.ndim != 2 or batch.shape[1] != config.series_length:
-        raise ShapeMismatchError(
+        raise ValueError(
             f"batch shape {batch.shape} does not match series length "
             f"{config.series_length}"
         )
@@ -273,56 +262,56 @@ def save_checkpoint(model: GruFcnModel, path) -> None:
         blobs = {name: arr.astype("<f4") for name, arr in params.items()}
     for name, blob in blobs.items():
         if not np.all(np.isfinite(blob)):
-            raise CheckpointError(f"checkpoint tensor {name} overflows float32 or holds NaN")
+            raise CheckpointError(f"{path}: checkpoint tensor {name} overflows float32 "
+                                  f"or holds NaN")
     manifest = [[name, list(arr.shape)] for name, arr in params.items()]
     header = json.dumps({"config": asdict(model.config), "manifest": manifest})
     write_atomic(path, [CHECKPOINT_MAGIC, header.encode("utf-8") + b"\n", *blobs.values()])
 
 
 def load_checkpoint(path) -> GruFcnModel:
+    """The model saved at path; a malformed file raises CheckpointError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
-            raise BadMagicError(f"bad checkpoint magic {magic!r}")
+            raise CheckpointError(f"{path}: bad checkpoint magic {magic!r}")
         rest = fh.read()
     newline = rest.find(b"\n")
     if newline < 0:
-        raise TruncatedCheckpointError("checkpoint header line is incomplete")
+        raise CheckpointError(f"{path}: checkpoint header line is incomplete")
     try:
         header = json.loads(rest[:newline].decode("utf-8"))
         cfg_dict = dict(header["config"])
         manifest = [(name, tuple(shape)) for name, shape in header["manifest"]]
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise TruncatedCheckpointError(f"unreadable checkpoint header: {exc}") from exc
+        raise CheckpointError(f"{path}: unreadable checkpoint header: {exc}") from exc
     keys = {f.name for f in fields(ArchConfig)}
     if set(cfg_dict) != keys:
         raise CheckpointError(
-            f"checkpoint config keys differ from the architecture's: "
+            f"{path}: checkpoint config keys differ from the architecture's: "
             f"unknown {sorted(set(cfg_dict) - keys)}, missing {sorted(keys - set(cfg_dict))}"
         )
     try:
         config = ArchConfig(**cfg_dict)
     except (ValueError, TypeError) as exc:
-        raise CheckpointError(f"invalid checkpoint config: {exc}") from exc
+        raise CheckpointError(f"{path}: invalid checkpoint config: {exc}") from exc
     # a header size need only equal the config's (3.0 == 3), so shapes come from the config
     expected = parameter_manifest(config)
     if manifest != expected:
-        raise ManifestMismatchError(
-            "checkpoint manifest does not match the declared architecture"
-        )
+        raise CheckpointError(f"{path}: checkpoint manifest does not match the declared "
+                              f"architecture")
     blob = rest[newline + 1:]
     total = sum(math.prod(s) for _, s in expected)  # exact, where np.prod wraps at 2**63
     if len(blob) != 4 * total:
-        raise ManifestMismatchError(
-            f"parameter payload holds {len(blob)} bytes, manifest needs {4 * total}"
-        )
+        raise CheckpointError(f"{path}: parameter payload holds {len(blob)} bytes, "
+                              f"manifest needs {4 * total}")
     tensors = {}
     offset = 0
     for name, shape in expected:
         n = math.prod(shape)
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset)
         if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"checkpoint tensor {name} holds NaN or Inf")
+            raise CheckpointError(f"{path}: checkpoint tensor {name} holds NaN or Inf")
         tensors[name] = arr.astype(np.float64).reshape(shape)
         offset += 4 * n
     return _assemble(config, tensors)

@@ -94,10 +94,6 @@ def ordered_map(fn, items, ahead: int | None = None):
         wait(running)
 
 
-class ShapeMismatchError(ValueError):
-    """Operand shapes are incompatible for the requested operation."""
-
-
 def Rng(seed: int) -> np.random.Generator:
     """Deterministic random source: identical seed, identical draw sequence.
     PCG64 is named, not left to ``default_rng``, whose generator may change."""
@@ -288,13 +284,13 @@ def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, *,
     kernels = np.asarray(kernels, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     if x.ndim != 3 or kernels.ndim != 3:
-        raise ShapeMismatchError(
+        raise ValueError(
             f"conv1d_same expects (B,L,Cin) input and (k,Cin,Cout) kernels, "
             f"got {x.shape} and {kernels.shape}"
         )
     k, c_in, _ = kernels.shape
     if x.shape[2] != c_in:
-        raise ShapeMismatchError(f"input channels {x.shape[2]} != kernel channels {c_in}")
+        raise ValueError(f"input channels {x.shape[2]} != kernel channels {c_in}")
     out = _correlate(x, kernels, same_padding(k)[0], scale)
     return np.add(out, bias, out=out)
 
@@ -322,7 +318,7 @@ def conv1d_same_backward(
     grad_out = np.asarray(grad_out, dtype=np.float64)
     k, c_in, c_out = kernels.shape
     if x.ndim != 3 or grad_out.shape != (x.shape[0], x.shape[1], c_out):
-        raise ShapeMismatchError(
+        raise ValueError(
             f"grad shape {grad_out.shape} does not match forward output "
             f"for input {x.shape} and {c_out} output channels"
         )

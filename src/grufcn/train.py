@@ -12,7 +12,7 @@ from . import model as model_mod
 from .layers import cross_entropy
 from .metrics import error_rate
 from .model import GruFcnModel, save_checkpoint, write_atomic
-from .tensor_core import Rng, ShapeMismatchError
+from .tensor_core import Rng
 
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 # the learning rate falls by LR_FACTOR every LR_INTERVAL epochs, to LR_FLOOR
@@ -34,7 +34,7 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
-            raise ShapeMismatchError(
+            raise ValueError(
                 f"gradient shape {g.shape} != parameter shape {p.shape} for {name}"
             )
         m = state.m.setdefault(name, np.zeros_like(p))
@@ -109,7 +109,7 @@ def fit(net: GruFcnModel, dataset, run: TrainRun) -> TrainRun:
     if dataset.train_x.shape[0] == 0:
         raise ValueError("training split is empty")
     if dataset.train_x.shape[1] != net.config.series_length:
-        raise ShapeMismatchError(
+        raise ValueError(
             f"dataset length {dataset.train_x.shape[1]} != model series length "
             f"{net.config.series_length}"
         )

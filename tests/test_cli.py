@@ -1,6 +1,9 @@
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from mutations import mutations
 from writers import set_checkpoint_value
 
+import grufcn
 from grufcn import cli, data_ucr, tensor_core
 from grufcn import model as model_mod
 from grufcn import train as train_mod
@@ -285,7 +289,7 @@ class TestCompare:
         errs.write_text("dataset,A\nAdiacc,0.1\n")
         assert main(["compare", "--errors", str(errs), "--out", str(tmp_path / "c")]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: unknown dataset 'Adiacc'; close matches: Adiac\n"
+        assert captured.err == f"error: {errs}: unknown dataset 'Adiacc'; close matches: Adiac\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("table", ["--errors", "--class-counts"])
@@ -474,8 +478,10 @@ class TestTrain:
         # every float64 weight stays finite; no checkpoint is written
         out_dir = tmp_path / "run"
         assert run_train(synthetic_splits, out_dir, extra=("--lr", "1e10")) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: checkpoint tensor ") and "overflows float32" in err
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {out_dir / 'best.ckpt'}: checkpoint tensor ")
+        assert err.endswith(" overflows float32 or holds NaN\n")
         assert "Traceback" not in err
         assert not list(out_dir.glob("*.ckpt*"))
 
@@ -596,7 +602,7 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(ckpt),
                      "--train-path", str(train), "--test-path", str(test)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid checkpoint config:")
+        assert err.startswith(f"error: {ckpt}: invalid checkpoint config:")
 
     def test_non_finite_checkpoint_is_an_error(self, synthetic_splits, tmp_path, capsys):
         ckpt = self.make_checkpoint(synthetic_splits, tmp_path)
@@ -720,3 +726,80 @@ class TestBadInputFiles:
                      str(files["--class-counts"]), "--out", str(tmp_path / "c")])
         self.assert_one_error(capsys, files[flag], code)
         assert not (tmp_path / "c").exists()
+
+    @staticmethod
+    def error_line(capsys, code):
+        """The one stderr line of a run that failed with nothing on stdout."""
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, (out, err)
+        return err
+
+    @staticmethod
+    def damage_checkpoint(ckpt, fault):
+        raw = ckpt.read_bytes()
+        if fault == "magic":
+            ckpt.write_bytes(b"X" + raw[1:])
+        elif fault == "header":
+            ckpt.write_bytes(model_mod.CHECKPOINT_MAGIC + b'{"config":')
+        elif fault == "payload":
+            ckpt.write_bytes(raw[:-10])
+        elif fault == "nan":
+            set_checkpoint_value(ckpt, "head.W", np.nan)
+        else:
+            ckpt.write_bytes(raw.replace(b'"cell_kind": "gru"', b'"cell_kind": "rnn"', 1))
+
+    @pytest.mark.parametrize("fault, message", [
+        ("magic", "bad checkpoint magic b'XRUFCN1\\n'"),
+        ("header", "checkpoint header line is incomplete"),
+        ("payload", "parameter payload holds "),
+        ("nan", "checkpoint tensor head.W holds NaN or Inf"),
+        ("cell-kind", "invalid checkpoint config: cell_kind must be 'gru' or 'lstm', got 'rnn'"),
+    ], ids=["magic", "header", "payload", "nan", "cell-kind"])
+    def test_eval_checkpoint(self, synthetic_splits, tmp_path, capsys, fault, message):
+        ckpt = tmp_path / "m.ckpt"
+        model_mod.save_checkpoint(model_mod.build(model_mod.ArchConfig(16, 2)), ckpt)
+        self.damage_checkpoint(ckpt, fault)
+        code = TestEval().run_eval(ckpt, *synthetic_splits, tmp_path / "preds.csv")
+        assert self.error_line(capsys, code).startswith(f"error: {ckpt}: {message}")
+        assert not (tmp_path / "preds.csv").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ((17, 2), "checkpoint expects series length 17, {test} has 16"),
+        ((16, 3), "checkpoint expects 3 classes, {train} and {test} hold 2"),
+    ], ids=["series-length", "class-count"])
+    def test_eval_checkpoint_of_another_shape(self, synthetic_splits, tmp_path, capsys,
+                                              config, message):
+        ckpt = tmp_path / "m.ckpt"
+        model_mod.save_checkpoint(model_mod.build(model_mod.ArchConfig(*config)), ckpt)
+        train, test = synthetic_splits
+        code = TestEval().run_eval(ckpt, train, test, tmp_path / "preds.csv")
+        message = message.format(train=train, test=test)
+        assert self.error_line(capsys, code) == f"error: {ckpt}: {message}\n"
+
+    @pytest.mark.parametrize("row, message", [
+        ("NotADataset,0.1,0.2", "{errs}: unknown dataset 'NotADataset'"),
+        ("Adiac,inf,0.2", "{errs}:2: error rates must be finite and >= 0"),
+        ("Adiac,0.1,1e999", "{errs}:2: error rates must be finite and >= 0"),
+        ("Adiac,-1,0.2", "{errs}:2: error rates must be finite and >= 0"),
+    ], ids=["unknown-dataset", "inf", "overflow", "negative"])
+    def test_compare_error_table_row(self, capsys, tmp_path, row, message):
+        errs = tmp_path / "errs.csv"
+        errs.write_text(f"dataset,M1,M2\n{row}\nBeef,0.3,0.1\n")
+        code = main(["compare", "--errors", str(errs), "--out", str(tmp_path / "c")])
+        assert self.error_line(capsys, code).startswith(f"error: {message.format(errs=errs)}")
+        assert not (tmp_path / "c").exists()
+
+
+def test_exception_classes_are_one_per_input_kind_or_catching_caller():
+    # main reports a ValueError as one error line; any other class that the
+    # package defines must name an input kind or have a caller that catches it
+    defined = {}
+    for info in pkgutil.iter_modules(grufcn.__path__):
+        module = importlib.import_module(f"grufcn.{info.name}")
+        defined.update((name, obj) for name, obj in vars(module).items()
+                       if inspect.isclass(obj) and issubclass(obj, BaseException)
+                       and obj.__module__ == module.__name__)
+    assert sorted(defined) == ["CheckpointError", "UcrParseError", "UndefinedTestError",
+                               "UnknownDatasetError"]
+    assert all(issubclass(cls, ValueError) for cls in defined.values())

@@ -180,7 +180,8 @@ class TestLoadTestSplit:
         test = tmp_path / "t_TEST"
         write_lines(train, ["1,0.0,1.0"])
         write_lines(test, ["1,0.0,1.0,2.0"])
-        with pytest.raises(UcrParseError, match="t: train length 2 != test length 3"):
+        with pytest.raises(UcrParseError, match="t_TRAIN: train length 2 != test length 3 "
+                                                "of .*t_TEST$"):
             load_test_split(train, test, "t")
 
     @pytest.mark.parametrize("case", sorted(BAD_SPLITS))
@@ -197,7 +198,7 @@ class TestLoadTestSplit:
 class TestSplitFuzz:
     """load_split, load_labels and load_test_split on damaged copies of a
     small split file return a valid result or raise UcrParseError naming
-    the damaged file (or, for a length mismatch, the dataset)."""
+    the damaged file (or, for a length mismatch, the training split)."""
 
     @pytest.fixture(scope="class")
     def splits(self, tmp_path_factory):
@@ -234,7 +235,7 @@ class TestSplitFuzz:
         pair = [path if i == side else p for i, p in enumerate(splits)]
         joined = self.outcome(load_test_split, *pair, "f")
         if isinstance(joined, UcrParseError):
-            assert str(joined).startswith((str(path), "f: train length")), joined
+            assert str(joined).startswith(tuple(map(str, pair))), joined
             return
         test_x, test_y, label_map = joined
         assert np.array_equal(test_x, load_split(pair[1])[1])

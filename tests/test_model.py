@@ -15,11 +15,8 @@ from grufcn import layers, tensor_core
 from grufcn import model as model_mod
 from grufcn.model import (
     ArchConfig,
-    BadMagicError,
     CHECKPOINT_MAGIC,
     CheckpointError,
-    ManifestMismatchError,
-    TruncatedCheckpointError,
     backward,
     build,
     forward,
@@ -29,7 +26,7 @@ from grufcn.model import (
     save_checkpoint,
     write_atomic,
 )
-from grufcn.tensor_core import Rng, ShapeMismatchError
+from grufcn.tensor_core import Rng
 
 MISSING = object()  # header key to delete
 
@@ -204,7 +201,7 @@ class TestForward:
 
     def test_wrong_length_rejected(self):
         model = build(ArchConfig(40, 5))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match=r"batch shape \(2, 39\) does not match series"):
             forward(model, np.zeros((2, 39)), training=False)
 
     def test_training_dropout_needs_rng(self):
@@ -575,13 +572,13 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"NOTAMODL" + b"\x00" * 64)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(CheckpointError, match="bad checkpoint magic"):
             load_checkpoint(path)
 
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + b'{"config":')
-        with pytest.raises(TruncatedCheckpointError):
+        with pytest.raises(CheckpointError, match="checkpoint header line is incomplete"):
             load_checkpoint(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
@@ -590,7 +587,7 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-10])
-        with pytest.raises(ManifestMismatchError):
+        with pytest.raises(CheckpointError, match="payload holds"):
             load_checkpoint(path)
 
     def test_manifest_architecture_mismatch_rejected(self, tmp_path):
@@ -605,7 +602,7 @@ class TestCheckpoint:
         header["manifest"][0][1] = [9, 9, 9]
         doctored = CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + body[nl + 1:]
         path.write_bytes(doctored)
-        with pytest.raises(ManifestMismatchError):
+        with pytest.raises(CheckpointError, match="manifest does not match the declared"):
             load_checkpoint(path)
 
     def test_failed_write_keeps_earlier_checkpoint(self, tmp_path):
@@ -680,7 +677,7 @@ class TestCheckpoint:
     def test_deeply_nested_header_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + b"[" * 100_000 + b"\n")
-        with pytest.raises(TruncatedCheckpointError, match="unreadable checkpoint header"):
+        with pytest.raises(CheckpointError, match="unreadable checkpoint header"):
             load_checkpoint(path)
 
     def test_header_sizes_written_as_floats_load_by_the_configs_shapes(self, tmp_path):
@@ -709,7 +706,7 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n"
                          + bytes(4 * rest))
-        with pytest.raises(ManifestMismatchError, match="payload"):
+        with pytest.raises(CheckpointError, match="payload"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -762,7 +759,7 @@ def _variants(old):
 
 class TestCheckpointFuzz:
     """load_checkpoint on mutations of a real small checkpoint returns a
-    model or raises CheckpointError, and nothing else."""
+    model or raises CheckpointError naming the file, and nothing else."""
 
     CONFIG = ArchConfig(6, 3, hidden_size=2, conv_filters=(2, 3), conv_kernels=(3, 2), seed=4)
 
@@ -811,6 +808,7 @@ class TestCheckpointFuzz:
         path.write_bytes(data.draw(self.mutations(original)))
         try:
             loaded = load_checkpoint(path)
-        except CheckpointError:
+        except CheckpointError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
             return
         assert isinstance(loaded, model_mod.GruFcnModel)

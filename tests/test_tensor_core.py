@@ -14,7 +14,6 @@ from gradcheck import assert_grad_close, max_rel_error, numerical_grad
 from grufcn import tensor_core
 from grufcn.tensor_core import (
     Rng,
-    ShapeMismatchError,
     batch_slices,
     conv1d_same,
     conv1d_same_backward,
@@ -152,9 +151,9 @@ class TestConv1dSame:
         assert out.shape == (length, 3)
 
     def test_unbatched_input_rejected(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match=r"conv1d_same expects \(B,L,Cin\) input"):
             conv1d_same(np.ones((4, 1)), np.ones((3, 1, 1)), np.zeros(1))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match=r"grad shape \(4, 1\) does not match forward"):
             conv1d_same_backward(np.ones((4, 1)), np.ones((3, 1, 1)), np.ones((4, 1)))
 
     def test_backward_matches_finite_differences(self):

@@ -4,7 +4,7 @@ import pytest
 from grufcn import train as train_mod
 from grufcn.data_ucr import UcrDataset
 from grufcn.model import ArchConfig, backward, build, forward, load_checkpoint
-from grufcn.tensor_core import Rng, ShapeMismatchError
+from grufcn.tensor_core import Rng
 from grufcn.train import (
     LR_FLOOR,
     AdamState,
@@ -87,7 +87,7 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         state = AdamState()
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match=r"gradient shape \(4,\) != parameter shape \(3,\)"):
             adam_step(state, {"p": np.zeros(3)}, {"p": np.zeros(4)})
 
     def test_descends_on_quadratic(self):
@@ -153,7 +153,7 @@ class TestFit:
 
     def test_rejects_length_mismatch(self):
         model = build(ArchConfig(23, 2))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match="dataset length 24 != model series length 23"):
             fit(model, make_synthetic_dataset(),
                 TrainRun(epochs=1, train_batch=4, eval_batch=4))
 
