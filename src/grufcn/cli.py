@@ -128,8 +128,8 @@ def _test_metrics(net, test_x, test_y, chunk: int):
 def cmd_eval(args) -> int:
     _check_flags(args)
     net = model_mod.load_checkpoint(args.checkpoint)
-    train_file, test_file, name = _split_files(args)
-    test_x, test_y, label_map = data_ucr.load_test_split(train_file, test_file, name)
+    train_file, test_file, _ = _split_files(args)
+    test_x, test_y, label_map = data_ucr.load_test_split(train_file, test_file)
     if test_x.shape[1] != net.config.series_length:
         raise ValueError(f"{args.checkpoint}: checkpoint expects series length "
                          f"{net.config.series_length}, {test_file} has {test_x.shape[1]}")

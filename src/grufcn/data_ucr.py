@@ -136,7 +136,7 @@ def make_dataset(train_path, test_path, name: str) -> UcrDataset:
     return UcrDataset(name, train_x, train_y, test_x, test_y, label_map)
 
 
-def load_test_split(train_path, test_path, name: str):
+def load_test_split(train_path, test_path):
     """(test_x, test_y, label_map), equal to make_dataset's. The training
     split adds only its labels and its length, so its values are not parsed."""
     train_labels, train_length = load_labels(train_path)

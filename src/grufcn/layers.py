@@ -57,8 +57,11 @@ def _chunks(shape):
     return batch_slices(batch, length, max(1, BN_CHUNK_ELEMENTS // channels))
 
 
-def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
+def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool,
+                       relu: tuple[np.ndarray, np.ndarray] | None = None):
     """ReLU(BN(conv(x))). x is (B, L, Cin); returns ((B, L, Cout), cache).
+    With relu = (gamma, beta), the conv reads x as ReLU(x * gamma + beta), so
+    x can be the previous training block's x_hat (see conv1d_same).
 
     Training mode normalizes with batch statistics taken over all batch and
     time positions per channel, updates the moving statistics in place, and
@@ -66,8 +69,8 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
     place into the cached x_hat, a chunk at a time, so that each chunk's
     chained passes run from cache; the returned output is the only other
     block-sized array. The cache keeps x_hat, copies of gamma and beta, and
-    x, but not the output, which the next block's backward can rebuild
-    (conv_branch links the caches so).
+    x and relu as given, but not the output, which the next block reads
+    through its relu instead (conv_branch links the blocks so).
     The chunks run on tensor_core.WORKERS threads like the conv's slices,
     and their partial sums are added in chunk order.
     The batch statistics must be finite, which any non-finite input or conv
@@ -85,9 +88,9 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
     if not training:
         scale = block.bn_gamma / np.sqrt(block.bn_moving_var + block.bn_epsilon)
         shift = (block.bias - block.bn_moving_mean) * scale + block.bn_beta
-        z = conv1d_same(x, block.kernels, shift, scale=scale)
+        z = conv1d_same(x, block.kernels, shift, scale=scale, relu=relu)
         return np.maximum(z, 0.0, out=z), None
-    y = conv1d_same(x, block.kernels, block.bias)
+    y = conv1d_same(x, block.kernels, block.bias, relu=relu)
     n, chunks = y.shape[0] * y.shape[1], list(_chunks(y.shape))
     # np.var's own steps within a chunk: centre y in place, sum the squares
     mean, var = y.mean(axis=(0, 1)), np.zeros(y.shape[2])
@@ -114,44 +117,53 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool):
 
     for _ in ordered_map(normalize, chunks):
         pass
-    return out, {"block": block, "x": x, "relu": None, "x_hat": y, "inv_std": inv_std,
+    return out, {"block": block, "x": x, "relu": relu, "x_hat": y, "inv_std": inv_std,
                  "gamma": gamma, "beta": beta}
 
 
 def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     """Gradients of the composed ReLU(BN(conv)) w.r.t. input and parameters,
-    from a training-mode cache.
+    from a training-mode cache, which the pass consumes.
 
     Includes the batch-statistics coupling terms of training-mode batch norm,
     with the gamma and beta the forward ran with. Returns (grad_x, grads)
     with grads keyed by ConvBlock.TRAINED; grad_x is None unless input_grad.
     grad_out is read a chunk at a time, so a broadcast view (the pooling's
-    gradient) is never copied whole; the chunks run as in the forward. The
-    cache's x and relu go to conv1d_same_backward: the block's input, or
-    with relu = (gamma, beta) the previous block's x_hat, which its kernel
-    gradient rebuilds the input from.
+    gradient) is never copied whole, and is left untouched; the chunks run as
+    in the forward. The pass takes x_hat out of the cache and overwrites it
+    with the conv's output gradient, so a cache serves one backward: a
+    second raises ValueError. The cache's x and relu, which it leaves as
+    they are, go to conv1d_same_backward: the block's input, or with relu =
+    (gamma, beta) the previous block's x_hat, which its kernel gradient
+    rebuilds the input from.
     """
     block: ConvBlock = cache["block"]
-    x_hat, gamma, beta = cache["x_hat"], cache["gamma"], cache["beta"]
+    x_hat, gamma, beta = cache.get("x_hat"), cache["gamma"], cache["beta"]
+    if x_hat is None:
+        raise ValueError("this conv block cache was already used by a backward pass")
     if grad_out.shape != x_hat.shape:
         raise ValueError(
             f"grad shape {grad_out.shape} != forward output shape {x_hat.shape}"
         )
+    del cache["x_hat"]
     # closed form: with n = B*L and dx_hat = gamma * dz, mean(dx_hat) is
     # gamma * sum(dz) / n and mean(dx_hat * x_hat) is gamma * sum(dz * x_hat) / n,
-    # so dy = (dz - sum(dz)/n - x_hat * sum(dz * x_hat)/n) * gamma * inv_std;
-    # dz becomes dy in place, and the conv backward applies gamma * inv_std.
-    # The ReLU gate is recomputed per chunk from the forward's own output
-    # values, into dz: caching it, or the last block's output that nothing
-    # else keeps, would hold a block-sized array through the whole backward
+    # so dy = (dz - sum(dz)/n - x_hat * sum(dz * x_hat)/n) * gamma * inv_std,
+    # and the conv backward applies gamma * inv_std. dz, the ReLU-gated
+    # grad_out, is recomputed per chunk from the forward's own output values
+    # in both passes, and the second writes dy over x_hat: caching dz, the
+    # gate or the last block's output that nothing else keeps, or writing dy
+    # to a new array, would hold one more block-sized array
     n, chunks = x_hat.shape[0] * x_hat.shape[1], list(_chunks(x_hat.shape))
-    dz = np.empty_like(x_hat)
     grad_gamma, grad_beta = np.zeros(x_hat.shape[2]), np.zeros(x_hat.shape[2])
 
+    def gated(chunk):
+        out = _bn_relu(x_hat[chunk], gamma, beta, np.empty(x_hat[chunk].shape))
+        return np.multiply(grad_out[chunk], out > 0, out=out)
+
     def gate(chunk):
-        out = _bn_relu(x_hat[chunk], gamma, beta, dz[chunk])
-        d = np.multiply(grad_out[chunk], out > 0, out=out)
-        return np.einsum("blc,blc->c", d, x_hat[chunk]), d.sum(axis=(0, 1))
+        dz = gated(chunk)
+        return np.einsum("blc,blc->c", dz, x_hat[chunk]), dz.sum(axis=(0, 1))
 
     for part_gamma, part_beta in ordered_map(gate, chunks):
         grad_gamma += part_gamma
@@ -159,30 +171,16 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     mean_dz, mean_prod = grad_beta / n, grad_gamma / n
 
     def couple(chunk):
-        dy = dz[chunk]
+        dy, x_part = gated(chunk), x_hat[chunk]
         dy -= mean_dz
-        dy -= x_hat[chunk] * mean_prod
+        np.subtract(dy, np.multiply(x_part, mean_prod, out=x_part), out=x_part)
 
     for _ in ordered_map(couple, chunks):
         pass
-    grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, dz, input_grad,
+    grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, x_hat, input_grad,
                                                 scale=gamma * cache["inv_std"],
                                                 relu=cache["relu"])
     return grad_x, {"kernels": grad_kernels, "bn_gamma": grad_gamma, "bn_beta": grad_beta}
-
-
-def _blocks_pooled(blocks: list[ConvBlock], x: np.ndarray, training: bool):
-    """Pooled features of x through every block, and the block caches. A
-    training cache of block i > 0 swaps its input, block i - 1's output, for
-    the x_hat, gamma and beta it is rebuilt from."""
-    caches = []
-    for block in blocks:
-        x, cache = conv_block_forward(block, x, training)
-        if training and caches:
-            prev = caches[-1]
-            cache.update(x=prev["x_hat"], relu=(prev["gamma"], prev["beta"]))
-        caches.append(cache)
-    return global_avg_pool(x), caches
 
 
 def conv_branch(blocks: list[ConvBlock], x: np.ndarray, training: bool):
@@ -190,31 +188,45 @@ def conv_branch(blocks: list[ConvBlock], x: np.ndarray, training: bool):
     input, and in training mode the per-block caches (else None).
 
     Training runs the whole batch at once, since batch norm takes its
-    statistics over all of it. At inference the blocks run over groups of
-    whole series, each through every block and the pooling before the next
-    starts, so only one group's activations are alive: at most
+    statistics over all of it. Block i > 0 reads block i - 1's x_hat through
+    that block's gamma and beta, so the output of every block but the last
+    is dropped as soon as its block returns, and the caches hold one
+    block-sized array each, its x_hat. At inference the blocks run over
+    groups of whole series, each through every block and the pooling before
+    the next starts, so only one group's activations are alive: at most
     `tensor_core.IM2COL_ELEMENTS` floats per block output (or one series, if
     that is larger), however large B is.
     """
     if training:
-        return _blocks_pooled(blocks, x, True)
+        caches, relu = [], None
+        for block in blocks:
+            x, cache = conv_block_forward(block, x, True, relu)
+            caches.append(cache)
+            if len(caches) < len(blocks):
+                x, relu = cache["x_hat"], (cache["gamma"], cache["beta"])
+        return global_avg_pool(x), caches
     widest = max(block.kernels.shape[2] for block in blocks)
     group = max(1, tensor_core.IM2COL_ELEMENTS // (x.shape[1] * widest))
     pooled = np.empty((len(x), blocks[-1].kernels.shape[2]))
     for start in range(0, len(x), group):
-        pooled[start:start + group] = _blocks_pooled(blocks, x[start:start + group], False)[0]
+        part = x[start:start + group]
+        for block in blocks:
+            part = conv_block_forward(block, part, False)[0]
+        pooled[start:start + group] = global_avg_pool(part)
     return pooled, None
 
 
 def conv_branch_backward(caches, grad_pooled: np.ndarray) -> list[dict[str, np.ndarray]]:
     """Each block's gradients, keyed by ConvBlock.TRAINED, in block order,
     from conv_branch's training caches and the gradient of its pooled
-    features. The blocks run last to first; nothing reads the gradient of
-    the branch's input, so block 0 computes none."""
+    features. The blocks run last to first, each popping its cache off
+    caches, which ends empty, so that a block's x_hat is freed as soon as
+    its backward has used it. Nothing reads the gradient of the branch's
+    input, so block 0 computes none."""
     grad = global_avg_pool_backward(grad_pooled, caches[-1]["x_hat"].shape[1])
     grads = [None] * len(caches)
     for i in reversed(range(len(caches))):
-        grad, grads[i] = conv_block_backward(caches[i], grad, i > 0)
+        grad, grads[i] = conv_block_backward(caches.pop(), grad, i > 0)
     return grads
 
 

@@ -208,10 +208,15 @@ def forward(model: GruFcnModel, batch: np.ndarray, training: bool = False,
 
 def backward(model: GruFcnModel, cache, y_onehot: np.ndarray):
     """Mean cross-entropy loss and its gradients w.r.t. trainable_parameters(),
-    keyed by manifest name, from a training-mode forward cache."""
+    keyed by manifest name, from a training-mode forward cache. A training
+    cache serves one backward, which consumes the conv blocks' caches to
+    free their activations as it goes; a second raises ValueError."""
     if "conv_caches" not in cache:
         raise ValueError("backward needs the cache of a training-mode forward pass; "
                          "an inference-mode pass keeps no backward state")
+    if not cache["conv_caches"]:
+        raise ValueError("this training cache was already used by a backward pass; "
+                         "run a new training-mode forward")
     y = np.asarray(y_onehot, dtype=np.float64)
     probs = cache["probs"]
     loss = float(np.mean(layers.cross_entropy(probs, y)))

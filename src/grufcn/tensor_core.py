@@ -205,12 +205,14 @@ def _winograd_matrices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _winograd_correlate(x: np.ndarray, kernels: np.ndarray, left: int,
-                        scale: np.ndarray | None) -> np.ndarray:
+                        scale: np.ndarray | None,
+                        relu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """(B, L, Cout) correlation, without bias, of the (B, L, Cin) input x,
-    zero-padded by left positions before it, with (k <= 5, Cin, Cout)
-    kernels, each output channel times scale unless it is None: per slice,
-    B^T on each tile of 4 outputs' k + 3 inputs, k + 3 (tiles x Cin) @
-    (Cin x Cout) GEMMs with G-transformed (and scaled) kernels, then A^T.
+    read through relu as in _padded and zero-padded by left positions before
+    it, with (k <= 5, Cin, Cout) kernels, each output channel times scale
+    unless it is None: per slice, B^T on each tile of 4 outputs' k + 3
+    inputs, k + 3 (tiles x Cin) @ (Cin x Cout) GEMMs with G-transformed (and
+    scaled) kernels, then A^T.
     """
     c_in = x.shape[2]
     k, _, c_out = kernels.shape
@@ -223,7 +225,7 @@ def _winograd_correlate(x: np.ndarray, kernels: np.ndarray, left: int,
 
     def run(item):
         series, positions = item
-        windows = _windows(_padded(x, series, positions, k, left), alpha, 4)
+        windows = _windows(_padded(x, series, positions, k, left, relu), alpha, 4)
         shape = windows.shape[:2]
         n = shape[0] * shape[1]
         v, m = np.empty((n, alpha, c_in)), np.empty((n, alpha, c_out))
@@ -244,16 +246,18 @@ def _winograd_correlate(x: np.ndarray, kernels: np.ndarray, left: int,
 
 
 def _correlate(x: np.ndarray, kernels: np.ndarray, left: int,
-               scale: np.ndarray | None = None) -> np.ndarray:
+               scale: np.ndarray | None = None,
+               relu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """out[b, t] = sum_j x[b, t - left + j] @ kernels[j], x zero outside its L
-    positions, for (B, L, Cin) x and (k, Cin, Cout) kernels, times the (Cout,)
-    scale unless it is None: Winograd F(4, k) GEMMs if k <= 5 and
-    Cin >= WINOGRAD_MIN_CHANNELS, else im2col GEMMs. The scale goes into the
-    weights, never the output: in place into Winograd's transformed kernels,
-    or into a copy of the (k * Cin, Cout) im2col weight matrix."""
+    positions and read through relu as in _padded, for (B, L, Cin) x and
+    (k, Cin, Cout) kernels, times the (Cout,) scale unless it is None:
+    Winograd F(4, k) GEMMs if k <= 5 and Cin >= WINOGRAD_MIN_CHANNELS, else
+    im2col GEMMs. The scale goes into the weights, never the output: in
+    place into Winograd's transformed kernels, or into a copy of the
+    (k * Cin, Cout) im2col weight matrix."""
     k, c_in, c_out = kernels.shape
     if k <= 5 and c_in >= WINOGRAD_MIN_CHANNELS:
-        return _winograd_correlate(x, kernels, left, scale)
+        return _winograd_correlate(x, kernels, left, scale, relu)
     w, out = kernels.reshape(k * c_in, c_out), np.empty(x.shape[:2] + (c_out,))
     if scale is not None:
         w = w * scale
@@ -261,7 +265,7 @@ def _correlate(x: np.ndarray, kernels: np.ndarray, left: int,
     def run(item):
         series, positions = item
         # a slice is whole series or part of one series, so this view is contiguous
-        np.matmul(_im2col(x, series, positions, k, left), w,
+        np.matmul(_im2col(x, series, positions, k, left, relu), w,
                   out=out[series, positions].reshape(-1, c_out))
 
     for _ in ordered_map(run, _slices(x, k * c_in)):
@@ -270,7 +274,8 @@ def _correlate(x: np.ndarray, kernels: np.ndarray, left: int,
 
 
 def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, *,
-                scale: np.ndarray | None = None) -> np.ndarray:
+                scale: np.ndarray | None = None,
+                relu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Stride-1 cross-correlation with zero "same" padding.
 
     x is (B, L, Cin), kernels is (k, Cin, Cout), bias is (Cout,); returns
@@ -279,6 +284,9 @@ def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, *,
     into the weights the correlation multiplies by: Winograd's transformed
     kernels, which it builds anyway, or an im2col weight copy (8 x 128
     floats for the model's block 0), so the output takes no extra pass.
+    With relu = (gamma, beta), x is read as ReLU(x * gamma + beta), rebuilt
+    a slice at a time as in conv1d_same_backward, so a training block's
+    output need not exist for the next block to read it.
     """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -291,7 +299,7 @@ def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, *,
     k, c_in, _ = kernels.shape
     if x.shape[2] != c_in:
         raise ValueError(f"input channels {x.shape[2]} != kernel channels {c_in}")
-    out = _correlate(x, kernels, same_padding(k)[0], scale)
+    out = _correlate(x, kernels, same_padding(k)[0], scale, relu)
     return np.add(out, bias, out=out)
 
 

@@ -629,8 +629,8 @@ class TestEval:
         only_two.write_text("".join(line + "\n" for line in test.read_text().splitlines()
                                     if line.startswith("2,")))
 
-        def full_parse(train_path, test_path, name):
-            ds = data_ucr.make_dataset(train_path, test_path, name)
+        def full_parse(train_path, test_path):
+            ds = data_ucr.make_dataset(train_path, test_path, "full")
             return ds.test_x, ds.test_y, ds.label_map
 
         for test_file in (test, only_two):

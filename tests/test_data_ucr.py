@@ -153,7 +153,7 @@ class TestLoadTestSplit:
         # label 9 occurs only in the training split and still takes an index
         write_lines(train, ["9,0.0,1.0", "2,2.0,3.0", "-1.5,0.5,0.5"])
         write_lines(test, ["5,4.0,5.0", "2,6.0,7.0", "-1.5,8.0,9.0"])
-        test_x, test_y, label_map = load_test_split(train, test, "t")
+        test_x, test_y, label_map = load_test_split(train, test)
         ds = make_dataset(train, test, "t")
         assert label_map == ds.label_map == {-1.5: 0, 2.0: 1, 5.0: 2, 9.0: 3}
         assert np.array_equal(test_y, ds.test_y)
@@ -169,7 +169,7 @@ class TestLoadTestSplit:
         for split in ("TRAIN", "TEST"):
             n = int(rng.integers(1, 8))
             write_split(work / split, rng.integers(-3, 4, size=n) / 2, rng.normal(size=(n, length)))
-        test_x, test_y, label_map = load_test_split(work / "TRAIN", work / "TEST", "r")
+        test_x, test_y, label_map = load_test_split(work / "TRAIN", work / "TEST")
         ds = make_dataset(work / "TRAIN", work / "TEST", "r")
         assert label_map == ds.label_map
         assert np.array_equal(test_y, ds.test_y)
@@ -182,7 +182,7 @@ class TestLoadTestSplit:
         write_lines(test, ["1,0.0,1.0,2.0"])
         with pytest.raises(UcrParseError, match="t_TRAIN: train length 2 != test length 3 "
                                                 "of .*t_TEST$"):
-            load_test_split(train, test, "t")
+            load_test_split(train, test)
 
     @pytest.mark.parametrize("case", sorted(BAD_SPLITS))
     def test_malformed_training_split_rejected(self, tmp_path, case):
@@ -192,7 +192,7 @@ class TestLoadTestSplit:
         test = tmp_path / "t_TEST"
         write_lines(test, ["1,0.0,1.0"])
         with pytest.raises(UcrParseError, match=message):
-            load_test_split(train, test, "t")
+            load_test_split(train, test)
 
 
 class TestSplitFuzz:
@@ -233,7 +233,7 @@ class TestSplitFuzz:
             # load_labels checks a subset of what load_split checks
             assert np.array_equal(labels[0], raw_labels) and labels[1] == x.shape[1]
         pair = [path if i == side else p for i, p in enumerate(splits)]
-        joined = self.outcome(load_test_split, *pair, "f")
+        joined = self.outcome(load_test_split, *pair)
         if isinstance(joined, UcrParseError):
             assert str(joined).startswith(tuple(map(str, pair))), joined
             return

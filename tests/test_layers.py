@@ -174,17 +174,35 @@ class TestConvBlock:
         assert np.array_equal(out, np.maximum(x_hat * block.bn_gamma + block.bn_beta, 0.0))
 
     def test_backward_leaves_its_inputs_untouched(self):
+        # the block reads its input through a previous block's (gamma, beta),
+        # as blocks 1 and 2 do; grad_out is writable, or the pooling's
+        # read-only broadcast view. The backward consumes x_hat alone.
+        rng = np.random.default_rng(7)
+        block = make_conv_block(rng, 3, 2, 4)
+        x, relu = rng.normal(size=(2, 6, 2)), (rng.normal(size=2), rng.normal(size=2))
+        for grad_out in (rng.normal(size=(2, 6, 4)),
+                         global_avg_pool_backward(rng.normal(size=(2, 4)), 6)):
+            passes = []
+            for _ in range(2):
+                _, cache = conv_block_forward(block, x, training=True, relu=relu)
+                inputs = (x, *relu, grad_out, *(getattr(block, f.name) for f in fields(block)))
+                saved = [np.copy(a) for a in inputs]
+                passes.append(conv_block_backward(cache, grad_out))
+                assert "x_hat" not in cache
+                assert cache["x"] is x and cache["relu"] is relu
+                assert all(np.array_equal(a, b) for a, b in zip(inputs, saved, strict=True))
+            (grad_x, grads), (grad_x_again, grads_again) = passes
+            assert np.array_equal(grad_x, grad_x_again)
+            assert all(np.array_equal(grads[k], grads_again[k]) for k in grads)
+
+    def test_second_backward_on_one_cache_is_refused(self):
         rng = np.random.default_rng(7)
         block = make_conv_block(rng, 3, 2, 4)
         _, cache = conv_block_forward(block, rng.normal(size=(2, 6, 2)), training=True)
         grad_out = rng.normal(size=(2, 6, 4))
-        saved = {k: v.copy() for k, v in cache.items() if isinstance(v, np.ndarray)}
-        saved["grad_out"] = grad_out.copy()
-        first = conv_block_backward(cache, grad_out)
-        second = conv_block_backward(cache, grad_out)
-        assert all(np.array_equal({**cache, "grad_out": grad_out}[k], v) for k, v in saved.items())
-        assert np.array_equal(first[0], second[0])
-        assert all(np.array_equal(first[1][k], second[1][k]) for k in first[1])
+        conv_block_backward(cache, grad_out)
+        with pytest.raises(ValueError, match="already used by a backward pass"):
+            conv_block_backward(cache, grad_out)
 
     def test_non_finite_input_rejected(self):
         block = make_conv_block(np.random.default_rng(4), 3, 1, 2)
@@ -298,8 +316,9 @@ def training_pass(block, x, grad_out):
     block = replace(block, bn_moving_mean=block.bn_moving_mean.copy(),
                     bn_moving_var=block.bn_moving_var.copy())
     out, cache = conv_block_forward(block, x, training=True)
+    x_hat = cache["x_hat"].copy()
     grad_x, grads = conv_block_backward(cache, grad_out)
-    return {"out": out, "x_hat": cache["x_hat"], "moving_mean": block.bn_moving_mean,
+    return {"out": out, "x_hat": x_hat, "moving_mean": block.bn_moving_mean,
             "moving_var": block.bn_moving_var, "grad_x": grad_x, **grads}
 
 
@@ -414,7 +433,9 @@ class TestConvBranch:
         def loss():
             return float(np.sum(conv_branch(blocks, x, True)[0] * grad_pooled))
 
-        grads = conv_branch_backward(conv_branch(blocks, x, True)[1], grad_pooled)
+        caches = conv_branch(blocks, x, True)[1]
+        grads = conv_branch_backward(caches, grad_pooled)
+        assert caches == []  # each block's cache popped as its backward ran
         assert len(grads) == len(blocks)
         for i, block in enumerate(blocks):
             assert list(grads[i]) == list(ConvBlock.TRAINED)

@@ -509,8 +509,10 @@ class TestRebuiltBlockInputs:
         for name, grad in grads.items():
             assert np.array_equal(grads_after[name], grad), name
 
-    def test_training_step_peak_in_block_outputs(self, monkeypatch):
-        # a scaled Adiac shape; a unit is one (B, L, 128) float64 block output
+    def traced_step(self, monkeypatch):
+        """Unit size, and the traced peaks of a training forward and of the
+        whole step, on a scaled Adiac shape at 2 workers; a unit is one
+        (B, L, 128) float64 block output."""
         monkeypatch.setattr(tensor_core, "WORKERS", 2)
         batch, length = 32, 176
         model = build(ArchConfig(length, 37, cell_kind="lstm", seed=3))
@@ -519,15 +521,37 @@ class TestRebuiltBlockInputs:
         tracemalloc.start()
         try:
             _, cache = forward(model, x, training=True, rng=Rng(1))
+            forward_peak = tracemalloc.get_traced_memory()[1]
             backward(model, cache, y)
-            peak = tracemalloc.get_traced_memory()[1]
+            return batch * length * 128 * 8, forward_peak, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # block 1's backward holds the three x_hats (1 + 2 + 1 units), its
-        # incoming gradient and dz (2 each) and its input gradient (1): 9,
-        # and about 2.3 more of slices, weights and smaller arrays (11.3
-        # measured). Caching blocks 1 and 2's inputs as well adds 3 (14.3).
-        assert peak < 12.8 * batch * length * 128 * 8
+
+    def test_training_forward_peak_in_block_outputs(self, monkeypatch):
+        unit, forward_peak, _ = self.traced_step(monkeypatch)
+        # block 2's forward holds x_hat0 and x_hat1 (1 + 2 units), its conv
+        # output, normalized in place into x_hat2, and its output (1 each):
+        # 5, and about 0.1 more of slices and smaller arrays (5.10 measured).
+        # Keeping block 1's output alive for block 2's conv adds 2 (7.10).
+        assert forward_peak < 5.6 * unit
+
+    def test_training_step_peak_in_block_outputs(self, monkeypatch):
+        unit, _, peak = self.traced_step(monkeypatch)
+        # block 1's backward holds x_hat0 (1 unit), its own x_hat overwritten
+        # by dz (2), its incoming gradient (2) and its input gradient (1):
+        # 6, and about 2.3 more of slices, weights and smaller arrays (8.34
+        # measured). Keeping block 2's x_hat to its end and dz in a new
+        # array adds 3 (11.34); caching blocks 1 and 2's inputs as well, 3
+        # more.
+        assert peak < 8.8 * unit
+
+    def test_second_backward_on_one_cache_is_refused(self):
+        model = build(ArchConfig(self.LENGTH, 4, seed=2))
+        x = np.random.default_rng(3).normal(size=(3, self.LENGTH))
+        _, cache = forward(model, x, training=True, rng=Rng(0))
+        backward(model, cache, np.eye(4)[[0, 1, 2]])
+        with pytest.raises(ValueError, match="already used by a backward pass"):
+            backward(model, cache, np.eye(4)[[0, 1, 2]])
 
 
 def test_failed_atomic_write_keeps_the_earlier_file(tmp_path):

@@ -290,8 +290,8 @@ class TestWinograd:
         calls = []
         correlate = tensor_core._winograd_correlate
         monkeypatch.setattr(tensor_core, "_winograd_correlate",
-                            lambda x, kernels, left, scale: calls.append(kernels.shape)
-                            or correlate(x, kernels, left, scale))
+                            lambda x, kernels, left, scale, relu: calls.append(kernels.shape)
+                            or correlate(x, kernels, left, scale, relu))
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2, 9, 1))
         for k, c_out in ((8, 128), (5, 256), (3, 128)):
@@ -527,10 +527,28 @@ class TestWorkers:
 
 
 class TestRebuiltInput:
-    """With relu = (gamma, beta), conv1d_same_backward reads x as
-    ReLU(x * gamma + beta), rebuilt a slice at a time into the slice's
-    padded copy; its gradients must be bitwise those of the materialized
-    input, however the slices cut the series and however many workers."""
+    """With relu = (gamma, beta), conv1d_same and conv1d_same_backward read x
+    as ReLU(x * gamma + beta), rebuilt a slice at a time into the slice's
+    padded copy; the output and gradients must be bitwise those of the
+    materialized input, however the slices cut the series and however many
+    workers."""
+
+    @pytest.mark.parametrize("c_in", [2, 40])  # the im2col and Winograd paths
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_output_is_bitwise_that_of_the_materialized_input(self, monkeypatch, c_in,
+                                                              workers):
+        rng = np.random.default_rng(18)
+        x_hat = rng.normal(size=(5, 9, c_in))
+        gamma, beta = rng.normal(size=c_in), rng.normal(size=c_in)
+        kernels, bias = rng.normal(size=(5, c_in, 6)), rng.normal(size=6)
+        x = tensor_core._bn_relu(x_hat, gamma, beta, np.empty_like(x_hat))
+        assert 0 < np.count_nonzero(x) < x.size
+        # one position per im2col slice, one tile of 4 per Winograd slice:
+        # slices cut every series, so some reach past its start or end
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 1)
+        monkeypatch.setattr(tensor_core, "WORKERS", workers)
+        expected = conv1d_same(x, kernels, bias)
+        assert np.array_equal(conv1d_same(x_hat, kernels, bias, relu=(gamma, beta)), expected)
 
     # 5 series of 9 positions, 3 channels: slices of 1 or 4 positions cut
     # each series, so some slices reach past its start or end; 9 and 18 are
