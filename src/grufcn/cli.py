@@ -33,8 +33,13 @@ def _shipped(name: str):
 
 
 def _split_files(args) -> tuple[Path, Path, str]:
-    """(train file, test file, dataset name) from explicit paths or the archive root."""
-    if args.train_path and args.test_path:
+    """(train file, test file, dataset name) from explicit paths or the archive
+    root. One of --train-path and --test-path without the other is refused."""
+    if bool(args.train_path) != bool(args.test_path):
+        given, missing = (("--train-path", "--test-path") if args.train_path
+                          else ("--test-path", "--train-path"))
+        raise ValueError(f"{given} needs {missing} as well")
+    if args.train_path:
         name = args.dataset or Path(args.train_path).stem.replace("_TRAIN", "")
         return Path(args.train_path), Path(args.test_path), name
     if not args.dataset:
@@ -127,8 +132,8 @@ def _test_metrics(net, test_x, test_y, chunk: int):
 
 def cmd_eval(args) -> int:
     _check_flags(args)
-    net = model_mod.load_checkpoint(args.checkpoint)
     train_file, test_file, _ = _split_files(args)
+    net = model_mod.load_checkpoint(args.checkpoint)
     test_x, test_y, label_map = data_ucr.load_test_split(train_file, test_file)
     if test_x.shape[1] != net.config.series_length:
         raise ValueError(f"{args.checkpoint}: checkpoint expects series length "
@@ -206,25 +211,27 @@ def cmd_compare(args) -> int:
         model_mpce = metrics.mpce(col[present], class_counts[present])
         print(f"{m},{mean_ranks[m]:.6f},{no_best[m]},{model_mpce:.6f}")
 
-    with open(out_dir / "wilcoxon_pvalues.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("model," + ",".join(matrix.models) + "\n")
-        for i, a in enumerate(matrix.models):
-            cells = []
-            for j, b in enumerate(matrix.models):
-                if j <= i:
-                    cells.append("")
-                    continue
-                col_a, col_b = matrix.column(a), matrix.column(b)
-                both = ~np.isnan(col_a) & ~np.isnan(col_b)
-                try:
-                    res = metrics.wilcoxon_signed_rank(col_a[both], col_b[both])
-                    cells.append(f"{res.pvalue:.6e}")
-                except metrics.UndefinedTestError:
-                    cells.append("")
-            fh.write(a + "," + ",".join(cells) + "\n")
+    lines = ["model," + ",".join(matrix.models)]
+    for i, a in enumerate(matrix.models):
+        cells = []
+        for j, b in enumerate(matrix.models):
+            if j <= i:
+                cells.append("")
+                continue
+            col_a, col_b = matrix.column(a), matrix.column(b)
+            both = ~np.isnan(col_a) & ~np.isnan(col_b)
+            try:
+                res = metrics.wilcoxon_signed_rank(col_a[both], col_b[both])
+                cells.append(f"{res.pvalue:.6e}")
+            except metrics.UndefinedTestError:
+                cells.append("")
+        lines.append(a + "," + ",".join(cells))
+    model_mod.write_atomic(out_dir / "wilcoxon_pvalues.csv",
+                           ["\n".join(lines + [""]).encode("utf-8")])
 
     print(f"critical difference (alpha={args.alpha}): {cd:.6f}")
-    (out_dir / "cd_diagram.svg").write_text(metrics.cd_diagram_svg(mean_ranks, cd))
+    model_mod.write_atomic(out_dir / "cd_diagram.svg",
+                           [metrics.cd_diagram_svg(mean_ranks, cd).encode("utf-8")])
     return 0
 
 

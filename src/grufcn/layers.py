@@ -59,38 +59,34 @@ def _chunks(shape):
 
 def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool,
                        relu: tuple[np.ndarray, np.ndarray] | None = None):
-    """ReLU(BN(conv(x))). x is (B, L, Cin); returns ((B, L, Cout), cache).
-    With relu = (gamma, beta), the conv reads x as ReLU(x * gamma + beta), so
-    x can be the previous training block's x_hat (see conv1d_same).
+    """ReLU(BN(conv(x))) for a (B, L, Cin) x, read as ReLU(a * x + b) if
+    relu = (a, b) is given, as the previous block hands it on. Returns
+    ((h, (a, b)), cache): the block's output is ReLU(a * h + b), which
+    _bn_relu rebuilds wherever it is read, for the (B, L, Cout) array h that
+    the block keeps and a pair of (Cout,) vectors (a, b). Both modes run the
+    same conv, h = conv1d_same(x, kernels, bias, relu=relu), and write no
+    output array.
 
     Training mode normalizes with batch statistics taken over all batch and
     time positions per channel, updates the moving statistics in place, and
-    returns the backward cache. The conv output is centred and normalized in
-    place into the cached x_hat, a chunk at a time, so that each chunk's
-    chained passes run from cache; the returned output is the only other
-    block-sized array. The cache keeps x_hat, copies of gamma and beta, and
-    x and relu as given, but not the output, which the next block reads
-    through its relu instead (conv_branch links the blocks so).
-    The chunks run on tensor_core.WORKERS threads like the conv's slices,
-    and their partial sums are added in chunk order.
-    The batch statistics must be finite, which any non-finite input or conv
-    output makes them fail.
+    returns the backward cache. h is x_hat: the conv output, centred and
+    normalized in place a chunk at a time, and (a, b) are copies of gamma
+    and beta, so h is the only block-sized array. The cache keeps x_hat,
+    gamma, beta, and x and relu as given. The chunks run on
+    tensor_core.WORKERS threads like the conv's slices, and their partial
+    sums are added in chunk order. The batch statistics must be finite,
+    which any non-finite input or conv output, or an empty batch, makes
+    them fail.
 
-    Inference mode folds the moving statistics, gamma and beta into one
-    per-channel scale s = gamma / sqrt(var + eps), which the conv multiplies
-    into its weights, and one shift (bias - mean) * s + beta, its bias: the
-    block is the conv and a ReLU in place, with None for the cache, so no
-    activation outlives the pass. The fold is redone on every call from
-    Cout-float vectors; holding folded kernels instead would keep a
-    kernel-sized copy alive beside the conv. Inference checks nothing for
-    finiteness; `model.forward` checks its input and pooled features.
+    Inference mode keeps the conv output itself, with a = gamma / sqrt(moving
+    var + eps) and b = beta - moving mean * a, and None for the cache, so no
+    activation outlives the pass. It checks nothing for finiteness;
+    `model.forward` checks its input and pooled features.
     """
-    if not training:
-        scale = block.bn_gamma / np.sqrt(block.bn_moving_var + block.bn_epsilon)
-        shift = (block.bias - block.bn_moving_mean) * scale + block.bn_beta
-        z = conv1d_same(x, block.kernels, shift, scale=scale, relu=relu)
-        return np.maximum(z, 0.0, out=z), None
     y = conv1d_same(x, block.kernels, block.bias, relu=relu)
+    if not training:
+        a = block.bn_gamma / np.sqrt(block.bn_moving_var + block.bn_epsilon)
+        return (y, (a, block.bn_beta - block.bn_moving_mean * a)), None
     n, chunks = y.shape[0] * y.shape[1], list(_chunks(y.shape))
     # np.var's own steps within a chunk: centre y in place, sum the squares
     mean, var = y.mean(axis=(0, 1)), np.zeros(y.shape[2])
@@ -110,15 +106,14 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool,
     block.bn_moving_var[...] = m * block.bn_moving_var + (1 - m) * var
     inv_std = 1.0 / np.sqrt(var + block.bn_epsilon)
     gamma, beta = block.bn_gamma.copy(), block.bn_beta.copy()
-    out = np.empty_like(y)
 
     def normalize(chunk):
-        _bn_relu(np.multiply(y[chunk], inv_std, out=y[chunk]), gamma, beta, out[chunk])
+        np.multiply(y[chunk], inv_std, out=y[chunk])
 
     for _ in ordered_map(normalize, chunks):
         pass
-    return out, {"block": block, "x": x, "relu": relu, "x_hat": y, "inv_std": inv_std,
-                 "gamma": gamma, "beta": beta}
+    return (y, (gamma, beta)), {"block": block, "x": x, "relu": relu, "x_hat": y,
+                                "inv_std": inv_std, "gamma": gamma, "beta": beta}
 
 
 def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
@@ -150,10 +145,10 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     # gamma * sum(dz) / n and mean(dx_hat * x_hat) is gamma * sum(dz * x_hat) / n,
     # so dy = (dz - sum(dz)/n - x_hat * sum(dz * x_hat)/n) * gamma * inv_std,
     # and the conv backward applies gamma * inv_std. dz, the ReLU-gated
-    # grad_out, is recomputed per chunk from the forward's own output values
-    # in both passes, and the second writes dy over x_hat: caching dz, the
-    # gate or the last block's output that nothing else keeps, or writing dy
-    # to a new array, would hold one more block-sized array
+    # grad_out, is gated per chunk by the output that _bn_relu rebuilds, as
+    # the forward's readers do, in both passes, and the second writes dy over
+    # x_hat: caching dz or the gate, or writing dy to a new array, would hold
+    # one more block-sized array
     n, chunks = x_hat.shape[0] * x_hat.shape[1], list(_chunks(x_hat.shape))
     grad_gamma, grad_beta = np.zeros(x_hat.shape[2]), np.zeros(x_hat.shape[2])
 
@@ -187,33 +182,28 @@ def conv_branch(blocks: list[ConvBlock], x: np.ndarray, training: bool):
     """Pooled (B, Cout) features of the blocks run in turn over a (B, L, Cin)
     input, and in training mode the per-block caches (else None).
 
-    Training runs the whole batch at once, since batch norm takes its
-    statistics over all of it. Block i > 0 reads block i - 1's x_hat through
-    that block's gamma and beta, so the output of every block but the last
-    is dropped as soon as its block returns, and the caches hold one
-    block-sized array each, its x_hat. At inference the blocks run over
-    groups of whole series, each through every block and the pooling before
-    the next starts, so only one group's activations are alive: at most
-    `tensor_core.IM2COL_ELEMENTS` floats per block output (or one series, if
-    that is larger), however large B is.
+    Each block hands the next its kept array and (a, b), which the next
+    conv and the pooling read through ReLU(a * h + b), so no block output
+    is ever written. The batch runs in groups of whole series, each through
+    every block and the pooling before the next group starts. Training runs
+    the whole batch as one group, since batch norm takes its statistics over
+    all of it, and the caches hold one block-sized array each, its x_hat.
+    At inference a group holds at most `tensor_core.IM2COL_ELEMENTS` floats
+    per block (or one series, if that is larger), however large B is, and
+    only one group's activations are alive.
     """
-    if training:
-        caches, relu = [], None
-        for block in blocks:
-            x, cache = conv_block_forward(block, x, True, relu)
-            caches.append(cache)
-            if len(caches) < len(blocks):
-                x, relu = cache["x_hat"], (cache["gamma"], cache["beta"])
-        return global_avg_pool(x), caches
     widest = max(block.kernels.shape[2] for block in blocks)
-    group = max(1, tensor_core.IM2COL_ELEMENTS // (x.shape[1] * widest))
-    pooled = np.empty((len(x), blocks[-1].kernels.shape[2]))
-    for start in range(0, len(x), group):
-        part = x[start:start + group]
+    group = max(1, len(x) if training
+                else tensor_core.IM2COL_ELEMENTS // (x.shape[1] * widest))
+    pooled, caches = np.empty((len(x), blocks[-1].kernels.shape[2])), []
+    # an empty training batch still runs block 0, whose statistics refuse it
+    for start in range(0, max(len(x), 1), group):
+        h, relu = x[start:start + group], None
         for block in blocks:
-            part = conv_block_forward(block, part, False)[0]
-        pooled[start:start + group] = global_avg_pool(part)
-    return pooled, None
+            (h, relu), cache = conv_block_forward(block, h, training, relu)
+            caches.append(cache)
+        pooled[start:start + group] = global_avg_pool(h, *relu)
+    return pooled, caches if training else None
 
 
 def conv_branch_backward(caches, grad_pooled: np.ndarray) -> list[dict[str, np.ndarray]]:
@@ -345,11 +335,22 @@ def _input_grads(x: np.ndarray, gates) -> dict[str, np.ndarray]:
 # Pooling, dropout, classification head
 # ---------------------------------------------------------------------------
 
-def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """Per-channel mean over the time axis: (B, L, C) -> (B, C)."""
-    if x.shape[-2] == 0:
+def global_avg_pool(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-channel mean over the time axis, (B, L, C) -> (B, C), of a conv
+    block's output ReLU(a * h + b), rebuilt by _bn_relu one _chunks chunk at
+    a time into a chunk-sized scratch. The chunks run as in the blocks, and
+    their sums are added in chunk order."""
+    if h.shape[1] == 0:
         raise ValueError("global_avg_pool needs at least one time position")
-    return x.mean(axis=-2)
+    chunks = list(_chunks(h.shape))
+
+    def time_sum(chunk):
+        return _bn_relu(h[chunk], a, b, np.empty(h[chunk].shape)).sum(axis=1)
+
+    pooled = np.zeros((h.shape[0], h.shape[2]))
+    for (series, _), part in zip(chunks, ordered_map(time_sum, chunks)):
+        pooled[series] += part
+    return np.divide(pooled, h.shape[1], out=pooled)
 
 
 def global_avg_pool_backward(grad_out: np.ndarray, length: int) -> np.ndarray:

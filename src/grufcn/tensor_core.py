@@ -9,6 +9,8 @@ starts if WORKERS > 1. That changes no result: the slices depend on
 IM2COL_ELEMENTS alone, and their kernel-gradient products are summed in
 slice order. A conv forward and its input gradient run one correlation
 routine, which picks im2col GEMMs or Winograd F(4, k) GEMMs by its own input.
+A conv reads its input either as given or through a per-channel ReLU(a * x
++ b), the form in which a conv block hands on its output (_bn_relu).
 """
 
 from __future__ import annotations
@@ -131,21 +133,21 @@ def _slices(x: np.ndarray, cost: int, unit: int = 1):
     return batch_slices(batch, span, max(1, IM2COL_ELEMENTS // cost) * unit)
 
 
-def _bn_relu(x_hat: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-             out: np.ndarray) -> np.ndarray:
-    """out = max(x_hat * gamma + beta, 0) in three in-place passes: the one
-    sequence that makes a training block's output and rebuilds it, so a
-    rebuilt value is bitwise the forward's."""
-    np.multiply(x_hat, gamma, out=out)
-    out += beta
+def _bn_relu(h: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = max(h * a + b, 0) in three in-place passes: a conv block's
+    output, read from the array h it keeps and its per-channel (a, b). It is
+    the one code that writes that output, for the next conv, the pooling and
+    the backward's ReLU gate alike, so all of them read the same bits."""
+    np.multiply(h, a, out=out)
+    out += b
     return np.maximum(out, 0.0, out=out)
 
 
 def _padded(x: np.ndarray, series: slice, positions: slice, k: int, left: int,
             relu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """x[series] from positions.start - left to positions.stop + k - 1 - left,
-    zero outside x; with relu = (gamma, beta), _bn_relu of x there instead,
-    so bitwise a training block's output. (np.pad makes the same array with
+    zero outside x; with relu = (a, b), _bn_relu of x there instead, so
+    bitwise a conv block's output. (np.pad makes the same array with
     about three times the Python overhead, which every slice pays.)"""
     lo, hi = positions.start - left, positions.stop + k - 1 - left
     part = x[series, max(lo, 0):min(hi, x.shape[1])]
@@ -205,22 +207,18 @@ def _winograd_matrices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _winograd_correlate(x: np.ndarray, kernels: np.ndarray, left: int,
-                        scale: np.ndarray | None,
                         relu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """(B, L, Cout) correlation, without bias, of the (B, L, Cin) input x,
     read through relu as in _padded and zero-padded by left positions before
-    it, with (k <= 5, Cin, Cout) kernels, each output channel times scale
-    unless it is None: per slice, B^T on each tile of 4 outputs' k + 3
-    inputs, k + 3 (tiles x Cin) @ (Cin x Cout) GEMMs with G-transformed (and
-    scaled) kernels, then A^T.
+    it, with (k <= 5, Cin, Cout) kernels: per slice, B^T on each tile of 4
+    outputs' k + 3 inputs, k + 3 (tiles x Cin) @ (Cin x Cout) GEMMs with
+    G-transformed kernels, then A^T.
     """
     c_in = x.shape[2]
     k, _, c_out = kernels.shape
     alpha = k + 3
     a_t, b_t, g = _winograd_matrices(k)
     u = np.matmul(g, kernels.reshape(k, -1)).reshape(alpha, c_in, c_out)
-    if scale is not None:
-        u *= scale
     out = np.empty(x.shape[:2] + (c_out,))
 
     def run(item):
@@ -246,21 +244,15 @@ def _winograd_correlate(x: np.ndarray, kernels: np.ndarray, left: int,
 
 
 def _correlate(x: np.ndarray, kernels: np.ndarray, left: int,
-               scale: np.ndarray | None = None,
                relu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """out[b, t] = sum_j x[b, t - left + j] @ kernels[j], x zero outside its L
     positions and read through relu as in _padded, for (B, L, Cin) x and
-    (k, Cin, Cout) kernels, times the (Cout,) scale unless it is None:
-    Winograd F(4, k) GEMMs if k <= 5 and Cin >= WINOGRAD_MIN_CHANNELS, else
-    im2col GEMMs. The scale goes into the weights, never the output: in
-    place into Winograd's transformed kernels, or into a copy of the
-    (k * Cin, Cout) im2col weight matrix."""
+    (k, Cin, Cout) kernels: Winograd F(4, k) GEMMs if k <= 5 and
+    Cin >= WINOGRAD_MIN_CHANNELS, else im2col GEMMs."""
     k, c_in, c_out = kernels.shape
     if k <= 5 and c_in >= WINOGRAD_MIN_CHANNELS:
-        return _winograd_correlate(x, kernels, left, scale, relu)
+        return _winograd_correlate(x, kernels, left, relu)
     w, out = kernels.reshape(k * c_in, c_out), np.empty(x.shape[:2] + (c_out,))
-    if scale is not None:
-        w = w * scale
 
     def run(item):
         series, positions = item
@@ -274,19 +266,14 @@ def _correlate(x: np.ndarray, kernels: np.ndarray, left: int,
 
 
 def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, *,
-                scale: np.ndarray | None = None,
                 relu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Stride-1 cross-correlation with zero "same" padding.
 
     x is (B, L, Cin), kernels is (k, Cin, Cout), bias is (Cout,); returns
-    (B, L, Cout). No kernel flip is applied. A (Cout,) scale, if given,
-    multiplies each output channel before the bias is added. It is folded
-    into the weights the correlation multiplies by: Winograd's transformed
-    kernels, which it builds anyway, or an im2col weight copy (8 x 128
-    floats for the model's block 0), so the output takes no extra pass.
-    With relu = (gamma, beta), x is read as ReLU(x * gamma + beta), rebuilt
-    a slice at a time as in conv1d_same_backward, so a training block's
-    output need not exist for the next block to read it.
+    (B, L, Cout). No kernel flip is applied. With a pair of (Cin,) vectors
+    relu = (a, b), x is read as ReLU(a * x + b), rebuilt a slice at a time
+    as in conv1d_same_backward: the next conv reads a conv block's output
+    from the array the block keeps, so the output itself never exists.
     """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -299,7 +286,7 @@ def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, *,
     k, c_in, _ = kernels.shape
     if x.shape[2] != c_in:
         raise ValueError(f"input channels {x.shape[2]} != kernel channels {c_in}")
-    out = _correlate(x, kernels, same_padding(k)[0], scale, relu)
+    out = _correlate(x, kernels, same_padding(k)[0], relu)
     return np.add(out, bias, out=out)
 
 
@@ -311,12 +298,11 @@ def conv1d_same_backward(
     its kernels; the bias gradient, grad_out's channel sums, is not computed.
 
     x is the forward's (B, L, Cin) input, grad_out is (B, L, Cout). With a
-    pair of (Cin,) vectors relu = (gamma, beta), x is instead what the
-    forward's input was made from, ReLU(x * gamma + beta) as a training
-    block makes its output: each slice rebuilds its input rows into the
-    padded copy it makes anyway, so no input-sized array exists. A (Cout,)
-    scale, if given, multiplies each channel of grad_out, the mirror of the
-    forward's scale, without a pass over it: the input gradient correlates
+    pair of (Cin,) vectors relu = (a, b), x is instead what the forward read
+    its input from, ReLU(a * x + b) as in conv1d_same: each slice rebuilds
+    its input rows into the padded copy it makes anyway, so no input-sized
+    array exists. A (Cout,) scale, if given, multiplies each channel of
+    grad_out without a pass over it: the input gradient correlates
     grad_out with the tap-reversed, transposed kernels times scale (a
     kernel-sized copy) and mirrored padding, and reads no x. The kernel
     gradient walks the forward's im2col slices of x, one GEMM per slice for

@@ -454,6 +454,29 @@ class TestTrain:
         artifacts = ["best.ckpt", "final.ckpt", "history.csv", "summary.json"]
         assert sorted(set(written)) == sorted(p.name for p in out_dir.iterdir()) == artifacts
 
+    def test_compare_artifacts_are_written_atomically(self, tmp_path, capsys, monkeypatch):
+        written = []
+
+        def recording(path, parts, write=model_mod.write_atomic):
+            written.append(Path(path).name)
+            write(path, parts)
+        monkeypatch.setattr(model_mod, "write_atomic", recording)
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        artifacts = ["cd_diagram.svg", "wilcoxon_pvalues.csv"]
+        assert sorted(written) == sorted(p.name for p in out_dir.iterdir()) == artifacts
+
+    @pytest.mark.parametrize("given, missing", [("--train-path", "--test-path"),
+                                                ("--test-path", "--train-path")])
+    def test_lone_split_path_is_an_error(self, tmp_path, capsys, given, missing):
+        # the archive split under --root must not stand in for the missing file
+        out_dir = tmp_path / "run"
+        assert main(["train", "--dataset", "Coffee", "--root", str(tmp_path),
+                     given, str(tmp_path / "mine.tsv"), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {given} needs {missing} as well\n"
+        assert not out_dir.exists()
+
     def test_diverging_run_is_one_error_line_without_traceback(self, synthetic_splits,
                                                                tmp_path):
         # the weights overflow within the first steps; the CLI runs as a
@@ -524,6 +547,14 @@ class TestEval:
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: --eval-batch must be at least 1, got {value}\n")
         assert not preds.exists()
+
+    @pytest.mark.parametrize("given, missing", [("--train-path", "--test-path"),
+                                                ("--test-path", "--train-path")])
+    def test_lone_split_path_is_an_error(self, tmp_path, capsys, given, missing):
+        # refused before any file is read: the checkpoint does not exist
+        assert main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"), "--dataset",
+                     "Coffee", "--root", str(tmp_path), given, str(tmp_path / "mine.tsv")]) == 1
+        assert capsys.readouterr() == ("", f"error: {given} needs {missing} as well\n")
 
     def test_predictions_csv(self, synthetic_splits, tmp_path, capsys):
         ckpt = self.make_checkpoint(synthetic_splits, tmp_path)

@@ -74,19 +74,26 @@ class TestHardSigmoid:
         assert hard_sigmoid(np.array(1.0)) == pytest.approx(0.7)
 
 
+def block_output(block, x, training, relu=None):
+    """conv_block_forward's output ReLU(a * h + b), formed from the array h
+    and the (a, b) it hands on, and its cache."""
+    (h, (a, b)), cache = conv_block_forward(block, x, training, relu)
+    return np.maximum(h * a + b, 0.0), cache
+
+
 class TestConvBlock:
     def test_zero_input_identity_bn(self):
         block = make_conv_block(np.random.default_rng(0), 3, 1, 4)
         block.bias[:] = 0
         block.bn_beta[:] = 0
-        out, _ = conv_block_forward(block, np.zeros((2, 5, 1)), training=True)
+        out, _ = block_output(block, np.zeros((2, 5, 1)), training=True)
         assert np.allclose(out, 0.0)
 
     def test_relu_saturation(self):
         rng = np.random.default_rng(1)
         block = make_conv_block(rng, 3, 1, 4)
         block.bn_beta[:] = -10.0
-        out, _ = conv_block_forward(block, rng.normal(size=(2, 5, 1)), training=True)
+        out, _ = block_output(block, rng.normal(size=(2, 5, 1)), training=True)
         assert np.all(out == 0.0)
 
     def test_training_mode_normalizes_batch(self):
@@ -115,9 +122,9 @@ class TestConvBlock:
         assert np.array_equal(block.bn_moving_mean, frozen)
 
     def test_inference_output_matches_batch_norm_formula(self):
-        # batch norm folded into the conv's scale and bias rounds differently
-        # from the plain formula, but only in the last bits; Cin = 2 reaches
-        # the im2col path, Cin = 40 the Winograd path
+        # batch norm as one per-channel (a, b) on the conv output rounds
+        # differently from the plain formula, but only in the last bits;
+        # Cin = 2 reaches the im2col path, Cin = 40 the Winograd path
         rng = np.random.default_rng(6)
         for c_in in (2, 40):
             block = make_conv_block(rng, 5, c_in, 3)
@@ -128,13 +135,13 @@ class TestConvBlock:
             y = conv1d_same(x, block.kernels, block.bias)
             inv_std = 1.0 / np.sqrt(block.bn_moving_var + block.bn_epsilon)
             z = block.bn_gamma * ((y - block.bn_moving_mean) * inv_std) + block.bn_beta
-            out, cache = conv_block_forward(block, x, training=False)
+            out, cache = block_output(block, x, training=False)
             assert cache is None
             np.testing.assert_allclose(out, np.maximum(z, 0.0), rtol=0,
                                        atol=1e-12 * np.abs(z).max())
 
     def test_inference_fold_makes_no_kernel_sized_copy(self):
-        # a HandOutlines-length series through the 128->256 block: the fold
+        # a HandOutlines-length series through the 128->256 block: batch norm
         # adds a few Cout vectors to the conv's own peak, not scaled kernels
         rng = np.random.default_rng(9)
         block = make_conv_block(rng, 5, 128, 256)
@@ -167,7 +174,7 @@ class TestConvBlock:
         moving_mean = m * block.bn_moving_mean + (1 - m) * mean
         moving_var = m * block.bn_moving_var + (1 - m) * var
         x_hat = (y - mean) * (1.0 / np.sqrt(var + block.bn_epsilon))
-        out, cache = conv_block_forward(block, x, training=True)
+        out, cache = block_output(block, x, training=True)
         assert np.array_equal(block.bn_moving_mean, moving_mean)
         assert np.array_equal(block.bn_moving_var, moving_var)
         assert np.array_equal(cache["x_hat"], x_hat)
@@ -224,7 +231,7 @@ class TestConvBlock:
         rng = np.random.default_rng(5)
         block = make_conv_block(rng, 3, 2, 4)
         x = rng.normal(size=(2, 6, 2))
-        out, cache = conv_block_forward(block, x, training=True)
+        out, cache = block_output(block, x, training=True)
         grad_x, grads = conv_block_backward(cache, np.zeros_like(out))
         assert np.all(grad_x == 0)
         assert all(np.all(g == 0) for g in grads.values())
@@ -242,11 +249,11 @@ class TestConvBlock:
         def loss_after(setter):
             def f(v):
                 setter(v)
-                out, _ = conv_block_forward(block, x, training=True)
+                out, _ = block_output(block, x, training=True)
                 return float(np.sum(out * grad_out))
             return f
 
-        out, cache = conv_block_forward(block, x, training=True)
+        out, cache = block_output(block, x, training=True)
         grad_x, grads = conv_block_backward(cache, grad_out)
 
         def set_x(v):
@@ -315,7 +322,7 @@ def training_pass(block, x, grad_out):
     output, x_hat, moving statistics and every gradient, by name."""
     block = replace(block, bn_moving_mean=block.bn_moving_mean.copy(),
                     bn_moving_var=block.bn_moving_var.copy())
-    out, cache = conv_block_forward(block, x, training=True)
+    out, cache = block_output(block, x, training=True)
     x_hat = cache["x_hat"].copy()
     grad_x, grads = conv_block_backward(cache, grad_out)
     return {"out": out, "x_hat": x_hat, "moving_mean": block.bn_moving_mean,
@@ -398,10 +405,11 @@ class TestChunkedTrainingBlock:
             for name, value in passes[0].items():
                 assert np.array_equal(other[name], value), name
 
-    def test_pass_holds_three_block_sized_arrays_beyond_the_conv_backward(self):
-        # the 128 -> 256, k = 5 block: x_hat, the output and dz, plus the
-        # kernel copy the scaled input gradient makes and chunk temporaries;
-        # a squared-deviation array, a dz * x_hat product or a ReLU mask would
+    def test_pass_holds_one_block_sized_array_beyond_the_conv_backward(self):
+        # the 128 -> 256, k = 5 block: x_hat, which the backward overwrites
+        # with the conv's output gradient, plus the kernel copy the scaled
+        # input gradient makes and chunk temporaries; an output array, a
+        # squared-deviation array, a dz * x_hat product or a ReLU mask would
         # each add a block-sized array, or an eighth of one
         rng = np.random.default_rng(10)
         block = make_conv_block(rng, 5, 128, 256)
@@ -413,7 +421,7 @@ class TestChunkedTrainingBlock:
             _, cache = conv_block_forward(block, x, training=True)
             conv_block_backward(cache, grad_out)
 
-        bound = conv_peak + 3 * grad_out.nbytes + block.kernels.nbytes + (1 << 20)
+        bound = conv_peak + grad_out.nbytes + block.kernels.nbytes + (1 << 20)
         assert traced_peak(step) <= bound
 
 
@@ -447,6 +455,15 @@ class TestConvBranch:
                     return loss()
                 assert_grad_close(grads[i][name], numerical_grad(f, arr.copy()), GRAD_TOL,
                                   f"block {i} {name}")
+
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
+    def test_empty_training_batch_is_refused(self):
+        # batch norm has no statistics over zero series, so the one training
+        # group still runs block 0, which refuses them
+        rng = np.random.default_rng(22)
+        blocks = [make_conv_block(rng, 4, 1, 3), make_conv_block(rng, 3, 3, 2)]
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            conv_branch(blocks, np.zeros((0, 10, 1)), True)
 
 
 class TestGru:
@@ -541,17 +558,36 @@ class TestElementCounts:
 
 
 class TestGlobalAvgPool:
+    """global_avg_pool reads a block output ReLU(a * h + b) from h and (a, b)."""
+
     def test_constant_channel(self):
         x = np.full((2, 5, 3), 7.0)
-        assert np.allclose(global_avg_pool(x), 7.0)
+        assert np.allclose(global_avg_pool(x, np.ones(3), np.zeros(3)), 7.0)
 
     def test_simple_mean(self):
         x = np.array([[[1.0], [2.0], [3.0]]])
-        assert np.allclose(global_avg_pool(x), 2.0)
+        assert np.allclose(global_avg_pool(x, np.ones(1), np.zeros(1)), 2.0)
 
     def test_empty_length_rejected(self):
         with pytest.raises(ValueError):
-            global_avg_pool(np.zeros((1, 0, 3)))
+            global_avg_pool(np.zeros((1, 0, 3)), np.ones(3), np.zeros(3))
+
+    # floats per chunk of a (5, 7, 3) array: one position, three positions,
+    # two whole series, and the whole array
+    @pytest.mark.parametrize("elements", [1, 9, 42, 1 << 17])
+    def test_chunks_match_the_mean_of_the_output(self, monkeypatch, elements):
+        rng = np.random.default_rng(14)
+        h, a, b = rng.normal(size=(5, 7, 3)), rng.normal(size=3), rng.normal(size=3)
+        expected = np.maximum(h * a + b, 0.0).mean(axis=1)
+        monkeypatch.setattr(layers, "BN_CHUNK_ELEMENTS", elements)
+        passes = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tensor_core, "WORKERS", workers)
+            passes.append(global_avg_pool(h, a, b))
+        assert all(np.array_equal(p, passes[0]) for p in passes[1:])
+        if elements >= 7 * 3:  # whole series per chunk: numpy's own sums
+            assert np.array_equal(passes[0], expected)
+        assert max_rel_error(passes[0], expected) <= 1e-12
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -559,7 +595,7 @@ class TestGlobalAvgPool:
         grad_out = rng.normal(size=(2, 3))
         analytic = global_avg_pool_backward(grad_out, 6)
         numeric = numerical_grad(
-            lambda v: float(np.sum(global_avg_pool(v) * grad_out)), x.copy()
+            lambda v: float(np.sum(v.mean(axis=1) * grad_out)), x.copy()
         )
         assert_grad_close(analytic, numeric, 1e-8, "gap")
 

@@ -244,9 +244,9 @@ class TestStreamedInference:
         sizes = []
         block_forward = layers.conv_block_forward
 
-        def spy(block, x, training):
+        def spy(block, x, training, relu):
             sizes.append(len(x))
-            return block_forward(block, x, training)
+            return block_forward(block, x, training, relu)
 
         monkeypatch.setattr(layers, "conv_block_forward", spy)
         probs, cache = forward(model, x, training=False)
@@ -291,8 +291,10 @@ class TestStreamedInference:
 
 
 class TestFoldedInference:
-    """Inference folds each block's batch norm into its conv; the model's
-    output must match unfolded blocks, group by group."""
+    """Inference hands on each block's conv output with batch norm folded
+    into one per-channel (a, b), which the next conv and the pooling read
+    through ReLU(a * h + b); the model's output must match unfolded blocks,
+    group by group."""
 
     LENGTH = 40
 
@@ -305,7 +307,7 @@ class TestFoldedInference:
             h = np.maximum(
                 block.bn_gamma * ((y - block.bn_moving_mean) * inv_std) + block.bn_beta, 0.0)
         features = np.concatenate(
-            [layers.global_avg_pool(h), layers.gru_step(model.cell, x)[0]], axis=1)
+            [h.mean(axis=1), layers.gru_step(model.cell, x)[0]], axis=1)
         return layers.dense_softmax(model.head, features), features
 
     def test_forward_matches_unfolded_blocks(self, monkeypatch):
@@ -529,10 +531,12 @@ class TestRebuiltBlockInputs:
 
     def test_training_forward_peak_in_block_outputs(self, monkeypatch):
         unit, forward_peak, _ = self.traced_step(monkeypatch)
-        # block 2's forward holds x_hat0 and x_hat1 (1 + 2 units), its conv
-        # output, normalized in place into x_hat2, and its output (1 each):
-        # 5, and about 0.1 more of slices and smaller arrays (5.10 measured).
-        # Keeping block 1's output alive for block 2's conv adds 2 (7.10).
+        # block 2's conv holds x_hat0 and x_hat1 (1 + 2 units) and its
+        # output, later normalized in place into x_hat2 (1): 4, and about 1.1
+        # more of its in-flight slices at 2 workers (5.10 measured). No block
+        # writes an output, but writing block 2's after its conv would only
+        # tie this peak. Keeping block 1's output alive for block 2's conv
+        # adds 2 (7.10).
         assert forward_peak < 5.6 * unit
 
     def test_training_step_peak_in_block_outputs(self, monkeypatch):

@@ -80,6 +80,32 @@ def test_perfbench_wrap_points_exist(spans):
         assert list(inspect.signature(fn).parameters)[1] == "kernels", point
 
 
+def test_perfbench_train_check_reads_exist(spans, tmp_path, capsys):
+    # the train workloads' check compares each epoch's lr with
+    # train.lr_at(train.LrSchedule(), epoch), and their golden check takes
+    # the final probabilities from the model.forward spans that start after
+    # train.fit returns; a change that drops either must move those reads first
+    from grufcn import train
+
+    rng = np.random.default_rng(1)
+    for split in ("TRAIN", "TEST"):
+        write_split(tmp_path / f"t_{split}", [1, 2, 1, 2, 1], rng.normal(size=(5, 16)))
+    tracer = spans.Tracer()
+    with tracer.patched(spans.BOUNDARY):
+        assert main(["train", "--train-path", str(tmp_path / "t_TRAIN"),
+                     "--test-path", str(tmp_path / "t_TEST"), "--epochs", "2",
+                     "--out", str(tmp_path / "run")]) == 0
+    taken = tracer.take()
+    fit = [span for span in taken if span.name == "train.fit"]
+    assert len(fit) == 1
+    history = fit[0].info["history"]
+    assert [epoch for epoch, *_ in history] == [0, 1]
+    assert all(lr == train.lr_at(train.LrSchedule(), epoch) for epoch, lr, *_ in history)
+    after = [span.info["probs"] for span in taken
+             if span.name == "model.forward" and span.start >= fit[0].end]
+    assert after and np.concatenate(after).shape == (5, 2)
+
+
 def test_traced_training_reaches_every_blocks_wrappers(spans, tmp_path, capsys):
     # the traced benchmark's per-block metrics read these spans, so the conv
     # branch must call each block through the names it patches

@@ -290,8 +290,8 @@ class TestWinograd:
         calls = []
         correlate = tensor_core._winograd_correlate
         monkeypatch.setattr(tensor_core, "_winograd_correlate",
-                            lambda x, kernels, left, scale, relu: calls.append(kernels.shape)
-                            or correlate(x, kernels, left, scale, relu))
+                            lambda x, kernels, left, relu: calls.append(kernels.shape)
+                            or correlate(x, kernels, left, relu))
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2, 9, 1))
         for k, c_out in ((8, 128), (5, 256), (3, 128)):
@@ -437,7 +437,7 @@ class TestWorkers:
         results = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(tensor_core, "WORKERS", workers)
-            results.append((conv1d_same(x, kernels, bias, scale=scale),
+            results.append((conv1d_same(x, kernels, bias),
                             *conv1d_same_backward(x, kernels, grad_out, scale=scale)))
         # forward, input gradient, kernel gradient per worker count
         assert len(counts) == 9 and min(counts) >= 5
