@@ -5,8 +5,10 @@ keeps both byte-identical.
 For each cell it writes seeded synthetic splits with
 ``perfbench/synth.train_splits(3, ...)``, runs ``grufcn train --epochs 3
 --seed 3`` and then ``grufcn eval`` of the best checkpoint, and prints the
-sha256 of ``history.csv``, ``best.ckpt``, ``final.ckpt``, the train stdout
-and the eval stdout:
+sha256 of ``history.csv``, ``best.ckpt``, ``final.ckpt``, the train stdout,
+the eval stdout, and ``split arrays``, the four arrays ``make_dataset``
+parses from the splits (train x, train y, test x, test y), so that a change
+in parsing shows on a line of its own:
 
 - gru: Coffee shape (L=286, 2 classes, 28 train / 28 test, batch 64);
 - lstm: Adiac shape (L=176, 37 classes, 134 train / 128 test, batch 128).
@@ -40,6 +42,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import synth  # noqa: E402
 from grufcn.cli import main as grufcn  # noqa: E402
+from grufcn.data_ucr import make_dataset  # noqa: E402
 from grufcn.model import load_checkpoint  # noqa: E402
 
 SEED = 3
@@ -75,8 +78,11 @@ def digests(cell: str, work: Path, tensors: bool) -> dict[str, str]:
     eval_out = run(["eval", *splits, "--checkpoint", out_dir / "best.ckpt"])
     files = {name: sha256((out_dir / name).read_bytes())
              for name in ("history.csv", "best.ckpt", "final.ckpt")}
+    split = make_dataset(train, test, dataset)
     result = {**files, "train stdout": sha256(train_out.encode()),
-              "eval stdout": sha256(eval_out.encode())}
+              "eval stdout": sha256(eval_out.encode()),
+              "split arrays": sha256(b"".join(a.tobytes() for a in (
+                  split.train_x, split.train_y, split.test_x, split.test_y)))}
     if tensors:
         for ckpt in ("best.ckpt", "final.ckpt"):
             for name, arr in load_checkpoint(out_dir / ckpt).parameters().items():

@@ -64,8 +64,8 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool,
     ((h, (a, b)), cache): the block's output is ReLU(a * h + b), which
     _bn_relu rebuilds wherever it is read, for the (B, L, Cout) array h that
     the block keeps and a pair of (Cout,) vectors (a, b). Both modes run the
-    same conv, h = conv1d_same(x, kernels, bias, relu=relu), and write no
-    output array.
+    same conv without its bias, h = conv1d_same(x, kernels, relu=relu), and
+    write no output array.
 
     Training mode normalizes with batch statistics taken over all batch and
     time positions per channel, updates the moving statistics in place, and
@@ -76,17 +76,20 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool,
     tensor_core.WORKERS threads like the conv's slices, and their partial
     sums are added in chunk order. The batch statistics must be finite,
     which any non-finite input or conv output, or an empty batch, makes
-    them fail.
+    them fail. The conv adds no bias, which the batch mean would take away
+    again; it is never trained, and only the moving mean, the running mean
+    of the biased conv output, adds it back.
 
     Inference mode keeps the conv output itself, with a = gamma / sqrt(moving
-    var + eps) and b = beta - moving mean * a, and None for the cache, so no
-    activation outlives the pass. It checks nothing for finiteness;
-    `model.forward` checks its input and pooled features.
+    var + eps) and b = beta + (bias - moving mean) * a, which folds the bias
+    in, and None for the cache, so no activation outlives the pass. It
+    checks nothing for finiteness; `model.forward` checks its input and
+    pooled features.
     """
-    y = conv1d_same(x, block.kernels, block.bias, relu=relu)
+    y = conv1d_same(x, block.kernels, relu=relu)
     if not training:
         a = block.bn_gamma / np.sqrt(block.bn_moving_var + block.bn_epsilon)
-        return (y, (a, block.bn_beta - block.bn_moving_mean * a)), None
+        return (y, (a, block.bn_beta + (block.bias - block.bn_moving_mean) * a)), None
     n, chunks = y.shape[0] * y.shape[1], list(_chunks(y.shape))
     # np.var's own steps within a chunk: centre y in place, sum the squares
     mean, var = y.mean(axis=(0, 1)), np.zeros(y.shape[2])
@@ -102,7 +105,7 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool,
         raise FloatingPointError("non-finite batch statistics in conv block: its input "
                                  "holds NaN or Inf, or the weights overflowed")
     m = block.bn_momentum
-    block.bn_moving_mean[...] = m * block.bn_moving_mean + (1 - m) * mean
+    block.bn_moving_mean[...] = m * block.bn_moving_mean + (1 - m) * (mean + block.bias)
     block.bn_moving_var[...] = m * block.bn_moving_var + (1 - m) * var
     inv_std = 1.0 / np.sqrt(var + block.bn_epsilon)
     gamma, beta = block.bn_gamma.copy(), block.bn_beta.copy()

@@ -265,19 +265,19 @@ def _correlate(x: np.ndarray, kernels: np.ndarray, left: int,
     return out
 
 
-def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, *,
+def conv1d_same(x: np.ndarray, kernels: np.ndarray, *,
                 relu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Stride-1 cross-correlation with zero "same" padding.
+    """Stride-1 cross-correlation with zero "same" padding, and no bias: a
+    conv block folds its bias into batch norm's per-channel shift.
 
-    x is (B, L, Cin), kernels is (k, Cin, Cout), bias is (Cout,); returns
-    (B, L, Cout). No kernel flip is applied. With a pair of (Cin,) vectors
-    relu = (a, b), x is read as ReLU(a * x + b), rebuilt a slice at a time
-    as in conv1d_same_backward: the next conv reads a conv block's output
-    from the array the block keeps, so the output itself never exists.
+    x is (B, L, Cin), kernels is (k, Cin, Cout); returns (B, L, Cout). No
+    kernel flip is applied. With a pair of (Cin,) vectors relu = (a, b), x
+    is read as ReLU(a * x + b), rebuilt a slice at a time as in
+    conv1d_same_backward: the next conv reads a conv block's output from the
+    array the block keeps, so the output itself never exists.
     """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
     if x.ndim != 3 or kernels.ndim != 3:
         raise ValueError(
             f"conv1d_same expects (B,L,Cin) input and (k,Cin,Cout) kernels, "
@@ -286,8 +286,7 @@ def conv1d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, *,
     k, c_in, _ = kernels.shape
     if x.shape[2] != c_in:
         raise ValueError(f"input channels {x.shape[2]} != kernel channels {c_in}")
-    out = _correlate(x, kernels, same_padding(k)[0], relu)
-    return np.add(out, bias, out=out)
+    return _correlate(x, kernels, same_padding(k)[0], relu)
 
 
 def conv1d_same_backward(
@@ -322,6 +321,7 @@ def conv1d_same_backward(
         # grad_x[s] = sum_j (grad_out * scale)[s + left - j] @ kernels[j].T
         weights = kernels if scale is None else kernels * scale
         grad_x = _correlate(grad_out, weights[::-1].transpose(0, 2, 1), right)
+        del weights  # a kernel-sized copy: the kernel gradient's slices set the peak
     # the kernel gradient is summed transposed: on one x86-64 core with
     # OpenBLAS 0.3.31, g.T @ cols ran at about 47 gflop/s where cols.T @ g
     # ran at 34-41 on the model's shapes

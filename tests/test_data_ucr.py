@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +96,170 @@ class TestLoadSplit:
         got_labels, got_series = load_split(path)
         assert np.array_equal(got_labels, labels)
         assert np.array_equal(got_series, series)
+
+
+def float_rows(path, delim):
+    """The values float() reads from each field of a one-delimiter split file."""
+    with open(path, encoding="utf-8") as fh:
+        return np.array([[float(f) for f in line.split(delim)] for line in fh])
+
+
+def reference_split(path, lines):
+    """What load_split must give for a file of these lines: (labels, series)
+    read by float() one field at a time, or the message of the first faulty
+    record in file order. Digit-group underscores and non-ASCII digits,
+    which only float() reads, are unparseable."""
+    rows, width = [], None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        delim = "\t" if "\t" in line else ","
+        fields, where = line.split(delim), f"{path}:{lineno}"
+        if len(fields) < 2:
+            return f"{where}: record has no series values"
+        width = width or len(fields)
+        if len(fields) != width:
+            return f"{where}: row has {len(fields)} fields, expected {width}"
+        try:
+            if any("_" in f or not f.strip().isascii() for f in fields):
+                raise ValueError
+            values = [float(f) for f in fields]
+        except ValueError:
+            return f"{where}: unparseable field"
+        if not math.isfinite(values[0]):
+            return f"{where}: non-finite label"
+        if not all(map(math.isfinite, values[1:])):
+            return f"{where}: non-finite series value"
+        rows.append(values)
+    if not rows:
+        return f"{path}: empty split file"
+    rows = np.array(rows)
+    return rows[:, 0], rows[:, 1:]
+
+
+# fields that both readers take, that one of them refuses, or that neither takes
+FIELDS = ["1", "-0.0", "2.5", " 2.5 ", ".5", "5.", "-1e-300", "1e999", "nan", "-inf",
+          "0.30000000000000004", "\xa03", "3\u3000", "1_0", "\u0661", "\x1c1", "1\x1f",
+          "x", "", "#1", '"1"', "1,5", "0x10"]
+
+
+class TestCReader:
+    """load_split reads every value with numpy's C reader: bitwise what
+    float() reads, with the same checks and messages as one float() per field."""
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-5, 1.0, 1e12, 1e300])
+    def test_full_precision_values_match_float_bitwise(self, tmp_path, scale):
+        # the archive's own tab-delimited layout, at repr precision
+        rng = np.random.default_rng(11)
+        path = tmp_path / "s.tsv"
+        series = rng.normal(size=(7, 60)) * scale
+        series[0, :3] = [-0.0, 0.0, 5e-324]
+        with open(path, "w", encoding="utf-8") as fh:
+            for label, row in zip(rng.integers(1, 4, 7), series.tolist()):
+                fh.write(f"{label}\t" + "\t".join(map(repr, row)) + "\n")
+        labels, x = load_split(path)
+        expected = float_rows(path, "\t")
+        assert labels.tobytes() == expected[:, 0].tobytes()
+        assert x.tobytes() == expected[:, 1:].tobytes()
+        assert x.flags.c_contiguous and x.dtype == np.float64
+
+    def test_short_decimals_match_float_bitwise(self, tmp_path):
+        rng = np.random.default_rng(12)
+        path = tmp_path / "s.csv"
+        write_lines(path, [",".join(f"{v:.{digits}f}" for v in rng.normal(size=40) * 50)
+                           for digits in (0, 1, 3, 8) for _ in range(3)])
+        labels, x = load_split(path)
+        expected = float_rows(path, ",")
+        assert labels.tobytes() == expected[:, 0].tobytes()
+        assert x.tobytes() == expected[:, 1:].tobytes()
+
+    def test_delimiter_is_chosen_per_record(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_lines(path, ["1,0.5,2", "2\t1.5\t3", "3\t4\t5", "4,6, 7"])
+        labels, x = load_split(path)
+        assert np.array_equal(labels, [1, 2, 3, 4])
+        assert np.array_equal(x, [[0.5, 2], [1.5, 3], [4, 5], [6, 7]])
+
+    @pytest.mark.parametrize("lines,message", [
+        # a comma inside a tab record is part of a field, even where every
+        # record holds one and reading them as delimiters would give a table
+        (["1\t0.5\t2", "2\t1,5\t3"], r"s\.csv:2: unparseable field \(.*'1,5'\)$"),
+        (["1\t2,5\t3", "2\t4,5\t6"], r"s\.csv:1: unparseable field \(.*'2,5'\)$"),
+        # no comment syntax and no quoting
+        (["1,2.0,3.0", "2,#4.0,5.0"], r"s\.csv:2: unparseable field \(.*'#4.0'\)$"),
+        (["1,2.0,3.0", "2,4.0#,5.0"], r"s\.csv:2: unparseable field"),
+        (["1,2.0,3.0", '2,"4.0",5.0'], r"s\.csv:2: unparseable field"),
+        # only float() reads digit-group underscores and non-ASCII digits
+        (["1,1_0,2"], r"s\.csv:1: unparseable field \(could not convert string to float: "
+                      r"'1_0'\)$"),
+        (["1,2", "\u0661,2"], r"s\.csv:2: unparseable field"),
+        # only numpy's reader skips the ASCII information separators
+        (["1,2", "2,\x1c3"], r"s\.csv:2: unparseable field"),
+    ])
+    def test_field_syntax(self, tmp_path, lines, message):
+        path = tmp_path / "s.csv"
+        write_lines(path, lines)
+        with pytest.raises(UcrParseError, match=message):
+            load_split(path)
+
+    @pytest.mark.parametrize("label", ["1_0", "\u0661"])
+    def test_label_syntax_is_the_same_in_load_labels(self, tmp_path, label):
+        path = tmp_path / "s.csv"
+        write_lines(path, ["1,2", f"{label},3"])
+        for load in (load_split, load_labels):
+            with pytest.raises(UcrParseError, match=r"s\.csv:2: unparseable field"):
+                load(path)
+
+    @pytest.mark.parametrize("lines,message", [
+        (["1,2,3", "2,nan,3", "3,x,3"], r"s\.csv:2: non-finite series value"),
+        (["1,2,3", "2,x,3", "3,3"], r"s\.csv:2: unparseable field"),
+        (["1,2,3", "2,3", "3,x,3"], r"s\.csv:2: row has 2 fields, expected 3"),
+        (["1,2,3", "2\t2\t3", "inf\t4\t5", "4,x,5"], r"s\.csv:3: non-finite label"),
+        (["1,2,1e999", "nan,2,3"], r"s\.csv:1: non-finite series value"),
+    ])
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, lines, message):
+        path = tmp_path / "s.csv"
+        write_lines(path, lines)
+        with pytest.raises(UcrParseError, match=message):
+            load_split(path)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_one_float_per_field(self, tmp_path_factory, data):
+        width = data.draw(st.integers(2, 4))
+        records = data.draw(st.lists(st.tuples(
+            st.sampled_from([",", "\t"]),
+            st.lists(st.sampled_from(FIELDS), min_size=width, max_size=width)),
+            min_size=1, max_size=5))
+        lines = [delim.join(fields) for delim, fields in records]
+        path = tmp_path_factory.mktemp("ref") / "s.csv"
+        write_lines(path, lines)
+        expected = reference_split(path, lines)
+        if isinstance(expected, str):
+            with pytest.raises(UcrParseError) as info:
+                load_split(path)
+            assert str(info.value).startswith(expected), info.value
+        else:
+            labels, x = load_split(path)
+            assert labels.tobytes() == expected[0].tobytes()
+            assert x.tobytes() == expected[1].tobytes()
+
+    def test_transient_memory_is_bounded_by_file_and_output(self, tmp_path):
+        rng = np.random.default_rng(13)
+        path = tmp_path / "s.tsv"
+        series = rng.normal(size=(64, 2000))
+        with open(path, "w", encoding="utf-8") as fh:
+            for label, row in zip(rng.integers(1, 4, 64), series.tolist()):
+                fh.write(f"{label}\t" + "\t".join(map(repr, row)) + "\n")
+        tracemalloc.start()
+        try:
+            labels, x = load_split(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = labels.nbytes + x.nbytes
+        assert peak <= path.stat().st_size + 2 * output + (1 << 20)
 
 
 # (file lines, message) for every malformed split that load_labels rejects;

@@ -132,7 +132,7 @@ class TestConvBlock:
             block.bn_moving_mean[:] = rng.normal(size=3)
             block.bn_moving_var[:] = rng.uniform(0.5, 2.0, size=3)
             x = rng.normal(size=(3, 9, c_in))
-            y = conv1d_same(x, block.kernels, block.bias)
+            y = conv1d_same(x, block.kernels) + block.bias
             inv_std = 1.0 / np.sqrt(block.bn_moving_var + block.bn_epsilon)
             z = block.bn_gamma * ((y - block.bn_moving_mean) * inv_std) + block.bn_beta
             out, cache = block_output(block, x, training=False)
@@ -146,7 +146,7 @@ class TestConvBlock:
         rng = np.random.default_rng(9)
         block = make_conv_block(rng, 5, 128, 256)
         x = rng.normal(size=(1, 2709, 128))
-        conv1d_same(x, block.kernels, block.bias)  # builds the cached transforms
+        conv1d_same(x, block.kernels)  # builds the cached transforms
 
         def traced_peak(fn):
             tracemalloc.start()
@@ -156,22 +156,23 @@ class TestConvBlock:
             finally:
                 tracemalloc.stop()
 
-        conv_peak = traced_peak(lambda: conv1d_same(x, block.kernels, block.bias))
+        conv_peak = traced_peak(lambda: conv1d_same(x, block.kernels))
         block_peak = traced_peak(lambda: conv_block_forward(block, x, training=False))
         assert block_peak <= conv_peak + (64 << 10)
 
     def test_training_statistics_match_mean_and_var_bitwise(self):
         # the training forward shares the mean pass with the variance, which
-        # must still round exactly like y.mean and y.var
+        # must still round exactly like y.mean and y.var; y is the conv
+        # without its bias, which only the moving mean adds back
         rng = np.random.default_rng(8)
         block = make_conv_block(rng, 5, 2, 3, gamma_scale=1.7)
         block.bn_moving_mean[:] = rng.normal(size=3)
         block.bn_moving_var[:] = rng.uniform(0.5, 2.0, size=3)
         x = rng.normal(size=(6, 40, 2)) * 3 + 1
-        y = conv1d_same(x, block.kernels, block.bias)
+        y = conv1d_same(x, block.kernels)
         mean, var = y.mean(axis=(0, 1)), y.var(axis=(0, 1))
         m = block.bn_momentum
-        moving_mean = m * block.bn_moving_mean + (1 - m) * mean
+        moving_mean = m * block.bn_moving_mean + (1 - m) * (mean + block.bias)
         moving_var = m * block.bn_moving_var + (1 - m) * var
         x_hat = (y - mean) * (1.0 / np.sqrt(var + block.bn_epsilon))
         out, cache = block_output(block, x, training=True)
@@ -331,7 +332,7 @@ def training_pass(block, x, grad_out):
 
 def plain_training_pass(block, x, grad_out):
     """training_pass from the textbook batch-norm formulas, whole arrays."""
-    y = conv1d_same(x, block.kernels, block.bias)
+    y = conv1d_same(x, block.kernels) + block.bias
     mean, var = y.mean(axis=(0, 1)), y.var(axis=(0, 1))
     inv_std = 1.0 / np.sqrt(var + block.bn_epsilon)
     x_hat = (y - mean) * inv_std

@@ -302,7 +302,7 @@ class TestFoldedInference:
         # conv, then the plain batch-norm formula, then ReLU, whole batch
         h = x[:, :, None]
         for block in model.blocks:
-            y = tensor_core.conv1d_same(h, block.kernels, block.bias)
+            y = tensor_core.conv1d_same(h, block.kernels) + block.bias
             inv_std = 1.0 / np.sqrt(block.bn_moving_var + block.bn_epsilon)
             h = np.maximum(
                 block.bn_gamma * ((y - block.bn_moving_mean) * inv_std) + block.bn_beta, 0.0)

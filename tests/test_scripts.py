@@ -38,7 +38,8 @@ def test_parity_script_prints_digests():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    names = ["history.csv", "best.ckpt", "final.ckpt", "train stdout", "eval stdout"]
+    names = ["history.csv", "best.ckpt", "final.ckpt", "train stdout", "eval stdout",
+             "split arrays"]
     assert [line.rsplit(": ", 1)[0] for line in lines] == [f"gru {n}" for n in names]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.rsplit(": ", 1)[1]) for line in lines)
 
@@ -50,10 +51,10 @@ def test_parity_script_prints_tensor_digests():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     names = [line.rsplit(": ", 1)[0] for line in result.stdout.splitlines()]
-    assert names[:5] == [f"gru {n}" for n in ("history.csv", "best.ckpt", "final.ckpt",
-                                              "train stdout", "eval stdout")]
-    tensors = [n for n in names[5:] if n.startswith("gru final.ckpt ")]
-    assert len(names) == 5 + 2 * len(tensors)
+    assert names[:6] == [f"gru {n}" for n in ("history.csv", "best.ckpt", "final.ckpt",
+                                              "train stdout", "eval stdout", "split arrays")]
+    tensors = [n for n in names[6:] if n.startswith("gru final.ckpt ")]
+    assert len(names) == 6 + 2 * len(tensors)
     assert {"gru final.ckpt conv0.bias", "gru final.ckpt cell.U_h"} <= set(tensors)
 
 

@@ -54,11 +54,11 @@ IM2COL_BUDGETS = [
 WINOGRAD_SHAPES = [(3, 1), (5, 2), (4, 3), (5, 4), (3, 6), (4, 9), (2, 13), (1, 5), (5, 16)]
 
 
-def direct_conv(x, kernels, bias):
+def direct_conv(x, kernels):
     """conv1d_same as a sum over taps of GEMMs on shifted zero-padded copies."""
     k, length = kernels.shape[0], x.shape[1]
     padded = np.pad(x, ((0, 0), same_padding(k), (0, 0)))
-    return sum(padded[:, j:j + length] @ kernels[j] for j in range(k)) + bias
+    return sum(padded[:, j:j + length] @ kernels[j] for j in range(k))
 
 
 @pytest.fixture(params=["im2col", "winograd"])
@@ -73,19 +73,13 @@ class TestConv1dSame:
     def test_hand_convolution(self):
         x = np.array([[1.0], [2.0], [3.0]])
         kernels = np.ones((3, 1, 1))
-        out = conv1d_same(x[None], kernels, np.zeros(1))[0]
+        out = conv1d_same(x[None], kernels)[0]
         assert np.allclose(out[:, 0], [3.0, 6.0, 5.0])
-
-    def test_zero_kernel_gives_bias(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(9, 2))
-        out = conv1d_same(x[None], np.zeros((5, 2, 3)), np.array([1.0, -2.0, 0.5]))[0]
-        assert np.allclose(out, np.broadcast_to([1.0, -2.0, 0.5], (9, 3)))
 
     def test_same_padding_shape_contract(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(176, 1))
-        out = conv1d_same(x[None], rng.normal(size=(8, 1, 128)), np.zeros(128))[0]
+        out = conv1d_same(x[None], rng.normal(size=(8, 1, 128)))[0]
         assert out.shape == (176, 128)
 
     def test_even_kernel_pads_extra_zero_right(self):
@@ -94,19 +88,18 @@ class TestConv1dSame:
         assert same_padding(5) == (2, 2)
 
     def test_kernel_longer_than_input_is_legal(self):
-        out = conv1d_same(np.ones((2, 1))[None], np.ones((8, 1, 1)), np.zeros(1))[0]
+        out = conv1d_same(np.ones((2, 1))[None], np.ones((8, 1, 1)))[0]
         assert out.shape == (2, 1)
 
     def test_kernel_size_zero_rejected(self):
         with pytest.raises(ValueError):
-            conv1d_same(np.ones((4, 1))[None], np.ones((0, 1, 1)), np.zeros(1))
+            conv1d_same(np.ones((4, 1))[None], np.ones((0, 1, 1)))
 
     def test_matches_direct_convolution(self):
         # brute-force reference: explicit loops over output positions and taps
         rng = np.random.default_rng(3)
         x = rng.normal(size=(7, 2))
         kernels = rng.normal(size=(4, 2, 3))
-        bias = rng.normal(size=3)
         left, _ = same_padding(4)
         expected = np.zeros((7, 3))
         for t in range(7):
@@ -114,8 +107,7 @@ class TestConv1dSame:
                 src = t + j - left
                 if 0 <= src < 7:
                     expected[t] += x[src] @ kernels[j]
-        expected += bias
-        assert np.allclose(conv1d_same(x[None], kernels, bias)[0], expected, atol=1e-12)
+        assert np.allclose(conv1d_same(x[None], kernels)[0], expected, atol=1e-12)
 
     @pytest.mark.parametrize("series_per_slice", [0, 1, 2, 3])
     def test_im2col_slices_match_direct_convolution(self, monkeypatch, series_per_slice):
@@ -123,36 +115,34 @@ class TestConv1dSame:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 7, 2))
         kernels = rng.normal(size=(4, 2, 3))
-        bias = rng.normal(size=3)
         left, _ = same_padding(4)
         padded = np.pad(x, ((0, 0), (left, 4 - 1 - left), (0, 0)))
-        expected = sum(padded[:, j:j + 7] @ kernels[j] for j in range(4)) + bias
+        expected = sum(padded[:, j:j + 7] @ kernels[j] for j in range(4))
         monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", series_per_slice * 7 * 4 * 2)
-        assert np.allclose(conv1d_same(x, kernels, bias), expected, atol=1e-12)
+        assert np.allclose(conv1d_same(x, kernels), expected, atol=1e-12)
 
     @pytest.mark.parametrize("k, length, rows", IM2COL_BUDGETS)
     def test_im2col_budgets_match_direct_sum(self, monkeypatch, k, length, rows):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(5, length, 2))
         kernels = rng.normal(size=(k, 2, 3))
-        bias = rng.normal(size=3)
         left, right = same_padding(k)
         padded = np.pad(x, ((0, 0), (left, right), (0, 0)))
-        expected = sum(padded[:, j:j + length] @ kernels[j] for j in range(k)) + bias
+        expected = sum(padded[:, j:j + length] @ kernels[j] for j in range(k))
         monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", rows * k * 2)
-        assert np.allclose(conv1d_same(x, kernels, bias), expected, atol=1e-12)
+        assert np.allclose(conv1d_same(x, kernels), expected, atol=1e-12)
 
     @given(st.integers(1, 40), st.sampled_from([3, 5, 8]), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_length_preserved(self, length, k, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(length, 2))
-        out = conv1d_same(x[None], rng.normal(size=(k, 2, 3)), np.zeros(3))[0]
+        out = conv1d_same(x[None], rng.normal(size=(k, 2, 3)))[0]
         assert out.shape == (length, 3)
 
     def test_unbatched_input_rejected(self):
         with pytest.raises(ValueError, match=r"conv1d_same expects \(B,L,Cin\) input"):
-            conv1d_same(np.ones((4, 1)), np.ones((3, 1, 1)), np.zeros(1))
+            conv1d_same(np.ones((4, 1)), np.ones((3, 1, 1)))
         with pytest.raises(ValueError, match=r"grad shape \(4, 1\) does not match forward"):
             conv1d_same_backward(np.ones((4, 1)), np.ones((3, 1, 1)), np.ones((4, 1)))
 
@@ -163,12 +153,11 @@ class TestConv1dSame:
         for k, length in ((5, 6), (8, 6), (8, 3), (5, 1)):
             x = rng.normal(size=(2, length, 2))
             kernels = rng.normal(size=(k, 2, 3))
-            bias = rng.normal(size=3)
             grad_out = rng.normal(size=(2, length, 3))
 
             gx, gk = conv1d_same_backward(x, kernels, grad_out)
-            loss_x = lambda v: float(np.sum(conv1d_same(v, kernels, bias) * grad_out))
-            loss_k = lambda v: float(np.sum(conv1d_same(x, v, bias) * grad_out))
+            loss_x = lambda v: float(np.sum(conv1d_same(v, kernels) * grad_out))
+            loss_k = lambda v: float(np.sum(conv1d_same(x, v) * grad_out))
             label = f"k={k} L={length}"
             assert_grad_close(gx, numerical_grad(loss_x, x), 1e-7, f"conv x {label}")
             assert_grad_close(gk, numerical_grad(loss_k, kernels), 1e-7,
@@ -240,6 +229,28 @@ class TestConv1dSame:
         budget = 1.25 * tensor_core.WORKERS * tensor_core.IM2COL_ELEMENTS * x.itemsize
         assert peak < x.nbytes + budget + 2 * kernels.nbytes + (1 << 20)
 
+    def test_scaled_kernels_are_freed_before_the_kernel_gradient(self, monkeypatch):
+        # at the 128->256 block's shape the kernel gradient's slices set the
+        # peak, so the input gradient's kernels * scale copy (1.25 MiB) must
+        # be gone by then; one worker makes the peaks repeat exactly
+        monkeypatch.setattr(tensor_core, "WORKERS", 1)
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(16, 100, 128))
+        kernels = rng.normal(size=(5, 128, 256))
+        grad_out = rng.normal(size=(16, 100, 256))
+        scale = rng.uniform(0.5, 2.0, 256)
+
+        def peak(**kwargs):
+            tracemalloc.start()
+            try:
+                conv1d_same_backward(x, kernels, grad_out, **kwargs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak()  # builds the cached transforms
+        assert peak(scale=scale) < peak() + kernels.nbytes // 4
+
 
 class TestWinograd:
     @pytest.mark.parametrize("k", range(1, 6))
@@ -257,8 +268,7 @@ class TestWinograd:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(3, length, 2))
         kernels = rng.normal(size=(k, 2, 3))
-        bias = rng.normal(size=3)
-        assert max_rel_error(conv1d_same(x, kernels, bias), direct_conv(x, kernels, bias)) <= 1e-12
+        assert max_rel_error(conv1d_same(x, kernels), direct_conv(x, kernels)) <= 1e-12
 
     @pytest.mark.parametrize("elements", [k * 2 * rows for k, _, rows in IM2COL_BUDGETS]
                              + [0, 100, 200, 400, 600])
@@ -269,9 +279,8 @@ class TestWinograd:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(5, length, 2))
         kernels = rng.normal(size=(k, 2, 3))
-        bias = rng.normal(size=3)
         monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", elements)
-        assert max_rel_error(conv1d_same(x, kernels, bias), direct_conv(x, kernels, bias)) <= 1e-12
+        assert max_rel_error(conv1d_same(x, kernels), direct_conv(x, kernels)) <= 1e-12
 
     @pytest.mark.parametrize("elements", [0, 100, 400, 1 << 20])
     @pytest.mark.parametrize("k, length", WINOGRAD_SHAPES)
@@ -297,7 +306,7 @@ class TestWinograd:
         for k, c_out in ((8, 128), (5, 256), (3, 128)):
             kernels = rng.normal(size=(k, x.shape[2], c_out))
             conv1d_same_backward(x, kernels, rng.normal(size=(2, 9, c_out)))
-            x = conv1d_same(x, kernels, np.zeros(c_out))
+            x = conv1d_same(x, kernels)
         assert calls == [(5, 256, 128), (5, 128, 256), (3, 128, 256), (3, 256, 128)]
 
     def test_forward_memory_is_the_output_and_one_slice(self, monkeypatch):
@@ -307,10 +316,9 @@ class TestWinograd:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(1, 2709, 128))
         kernels = rng.normal(size=(5, 128, 256))
-        bias = np.zeros(256)
         tracemalloc.start()
         try:
-            out = conv1d_same(x, kernels, bias)
+            out = conv1d_same(x, kernels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -430,14 +438,14 @@ class TestWorkers:
         rng = np.random.default_rng(14)
         x = rng.normal(size=(7, 9, 2))
         kernels = rng.normal(size=(3, 2, 3))
-        bias, scale = rng.normal(size=3), rng.normal(size=3)
+        scale = rng.normal(size=3)
         grad_out = rng.normal(size=(7, 9, 3))
         monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", elements)
         counts = self.slice_counts(monkeypatch)
         results = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(tensor_core, "WORKERS", workers)
-            results.append((conv1d_same(x, kernels, bias),
+            results.append((conv1d_same(x, kernels),
                             *conv1d_same_backward(x, kernels, grad_out, scale=scale)))
         # forward, input gradient, kernel gradient per worker count
         assert len(counts) == 9 and min(counts) >= 5
@@ -490,11 +498,11 @@ class TestWorkers:
         monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 6)
         x, kernels = np.full((2, 3, 2), 1e300), np.full((3, 2, 2), 1e300)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            conv1d_same(x, kernels, np.zeros(2))
+            conv1d_same(x, kernels)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="ignore"):
-                assert np.all(np.isinf(conv1d_same(x, kernels, np.zeros(2))))
+                assert np.all(np.isinf(conv1d_same(x, kernels)))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_starts_its_own_pool(self, monkeypatch):
@@ -502,10 +510,10 @@ class TestWorkers:
         monkeypatch.setattr(tensor_core, "WORKERS", 2)
         monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 6)
         x, kernels = np.ones((2, 3, 2)), np.ones((3, 2, 2))
-        expected = conv1d_same(x, kernels, np.zeros(2))
+        expected = conv1d_same(x, kernels)
         child = multiprocessing.get_context("fork").Process(
             target=lambda: os._exit(0 if np.array_equal(
-                conv1d_same(x, kernels, np.zeros(2)), expected) else 1))
+                conv1d_same(x, kernels), expected) else 1))
         child.start()
         child.join(timeout=60)
         if child.is_alive():
@@ -540,15 +548,15 @@ class TestRebuiltInput:
         rng = np.random.default_rng(18)
         x_hat = rng.normal(size=(5, 9, c_in))
         gamma, beta = rng.normal(size=c_in), rng.normal(size=c_in)
-        kernels, bias = rng.normal(size=(5, c_in, 6)), rng.normal(size=6)
+        kernels = rng.normal(size=(5, c_in, 6))
         x = tensor_core._bn_relu(x_hat, gamma, beta, np.empty_like(x_hat))
         assert 0 < np.count_nonzero(x) < x.size
         # one position per im2col slice, one tile of 4 per Winograd slice:
         # slices cut every series, so some reach past its start or end
         monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 1)
         monkeypatch.setattr(tensor_core, "WORKERS", workers)
-        expected = conv1d_same(x, kernels, bias)
-        assert np.array_equal(conv1d_same(x_hat, kernels, bias, relu=(gamma, beta)), expected)
+        expected = conv1d_same(x, kernels)
+        assert np.array_equal(conv1d_same(x_hat, kernels, relu=(gamma, beta)), expected)
 
     # 5 series of 9 positions, 3 channels: slices of 1 or 4 positions cut
     # each series, so some slices reach past its start or end; 9 and 18 are
