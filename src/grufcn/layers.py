@@ -5,6 +5,9 @@ head with its cross-entropy loss.
 
 All layers operate on float64 batches. Backward passes return exact analytic
 gradients; the test suite checks each one against central finite differences.
+A conv block hands on its conv output y and a per-channel (a, b), never its
+output ReLU(a * y + b); its training backward overwrites y, and the
+gradient it is handed if the caller gives that up.
 """
 
 from __future__ import annotations
@@ -61,46 +64,32 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool,
                        relu: tuple[np.ndarray, np.ndarray] | None = None):
     """ReLU(BN(conv(x))) for a (B, L, Cin) x, read as ReLU(a * x + b) if
     relu = (a, b) is given, as the previous block hands it on. Returns
-    ((h, (a, b)), cache): the block's output is ReLU(a * h + b), which
-    _bn_relu rebuilds wherever it is read, for the (B, L, Cout) array h that
-    the block keeps and a pair of (Cout,) vectors (a, b). Both modes run the
-    same conv without its bias, h = conv1d_same(x, kernels, relu=relu), and
-    write no output array.
+    ((y, (a, b)), cache): the block's output is ReLU(a * y + b), which
+    _bn_relu rebuilds wherever it is read, from the (B, L, Cout) conv output
+    y = conv1d_same(x, kernels, relu=relu), run without the bias in both
+    modes, and a pair of (Cout,) vectors (a, b). No output array is written.
 
-    Training mode normalizes with batch statistics taken over all batch and
-    time positions per channel, updates the moving statistics in place, and
-    returns the backward cache. h is x_hat: the conv output, centred and
-    normalized in place a chunk at a time, and (a, b) are copies of gamma
-    and beta, so h is the only block-sized array. The cache keeps x_hat,
-    gamma, beta, and x and relu as given. The chunks run on
-    tensor_core.WORKERS threads like the conv's slices, and their partial
-    sums are added in chunk order. The batch statistics must be finite,
-    which any non-finite input or conv output, or an empty batch, makes
-    them fail. The conv adds no bias, which the batch mean would take away
-    again; it is never trained, and only the moving mean, the running mean
-    of the biased conv output, adds it back.
+    Training mode takes batch statistics over all batch and time positions
+    per channel, as the conv's slices write y (its moments), updates the
+    moving statistics in place, and returns a = gamma / sqrt(var + eps), b =
+    beta - mean * a and the backward cache: y, the only block-sized array,
+    mean, 1 / sqrt(var + eps), (a, b), and x and relu as given. The batch
+    statistics must be finite, which any non-finite input or conv output,
+    or an empty batch, makes them fail. The bias, which the batch mean would
+    take away again, is never trained; only the moving mean, the running
+    mean of the biased conv output, adds it back.
 
-    Inference mode keeps the conv output itself, with a = gamma / sqrt(moving
-    var + eps) and b = beta + (bias - moving mean) * a, which folds the bias
-    in, and None for the cache, so no activation outlives the pass. It
-    checks nothing for finiteness; `model.forward` checks its input and
-    pooled features.
+    Inference mode takes no statistics, with a = gamma / sqrt(moving var +
+    eps) and b = beta + (bias - moving mean) * a, which folds the bias in,
+    and None for the cache, so no activation outlives the pass. It checks
+    nothing for finiteness; `model.forward` checks its input and pooled
+    features.
     """
-    y = conv1d_same(x, block.kernels, relu=relu)
     if not training:
+        y = conv1d_same(x, block.kernels, relu=relu)
         a = block.bn_gamma / np.sqrt(block.bn_moving_var + block.bn_epsilon)
         return (y, (a, block.bn_beta + (block.bias - block.bn_moving_mean) * a)), None
-    n, chunks = y.shape[0] * y.shape[1], list(_chunks(y.shape))
-    # np.var's own steps within a chunk: centre y in place, sum the squares
-    mean, var = y.mean(axis=(0, 1)), np.zeros(y.shape[2])
-
-    def centre(chunk):
-        centred = np.subtract(y[chunk], mean, out=y[chunk])
-        return np.einsum("blc,blc->c", centred, centred)
-
-    for part in ordered_map(centre, chunks):
-        var += part
-    var /= n
+    y, mean, var = conv1d_same(x, block.kernels, relu=relu, moments=True)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
         raise FloatingPointError("non-finite batch statistics in conv block: its input "
                                  "holds NaN or Inf, or the weights overflowed")
@@ -108,76 +97,76 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool,
     block.bn_moving_mean[...] = m * block.bn_moving_mean + (1 - m) * (mean + block.bias)
     block.bn_moving_var[...] = m * block.bn_moving_var + (1 - m) * var
     inv_std = 1.0 / np.sqrt(var + block.bn_epsilon)
-    gamma, beta = block.bn_gamma.copy(), block.bn_beta.copy()
-
-    def normalize(chunk):
-        np.multiply(y[chunk], inv_std, out=y[chunk])
-
-    for _ in ordered_map(normalize, chunks):
-        pass
-    return (y, (gamma, beta)), {"block": block, "x": x, "relu": relu, "x_hat": y,
-                                "inv_std": inv_std, "gamma": gamma, "beta": beta}
+    a = block.bn_gamma * inv_std
+    ab = (a, block.bn_beta - mean * a)
+    return (y, ab), {"block": block, "x": x, "relu": relu, "y": y, "mean": mean,
+                     "inv_std": inv_std, "ab": ab}
 
 
-def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
+def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True,
+                        consume: bool = False):
     """Gradients of the composed ReLU(BN(conv)) w.r.t. input and parameters,
-    from a training-mode cache, which the pass consumes.
+    from a training-mode cache and the block output's gradient grad_out,
+    which the pass consumes: grad_out only if consume.
 
     Includes the batch-statistics coupling terms of training-mode batch norm,
-    with the gamma and beta the forward ran with. Returns (grad_x, grads)
-    with grads keyed by ConvBlock.TRAINED; grad_x is None unless input_grad.
-    grad_out is read a chunk at a time, so a broadcast view (the pooling's
-    gradient) is never copied whole, and is left untouched; the chunks run as
-    in the forward. The pass takes x_hat out of the cache and overwrites it
-    with the conv's output gradient, so a cache serves one backward: a
-    second raises ValueError. The cache's x and relu, which it leaves as
-    they are, go to conv1d_same_backward: the block's input, or with relu =
-    (gamma, beta) the previous block's x_hat, which its kernel gradient
-    rebuilds the input from.
+    with the statistics and (a, b) the forward ran with. Returns (grad_x,
+    grads) with grads keyed by ConvBlock.TRAINED; grad_x is None unless
+    input_grad. Two passes run over _chunks chunks as the pooling does. The
+    first gates grad_out a chunk at a time by a * y + b > 0, the bits every
+    _bn_relu reader sees, into dz, so a broadcast view (the pooling's
+    gradient) is never copied whole. With consume, dz is written over
+    grad_out and the second pass reads it back; else the second gates
+    grad_out again. The second writes the conv's output gradient over y,
+    which it takes out of the cache, so a cache serves one backward: a
+    second raises ValueError. The cache's x and relu go
+    unchanged to conv1d_same_backward: the block's input, or with relu =
+    (a, b) the previous block's y, which its kernel gradient rebuilds the
+    input from.
     """
     block: ConvBlock = cache["block"]
-    x_hat, gamma, beta = cache.get("x_hat"), cache["gamma"], cache["beta"]
-    if x_hat is None:
+    y, (a, b) = cache.get("y"), cache["ab"]
+    if y is None:
         raise ValueError("this conv block cache was already used by a backward pass")
-    if grad_out.shape != x_hat.shape:
-        raise ValueError(
-            f"grad shape {grad_out.shape} != forward output shape {x_hat.shape}"
-        )
-    del cache["x_hat"]
-    # closed form: with n = B*L and dx_hat = gamma * dz, mean(dx_hat) is
-    # gamma * sum(dz) / n and mean(dx_hat * x_hat) is gamma * sum(dz * x_hat) / n,
-    # so dy = (dz - sum(dz)/n - x_hat * sum(dz * x_hat)/n) * gamma * inv_std,
-    # and the conv backward applies gamma * inv_std. dz, the ReLU-gated
-    # grad_out, is gated per chunk by the output that _bn_relu rebuilds, as
-    # the forward's readers do, in both passes, and the second writes dy over
-    # x_hat: caching dz or the gate, or writing dy to a new array, would hold
-    # one more block-sized array
-    n, chunks = x_hat.shape[0] * x_hat.shape[1], list(_chunks(x_hat.shape))
-    grad_gamma, grad_beta = np.zeros(x_hat.shape[2]), np.zeros(x_hat.shape[2])
+    if grad_out.shape != y.shape:
+        raise ValueError(f"grad shape {grad_out.shape} != forward output shape {y.shape}")
+    del cache["y"]
+    # closed form: with n = B*L and x_hat = (y - mean) * inv_std, gamma's
+    # gradient is sum(dz * x_hat) = inv_std * (sum(dz * y) - mean * sum(dz)),
+    # and the conv's output gradient is a * (dz - sum(dz)/n - x_hat *
+    # sum(dz * x_hat)/n) = a * (dz - y * c + (mean * c - sum(dz)/n)) with
+    # c = inv_std * sum(dz * x_hat)/n; the conv backward applies a. Caching
+    # the gate, or a new array for dz or dy, would hold one more block-sized array
+    mean, inv_std = cache["mean"], cache["inv_std"]
+    n, chunks = y.shape[0] * y.shape[1], list(_chunks(y.shape))
+    grad_y_dot, grad_beta = np.zeros(y.shape[2]), np.zeros(y.shape[2])
 
     def gated(chunk):
-        out = _bn_relu(x_hat[chunk], gamma, beta, np.empty(x_hat[chunk].shape))
-        return np.multiply(grad_out[chunk], out > 0, out=out)
+        z = np.multiply(y[chunk], a, out=np.empty(y[chunk].shape))
+        z += b
+        return np.multiply(grad_out[chunk], z > 0, out=grad_out[chunk] if consume else z)
 
     def gate(chunk):
         dz = gated(chunk)
-        return np.einsum("blc,blc->c", dz, x_hat[chunk]), dz.sum(axis=(0, 1))
+        return np.einsum("blc,blc->c", dz, y[chunk]), dz.sum(axis=(0, 1))
 
-    for part_gamma, part_beta in ordered_map(gate, chunks):
-        grad_gamma += part_gamma
+    for part_dot, part_beta in ordered_map(gate, chunks):
+        grad_y_dot += part_dot
         grad_beta += part_beta
-    mean_dz, mean_prod = grad_beta / n, grad_gamma / n
+    grad_gamma = inv_std * (grad_y_dot - mean * grad_beta)
+    c = inv_std * (grad_gamma / n)
+    shift = mean * c - grad_beta / n
 
     def couple(chunk):
-        dy, x_part = gated(chunk), x_hat[chunk]
-        dy -= mean_dz
-        np.subtract(dy, np.multiply(x_part, mean_prod, out=x_part), out=x_part)
+        dz = grad_out[chunk] if consume else gated(chunk)
+        dy = np.multiply(y[chunk], c, out=y[chunk])
+        np.subtract(dz, dy, out=dy)
+        dy += shift
 
     for _ in ordered_map(couple, chunks):
         pass
-    grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, x_hat, input_grad,
-                                                scale=gamma * cache["inv_std"],
-                                                relu=cache["relu"])
+    grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, y, input_grad,
+                                                scale=a, relu=cache["relu"])
     return grad_x, {"kernels": grad_kernels, "bn_gamma": grad_gamma, "bn_beta": grad_beta}
 
 
@@ -185,13 +174,13 @@ def conv_branch(blocks: list[ConvBlock], x: np.ndarray, training: bool):
     """Pooled (B, Cout) features of the blocks run in turn over a (B, L, Cin)
     input, and in training mode the per-block caches (else None).
 
-    Each block hands the next its kept array and (a, b), which the next
-    conv and the pooling read through ReLU(a * h + b), so no block output
+    Each block hands the next its conv output y and (a, b), which the next
+    conv and the pooling read through ReLU(a * y + b), so no block output
     is ever written. The batch runs in groups of whole series, each through
     every block and the pooling before the next group starts. Training runs
     the whole batch as one group, since batch norm takes its statistics over
-    all of it, and the caches hold one block-sized array each, its x_hat.
-    At inference a group holds at most `tensor_core.IM2COL_ELEMENTS` floats
+    all of it, and the caches hold one block-sized array each, its y. At
+    inference a group holds at most `tensor_core.IM2COL_ELEMENTS` floats
     per block (or one series, if that is larger), however large B is, and
     only one group's activations are alive.
     """
@@ -213,13 +202,14 @@ def conv_branch_backward(caches, grad_pooled: np.ndarray) -> list[dict[str, np.n
     """Each block's gradients, keyed by ConvBlock.TRAINED, in block order,
     from conv_branch's training caches and the gradient of its pooled
     features. The blocks run last to first, each popping its cache off
-    caches, which ends empty, so that a block's x_hat is freed as soon as
-    its backward has used it. Nothing reads the gradient of the branch's
-    input, so block 0 computes none."""
-    grad = global_avg_pool_backward(grad_pooled, caches[-1]["x_hat"].shape[1])
-    grads = [None] * len(caches)
+    caches, which ends empty, so that a block's y is freed as soon as its
+    backward has used it, and each block but the last consumes the input
+    gradient the next block hands it, which nothing else reads. Block 0
+    computes none for the branch's input, which nothing reads."""
+    grad = global_avg_pool_backward(grad_pooled, caches[-1]["y"].shape[1])
+    grads, last = [None] * len(caches), len(caches) - 1
     for i in reversed(range(len(caches))):
-        grad, grads[i] = conv_block_backward(caches.pop(), grad, i > 0)
+        grad, grads[i] = conv_block_backward(caches.pop(), grad, i > 0, consume=i < last)
     return grads
 
 

@@ -10,7 +10,9 @@ IM2COL_ELEMENTS alone, and their kernel-gradient products are summed in
 slice order. A conv forward and its input gradient run one correlation
 routine, which picks im2col GEMMs or Winograd F(4, k) GEMMs by its own input.
 A conv reads its input either as given or through a per-channel ReLU(a * x
-+ b), the form in which a conv block hands on its output (_bn_relu).
++ b), the form in which a conv block hands on its output (_bn_relu). A
+training block's conv also returns its output's per-channel mean and
+variance, which each slice takes from the rows it has written (_fill).
 """
 
 from __future__ import annotations
@@ -136,8 +138,9 @@ def _slices(x: np.ndarray, cost: int, unit: int = 1):
 def _bn_relu(h: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = max(h * a + b, 0) in three in-place passes: a conv block's
     output, read from the array h it keeps and its per-channel (a, b). It is
-    the one code that writes that output, for the next conv, the pooling and
-    the backward's ReLU gate alike, so all of them read the same bits."""
+    the one code that writes that output, for the next conv and the pooling
+    alike, so both read the same bits; the backward's ReLU gate tests the
+    same h * a + b > 0."""
     np.multiply(h, a, out=out)
     out += b
     return np.maximum(out, 0.0, out=out)
@@ -207,12 +210,13 @@ def _winograd_matrices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _winograd_correlate(x: np.ndarray, kernels: np.ndarray, left: int,
-                        relu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                        relu: tuple[np.ndarray, np.ndarray] | None = None,
+                        moments: bool = False):
     """(B, L, Cout) correlation, without bias, of the (B, L, Cin) input x,
     read through relu as in _padded and zero-padded by left positions before
     it, with (k <= 5, Cin, Cout) kernels: per slice, B^T on each tile of 4
     outputs' k + 3 inputs, k + 3 (tiles x Cin) @ (Cin x Cout) GEMMs with
-    G-transformed kernels, then A^T.
+    G-transformed kernels, then A^T. With moments, as in _fill.
     """
     c_in = x.shape[2]
     k, _, c_out = kernels.shape
@@ -236,45 +240,72 @@ def _winograd_correlate(x: np.ndarray, kernels: np.ndarray, left: int,
                   out=dest[:, :4 * full].reshape(shape[:1] + (full, 4, c_out)))
         if full < shape[1]:
             dest[:, 4 * full:] = np.matmul(a_t, products[:, full])[:, :dest.shape[1] - 4 * full]
+        return dest
 
     # per tile: v, m and the padded copy (4n + k - 1 <= 8n positions for n tiles)
-    for _ in ordered_map(run, _slices(x, (alpha + 8) * c_in + alpha * c_out, 4)):
-        pass
-    return out
+    return _fill(out, run, _slices(x, (alpha + 8) * c_in + alpha * c_out, 4), moments)
 
 
 def _correlate(x: np.ndarray, kernels: np.ndarray, left: int,
-               relu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+               relu: tuple[np.ndarray, np.ndarray] | None = None, moments: bool = False):
     """out[b, t] = sum_j x[b, t - left + j] @ kernels[j], x zero outside its L
     positions and read through relu as in _padded, for (B, L, Cin) x and
     (k, Cin, Cout) kernels: Winograd F(4, k) GEMMs if k <= 5 and
-    Cin >= WINOGRAD_MIN_CHANNELS, else im2col GEMMs."""
+    Cin >= WINOGRAD_MIN_CHANNELS, else im2col GEMMs. With moments, as in
+    _fill."""
     k, c_in, c_out = kernels.shape
     if k <= 5 and c_in >= WINOGRAD_MIN_CHANNELS:
-        return _winograd_correlate(x, kernels, left, relu)
+        return _winograd_correlate(x, kernels, left, relu, moments)
     w, out = kernels.reshape(k * c_in, c_out), np.empty(x.shape[:2] + (c_out,))
 
     def run(item):
         series, positions = item
         # a slice is whole series or part of one series, so this view is contiguous
+        dest = out[series, positions]
         np.matmul(_im2col(x, series, positions, k, left, relu), w,
-                  out=out[series, positions].reshape(-1, c_out))
+                  out=dest.reshape(-1, c_out))
+        return dest
 
-    for _ in ordered_map(run, _slices(x, k * c_in)):
-        pass
-    return out
+    # per position: its window, then its output row, which moments copies centred
+    return _fill(out, run, _slices(x, k * c_in + c_out), moments)
+
+
+def _fill(out: np.ndarray, run, slices, moments: bool):
+    """out, once run(item), run as in ordered_map, has written and returned
+    each slice's rows of the (B, L, C) array out. With moments, (out, mean,
+    var), out's per-channel mean and biased variance (0 / 0 with no rows):
+    each worker reduces the rows it has just written, still in cache, to
+    (count, mean, sum of squared deviations), merged in slice order by the
+    pairwise update of Chan, Golub & LeVeque (1979): the same at any WORKERS."""
+    def task(item):
+        rows = run(item).reshape(-1, out.shape[2])
+        if moments:
+            mean = rows.mean(axis=0)
+            centred = rows - mean
+            return len(rows), mean, np.einsum("nc,nc->c", centred, centred)
+
+    count, mean, m2 = 0, np.zeros(out.shape[2]), np.zeros(out.shape[2])
+    for n, part_mean, part_m2 in filter(None, ordered_map(task, slices)):
+        delta = part_mean - mean
+        mean = mean + delta * (n / (count + n))
+        m2 = m2 + part_m2 + delta * (delta * (count * n / (count + n)))
+        count += n
+    return (out, mean, m2 / count) if moments else out
 
 
 def conv1d_same(x: np.ndarray, kernels: np.ndarray, *,
-                relu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                relu: tuple[np.ndarray, np.ndarray] | None = None, moments: bool = False):
     """Stride-1 cross-correlation with zero "same" padding, and no bias: a
     conv block folds its bias into batch norm's per-channel shift.
 
-    x is (B, L, Cin), kernels is (k, Cin, Cout); returns (B, L, Cout). No
-    kernel flip is applied. With a pair of (Cin,) vectors relu = (a, b), x
-    is read as ReLU(a * x + b), rebuilt a slice at a time as in
+    x is (B, L, Cin), kernels is (k, Cin, Cout); returns the (B, L, Cout)
+    output y. No kernel flip is applied. With a pair of (Cin,) vectors relu
+    = (a, b), x is read as ReLU(a * x + b), rebuilt a slice at a time as in
     conv1d_same_backward: the next conv reads a conv block's output from the
-    array the block keeps, so the output itself never exists.
+    array the block keeps, so the output itself never exists. With moments,
+    returns (y, mean, var), y's per-channel batch mean and (biased) variance
+    over its B * L positions, taken slice by slice as the slices are written
+    (_fill), so no pass over y is added.
     """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -286,7 +317,7 @@ def conv1d_same(x: np.ndarray, kernels: np.ndarray, *,
     k, c_in, _ = kernels.shape
     if x.shape[2] != c_in:
         raise ValueError(f"input channels {x.shape[2]} != kernel channels {c_in}")
-    return _correlate(x, kernels, same_padding(k)[0], relu)
+    return _correlate(x, kernels, same_padding(k)[0], relu, moments)
 
 
 def conv1d_same_backward(
@@ -304,8 +335,8 @@ def conv1d_same_backward(
     grad_out without a pass over it: the input gradient correlates
     grad_out with the tap-reversed, transposed kernels times scale (a
     kernel-sized copy) and mirrored padding, and reads no x. The kernel
-    gradient walks the forward's im2col slices of x, one GEMM per slice for
-    all k taps, and scales the rows of its (Cout, k * Cin) sum.
+    gradient slices x at k * Cin floats per position, unlike the forward,
+    one GEMM per slice for all k taps, and scales its (Cout, k * Cin) sum.
     """
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)

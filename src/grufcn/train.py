@@ -29,7 +29,8 @@ class AdamState:
 
 def adam_step(state: AdamState, params: dict[str, np.ndarray],
               grads: dict[str, np.ndarray]) -> None:
-    """One bias-corrected Adam update, applied to params in place."""
+    """One bias-corrected Adam update, applied to params in place, as are
+    the moments m and v; every operation rounds as the update rule reads."""
     state.t += 1
     for name, p in params.items():
         g = grads[name]
@@ -39,11 +40,12 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
             )
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
-        m[...] = BETA1 * m + (1 - BETA1) * g
-        v[...] = BETA2 * v + (1 - BETA2) * g * g
-        m_hat = m / (1 - BETA1 ** state.t)
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        v += (1 - BETA2) * g * g
         v_hat = v / (1 - BETA2 ** state.t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+        p -= state.lr * (m / (1 - BETA1 ** state.t)) / (np.sqrt(v_hat, out=v_hat) + EPSILON)
 
 
 @dataclass

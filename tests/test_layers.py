@@ -102,7 +102,7 @@ class TestConvBlock:
         block.bn_beta[:] = 0.0
         x = rng.normal(size=(4, 16, 2)) * 3 + 1
         _, cache = conv_block_forward(block, x, training=True)
-        x_hat = cache["x_hat"]
+        x_hat = (cache["y"] - cache["mean"]) * cache["inv_std"]
         means = x_hat.mean(axis=(0, 1))
         variances = x_hat.var(axis=(0, 1))
         assert np.all(np.abs(means) < 1e-9)
@@ -160,31 +160,46 @@ class TestConvBlock:
         block_peak = traced_peak(lambda: conv_block_forward(block, x, training=False))
         assert block_peak <= conv_peak + (64 << 10)
 
-    def test_training_statistics_match_mean_and_var_bitwise(self):
-        # the training forward shares the mean pass with the variance, which
-        # must still round exactly like y.mean and y.var; y is the conv
-        # without its bias, which only the moving mean adds back
+    @pytest.mark.parametrize("c_in", [2, 40])  # the im2col and Winograd paths
+    def test_training_statistics_match_mean_and_var(self, monkeypatch, c_in):
+        # the conv's slices take the statistics as they write y, within
+        # rounding of y.mean and y.var and bitwise the same at any worker
+        # count; y is the conv without its bias, which only the moving
+        # mean adds back
         rng = np.random.default_rng(8)
-        block = make_conv_block(rng, 5, 2, 3, gamma_scale=1.7)
+        block = make_conv_block(rng, 5, c_in, 3, gamma_scale=1.7)
         block.bn_moving_mean[:] = rng.normal(size=3)
         block.bn_moving_var[:] = rng.uniform(0.5, 2.0, size=3)
-        x = rng.normal(size=(6, 40, 2)) * 3 + 1
+        x = rng.normal(size=(6, 40, c_in)) * 3 + 1
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 1000)  # slices cut every series
         y = conv1d_same(x, block.kernels)
         mean, var = y.mean(axis=(0, 1)), y.var(axis=(0, 1))
         m = block.bn_momentum
         moving_mean = m * block.bn_moving_mean + (1 - m) * (mean + block.bias)
         moving_var = m * block.bn_moving_var + (1 - m) * var
-        x_hat = (y - mean) * (1.0 / np.sqrt(var + block.bn_epsilon))
-        out, cache = block_output(block, x, training=True)
-        assert np.array_equal(block.bn_moving_mean, moving_mean)
-        assert np.array_equal(block.bn_moving_var, moving_var)
-        assert np.array_equal(cache["x_hat"], x_hat)
-        assert np.array_equal(out, np.maximum(x_hat * block.bn_gamma + block.bn_beta, 0.0))
+        passes = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tensor_core, "WORKERS", workers)
+            trained = replace(block, bn_moving_mean=block.bn_moving_mean.copy(),
+                              bn_moving_var=block.bn_moving_var.copy())
+            out, cache = block_output(trained, x, training=True)
+            assert np.array_equal(cache["y"], y)
+            for got, expected in ((cache["mean"], mean),
+                                  (cache["inv_std"] ** -2 - block.bn_epsilon, var),
+                                  (trained.bn_moving_mean, moving_mean),
+                                  (trained.bn_moving_var, moving_var)):
+                assert max_rel_error(got, expected) <= 1e-12
+            a, b = cache["ab"]
+            assert np.array_equal(out, np.maximum(y * a + b, 0.0))
+            passes.append((out, cache["mean"], cache["inv_std"], a, b,
+                           trained.bn_moving_mean, trained.bn_moving_var))
+        for other in passes[1:]:
+            assert all(np.array_equal(p, q) for p, q in zip(passes[0], other, strict=True))
 
     def test_backward_leaves_its_inputs_untouched(self):
-        # the block reads its input through a previous block's (gamma, beta),
-        # as blocks 1 and 2 do; grad_out is writable, or the pooling's
-        # read-only broadcast view. The backward consumes x_hat alone.
+        # the block reads its input through a previous block's (a, b), as
+        # blocks 1 and 2 do; grad_out is writable, or the pooling's
+        # read-only broadcast view. The backward consumes y alone.
         rng = np.random.default_rng(7)
         block = make_conv_block(rng, 3, 2, 4)
         x, relu = rng.normal(size=(2, 6, 2)), (rng.normal(size=2), rng.normal(size=2))
@@ -196,12 +211,64 @@ class TestConvBlock:
                 inputs = (x, *relu, grad_out, *(getattr(block, f.name) for f in fields(block)))
                 saved = [np.copy(a) for a in inputs]
                 passes.append(conv_block_backward(cache, grad_out))
-                assert "x_hat" not in cache
+                assert "y" not in cache
                 assert cache["x"] is x and cache["relu"] is relu
                 assert all(np.array_equal(a, b) for a, b in zip(inputs, saved, strict=True))
             (grad_x, grads), (grad_x_again, grads_again) = passes
             assert np.array_equal(grad_x, grad_x_again)
             assert all(np.array_equal(grads[k], grads_again[k]) for k in grads)
+
+    def test_consume_writes_the_gated_gradient_over_grad_out(self):
+        # conv_branch_backward hands each block but the last the next
+        # block's input gradient, which nothing else reads, with consume:
+        # the pass writes dz over it and reads it back instead of gating
+        # again, and the gradients are bitwise those of a pass without
+        rng = np.random.default_rng(7)
+        block = make_conv_block(rng, 3, 2, 4)
+        x, relu = rng.normal(size=(2, 6, 2)), (rng.normal(size=2), rng.normal(size=2))
+        grad_out = rng.normal(size=(2, 6, 4))
+        passes = []
+        for consume in (False, True):
+            out, cache = block_output(block, x, training=True, relu=relu)
+            assert 0 < np.count_nonzero(out) < out.size  # the gate passes some of grad_out
+            given = grad_out.copy()
+            passes.append(conv_block_backward(cache, given, consume=consume))
+        assert np.array_equal(given, grad_out * (out > 0))
+        (grad_x, grads), (grad_x_consumed, grads_consumed) = passes
+        assert np.array_equal(grad_x, grad_x_consumed)
+        assert all(np.array_equal(grads[k], grads_consumed[k]) for k in grads)
+
+    def test_gamma_gradient_survives_a_large_mean(self):
+        # gamma's gradient sum(dz * x_hat) is formed from sum(dz * y) and
+        # sum(dz), which cancel when |mean| is far above the spread of y; one
+        # tap, so the zero padding adds no spread at the series' ends
+        rng = np.random.default_rng(14)
+        for c_in in (2, 40):
+            block = make_conv_block(rng, 1, c_in, 3)
+            x = rng.normal(size=(5, 11, c_in)) * 1e-5 + 1.0
+            grad_out = rng.normal(size=(5, 11, 3))
+            _, cache = conv_block_forward(block, x, training=True)
+            y, (a, b) = cache["y"].copy(), cache["ab"]
+            mean, inv_std = cache["mean"], cache["inv_std"]
+            assert np.all(np.abs(mean) >= 100 * y.std(axis=(0, 1)))
+            x_hat = (y - mean) * inv_std
+            dz = grad_out * (y * a + b > 0)
+            _, grads = conv_block_backward(cache, grad_out)
+            expected = (dz * x_hat).sum(axis=(0, 1))
+            assert max_rel_error(grads["bn_gamma"], expected) <= 1e-12
+
+    def test_inference_takes_no_statistics(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(layers, "conv1d_same",
+                            lambda *args, **kwargs: calls.append(kwargs.get("moments", False))
+                            or conv1d_same(*args, **kwargs))
+        rng = np.random.default_rng(15)
+        blocks = [make_conv_block(rng, 8, 1, 4), make_conv_block(rng, 5, 4, 40),
+                  make_conv_block(rng, 3, 40, 3)]
+        conv_branch(blocks, rng.normal(size=(3, 10, 1)), False)
+        assert calls == [False] * 3
+        conv_branch(blocks, rng.normal(size=(3, 10, 1)), True)
+        assert calls == [False] * 3 + [True] * 3
 
     def test_second_backward_on_one_cache_is_refused(self):
         rng = np.random.default_rng(7)
@@ -324,7 +391,7 @@ def training_pass(block, x, grad_out):
     block = replace(block, bn_moving_mean=block.bn_moving_mean.copy(),
                     bn_moving_var=block.bn_moving_var.copy())
     out, cache = block_output(block, x, training=True)
-    x_hat = cache["x_hat"].copy()
+    x_hat = (cache["y"] - cache["mean"]) * cache["inv_std"]
     grad_x, grads = conv_block_backward(cache, grad_out)
     return {"out": out, "x_hat": x_hat, "moving_mean": block.bn_moving_mean,
             "moving_var": block.bn_moving_var, "grad_x": grad_x, **grads}
@@ -407,11 +474,11 @@ class TestChunkedTrainingBlock:
                 assert np.array_equal(other[name], value), name
 
     def test_pass_holds_one_block_sized_array_beyond_the_conv_backward(self):
-        # the 128 -> 256, k = 5 block: x_hat, which the backward overwrites
-        # with the conv's output gradient, plus the kernel copy the scaled
-        # input gradient makes and chunk temporaries; an output array, a
-        # squared-deviation array, a dz * x_hat product or a ReLU mask would
-        # each add a block-sized array, or an eighth of one
+        # the 128 -> 256, k = 5 block: its conv output y, which the backward
+        # overwrites with the conv's output gradient, plus the kernel copy
+        # the scaled input gradient makes and chunk temporaries; an output
+        # array, a squared-deviation array, a dz * y product or a ReLU mask
+        # would each add a block-sized array, or an eighth of one
         rng = np.random.default_rng(10)
         block = make_conv_block(rng, 5, 128, 256)
         x = rng.normal(size=(32, 176, 128))

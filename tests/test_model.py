@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gradcheck import assert_grad_close, numerical_grad
 from writers import set_checkpoint_value
 
-from grufcn import layers, tensor_core
+from grufcn import data_ucr, layers, tensor_core
 from grufcn import model as model_mod
 from grufcn.model import (
     ArchConfig,
@@ -85,6 +85,18 @@ class TestParameterCounts:
                 gru = parameter_count(ArchConfig(length, classes))
                 lstm = parameter_count(ArchConfig(length, classes, cell_kind="lstm"))
                 assert gru < lstm
+
+    def test_lstm_adds_one_gate_over_gru_for_every_registry_entry(self):
+        # the paper's parameter claim: GRU-FCN is LSTM-FCN less one gate's
+        # input weights, recurrent weights and bias, H * (L + H + 1) =
+        # 8 * L + 72 at H = 8, so the gap grows with the series length
+        entries = data_ucr.registry().values()
+        assert len(entries) == 85
+        for entry in entries:
+            base = dict(series_length=entry.series_length, num_classes=entry.num_classes)
+            gap = (parameter_count(ArchConfig(cell_kind="lstm", **base))
+                   - parameter_count(ArchConfig(**base)))
+            assert gap == 8 * entry.series_length + 72, entry.name
 
     def test_manifest_order_is_conv_cell_head(self):
         names = [n for n, _ in parameter_manifest(ArchConfig(10, 2))]
@@ -344,8 +356,8 @@ class TestWorkers:
     """The conv runs its slices on tensor_core.WORKERS threads; inference and
     a training step must give bitwise the same results at any worker count.
     At 64 floats per slice every conv of a 40-position series runs 5 or
-    more slices: 5 per series for block 0 (8 taps, 1 channel), more for the
-    rest, and 25 for block 0 of the 5-series training batch."""
+    more slices: 5 per series for block 0's kernel gradient (8 taps, 1
+    channel), 25 over the 5-series training batch, and more for the rest."""
 
     LENGTH = 40
 
@@ -473,9 +485,9 @@ class TestBackward:
 
 
 class TestRebuiltBlockInputs:
-    """A training cache of block i > 0 keeps block i - 1's x_hat and its
-    forward-time gamma and beta instead of its input, which the conv
-    backward rebuilds from them a slice at a time."""
+    """A training cache of block i > 0 keeps block i - 1's conv output y and
+    its forward-time (a, b) instead of its input, which the conv backward
+    rebuilds from them a slice at a time."""
 
     LENGTH = 40
 
@@ -485,8 +497,8 @@ class TestRebuiltBlockInputs:
         caches = forward(model, x, training=True, rng=Rng(0))[1]["conv_caches"]
         assert caches[0]["x"].shape == (3, self.LENGTH, 1) and caches[0]["relu"] is None
         for prev, cache in zip(caches, caches[1:]):
-            assert cache["x"] is prev["x_hat"]
-            assert cache["relu"][0] is prev["gamma"] and cache["relu"][1] is prev["beta"]
+            assert cache["x"] is prev["y"]
+            assert cache["relu"] is prev["ab"]
 
     def test_step_reads_the_forwards_gamma_and_beta(self, monkeypatch):
         # 64 floats per slice cut every series, so the rebuild reaches both
@@ -531,8 +543,8 @@ class TestRebuiltBlockInputs:
 
     def test_training_forward_peak_in_block_outputs(self, monkeypatch):
         unit, forward_peak, _ = self.traced_step(monkeypatch)
-        # block 2's conv holds x_hat0 and x_hat1 (1 + 2 units) and its
-        # output, later normalized in place into x_hat2 (1): 4, and about 1.1
+        # block 2's conv holds y0 and y1 (1 + 2 units) and its output y2
+        # (1): 4, and about 1.1
         # more of its in-flight slices at 2 workers (5.10 measured). No block
         # writes an output, but writing block 2's after its conv would only
         # tie this peak. Keeping block 1's output alive for block 2's conv
@@ -541,10 +553,11 @@ class TestRebuiltBlockInputs:
 
     def test_training_step_peak_in_block_outputs(self, monkeypatch):
         unit, _, peak = self.traced_step(monkeypatch)
-        # block 1's backward holds x_hat0 (1 unit), its own x_hat overwritten
-        # by dz (2), its incoming gradient (2) and its input gradient (1):
-        # 6, and about 2.3 more of slices, weights and smaller arrays (8.34
-        # measured). Keeping block 2's x_hat to its end and dz in a new
+        # block 1's backward holds y0 (1 unit), its own y overwritten by
+        # the conv's output gradient (2), its incoming gradient, overwritten
+        # by dz (2), and its input gradient (1): 6, and about 2.3 more of
+        # slices, weights and smaller arrays (8.34 measured). Keeping block
+        # 2's y to its end and dz in a new
         # array adds 3 (11.34); caching blocks 1 and 2's inputs as well, 3
         # more.
         assert peak < 8.8 * unit

@@ -252,6 +252,39 @@ class TestConv1dSame:
         assert peak(scale=scale) < peak() + kernels.nbytes // 4
 
 
+class TestMoments:
+    """conv1d_same(..., moments=True): y's per-channel mean and variance,
+    taken by each slice from the rows it writes and merged in slice order."""
+
+    # one position or tile per slice, slices that cut every series, the whole batch
+    @pytest.mark.parametrize("elements", [1, 60, 1 << 19])
+    @pytest.mark.parametrize("length", [3, 7, 16])  # L < 4, L mod 4 != 0, L mod 4 == 0
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_match_mean_and_var_bitwise_at_every_worker_count(self, monkeypatch, conv_path,
+                                                                elements, length, relu):
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(5, length, 2)) * 3 + 1
+        kernels = rng.normal(size=(5, 2, 3))
+        ab = (rng.normal(size=2), rng.normal(size=2)) if relu else None
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", elements)
+        y = conv1d_same(x, kernels, relu=ab)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tensor_core, "WORKERS", workers)
+            results.append(conv1d_same(x, kernels, relu=ab, moments=True))
+        got, mean, var = results[0]
+        assert np.array_equal(got, y)
+        assert max_rel_error(mean, y.mean(axis=(0, 1))) <= 1e-12
+        assert max_rel_error(var, y.var(axis=(0, 1))) <= 1e-12
+        for other in results[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(results[0], other, strict=True))
+
+    def test_no_rows_give_a_nan_variance(self, conv_path):
+        with np.errstate(invalid="ignore"):
+            y, _, var = conv1d_same(np.zeros((0, 7, 2)), np.ones((3, 2, 4)), moments=True)
+        assert y.shape == (0, 7, 4) and np.all(np.isnan(var))
+
+
 class TestWinograd:
     @pytest.mark.parametrize("k", range(1, 6))
     def test_transforms_reproduce_direct_correlation(self, k):
@@ -299,8 +332,8 @@ class TestWinograd:
         calls = []
         correlate = tensor_core._winograd_correlate
         monkeypatch.setattr(tensor_core, "_winograd_correlate",
-                            lambda x, kernels, left, relu: calls.append(kernels.shape)
-                            or correlate(x, kernels, left, relu))
+                            lambda x, kernels, left, relu, moments: calls.append(kernels.shape)
+                            or correlate(x, kernels, left, relu, moments))
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2, 9, 1))
         for k, c_out in ((8, 128), (5, 256), (3, 128)):

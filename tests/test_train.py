@@ -90,6 +90,30 @@ class TestAdam:
         with pytest.raises(ValueError, match=r"gradient shape \(4,\) != parameter shape \(3,\)"):
             adam_step(state, {"p": np.zeros(3)}, {"p": np.zeros(4)})
 
+    def test_in_place_update_is_bitwise_the_textbook_expressions(self):
+        # the step updates m, v and p in place; every value must still round
+        # exactly as the whole-array expressions of the update rule
+        rng = np.random.default_rng(3)
+        shapes = {"w": (5, 4, 3), "b": (3,)}
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        expected = {name: p.copy() for name, p in params.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        state = AdamState(lr=0.01)
+        for t in range(1, 9):
+            grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+                     for name, shape in shapes.items()}
+            adam_step(state, params, grads)
+            for name, g in grads.items():
+                m[name] = 0.9 * m[name] + (1 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1 - 0.999) * g * g
+                m_hat = m[name] / (1 - 0.9 ** t)
+                v_hat = v[name] / (1 - 0.999 ** t)
+                expected[name] -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+                assert np.array_equal(state.m[name], m[name]), name
+                assert np.array_equal(state.v[name], v[name]), name
+                assert np.array_equal(params[name], expected[name]), name
+
     def test_descends_on_quadratic(self):
         state = AdamState(lr=0.05)
         params = {"p": np.array([4.0])}
