@@ -209,9 +209,9 @@ def cmd_compare(args) -> int:
         col = matrix.column(m)
         present = ~np.isnan(col)
         model_mpce = metrics.mpce(col[present], class_counts[present])
-        print(f"{m},{mean_ranks[m]:.6f},{no_best[m]},{model_mpce:.6f}")
+        print(f"{_csv_field(m)},{mean_ranks[m]:.6f},{no_best[m]},{model_mpce:.6f}")
 
-    lines = ["model," + ",".join(matrix.models)]
+    lines = ["model," + ",".join(map(_csv_field, matrix.models))]
     for i, a in enumerate(matrix.models):
         cells = []
         for j, b in enumerate(matrix.models):
@@ -225,7 +225,7 @@ def cmd_compare(args) -> int:
                 cells.append(f"{res.pvalue:.6e}")
             except metrics.UndefinedTestError:
                 cells.append("")
-        lines.append(a + "," + ",".join(cells))
+        lines.append(_csv_field(a) + "," + ",".join(cells))
     model_mod.write_atomic(out_dir / "wilcoxon_pvalues.csv",
                            ["\n".join(lines + [""]).encode("utf-8")])
 
@@ -235,16 +235,30 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _csv_field(text: str) -> str:
+    """text as one CSV field, quoted as csv.writer quotes it: in quotes, its
+    quotes doubled, if it holds a comma, a quote or a line break. (A
+    csv.writer keeps a 128 KiB record buffer, which would double the peak
+    allocation of a whole compare.)"""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _int_table(path, columns: tuple[str, ...], names) -> dict[str, tuple[int, ...]]:
     """{dataset: integer value of each column} from a per-dataset table,
-    which must have a row for each of names; a short row or a non-integer
-    field names its line."""
+    which must have each of columns in its header and a row for each of
+    names; a short row or a non-integer field names its line."""
     rows = data_ucr.read_table(path)
     header = next(rows)
+    absent = [c for c in columns if c not in header]
+    if absent:
+        raise ValueError(f"{path}: no column(s) {', '.join(absent)} in the header")
+    indices = [header.index(c) for c in columns]
     table = {}
     for line, row in rows:
         try:
-            table[row[0]] = tuple(int(row[header.index(c)]) for c in columns)
+            table[row[0]] = tuple(int(row[i]) for i in indices)
         except (IndexError, ValueError):
             raise ValueError(f"{path}:{line}: need a dataset and integer "
                              f"{', '.join(columns)}") from None

@@ -17,11 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import tensor_core
-from .tensor_core import (_bn_relu, batch_slices, conv1d_same, conv1d_same_backward,
-                          ordered_map)
-
-BN_CHUNK_ELEMENTS = 1 << 17  # float64 elements per batch-norm chunk of a block output (1 MiB)
+from .tensor_core import _bn_relu, conv1d_same, conv1d_same_backward, ordered_map, slices
 
 
 def hard_sigmoid(u: np.ndarray) -> np.ndarray:
@@ -50,14 +46,6 @@ class ConvBlock:
     bn_moving_var: np.ndarray  # (Cout,)
     bn_momentum: float = 0.99
     bn_epsilon: float = 1e-3
-
-
-def _chunks(shape):
-    """The (series, positions) index pairs that cover a (B, L, C) array in
-    chunks of whole series, or of one series' positions, of at most
-    BN_CHUNK_ELEMENTS floats (or one position, if C is larger)."""
-    batch, length, channels = shape
-    return batch_slices(batch, length, max(1, BN_CHUNK_ELEMENTS // channels))
 
 
 def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool,
@@ -112,17 +100,17 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True,
     Includes the batch-statistics coupling terms of training-mode batch norm,
     with the statistics and (a, b) the forward ran with. Returns (grad_x,
     grads) with grads keyed by ConvBlock.TRAINED; grad_x is None unless
-    input_grad. Two passes run over _chunks chunks as the pooling does. The
-    first gates grad_out a chunk at a time by a * y + b > 0, the bits every
-    _bn_relu reader sees, into dz, so a broadcast view (the pooling's
-    gradient) is never copied whole. With consume, dz is written over
-    grad_out and the second pass reads it back; else the second gates
-    grad_out again. The second writes the conv's output gradient over y,
-    which it takes out of the cache, so a cache serves one backward: a
-    second raises ValueError. The cache's x and relu go
-    unchanged to conv1d_same_backward: the block's input, or with relu =
-    (a, b) the previous block's y, which its kernel gradient rebuilds the
-    input from.
+    input_grad. Two passes run over y's slices (tensor_core.slices at C
+    floats per position), as the pooling does. The first gates grad_out a
+    slice at a time by a * y + b > 0, the bits every _bn_relu reader sees,
+    into dz, so a broadcast view (the pooling's gradient) is never copied
+    whole. With consume, dz is written over grad_out and the second pass
+    reads it back; else the second gates grad_out again. The second writes
+    the conv's output gradient over y, which it takes out of the cache, so
+    a cache serves one backward: a second raises ValueError. The cache's x
+    and relu go unchanged to conv1d_same_backward: the block's input, or
+    with relu = (a, b) the previous block's y, which its kernel gradient
+    rebuilds the input from.
     """
     block: ConvBlock = cache["block"]
     y, (a, b) = cache.get("y"), cache["ab"]
@@ -138,7 +126,7 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True,
     # c = inv_std * sum(dz * x_hat)/n; the conv backward applies a. Caching
     # the gate, or a new array for dz or dy, would hold one more block-sized array
     mean, inv_std = cache["mean"], cache["inv_std"]
-    n, chunks = y.shape[0] * y.shape[1], list(_chunks(y.shape))
+    n, chunks = y.shape[0] * y.shape[1], list(slices(y.shape, y.shape[2]))
     grad_y_dot, grad_beta = np.zeros(y.shape[2]), np.zeros(y.shape[2])
 
     def gated(chunk):
@@ -180,21 +168,22 @@ def conv_branch(blocks: list[ConvBlock], x: np.ndarray, training: bool):
     every block and the pooling before the next group starts. Training runs
     the whole batch as one group, since batch norm takes its statistics over
     all of it, and the caches hold one block-sized array each, its y. At
-    inference a group holds at most `tensor_core.IM2COL_ELEMENTS` floats
-    per block (or one series, if that is larger), however large B is, and
-    only one group's activations are alive.
+    inference the groups are tensor_core.slices that count each series as
+    one position of L floats per channel of the widest block, so a group's
+    array of that block fits one slice (or is one series, if that is
+    larger), however large B is, and only one group's activations are alive.
     """
     widest = max(block.kernels.shape[2] for block in blocks)
-    group = max(1, len(x) if training
-                else tensor_core.IM2COL_ELEMENTS // (x.shape[1] * widest))
-    pooled, caches = np.empty((len(x), blocks[-1].kernels.shape[2])), []
     # an empty training batch still runs block 0, whose statistics refuse it
-    for start in range(0, max(len(x), 1), group):
-        h, relu = x[start:start + group], None
+    groups = ([slice(None)] if training else
+              [series for series, _ in slices((len(x), 1), x.shape[1] * widest)])
+    pooled, caches = np.empty((len(x), blocks[-1].kernels.shape[2])), []
+    for group in groups:
+        h, relu = x[group], None
         for block in blocks:
             (h, relu), cache = conv_block_forward(block, h, training, relu)
             caches.append(cache)
-        pooled[start:start + group] = global_avg_pool(h, *relu)
+        pooled[group] = global_avg_pool(h, *relu)
     return pooled, caches if training else None
 
 
@@ -330,12 +319,13 @@ def _input_grads(x: np.ndarray, gates) -> dict[str, np.ndarray]:
 
 def global_avg_pool(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-channel mean over the time axis, (B, L, C) -> (B, C), of a conv
-    block's output ReLU(a * h + b), rebuilt by _bn_relu one _chunks chunk at
-    a time into a chunk-sized scratch. The chunks run as in the blocks, and
-    their sums are added in chunk order."""
+    block's output ReLU(a * h + b), rebuilt by _bn_relu one tensor_core
+    slice at a time, at C floats per position, into a slice-sized scratch.
+    The slices run as in the blocks, and their sums are added in slice
+    order."""
     if h.shape[1] == 0:
         raise ValueError("global_avg_pool needs at least one time position")
-    chunks = list(_chunks(h.shape))
+    chunks = list(slices(h.shape, h.shape[2]))
 
     def time_sum(chunk):
         return _bn_relu(h[chunk], a, b, np.empty(h[chunk].shape)).sum(axis=1)

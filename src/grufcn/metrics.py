@@ -273,7 +273,7 @@ def nemenyi_cd(num_models: int, num_datasets: int, alpha: float = 0.05) -> float
 
 def cd_diagram_svg(mean_ranks: dict[str, float], cd: float) -> str:
     """Standalone SVG: a mean-rank axis with labeled model positions and a
-    bar showing the critical difference."""
+    bar showing the critical difference. Model names are XML-escaped."""
     k = len(mean_ranks)
     lo = math.floor(min(mean_ranks.values()))
     hi = math.ceil(max(mean_ranks.values()))
@@ -308,7 +308,8 @@ def cd_diagram_svg(mean_ranks: dict[str, float], cd: float) -> str:
         y = axis_y + 30 + 18 * i
         parts.append(f'<line x1="{x:.1f}" y1="{axis_y}" x2="{x:.1f}" y2="{y - 4}" '
                      'stroke="gray" stroke-dasharray="2,2"/>')
+        label = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<text x="{x:.1f}" y="{y}" text-anchor="middle">'
-                     f'{name} ({rank:.3f})</text>')
+                     f'{label} ({rank:.3f})</text>')
     parts.append("</svg>")
     return "\n".join(parts)

@@ -4,11 +4,13 @@ deterministic initializers.
 Tensors are plain C-contiguous ``numpy.ndarray`` objects with dtype float64.
 Apart from the generators :func:`Rng` returns, whose draws advance their
 state, every function here returns the same result for the same inputs.
-The conv runs its slices on a pool of WORKERS threads, which the first conv
-starts if WORKERS > 1. That changes no result: the slices depend on
-IM2COL_ELEMENTS alone, and their kernel-gradient products are summed in
-slice order. A conv forward and its input gradient run one correlation
-routine, which picks im2col GEMMs or Winograd F(4, k) GEMMs by its own input.
+Every pass over a block-sized array, the conv's and the conv blocks' own
+alike, walks the slices that `slices` cuts to IM2COL_ELEMENTS floats, on
+a pool of WORKERS threads, which the first such pass starts if WORKERS >
+1. That changes no result: the slices depend on IM2COL_ELEMENTS alone,
+and their partial sums are added in slice order. A conv forward and its
+input gradient run one correlation routine, which picks im2col GEMMs or
+Winograd F(4, k) GEMMs by its own input.
 A conv reads its input either as given or through a per-channel ReLU(a * x
 + b), the form in which a conv block hands on its output (_bn_relu). A
 training block's conv also returns its output's per-channel mean and
@@ -27,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial
 
-IM2COL_ELEMENTS = 1 << 19  # float64 elements per im2col slice of the conv (4 MiB)
+IM2COL_ELEMENTS = 1 << 19  # float64 elements per slice of a block-sized array (4 MiB)
 # Winograd over im2col time on one x86-64 core, 128 output channels: 3-6x
 # with 1 input channel, 1.1-1.9x with 8 or 16, 0.4-1.04x with 32
 WINOGRAD_MIN_CHANNELS = 32
@@ -116,23 +118,20 @@ def same_padding(kernel_size: int) -> tuple[int, int]:
     return left, kernel_size - 1 - left
 
 
-def batch_slices(batch: int, length: int, rows: int):
-    """Yield (series, positions) slices that cover batch series of length
-    positions in slices of whole series, or of one series' positions, of at
-    most rows (series, position) pairs (at least one position)."""
-    series, step = max(1, rows // max(1, length)), max(1, min(rows, length))
-    for b in range(0, batch, series):
-        for t in range(0, length, step):
-            yield slice(b, b + series), slice(t, min(t + step, length))
-
-
-def _slices(x: np.ndarray, cost: int, unit: int = 1):
-    """The batch_slices of the (B, L, C) input x that hold at most
-    IM2COL_ELEMENTS floats at cost per unit positions. Slices hold whole
-    units, so the last may reach past L."""
-    batch, length, _ = x.shape
+def slices(shape, cost: int, unit: int = 1):
+    """Yield the (series, positions) slices that cover an array of (B, L,
+    ...) shape in slices of whole series, or of one series' positions,
+    that hold at most IM2COL_ELEMENTS floats at cost floats per unit
+    positions (at least one unit). Slices hold whole units, so the last may
+    reach past L. Every pass that cuts a block-sized array into pieces
+    walks these slices."""
+    batch, length = shape[:2]
     span = -(-length // unit) * unit  # one series' positions in whole units
-    return batch_slices(batch, span, max(1, IM2COL_ELEMENTS // cost) * unit)
+    rows = max(1, IM2COL_ELEMENTS // cost) * unit
+    series, step = max(1, rows // max(1, span)), max(1, min(rows, span))
+    for b in range(0, batch, series):
+        for t in range(0, span, step):
+            yield slice(b, b + series), slice(t, min(t + step, span))
 
 
 def _bn_relu(h: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -243,7 +242,7 @@ def _winograd_correlate(x: np.ndarray, kernels: np.ndarray, left: int,
         return dest
 
     # per tile: v, m and the padded copy (4n + k - 1 <= 8n positions for n tiles)
-    return _fill(out, run, _slices(x, (alpha + 8) * c_in + alpha * c_out, 4), moments)
+    return _fill(out, run, slices(x.shape, (alpha + 8) * c_in + alpha * c_out, 4), moments)
 
 
 def _correlate(x: np.ndarray, kernels: np.ndarray, left: int,
@@ -267,10 +266,10 @@ def _correlate(x: np.ndarray, kernels: np.ndarray, left: int,
         return dest
 
     # per position: its window, then its output row, which moments copies centred
-    return _fill(out, run, _slices(x, k * c_in + c_out), moments)
+    return _fill(out, run, slices(x.shape, k * c_in + c_out), moments)
 
 
-def _fill(out: np.ndarray, run, slices, moments: bool):
+def _fill(out: np.ndarray, run, items, moments: bool):
     """out, once run(item), run as in ordered_map, has written and returned
     each slice's rows of the (B, L, C) array out. With moments, (out, mean,
     var), out's per-channel mean and biased variance (0 / 0 with no rows):
@@ -285,7 +284,7 @@ def _fill(out: np.ndarray, run, slices, moments: bool):
             return len(rows), mean, np.einsum("nc,nc->c", centred, centred)
 
     count, mean, m2 = 0, np.zeros(out.shape[2]), np.zeros(out.shape[2])
-    for n, part_mean, part_m2 in filter(None, ordered_map(task, slices)):
+    for n, part_mean, part_m2 in filter(None, ordered_map(task, items)):
         delta = part_mean - mean
         mean = mean + delta * (n / (count + n))
         m2 = m2 + part_m2 + delta * (delta * (count * n / (count + n)))
@@ -363,7 +362,7 @@ def conv1d_same_backward(
             x, series, positions, k, left, relu)
 
     grad_w_t = np.zeros((c_out, k * c_in))
-    for part in ordered_map(product, _slices(x, k * c_in), ahead=WORKERS):
+    for part in ordered_map(product, slices(x.shape, k * c_in), ahead=WORKERS):
         grad_w_t += part
         del part  # so at most WORKERS products exist at once
     if scale is not None:

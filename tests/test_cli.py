@@ -1,3 +1,4 @@
+import csv
 import importlib
 import inspect
 import io
@@ -101,6 +102,15 @@ class TestParams:
         assert main(["params", "Adiac", "--check", str(ref)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {ref}:2: need a dataset and integer GRU-FCN, LSTM-FCN\n"
+
+    @pytest.mark.parametrize("rows", ["", "Adiac,275237,276717\n"])
+    def test_reference_without_a_count_column_is_an_error(self, capsys, tmp_path, rows):
+        ref = tmp_path / "ref.csv"
+        ref.write_text(f"dataset,GRU-FCN,LSTM\n{rows}")
+        assert main(["params", "Adiac", "--check", str(ref)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {ref}: no column(s) LSTM-FCN in the header\n"
+        assert captured.out == ""
 
     def test_malformed_reference_fails_before_any_output(self, capsys, tmp_path):
         ref = tmp_path / "bad.csv"
@@ -223,6 +233,23 @@ class TestCompare:
         m1 = out[1].split(",")
         assert m1[0] == "M1" and m1[2] == "2"  # M1 best on 2 of 3 datasets
 
+    def test_model_names_with_commas_quotes_and_line_breaks_round_trip(self, capsys,
+                                                                       tmp_path):
+        errs = tmp_path / "errs.csv"
+        errs.write_text('dataset,"C,D","say ""hi""","E\nF"\n'
+                        "Adiac,0.1,0.2,0.3\nBeef,0.3,0.1,0.2\nCoffee,0.0,0.5,0.4\n")
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--errors", str(errs), "--out", str(out_dir)]) == 0
+        names = ["C,D", 'say "hi"', "E\nF"]
+        ranks = list(csv.reader(io.StringIO(capsys.readouterr().out)))[:4]
+        assert [row[0] for row in ranks] == ["model", *names]
+        assert [len(row) for row in ranks] == [4] * 4
+        with open(out_dir / "wilcoxon_pvalues.csv", newline="") as fh:
+            pvalues = list(csv.reader(fh))
+        assert pvalues[0] == ["model", *names]
+        assert [row[0] for row in pvalues[1:]] == names
+        assert [len(row) for row in pvalues] == [4] * 4
+
     def test_bad_alpha_fails_before_any_output(self, capsys, tmp_path):
         out_dir = tmp_path / "cmp"
         assert main(["compare", "--alpha", "0.01", "--out", str(out_dir)]) == 1
@@ -248,6 +275,19 @@ class TestCompare:
         assert main(["compare", "--errors", str(errs),
                      "--class-counts", str(counts), "--out", str(tmp_path / "c")]) == 1
         assert "Adiac" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", ["", "Adiac,37\n"])
+    def test_class_counts_without_a_classes_column_is_an_error(self, capsys, tmp_path,
+                                                                rows):
+        errs = tmp_path / "errs.csv"
+        errs.write_text("dataset,M1,M2\nAdiac,0.1,0.2\n")
+        counts = tmp_path / "counts.csv"
+        counts.write_text(f"dataset,n_classes\n{rows}")
+        assert main(["compare", "--errors", str(errs),
+                     "--class-counts", str(counts), "--out", str(tmp_path / "c")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {counts}: no column(s) classes in the header\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("row", ["Adiac", "Adiac,five"])
     def test_malformed_class_counts_row_is_an_error(self, capsys, tmp_path, row):

@@ -426,8 +426,9 @@ def traced_peak(fn):
 
 
 class TestChunkedTrainingBlock:
-    """Training batch norm and ReLU run over chunks of layers.BN_CHUNK_ELEMENTS
-    floats; the chunking must not show beyond rounding."""
+    """Training batch norm and ReLU run over tensor_core.slices of
+    tensor_core.IM2COL_ELEMENTS floats; the chunking must not show beyond
+    rounding."""
 
     # floats per chunk of a (5, 7, 3) block output: one position, three
     # positions (7 = 3 + 3 + 1), two whole series (5 = 2 + 2 + 1)
@@ -445,8 +446,8 @@ class TestChunkedTrainingBlock:
         grad_out = (global_avg_pool_backward(rng.normal(size=(5, 3)), 7) if pooled
                     else rng.normal(size=(5, 7, 3)))
         one_chunk = training_pass(block, x, grad_out)
-        monkeypatch.setattr(layers, "BN_CHUNK_ELEMENTS", elements)
-        assert len(list(layers._chunks((5, 7, 3)))) >= 3
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", elements)
+        assert len(list(tensor_core.slices((5, 7, 3), 3))) >= 3
         chunked = training_pass(block, x, grad_out)
         plain = plain_training_pass(block, x, grad_out)
         assert chunked.keys() == plain.keys()
@@ -464,7 +465,7 @@ class TestChunkedTrainingBlock:
         block = make_conv_block(rng, 5, c_in, 3, gamma_scale=1.7)
         x = rng.normal(size=(5, 7, c_in)) * 3 + 1
         grad_out = rng.normal(size=(5, 7, 3))
-        monkeypatch.setattr(layers, "BN_CHUNK_ELEMENTS", elements)
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", elements)
         passes = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(tensor_core, "WORKERS", workers)
@@ -647,7 +648,7 @@ class TestGlobalAvgPool:
         rng = np.random.default_rng(14)
         h, a, b = rng.normal(size=(5, 7, 3)), rng.normal(size=3), rng.normal(size=3)
         expected = np.maximum(h * a + b, 0.0).mean(axis=1)
-        monkeypatch.setattr(layers, "BN_CHUNK_ELEMENTS", elements)
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", elements)
         passes = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(tensor_core, "WORKERS", workers)

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 from importlib import resources
 
@@ -535,3 +536,9 @@ class TestCdDiagram:
     def test_equal_ranks_do_not_crash(self):
         svg = cd_diagram_svg({"A": 2.0, "B": 2.0}, cd=0.5)
         assert "<svg" in svg
+
+    def test_markup_in_model_names_is_escaped(self):
+        ranks = {"A&B": 1.5, "<E>": 2.5, 'q"\'': 3.0}
+        root = ET.fromstring(cd_diagram_svg(ranks, cd=1.0))
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert [f"{name} ({rank:.3f})" for name, rank in ranks.items()] == texts[-3:]

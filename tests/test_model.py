@@ -397,8 +397,8 @@ class TestWorkers:
             assert np.array_equal(cache["features"], results[0][1]["features"])
 
     def test_training_step_is_bitwise_the_same(self, monkeypatch):
-        # batch norm and ReLU in chunks of 7 positions (128 channels) or 3 (256)
-        monkeypatch.setattr(layers, "BN_CHUNK_ELEMENTS", 1000)
+        # batch norm and ReLU walk the conv's slices: at 64 floats, one
+        # position each (128 or 256 channels)
         rng = np.random.default_rng(12)
         x, y = rng.normal(size=(5, self.LENGTH)), np.eye(4)[[0, 3, 1, 2, 1]]
 

@@ -14,7 +14,6 @@ from gradcheck import assert_grad_close, max_rel_error, numerical_grad
 from grufcn import tensor_core
 from grufcn.tensor_core import (
     Rng,
-    batch_slices,
     conv1d_same,
     conv1d_same_backward,
     glorot_uniform_init,
@@ -25,9 +24,10 @@ from grufcn.tensor_core import (
 
 @pytest.mark.parametrize("length", [1, 3, 7])
 @pytest.mark.parametrize("rows", [0, 1, 2, 3, 6, 7, 14, 20, 100])
-def test_batch_slices_hold_whole_series_or_one_series_positions(length, rows):
-    # rows // length whole series per slice when one fits, else slices of
-    # rows positions of one series; at least one position per slice
+def test_batch_slices_hold_whole_series_or_one_series_positions(monkeypatch, length, rows):
+    # at one float per position, rows // length whole series per slice when
+    # one fits, else slices of rows positions of one series; at least one
+    # position per slice
     if rows >= length:
         per = rows // length
         expected = [(slice(b, b + per), slice(0, length)) for b in range(0, 5, per)]
@@ -35,7 +35,8 @@ def test_batch_slices_hold_whole_series_or_one_series_positions(length, rows):
         step = max(1, rows)
         expected = [(slice(b, b + 1), slice(t, min(t + step, length)))
                     for b in range(5) for t in range(0, length, step)]
-    assert list(batch_slices(5, length, rows)) == expected
+    monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", rows)
+    assert list(tensor_core.slices((5, length), 1)) == expected
 
 
 # (kernel size, length, window rows per im2col slice) over a batch of 5:
@@ -609,7 +610,7 @@ class TestRebuiltInput:
         assert 0 < np.count_nonzero(x) < x.size
         monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", positions * k * 3)
         monkeypatch.setattr(tensor_core, "WORKERS", workers)
-        starts = {p.start for _, p in tensor_core._slices(x_hat, k * 3)}
+        starts = {p.start for _, p in tensor_core.slices(x_hat.shape, k * 3)}
         assert (len(starts) > 1) == (positions < 9)
         expected = conv1d_same_backward(x, kernels, grad_out, scale=scale)
         got = conv1d_same_backward(x_hat, kernels, grad_out, scale=scale, relu=(gamma, beta))
