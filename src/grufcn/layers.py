@@ -7,7 +7,9 @@ All layers operate on float64 batches. Backward passes return exact analytic
 gradients; the test suite checks each one against central finite differences.
 A conv block hands on its conv output y and a per-channel (a, b), never its
 output ReLU(a * y + b); its training backward overwrites y, and the
-gradient it is handed if the caller gives that up.
+gradient it is handed if the caller gives that up. Training runs the conv
+blocks one after the other over the whole batch; inference runs them depth
+first, each tile of positions through every block and the pooling.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .tensor_core import _bn_relu, conv1d_same, conv1d_same_backward, ordered_map, slices
+from . import tensor_core
+from .tensor_core import conv1d_same, conv1d_same_backward
 
 
 def hard_sigmoid(u: np.ndarray) -> np.ndarray:
@@ -48,35 +51,26 @@ class ConvBlock:
     bn_epsilon: float = 1e-3
 
 
-def conv_block_forward(block: ConvBlock, x: np.ndarray, training: bool,
+def conv_block_forward(block: ConvBlock, x: np.ndarray,
                        relu: tuple[np.ndarray, np.ndarray] | None = None):
-    """ReLU(BN(conv(x))) for a (B, L, Cin) x, read as ReLU(a * x + b) if
-    relu = (a, b) is given, as the previous block hands it on. Returns
-    ((y, (a, b)), cache): the block's output is ReLU(a * y + b), which
-    _bn_relu rebuilds wherever it is read, from the (B, L, Cout) conv output
-    y = conv1d_same(x, kernels, relu=relu), run without the bias in both
-    modes, and a pair of (Cout,) vectors (a, b). No output array is written.
+    """ReLU(BN(conv(x))) in training mode for a (B, L, Cin) x, read as
+    ReLU(a * x + b) if relu = (a, b) is given, as the previous block hands
+    it on. Returns ((y, (a, b)), cache): the block's output is ReLU(a * y +
+    b), which _bn_relu rebuilds wherever it is read, from the (B, L, Cout)
+    conv output y = conv1d_same(x, kernels, relu=relu), run without the
+    bias, and a pair of (Cout,) vectors (a, b). No output array is written.
 
-    Training mode takes batch statistics over all batch and time positions
-    per channel, as the conv's slices write y (its moments), updates the
-    moving statistics in place, and returns a = gamma / sqrt(var + eps), b =
-    beta - mean * a and the backward cache: y, the only block-sized array,
-    mean, 1 / sqrt(var + eps), (a, b), and x and relu as given. The batch
+    Batch statistics are taken over all batch and time positions per
+    channel, as the conv's slices write y (its moments); the moving
+    statistics are updated in place, and a = gamma / sqrt(var + eps), b =
+    beta - mean * a. The cache holds y, the only block-sized array, mean,
+    1 / sqrt(var + eps), (a, b), and x and relu as given. The batch
     statistics must be finite, which any non-finite input or conv output,
-    or an empty batch, makes them fail. The bias, which the batch mean would
-    take away again, is never trained; only the moving mean, the running
-    mean of the biased conv output, adds it back.
-
-    Inference mode takes no statistics, with a = gamma / sqrt(moving var +
-    eps) and b = beta + (bias - moving mean) * a, which folds the bias in,
-    and None for the cache, so no activation outlives the pass. It checks
-    nothing for finiteness; `model.forward` checks its input and pooled
-    features.
+    or an empty batch, makes them fail. The bias, which the batch mean
+    would take away again, is never trained; only the moving mean, the
+    running mean of the biased conv output, adds it back. Inference runs no
+    block on its own (conv_branch).
     """
-    if not training:
-        y = conv1d_same(x, block.kernels, relu=relu)
-        a = block.bn_gamma / np.sqrt(block.bn_moving_var + block.bn_epsilon)
-        return (y, (a, block.bn_beta + (block.bias - block.bn_moving_mean) * a)), None
     y, mean, var = conv1d_same(x, block.kernels, relu=relu, moments=True)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
         raise FloatingPointError("non-finite batch statistics in conv block: its input "
@@ -126,7 +120,7 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True,
     # c = inv_std * sum(dz * x_hat)/n; the conv backward applies a. Caching
     # the gate, or a new array for dz or dy, would hold one more block-sized array
     mean, inv_std = cache["mean"], cache["inv_std"]
-    n, chunks = y.shape[0] * y.shape[1], list(slices(y.shape, y.shape[2]))
+    n, chunks = y.shape[0] * y.shape[1], list(tensor_core.slices(y.shape, y.shape[2]))
     grad_y_dot, grad_beta = np.zeros(y.shape[2]), np.zeros(y.shape[2])
 
     def gated(chunk):
@@ -138,7 +132,7 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True,
         dz = gated(chunk)
         return np.einsum("blc,blc->c", dz, y[chunk]), dz.sum(axis=(0, 1))
 
-    for part_dot, part_beta in ordered_map(gate, chunks):
+    for part_dot, part_beta in tensor_core.ordered_map(gate, chunks):
         grad_y_dot += part_dot
         grad_beta += part_beta
     grad_gamma = inv_std * (grad_y_dot - mean * grad_beta)
@@ -151,7 +145,7 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True,
         np.subtract(dz, dy, out=dy)
         dy += shift
 
-    for _ in ordered_map(couple, chunks):
+    for _ in tensor_core.ordered_map(couple, chunks):
         pass
     grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, y, input_grad,
                                                 scale=a, relu=cache["relu"])
@@ -162,29 +156,69 @@ def conv_branch(blocks: list[ConvBlock], x: np.ndarray, training: bool):
     """Pooled (B, Cout) features of the blocks run in turn over a (B, L, Cin)
     input, and in training mode the per-block caches (else None).
 
-    Each block hands the next its conv output y and (a, b), which the next
-    conv and the pooling read through ReLU(a * y + b), so no block output
-    is ever written. The batch runs in groups of whole series, each through
-    every block and the pooling before the next group starts. Training runs
-    the whole batch as one group, since batch norm takes its statistics over
-    all of it, and the caches hold one block-sized array each, its y. At
-    inference the groups are tensor_core.slices that count each series as
-    one position of L floats per channel of the widest block, so a group's
-    array of that block fits one slice (or is one series, if that is
-    larger), however large B is, and only one group's activations are alive.
+    Training runs the whole batch through each block in turn, since batch
+    norm takes its statistics over all of it before any block output can
+    be read. Each block hands the next its conv output y and (a, b), which
+    the next conv and the pooling read through ReLU(a * y + b), and the
+    caches hold one block-sized array each, its y. Inference runs depth
+    first (_pooled_tiles), so no block-sized array exists.
     """
-    widest = max(block.kernels.shape[2] for block in blocks)
-    # an empty training batch still runs block 0, whose statistics refuse it
-    groups = ([slice(None)] if training else
-              [series for series, _ in slices((len(x), 1), x.shape[1] * widest)])
-    pooled, caches = np.empty((len(x), blocks[-1].kernels.shape[2])), []
-    for group in groups:
-        h, relu = x[group], None
-        for block in blocks:
-            (h, relu), cache = conv_block_forward(block, h, training, relu)
-            caches.append(cache)
-        pooled[group] = global_avg_pool(h, *relu)
-    return pooled, caches if training else None
+    if not training:
+        return _pooled_tiles(blocks, x), None
+    h, relu, caches = x, None, []
+    for block in blocks:
+        (h, relu), cache = conv_block_forward(block, h, relu)
+        caches.append(cache)
+    return global_avg_pool(h, *relu), caches
+
+
+def _pooled_tiles(blocks: list[ConvBlock], x: np.ndarray) -> np.ndarray:
+    """conv_branch's pooled features at inference, where batch norm is the
+    fixed per-channel map a = gamma / sqrt(moving var + eps), b = beta +
+    (bias - moving mean) * a, which folds the bias in. Each block's kernels
+    are prepared once. The tiles are tensor_core.slices of the last block's
+    (B, L) output positions, at the floats per position a tile holds at its
+    widest step: a block's input rows, its conv's scratch and its output
+    rows. Each tile runs in one pool thread: from its positions it widens
+    each earlier block's range by the later blocks' same_padding halos,
+    clipped to [0, L), runs each block's conv on the previous block's rows
+    read through ReLU(a * y + b) (tensor_core.correlate_slice, zero only
+    outside [0, L)), and returns its sum over time of the last block's
+    output. The sums are added in tile order and divided by L, so the
+    result depends on IM2COL_ELEMENTS alone, not on WORKERS.
+    """
+    length, steps, widest = x.shape[1], [], 1
+    for block in blocks:
+        k, c_in, c_out = block.kernels.shape
+        prepared = tensor_core.prepare_kernels(block.kernels)
+        _, _, cost, unit = prepared
+        widest = max(widest, c_in + -(-cost // unit) + c_out)
+        a = block.bn_gamma / np.sqrt(block.bn_moving_var + block.bn_epsilon)
+        steps.append((prepared, tensor_core.same_padding(k),
+                      (a, block.bn_beta + (block.bias - block.bn_moving_mean) * a)))
+
+    def tile(item):
+        series, positions = item
+        ranges = [(positions.start, min(positions.stop, length))]
+        for _, (left, right), _ in reversed(steps[1:]):
+            lo, hi = ranges[0]
+            ranges.insert(0, (max(lo - left, 0), min(hi + right, length)))
+        h, start, relu = x[series], 0, None  # h holds positions start onwards
+        for (lo, hi), (prepared, (left, _), ab) in zip(ranges, steps):
+            out = np.empty((len(h), hi - lo, prepared[1].shape[-1]))
+            h = tensor_core.correlate_slice(h, slice(None), lo - start, left, prepared, relu,
+                                            out)
+            start, relu = lo, ab
+        return tensor_core._bn_relu(h, *relu, h).sum(axis=1)
+
+    tiles = list(tensor_core.slices((len(x), length), widest))
+    pooled = np.zeros((len(x), blocks[-1].kernels.shape[2]))
+    # two queued tiles per thread keep it busy; all queued at once, 512 per
+    # HandOutlines chunk, their futures held about 0.6 MiB
+    parts = tensor_core.ordered_map(tile, tiles, ahead=2 * tensor_core.WORKERS)
+    for (series, _), part in zip(tiles, parts):
+        pooled[series] += part
+    return np.divide(pooled, length, out=pooled)
 
 
 def conv_branch_backward(caches, grad_pooled: np.ndarray) -> list[dict[str, np.ndarray]]:
@@ -325,13 +359,13 @@ def global_avg_pool(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     order."""
     if h.shape[1] == 0:
         raise ValueError("global_avg_pool needs at least one time position")
-    chunks = list(slices(h.shape, h.shape[2]))
+    chunks = list(tensor_core.slices(h.shape, h.shape[2]))
 
     def time_sum(chunk):
-        return _bn_relu(h[chunk], a, b, np.empty(h[chunk].shape)).sum(axis=1)
+        return tensor_core._bn_relu(h[chunk], a, b, np.empty(h[chunk].shape)).sum(axis=1)
 
     pooled = np.zeros((h.shape[0], h.shape[2]))
-    for (series, _), part in zip(chunks, ordered_map(time_sum, chunks)):
+    for (series, _), part in zip(chunks, tensor_core.ordered_map(time_sum, chunks)):
         pooled[series] += part
     return np.divide(pooled, h.shape[1], out=pooled)
 

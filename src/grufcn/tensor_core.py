@@ -4,13 +4,15 @@ deterministic initializers.
 Tensors are plain C-contiguous ``numpy.ndarray`` objects with dtype float64.
 Apart from the generators :func:`Rng` returns, whose draws advance their
 state, every function here returns the same result for the same inputs.
-Every pass over a block-sized array, the conv's and the conv blocks' own
-alike, walks the slices that `slices` cuts to IM2COL_ELEMENTS floats, on
-a pool of WORKERS threads, which the first such pass starts if WORKERS >
-1. That changes no result: the slices depend on IM2COL_ELEMENTS alone,
-and their partial sums are added in slice order. A conv forward and its
-input gradient run one correlation routine, which picks im2col GEMMs or
-Winograd F(4, k) GEMMs by its own input.
+Every pass that cuts an array into pieces, the conv's, the conv blocks'
+and the inference tiles that run every block on a few positions alike,
+walks the slices that `slices` cuts to IM2COL_ELEMENTS floats, on a pool
+of WORKERS threads, which the first such pass starts if WORKERS > 1. That
+changes no result: the slices depend on IM2COL_ELEMENTS alone, and their
+partial sums are added in slice order. A conv forward, its input gradient
+and each inference tile run one per-slice routine, correlate_slice, on
+kernels that prepare_kernels has transformed once for the path their shape
+picks: im2col GEMMs, or Winograd F(4, k) GEMMs.
 A conv reads its input either as given or through a per-channel ReLU(a * x
 + b), the form in which a conv block hands on its output (_bn_relu). A
 training block's conv also returns its output's per-channel mean and
@@ -208,65 +210,72 @@ def _winograd_matrices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a.T, b_t, g
 
 
-def _winograd_correlate(x: np.ndarray, kernels: np.ndarray, left: int,
-                        relu: tuple[np.ndarray, np.ndarray] | None = None,
-                        moments: bool = False):
-    """(B, L, Cout) correlation, without bias, of the (B, L, Cin) input x,
-    read through relu as in _padded and zero-padded by left positions before
-    it, with (k <= 5, Cin, Cout) kernels: per slice, B^T on each tile of 4
-    outputs' k + 3 inputs, k + 3 (tiles x Cin) @ (Cin x Cout) GEMMs with
-    G-transformed kernels, then A^T. With moments, as in _fill.
-    """
-    c_in = x.shape[2]
-    k, _, c_out = kernels.shape
-    alpha = k + 3
-    a_t, b_t, g = _winograd_matrices(k)
-    u = np.matmul(g, kernels.reshape(k, -1)).reshape(alpha, c_in, c_out)
-    out = np.empty(x.shape[:2] + (c_out,))
+def prepare_kernels(kernels: np.ndarray):
+    """(k, w, cost, unit): the (k, Cin, Cout) kernels as correlate_slice reads
+    them, and the floats one of its slices holds per unit output positions.
+    With k <= 5 and Cin >= WINOGRAD_MIN_CHANNELS, w is the (k + 3, Cin, Cout)
+    G-transformed kernels of Winograd F(4, k), unit 4; else w is the (k * Cin,
+    Cout) im2col matrix, unit 1. A caller that runs many slices prepares its
+    kernels once."""
+    k, c_in, c_out = kernels.shape
+    if k <= 5 and c_in >= WINOGRAD_MIN_CHANNELS:
+        alpha = k + 3
+        u = np.matmul(_winograd_matrices(k)[2], kernels.reshape(k, -1))
+        # per tile: v, m and the padded copy (4n + k - 1 <= 8n positions for n tiles)
+        return k, u.reshape(alpha, c_in, c_out), (alpha + 8) * c_in + alpha * c_out, 4
+    # per position: its window, then its output row, which moments copies centred
+    return k, kernels.reshape(k * c_in, c_out), k * c_in + c_out, 1
 
-    def run(item):
-        series, positions = item
-        windows = _windows(_padded(x, series, positions, k, left, relu), alpha, 4)
-        shape = windows.shape[:2]
-        n = shape[0] * shape[1]
-        v, m = np.empty((n, alpha, c_in)), np.empty((n, alpha, c_out))
-        np.matmul(b_t, windows, out=v.reshape(shape + (alpha, c_in)))
-        np.matmul(v.swapaxes(0, 1), u, out=m.swapaxes(0, 1))
-        # tile i's row j is output position positions.start + 4i + j; the last may be cut
-        products, dest = m.reshape(shape + (alpha, c_out)), out[series, positions]
-        full = dest.shape[1] // 4
-        np.matmul(a_t, products[:, :full],
-                  out=dest[:, :4 * full].reshape(shape[:1] + (full, 4, c_out)))
-        if full < shape[1]:
-            dest[:, 4 * full:] = np.matmul(a_t, products[:, full])[:, :dest.shape[1] - 4 * full]
+
+def correlate_slice(x: np.ndarray, series: slice, start: int, left: int, prepared,
+                    relu: tuple[np.ndarray, np.ndarray] | None, dest: np.ndarray) -> np.ndarray:
+    """dest, a contiguous (S, n, Cout) array, filled with output positions
+    start to start + n of the correlation, without bias, of x[series], read
+    through relu as in _padded and zero outside x, with kernels as
+    prepare_kernels returned them: out[t] = sum_j x[t - left + j] @
+    kernels[j]. im2col: one (n x k * Cin) @ (k * Cin x Cout) GEMM. Winograd:
+    B^T on each tile of 4 outputs' k + 3 inputs, k + 3 (tiles x Cin) @ (Cin x
+    Cout) GEMMs, then A^T; the last tile's inputs may reach past start + n +
+    k - 1 - left, and its outputs past n are dropped. It starts no thread."""
+    k, w, _, unit = prepared
+    n, c_out = dest.shape[1], w.shape[-1]
+    positions = slice(start, start + -(-n // unit) * unit)
+    if unit == 1:
+        np.matmul(_im2col(x, series, positions, k, left, relu), w, out=dest.reshape(-1, c_out))
         return dest
-
-    # per tile: v, m and the padded copy (4n + k - 1 <= 8n positions for n tiles)
-    return _fill(out, run, slices(x.shape, (alpha + 8) * c_in + alpha * c_out, 4), moments)
+    alpha = k + 3
+    a_t, b_t, _ = _winograd_matrices(k)
+    windows = _windows(_padded(x, series, positions, k, left, relu), alpha, 4)
+    shape = windows.shape[:2]
+    count = shape[0] * shape[1]
+    v, m = np.empty((count, alpha, x.shape[2])), np.empty((count, alpha, c_out))
+    np.matmul(b_t, windows, out=v.reshape(shape + (alpha, x.shape[2])))
+    np.matmul(v.swapaxes(0, 1), w, out=m.swapaxes(0, 1))
+    # tile i's row j is output position start + 4i + j; the last may be cut
+    products, full = m.reshape(shape + (alpha, c_out)), n // 4
+    np.matmul(a_t, products[:, :full],
+              out=dest[:, :4 * full].reshape(shape[:1] + (full, 4, c_out)))
+    if full < shape[1]:
+        dest[:, 4 * full:] = np.matmul(a_t, products[:, full])[:, :n - 4 * full]
+    return dest
 
 
 def _correlate(x: np.ndarray, kernels: np.ndarray, left: int,
                relu: tuple[np.ndarray, np.ndarray] | None = None, moments: bool = False):
-    """out[b, t] = sum_j x[b, t - left + j] @ kernels[j], x zero outside its L
-    positions and read through relu as in _padded, for (B, L, Cin) x and
-    (k, Cin, Cout) kernels: Winograd F(4, k) GEMMs if k <= 5 and
-    Cin >= WINOGRAD_MIN_CHANNELS, else im2col GEMMs. With moments, as in
-    _fill."""
-    k, c_in, c_out = kernels.shape
-    if k <= 5 and c_in >= WINOGRAD_MIN_CHANNELS:
-        return _winograd_correlate(x, kernels, left, relu, moments)
-    w, out = kernels.reshape(k * c_in, c_out), np.empty(x.shape[:2] + (c_out,))
+    """The (B, L, Cout) correlate_slice of the whole (B, L, Cin) input x,
+    run over slices(x.shape, cost, unit) as prepare_kernels sizes them: by
+    Winograd F(4, k) GEMMs if k <= 5 and Cin >= WINOGRAD_MIN_CHANNELS, else
+    by im2col GEMMs. With moments, as in _fill."""
+    prepared = prepare_kernels(kernels)
+    out = np.empty(x.shape[:2] + (kernels.shape[2],))
 
     def run(item):
         series, positions = item
         # a slice is whole series or part of one series, so this view is contiguous
-        dest = out[series, positions]
-        np.matmul(_im2col(x, series, positions, k, left, relu), w,
-                  out=dest.reshape(-1, c_out))
-        return dest
+        return correlate_slice(x, series, positions.start, left, prepared, relu,
+                               out[series, positions])
 
-    # per position: its window, then its output row, which moments copies centred
-    return _fill(out, run, slices(x.shape, k * c_in + c_out), moments)
+    return _fill(out, run, slices(x.shape, *prepared[2:]), moments)
 
 
 def _fill(out: np.ndarray, run, items, moments: bool):

@@ -59,12 +59,12 @@ def _layer_instance_errors(seed):
     block = make_conv_block(rng, k, c_in, c_out)
     x = rng.normal(size=(2, 8, c_in))
     grad_out = rng.normal(size=(2, 8, c_out))
-    _, cache = layers.conv_block_forward(block, x, training=True)
+    _, cache = layers.conv_block_forward(block, x)
     grad_x, grads = layers.conv_block_backward(cache, grad_out)
 
     def conv_loss(arr, v):
         arr[...] = v
-        (h, (a, b)), _ = layers.conv_block_forward(block, x, training=True)
+        (h, (a, b)), _ = layers.conv_block_forward(block, x)
         return float(np.sum(np.maximum(h * a + b, 0.0) * grad_out))
 
     worst = max(worst, max_rel_error(

@@ -74,11 +74,23 @@ class TestHardSigmoid:
         assert hard_sigmoid(np.array(1.0)) == pytest.approx(0.7)
 
 
-def block_output(block, x, training, relu=None):
+def block_output(block, x, relu=None):
     """conv_block_forward's output ReLU(a * h + b), formed from the array h
     and the (a, b) it hands on, and its cache."""
-    (h, (a, b)), cache = conv_block_forward(block, x, training, relu)
+    (h, (a, b)), cache = conv_block_forward(block, x, relu)
     return np.maximum(h * a + b, 0.0), cache
+
+
+def tile_cost(blocks):
+    """The floats per position one inference tile holds at its widest step:
+    a block's input rows, its conv's scratch (prepare_kernels' cost per unit
+    positions, rounded up per position) and its output rows."""
+    widest = 1
+    for block in blocks:
+        _, c_in, c_out = block.kernels.shape
+        _, _, cost, unit = tensor_core.prepare_kernels(block.kernels)
+        widest = max(widest, c_in + -(-cost // unit) + c_out)
+    return widest
 
 
 class TestConvBlock:
@@ -86,14 +98,14 @@ class TestConvBlock:
         block = make_conv_block(np.random.default_rng(0), 3, 1, 4)
         block.bias[:] = 0
         block.bn_beta[:] = 0
-        out, _ = block_output(block, np.zeros((2, 5, 1)), training=True)
+        out, _ = block_output(block, np.zeros((2, 5, 1)))
         assert np.allclose(out, 0.0)
 
     def test_relu_saturation(self):
         rng = np.random.default_rng(1)
         block = make_conv_block(rng, 3, 1, 4)
         block.bn_beta[:] = -10.0
-        out, _ = block_output(block, rng.normal(size=(2, 5, 1)), training=True)
+        out, _ = block_output(block, rng.normal(size=(2, 5, 1)))
         assert np.all(out == 0.0)
 
     def test_training_mode_normalizes_batch(self):
@@ -101,7 +113,7 @@ class TestConvBlock:
         block = make_conv_block(rng, 5, 2, 3)
         block.bn_beta[:] = 0.0
         x = rng.normal(size=(4, 16, 2)) * 3 + 1
-        _, cache = conv_block_forward(block, x, training=True)
+        _, cache = conv_block_forward(block, x)
         x_hat = (cache["y"] - cache["mean"]) * cache["inv_std"]
         means = x_hat.mean(axis=(0, 1))
         variances = x_hat.var(axis=(0, 1))
@@ -114,17 +126,18 @@ class TestConvBlock:
         block = make_conv_block(rng, 3, 1, 2)
         x = rng.normal(size=(4, 8, 1)) * 2 + 5
         before_mean = block.bn_moving_mean.copy()
-        conv_block_forward(block, x, training=True)
+        conv_block_forward(block, x)
         assert not np.array_equal(block.bn_moving_mean, before_mean)
-        # inference mode leaves them untouched
+        # inference leaves them untouched
         frozen = block.bn_moving_mean.copy()
-        conv_block_forward(block, x, training=False)
+        conv_branch([block], x, False)
         assert np.array_equal(block.bn_moving_mean, frozen)
 
     def test_inference_output_matches_batch_norm_formula(self):
         # batch norm as one per-channel (a, b) on the conv output rounds
         # differently from the plain formula, but only in the last bits;
-        # Cin = 2 reaches the im2col path, Cin = 40 the Winograd path
+        # Cin = 2 reaches the im2col path, Cin = 40 the Winograd path. The
+        # branch pools the block's output over time, in tiles of 2 positions
         rng = np.random.default_rng(6)
         for c_in in (2, 40):
             block = make_conv_block(rng, 5, c_in, 3)
@@ -135,30 +148,27 @@ class TestConvBlock:
             y = conv1d_same(x, block.kernels) + block.bias
             inv_std = 1.0 / np.sqrt(block.bn_moving_var + block.bn_epsilon)
             z = block.bn_gamma * ((y - block.bn_moving_mean) * inv_std) + block.bn_beta
-            out, cache = block_output(block, x, training=False)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(tensor_core, "IM2COL_ELEMENTS", 2 * tile_cost([block]))
+                pooled, cache = conv_branch([block], x, False)
             assert cache is None
-            np.testing.assert_allclose(out, np.maximum(z, 0.0), rtol=0,
+            np.testing.assert_allclose(pooled, np.maximum(z, 0.0).mean(axis=1), rtol=0,
                                        atol=1e-12 * np.abs(z).max())
 
-    def test_inference_fold_makes_no_kernel_sized_copy(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_inference_fold_makes_no_kernel_sized_copy(self, monkeypatch, workers):
         # a HandOutlines-length series through the 128->256 block: batch norm
-        # adds a few Cout vectors to the conv's own peak, not scaled kernels
+        # adds a few Cout vectors, not scaled kernels, to the transformed
+        # kernels the tiles share and one slice budget per running tile
+        monkeypatch.setattr(tensor_core, "WORKERS", workers)
         rng = np.random.default_rng(9)
         block = make_conv_block(rng, 5, 128, 256)
         x = rng.normal(size=(1, 2709, 128))
-        conv1d_same(x, block.kernels)  # builds the cached transforms
-
-        def traced_peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        conv_peak = traced_peak(lambda: conv1d_same(x, block.kernels))
-        block_peak = traced_peak(lambda: conv_block_forward(block, x, training=False))
-        assert block_peak <= conv_peak + (64 << 10)
+        conv_branch([block], x, False)  # builds the cached transforms
+        transformed_kernels = 8 * 128 * 256 * 8
+        budget = workers * tensor_core.IM2COL_ELEMENTS * x.itemsize
+        peak = traced_peak(lambda: conv_branch([block], x, False))
+        assert peak <= transformed_kernels + budget + (64 << 10)
 
     @pytest.mark.parametrize("c_in", [2, 40])  # the im2col and Winograd paths
     def test_training_statistics_match_mean_and_var(self, monkeypatch, c_in):
@@ -182,7 +192,7 @@ class TestConvBlock:
             monkeypatch.setattr(tensor_core, "WORKERS", workers)
             trained = replace(block, bn_moving_mean=block.bn_moving_mean.copy(),
                               bn_moving_var=block.bn_moving_var.copy())
-            out, cache = block_output(trained, x, training=True)
+            out, cache = block_output(trained, x)
             assert np.array_equal(cache["y"], y)
             for got, expected in ((cache["mean"], mean),
                                   (cache["inv_std"] ** -2 - block.bn_epsilon, var),
@@ -207,7 +217,7 @@ class TestConvBlock:
                          global_avg_pool_backward(rng.normal(size=(2, 4)), 6)):
             passes = []
             for _ in range(2):
-                _, cache = conv_block_forward(block, x, training=True, relu=relu)
+                _, cache = conv_block_forward(block, x, relu=relu)
                 inputs = (x, *relu, grad_out, *(getattr(block, f.name) for f in fields(block)))
                 saved = [np.copy(a) for a in inputs]
                 passes.append(conv_block_backward(cache, grad_out))
@@ -229,7 +239,7 @@ class TestConvBlock:
         grad_out = rng.normal(size=(2, 6, 4))
         passes = []
         for consume in (False, True):
-            out, cache = block_output(block, x, training=True, relu=relu)
+            out, cache = block_output(block, x, relu=relu)
             assert 0 < np.count_nonzero(out) < out.size  # the gate passes some of grad_out
             given = grad_out.copy()
             passes.append(conv_block_backward(cache, given, consume=consume))
@@ -247,7 +257,7 @@ class TestConvBlock:
             block = make_conv_block(rng, 1, c_in, 3)
             x = rng.normal(size=(5, 11, c_in)) * 1e-5 + 1.0
             grad_out = rng.normal(size=(5, 11, 3))
-            _, cache = conv_block_forward(block, x, training=True)
+            _, cache = conv_block_forward(block, x)
             y, (a, b) = cache["y"].copy(), cache["ab"]
             mean, inv_std = cache["mean"], cache["inv_std"]
             assert np.all(np.abs(mean) >= 100 * y.std(axis=(0, 1)))
@@ -258,22 +268,29 @@ class TestConvBlock:
             assert max_rel_error(grads["bn_gamma"], expected) <= 1e-12
 
     def test_inference_takes_no_statistics(self, monkeypatch):
-        calls = []
+        # inference runs no conv1d_same, so nothing takes moments: each tile
+        # runs one correlate_slice per block, here 3 tiles of one series each
+        calls, taps = [], []
         monkeypatch.setattr(layers, "conv1d_same",
                             lambda *args, **kwargs: calls.append(kwargs.get("moments", False))
                             or conv1d_same(*args, **kwargs))
+        correlate = tensor_core.correlate_slice
+        monkeypatch.setattr(tensor_core, "correlate_slice",
+                            lambda *args: taps.append(args[4][0]) or correlate(*args))
         rng = np.random.default_rng(15)
         blocks = [make_conv_block(rng, 8, 1, 4), make_conv_block(rng, 5, 4, 40),
                   make_conv_block(rng, 3, 40, 3)]
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 10 * tile_cost(blocks))
         conv_branch(blocks, rng.normal(size=(3, 10, 1)), False)
-        assert calls == [False] * 3
+        assert calls == []
+        assert taps == [8, 5, 3] * 3
         conv_branch(blocks, rng.normal(size=(3, 10, 1)), True)
-        assert calls == [False] * 3 + [True] * 3
+        assert calls == [True] * 3
 
     def test_second_backward_on_one_cache_is_refused(self):
         rng = np.random.default_rng(7)
         block = make_conv_block(rng, 3, 2, 4)
-        _, cache = conv_block_forward(block, rng.normal(size=(2, 6, 2)), training=True)
+        _, cache = conv_block_forward(block, rng.normal(size=(2, 6, 2)))
         grad_out = rng.normal(size=(2, 6, 4))
         conv_block_backward(cache, grad_out)
         with pytest.raises(ValueError, match="already used by a backward pass"):
@@ -284,7 +301,7 @@ class TestConvBlock:
         bad = np.zeros((1, 4, 1))
         bad[0, 0, 0] = np.nan
         with pytest.raises(FloatingPointError):
-            conv_block_forward(block, bad, training=True)
+            conv_block_forward(block, bad)
 
     def test_overflowing_conv_output_rejected(self):
         # a finite input whose conv overflows makes the batch statistics
@@ -293,13 +310,13 @@ class TestConvBlock:
         block = make_conv_block(rng, 3, 2, 2)
         block.kernels[...] = 1e300
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
-            conv_block_forward(block, rng.normal(size=(2, 5, 2)) * 1e10, training=True)
+            conv_block_forward(block, rng.normal(size=(2, 5, 2)) * 1e10)
 
     def test_zero_grad_out_gives_zero_grads(self):
         rng = np.random.default_rng(5)
         block = make_conv_block(rng, 3, 2, 4)
         x = rng.normal(size=(2, 6, 2))
-        out, cache = block_output(block, x, training=True)
+        out, cache = block_output(block, x)
         grad_x, grads = conv_block_backward(cache, np.zeros_like(out))
         assert np.all(grad_x == 0)
         assert all(np.all(g == 0) for g in grads.values())
@@ -317,11 +334,11 @@ class TestConvBlock:
         def loss_after(setter):
             def f(v):
                 setter(v)
-                out, _ = block_output(block, x, training=True)
+                out, _ = block_output(block, x)
                 return float(np.sum(out * grad_out))
             return f
 
-        out, cache = block_output(block, x, training=True)
+        out, cache = block_output(block, x)
         grad_x, grads = conv_block_backward(cache, grad_out)
 
         def set_x(v):
@@ -390,7 +407,7 @@ def training_pass(block, x, grad_out):
     output, x_hat, moving statistics and every gradient, by name."""
     block = replace(block, bn_moving_mean=block.bn_moving_mean.copy(),
                     bn_moving_var=block.bn_moving_var.copy())
-    out, cache = block_output(block, x, training=True)
+    out, cache = block_output(block, x)
     x_hat = (cache["y"] - cache["mean"]) * cache["inv_std"]
     grad_x, grads = conv_block_backward(cache, grad_out)
     return {"out": out, "x_hat": x_hat, "moving_mean": block.bn_moving_mean,
@@ -487,11 +504,26 @@ class TestChunkedTrainingBlock:
         conv_peak = traced_peak(lambda: conv1d_same_backward(x, block.kernels, grad_out))
 
         def step():
-            _, cache = conv_block_forward(block, x, training=True)
+            _, cache = conv_block_forward(block, x)
             conv_block_backward(cache, grad_out)
 
         bound = conv_peak + grad_out.nbytes + block.kernels.nbytes + (1 << 20)
         assert traced_peak(step) <= bound
+
+
+def unfolded_branch(blocks, x):
+    """Inference features of the blocks over the whole batch, as the plain
+    formulas give them: a direct same-padded correlation plus the bias,
+    batch norm with the moving statistics, ReLU, then the mean over time."""
+    h = x
+    for block in blocks:
+        k = block.kernels.shape[0]
+        padded = np.pad(h, ((0, 0), tensor_core.same_padding(k), (0, 0)))
+        y = sum(padded[:, j:j + h.shape[1]] @ block.kernels[j] for j in range(k)) + block.bias
+        inv_std = 1.0 / np.sqrt(block.bn_moving_var + block.bn_epsilon)
+        h = np.maximum(
+            block.bn_gamma * ((y - block.bn_moving_mean) * inv_std) + block.bn_beta, 0.0)
+    return h.mean(axis=1)
 
 
 class TestConvBranch:
@@ -524,6 +556,34 @@ class TestConvBranch:
                     return loss()
                 assert_grad_close(grads[i][name], numerical_grad(f, arr.copy()), GRAD_TOL,
                                   f"block {i} {name}")
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 5, 7, 13, 40])
+    @pytest.mark.parametrize("winograd", [False, True])
+    def test_inference_tiles_match_the_unfolded_whole_batch(self, monkeypatch, length,
+                                                            winograd):
+        # tiles of 1, 2 or 3 positions cut inside a series, so each block's
+        # halo crosses the tile edges; with winograd, blocks 1 and 2 take the
+        # Winograd path, whose last tile of 4 outputs reaches past the range.
+        # The tiles' sums are bitwise the same at any worker count
+        monkeypatch.setattr(tensor_core, "WINOGRAD_MIN_CHANNELS", 1 if winograd else 1 << 30)
+        rng = np.random.default_rng(23)
+        blocks = [make_conv_block(rng, 8, 1, 4), make_conv_block(rng, 5, 4, 6),
+                  make_conv_block(rng, 3, 6, 3)]
+        for block in blocks:
+            c_out = block.bias.shape
+            block.bn_gamma[:] = rng.normal(1.0, 0.5, c_out)
+            block.bn_moving_mean[:] = rng.normal(0.0, 0.5, c_out)
+            block.bn_moving_var[:] = rng.uniform(0.5, 2.0, c_out)
+        x = rng.normal(size=(3, length, 1))
+        expected = unfolded_branch(blocks, x)
+        for positions in (1, 2, 3, length):
+            monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", positions * tile_cost(blocks))
+            passes = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(tensor_core, "WORKERS", workers)
+                passes.append(conv_branch(blocks, x, False)[0])
+            assert all(np.array_equal(p, passes[0]) for p in passes[1:])
+            np.testing.assert_allclose(passes[0], expected, rtol=0, atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
     def test_empty_training_batch_is_refused(self):

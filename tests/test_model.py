@@ -228,9 +228,29 @@ class TestForward:
         assert np.allclose(probs.sum(axis=1), 1.0)
 
 
+# floats per position an inference tile of the model holds at its widest
+# step, block 2: its 256 input channels, its Winograd F(4, 3) scratch
+# ((6 + 8) * 256 + 6 * 128) / 4 = 1088 and its 128 output channels
+TILE_COST = 256 + 1088 + 128
+
+
+def tile_items(monkeypatch):
+    """The items of every tensor_core.ordered_map call from now on, as lists."""
+    calls = []
+    ordered_map = tensor_core.ordered_map
+
+    def spy(fn, items, **kwargs):
+        calls.append(list(items))
+        return ordered_map(fn, calls[-1], **kwargs)
+
+    monkeypatch.setattr(tensor_core, "ordered_map", spy)
+    return calls
+
+
 class TestStreamedInference:
-    """Inference runs the conv branch over groups of whole series sized by
-    tensor_core.IM2COL_ELEMENTS; the grouping must not show in the output."""
+    """Inference runs the conv branch depth first, over tiles of the last
+    block's positions sized by tensor_core.IM2COL_ELEMENTS; the tiling must
+    not show in the output beyond rounding."""
 
     LENGTH = 40
 
@@ -242,36 +262,31 @@ class TestStreamedInference:
             block.bn_moving_var[...] = rng.uniform(0.5, 2.0, block.bn_moving_var.shape)
         return model
 
-    def group_budget(self, monkeypatch, series):
-        # floats per group: series * L * the widest conv block's channels
-        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", series * self.LENGTH * 256)
+    def tile_budget(self, monkeypatch, series):
+        # floats per tile of whole series: series * L * TILE_COST
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", series * self.LENGTH * TILE_COST)
 
     @pytest.mark.parametrize("cell_kind", ["gru", "lstm"])
     @pytest.mark.parametrize("series", [1, 2, 3])
-    def test_groups_match_one_group(self, monkeypatch, cell_kind, series):
+    def test_tiles_match_one_tile(self, monkeypatch, cell_kind, series):
         model = self.model(cell_kind)
         x = np.random.default_rng(0).normal(size=(5, self.LENGTH))
+        tiles = tile_items(monkeypatch)
         whole_probs, whole = forward(model, x, training=False)
-        self.group_budget(monkeypatch, series)
-        sizes = []
-        block_forward = layers.conv_block_forward
-
-        def spy(block, x, training, relu):
-            sizes.append(len(x))
-            return block_forward(block, x, training, relu)
-
-        monkeypatch.setattr(layers, "conv_block_forward", spy)
+        assert [[positions for _, positions in items] for items in tiles] == [
+            [slice(0, self.LENGTH)]]  # the whole batch in one tile
+        self.tile_budget(monkeypatch, series)
         probs, cache = forward(model, x, training=False)
-        expected = [min(series, 5 - start) for start in range(0, 5, series)]
-        assert sizes == [n for n in expected for _ in model.blocks]
+        assert tiles[1:] == [[(slice(start, start + series), slice(0, self.LENGTH))
+                              for start in range(0, 5, series)]]
         np.testing.assert_allclose(probs, whole_probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(cache["features"], whole["features"], rtol=0, atol=1e-12)
 
-    def test_non_finite_input_in_last_group_rejected(self, monkeypatch):
+    def test_non_finite_input_in_last_tile_rejected(self, monkeypatch):
         model = self.model("gru")
         x = np.random.default_rng(0).normal(size=(5, self.LENGTH))
         x[4, 7] = np.nan
-        self.group_budget(monkeypatch, 2)
+        self.tile_budget(monkeypatch, 2)
         with pytest.raises(FloatingPointError):
             forward(model, x, training=False)
 
@@ -301,12 +316,29 @@ class TestStreamedInference:
         # a whole-batch pass holds at least one (B, L, 256) float64 block output
         assert peak < batch * length * 256 * 8 / 2
 
+    def test_peak_is_below_one_series_block_output(self, monkeypatch):
+        # two HandOutlines-length series at 2 workers, in tiles of part of a
+        # series: the transformed kernels and two running tiles, while one
+        # series' block-by-block pass holds a (1, L, 256) block output
+        length = 2709
+        model = build(ArchConfig(length, 2, seed=1))
+        x = np.random.default_rng(0).normal(size=(2, length))
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 1 << 16)
+        monkeypatch.setattr(tensor_core, "WORKERS", 2)
+        tracemalloc.start()
+        try:
+            forward(model, x, training=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < length * 256 * 8
+
 
 class TestFoldedInference:
     """Inference hands on each block's conv output with batch norm folded
     into one per-channel (a, b), which the next conv and the pooling read
     through ReLU(a * h + b); the model's output must match unfolded blocks,
-    group by group."""
+    tile by tile."""
 
     LENGTH = 40
 
@@ -334,22 +366,39 @@ class TestFoldedInference:
             block.bn_beta[...] = rng.normal(0.0, 0.5, c_out)
         x = rng.normal(size=(7, self.LENGTH))
         expected_probs, expected_features = self.reference(model, x)
-        # groups of 2 series: 4 groups for 7 series
-        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 2 * self.LENGTH * 256)
+        # tiles of 7 positions: 6 per series, 42 for 7 series, whose halos
+        # cross the tile edges
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 7 * TILE_COST)
         taps = []
-        conv = layers.conv1d_same
+        correlate = tensor_core.correlate_slice
 
-        def spy(x, kernels, *args, **kwargs):
-            taps.append(kernels.shape[0])
-            return conv(x, kernels, *args, **kwargs)
+        def spy(*args):
+            taps.append(args[4][0])  # the prepared kernels' taps
+            return correlate(*args)
 
-        monkeypatch.setattr(layers, "conv1d_same", spy)
+        monkeypatch.setattr(tensor_core, "correlate_slice", spy)
         probs, cache = forward(model, x, training=False)
-        # one conv per block per group, so traced benches keep their conv spans
-        assert taps == list(model.config.conv_kernels) * 4
+        # one correlation per block per tile
+        assert taps == list(model.config.conv_kernels) * 42
         np.testing.assert_allclose(probs, expected_probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(cache["features"], expected_features, rtol=0, atol=1e-12)
         assert np.array_equal(probs.argmax(axis=1), expected_probs.argmax(axis=1))
+
+    def test_kernels_are_prepared_once_per_forward(self, monkeypatch):
+        # the tiles share each block's prepared (Winograd-transformed) kernels
+        model = build(ArchConfig(self.LENGTH, 4, seed=7))
+        x = np.random.default_rng(9).normal(size=(3, self.LENGTH))
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 7 * TILE_COST)
+        monkeypatch.setattr(tensor_core, "WORKERS", 2)
+        shapes = []
+        prepare = tensor_core.prepare_kernels
+        monkeypatch.setattr(tensor_core, "prepare_kernels",
+                            lambda kernels: shapes.append(kernels.shape) or prepare(kernels))
+        tiles = tile_items(monkeypatch)
+        for _ in range(2):
+            forward(model, x, training=False)
+        assert len(tiles) == 2 and all(len(items) == 18 for items in tiles)
+        assert shapes == [block.kernels.shape for block in model.blocks] * 2
 
 
 class TestWorkers:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -122,3 +123,50 @@ def test_traced_training_reaches_every_blocks_wrappers(spans, tmp_path, capsys):
     for i in range(3):
         assert {f"layers.conv_block_forward.conv{i}",
                 f"layers.conv_block_backward.conv{i}"} <= names, sorted(names)
+
+
+def test_traced_eval_opens_every_span_in_the_main_thread(spans, monkeypatch, tmp_path, capsys):
+    # spans.Tracer keeps one unsynchronized stack, so a patched name called
+    # from a pool thread would corrupt it: the inference tiles run on the
+    # pool and must call none of them, and tracing must not change a bit
+    from grufcn import model as model_mod
+    from grufcn import tensor_core
+
+    rng = np.random.default_rng(2)
+    for split in ("TRAIN", "TEST"):
+        write_split(tmp_path / f"t_{split}", [1, 2, 1, 2, 1, 2], rng.normal(size=(6, 24)))
+    checkpoint = tmp_path / "m.ckpt"
+    model_mod.save_checkpoint(model_mod.build(model_mod.ArchConfig(24, 2, seed=4)), checkpoint)
+    # 2 positions per tile: 12 tiles per series on 2 workers
+    monkeypatch.setattr(tensor_core, "WORKERS", 2)
+    monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 1 << 12)
+    tile_threads = []
+    correlate = tensor_core.correlate_slice
+    monkeypatch.setattr(tensor_core, "correlate_slice",
+                        lambda *args: tile_threads.append(threading.current_thread())
+                        or correlate(*args))
+    tracer, span_threads = spans.Tracer(), []
+    open_span = tracer.open
+    monkeypatch.setattr(tracer, "open",
+                        lambda name: span_threads.append(threading.current_thread())
+                        or open_span(name))
+
+    def run_eval(predictions):
+        return main(["eval", "--train-path", str(tmp_path / "t_TRAIN"),
+                     "--test-path", str(tmp_path / "t_TEST"), "--checkpoint", str(checkpoint),
+                     "--predictions", str(tmp_path / predictions)])
+
+    with tracer.patched(spans.LAYERS):
+        assert run_eval("traced.csv") == 0
+    traced = np.concatenate([span.info["probs"] for span in tracer.take()
+                             if span.name == "model.forward"])
+    assert span_threads and set(span_threads) == {threading.main_thread()}
+    assert any(thread is not threading.main_thread() for thread in tile_threads)
+    untraced = []
+    forward = model_mod.forward
+    monkeypatch.setattr(model_mod, "forward",
+                        lambda *args, **kwargs: untraced.append(forward(*args, **kwargs))
+                        or untraced[-1])
+    assert run_eval("untraced.csv") == 0
+    assert np.array_equal(traced, np.concatenate([probs for probs, _ in untraced]))
+    assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "untraced.csv").read_bytes()

@@ -331,10 +331,15 @@ class TestWinograd:
         # block 0 (1 channel, k=8) stays im2col; blocks 1 and 2 run Winograd,
         # forward and input gradient
         calls = []
-        correlate = tensor_core._winograd_correlate
-        monkeypatch.setattr(tensor_core, "_winograd_correlate",
-                            lambda x, kernels, left, relu, moments: calls.append(kernels.shape)
-                            or correlate(x, kernels, left, relu, moments))
+        prepare = tensor_core.prepare_kernels
+
+        def spy(kernels):
+            prepared = prepare(kernels)
+            if prepared[3] == 4:  # Winograd's unit of 4 outputs
+                calls.append(kernels.shape)
+            return prepared
+
+        monkeypatch.setattr(tensor_core, "prepare_kernels", spy)
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2, 9, 1))
         for k, c_out in ((8, 128), (5, 256), (3, 128)):
