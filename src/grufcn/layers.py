@@ -6,10 +6,12 @@ head with its cross-entropy loss.
 All layers operate on float64 batches. Backward passes return exact analytic
 gradients; the test suite checks each one against central finite differences.
 A conv block hands on its conv output y and a per-channel (a, b), never its
-output ReLU(a * y + b); its training backward overwrites y, and the
-gradient it is handed if the caller gives that up. Training runs the conv
-blocks one after the other over the whole batch; inference runs them depth
-first, each tile of positions through every block and the pooling.
+output ReLU(a * y + b); its training backward overwrites y, or the gradient
+it is handed if the caller gives that up. Training runs the conv blocks one
+after the other over the whole batch, and recomputes block 0's y, one conv
+of a one-channel input, for the backward instead of keeping it; inference
+runs them depth first, each tile of positions through every block and the
+pooling.
 """
 
 from __future__ import annotations
@@ -98,13 +100,14 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True,
     floats per position), as the pooling does. The first gates grad_out a
     slice at a time by a * y + b > 0, the bits every _bn_relu reader sees,
     into dz, so a broadcast view (the pooling's gradient) is never copied
-    whole. With consume, dz is written over grad_out and the second pass
-    reads it back; else the second gates grad_out again. The second writes
-    the conv's output gradient over y, which it takes out of the cache, so
-    a cache serves one backward: a second raises ValueError. The cache's x
-    and relu go unchanged to conv1d_same_backward: the block's input, or
-    with relu = (a, b) the previous block's y, which its kernel gradient
-    rebuilds the input from.
+    whole. With consume, dz is written over grad_out, and the second pass
+    reads it back and writes the conv's output gradient over it, so y is
+    freed before conv1d_same_backward allocates the input gradient; else
+    the second gates grad_out again and writes that gradient over y. y is
+    taken out of the cache, so a cache serves one backward: a second raises
+    ValueError. The cache's x and relu go unchanged to conv1d_same_backward:
+    the block's input, or with relu = (a, b) the previous block's y, which
+    its kernel gradient rebuilds the input from.
     """
     block: ConvBlock = cache["block"]
     y, (a, b) = cache.get("y"), cache["ab"]
@@ -141,13 +144,15 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True,
 
     def couple(chunk):
         dz = grad_out[chunk] if consume else gated(chunk)
-        dy = np.multiply(y[chunk], c, out=y[chunk])
-        np.subtract(dz, dy, out=dy)
+        yc = np.multiply(y[chunk], c, out=y[chunk])
+        dy = np.subtract(dz, yc, out=dz if consume else yc)
         dy += shift
 
     for _ in tensor_core.ordered_map(couple, chunks):
         pass
-    grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, y, input_grad,
+    dy = grad_out if consume else y
+    del y  # with consume, freed before the input gradient is allocated
+    grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, dy, input_grad,
                                                 scale=a, relu=cache["relu"])
     return grad_x, {"kernels": grad_kernels, "bn_gamma": grad_gamma, "bn_beta": grad_beta}
 
@@ -160,7 +165,10 @@ def conv_branch(blocks: list[ConvBlock], x: np.ndarray, training: bool):
     norm takes its statistics over all of it before any block output can
     be read. Each block hands the next its conv output y and (a, b), which
     the next conv and the pooling read through ReLU(a * y + b), and the
-    caches hold one block-sized array each, its y. Inference runs depth
+    caches hold one block-sized array each, its y, but block 0's: once
+    block 1 has read y0, both their caches drop it, and conv_branch_backward
+    recomputes it, since a conv of the one-channel input is cheap (1/160 of
+    block 1's multiply-adds in the paper's model). Inference runs depth
     first (_pooled_tiles), so no block-sized array exists.
     """
     if not training:
@@ -169,6 +177,8 @@ def conv_branch(blocks: list[ConvBlock], x: np.ndarray, training: bool):
     for block in blocks:
         (h, relu), cache = conv_block_forward(block, h, relu)
         caches.append(cache)
+        if len(caches) == 2:  # block 1 has read y0, which the backward recomputes
+            del caches[0]["y"], cache["x"]
     return global_avg_pool(h, *relu), caches
 
 
@@ -227,11 +237,17 @@ def conv_branch_backward(caches, grad_pooled: np.ndarray) -> list[dict[str, np.n
     features. The blocks run last to first, each popping its cache off
     caches, which ends empty, so that a block's y is freed as soon as its
     backward has used it, and each block but the last consumes the input
-    gradient the next block hands it, which nothing else reads. Block 0
-    computes none for the branch's input, which nothing reads."""
+    gradient the next block hands it, which nothing else reads. Just
+    before block 1's backward, block 0's y is recomputed, for block 0's
+    cache as its y and block 1's as its input: conv1d_same of the branch's
+    input, run over the forward's slices, so bitwise the forward's y. Block
+    0 computes no gradient for the branch's input, which nothing reads."""
     grad = global_avg_pool_backward(grad_pooled, caches[-1]["y"].shape[1])
     grads, last = [None] * len(caches), len(caches) - 1
     for i in reversed(range(len(caches))):
+        if i == 1:
+            first = caches[0]
+            first["y"] = caches[1]["x"] = conv1d_same(first["x"], first["block"].kernels)
         grad, grads[i] = conv_block_backward(caches.pop(), grad, i > 0, consume=i < last)
     return grads
 

@@ -211,7 +211,8 @@ def backward(model: GruFcnModel, cache, y_onehot: np.ndarray):
     keyed by manifest name, from a training-mode forward cache. A training
     cache serves one backward, which consumes the conv blocks' caches to
     free their activations as it goes, and each block but the last the
-    input gradient the next hands it (layers.conv_branch_backward); a second
+    input gradient the next hands it, and recomputes block 0's conv output,
+    which the cache does not keep (layers.conv_branch_backward); a second
     raises ValueError."""
     if "conv_caches" not in cache:
         raise ValueError("backward needs the cache of a training-mode forward pass; "

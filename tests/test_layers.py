@@ -228,22 +228,29 @@ class TestConvBlock:
             assert np.array_equal(grad_x, grad_x_again)
             assert all(np.array_equal(grads[k], grads_again[k]) for k in grads)
 
-    def test_consume_writes_the_gated_gradient_over_grad_out(self):
+    def test_consume_writes_the_output_gradient_over_grad_out(self):
         # conv_branch_backward hands each block but the last the next
         # block's input gradient, which nothing else reads, with consume:
-        # the pass writes dz over it and reads it back instead of gating
-        # again, and the gradients are bitwise those of a pass without
+        # the pass writes dz over it, then the conv's output gradient (before
+        # the factor a), which a pass without writes over y instead. Both
+        # write bitwise the same output gradient and give the same gradients
         rng = np.random.default_rng(7)
         block = make_conv_block(rng, 3, 2, 4)
         x, relu = rng.normal(size=(2, 6, 2)), (rng.normal(size=2), rng.normal(size=2))
         grad_out = rng.normal(size=(2, 6, 4))
-        passes = []
+        passes, written = [], []
         for consume in (False, True):
             out, cache = block_output(block, x, relu=relu)
             assert 0 < np.count_nonzero(out) < out.size  # the gate passes some of grad_out
+            y = cache["y"]
+            x_hat = (y - cache["mean"]) * cache["inv_std"]
             given = grad_out.copy()
             passes.append(conv_block_backward(cache, given, consume=consume))
-        assert np.array_equal(given, grad_out * (out > 0))
+            written.append(given if consume else y)
+        dz = grad_out * (out > 0)
+        expected = dz - dz.mean(axis=(0, 1)) - x_hat * (dz * x_hat).mean(axis=(0, 1))
+        np.testing.assert_allclose(written[0], expected, rtol=0, atol=1e-12)
+        assert np.array_equal(written[1], written[0])
         (grad_x, grads), (grad_x_consumed, grads_consumed) = passes
         assert np.array_equal(grad_x, grad_x_consumed)
         assert all(np.array_equal(grads[k], grads_consumed[k]) for k in grads)

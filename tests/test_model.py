@@ -471,9 +471,28 @@ class TestWorkers:
 class TestBackward:
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     def test_matches_finite_differences_end_to_end(self, kind):
-        config = ArchConfig(12, 3, cell_kind=kind, hidden_size=3,
-                            conv_filters=(4, 5), conv_kernels=(4, 3),
-                            dropout_rate=0.0, seed=7)
+        self.check_step(ArchConfig(12, 3, cell_kind=kind, hidden_size=3,
+                                   conv_filters=(4, 5), conv_kernels=(4, 3),
+                                   dropout_rate=0.0, seed=7))
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_one_block_step_matches_finite_differences_without_recompute(self, kind,
+                                                                          monkeypatch):
+        # a branch of one block keeps its y, so every conv1d_same is a
+        # training forward's, which takes moments, and none is a recompute
+        calls = []
+        conv = layers.conv1d_same
+        monkeypatch.setattr(layers, "conv1d_same",
+                            lambda *args, **kwargs: calls.append(kwargs) or conv(*args, **kwargs))
+        self.check_step(ArchConfig(12, 3, cell_kind=kind, hidden_size=3,
+                                   conv_filters=(4,), conv_kernels=(3,),
+                                   dropout_rate=0.0, seed=7))
+        assert calls and all(kwargs.get("moments") for kwargs in calls)
+
+    @staticmethod
+    def check_step(config):
+        """A training step's gradients of every trainable parameter against
+        central finite differences of the loss."""
         model = build(config)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(3, 12))
@@ -502,19 +521,22 @@ class TestBackward:
             assert_grad_close(grads[name], numeric, 1e-4, name)
 
     def test_first_block_input_gradient_is_skipped(self, monkeypatch):
-        # the backward correlates only for input gradients, and no layer
-        # reads the gradient of the data
+        # the backward correlates for input gradients, which pass no relu or
+        # moments, and once to recompute block 0's y, and no layer reads
+        # the gradient of the data
         model = build(ArchConfig(20, 2, dropout_rate=0.0, seed=1))
         x = np.random.default_rng(3).normal(size=(4, 20))
         _, cache = forward(model, x, training=True, rng=Rng(0))
         calls = []
         correlate = tensor_core._correlate
         monkeypatch.setattr(tensor_core, "_correlate",
-                            lambda x, kernels, left: calls.append(kernels.shape)
-                            or correlate(x, kernels, left))
+                            lambda x, kernels, left, *rest: calls.append((kernels.shape, rest))
+                            or correlate(x, kernels, left, *rest))
         backward(model, cache, np.eye(2)[[0, 1, 1, 0]])
-        assert calls == [(3, 128, 256), (5, 256, 128)]
-        assert len(calls) == len(model.blocks) - 1
+        input_grads = [shape for shape, rest in calls if not rest]
+        assert input_grads == [(3, 128, 256), (5, 256, 128)]
+        assert len(input_grads) == len(model.blocks) - 1
+        assert [shape for shape, rest in calls if rest] == [model.blocks[0].kernels.shape]
 
     def test_loss_decreases_along_negative_gradient(self):
         model = build(ArchConfig(20, 2, dropout_rate=0.0, seed=1))
@@ -534,9 +556,11 @@ class TestBackward:
 
 
 class TestRebuiltBlockInputs:
-    """A training cache of block i > 0 keeps block i - 1's conv output y and
-    its forward-time (a, b) instead of its input, which the conv backward
-    rebuilds from them a slice at a time."""
+    """A training cache of block i > 0 keeps block i - 1's forward-time (a,
+    b) instead of its input, which the conv backward rebuilds from them
+    and block i - 1's conv output y a slice at a time. Block 2's cache
+    shares block 1's y; block 0's y, one conv of a one-channel input, is
+    kept by neither cache but recomputed before block 1's backward."""
 
     LENGTH = 40
 
@@ -545,9 +569,40 @@ class TestRebuiltBlockInputs:
         x = np.random.default_rng(3).normal(size=(3, self.LENGTH))
         caches = forward(model, x, training=True, rng=Rng(0))[1]["conv_caches"]
         assert caches[0]["x"].shape == (3, self.LENGTH, 1) and caches[0]["relu"] is None
+        assert [sorted(cache.keys() & {"x", "y"}) for cache in caches] == [["x"], ["y"],
+                                                                          ["x", "y"]]
+        assert caches[2]["x"] is caches[1]["y"]
         for prev, cache in zip(caches, caches[1:]):
-            assert cache["x"] is prev["y"]
             assert cache["relu"] is prev["ab"]
+
+    def test_backward_recomputes_block_0s_output_once(self, monkeypatch):
+        # at 64 floats per slice block 0's conv runs many slices on 2
+        # workers; the recompute runs the same ones, so its y0 is bitwise
+        # the forward's, and block 1's backward reads it as its input
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 64)
+        monkeypatch.setattr(tensor_core, "WORKERS", 2)
+        model = build(ArchConfig(self.LENGTH, 4, cell_kind="lstm", seed=9))
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(5, self.LENGTH)), np.eye(4)[[0, 3, 1, 2, 1]]
+        calls = []
+        conv = layers.conv1d_same
+
+        def spy(inputs, kernels, **kwargs):
+            out = conv(inputs, kernels, **kwargs)
+            calls.append((kernels, np.copy(out[0] if kwargs.get("moments") else out)))
+            return out
+
+        monkeypatch.setattr(layers, "conv1d_same", spy)
+        _, cache = forward(model, x, training=True, rng=Rng(1))
+        assert len(calls) == len(model.blocks)
+        assert all(kernels is block.kernels for (kernels, _), block in zip(calls, model.blocks))
+        y0 = calls[0][1]
+        calls.clear()
+        backward(model, cache, y)
+        assert len(calls) == 1
+        kernels, recomputed = calls[0]
+        assert kernels is model.blocks[0].kernels
+        assert np.array_equal(recomputed, y0)
 
     def test_step_reads_the_forwards_gamma_and_beta(self, monkeypatch):
         # 64 floats per slice cut every series, so the rebuild reaches both
@@ -592,24 +647,27 @@ class TestRebuiltBlockInputs:
 
     def test_training_forward_peak_in_block_outputs(self, monkeypatch):
         unit, forward_peak, _ = self.traced_step(monkeypatch)
-        # block 2's conv holds y0 and y1 (1 + 2 units) and its output y2
-        # (1): 4, and about 1.1
-        # more of its in-flight slices at 2 workers (5.10 measured). No block
-        # writes an output, but writing block 2's after its conv would only
-        # tie this peak. Keeping block 1's output alive for block 2's conv
-        # adds 2 (7.10).
-        assert forward_peak < 5.6 * unit
+        # block 1's conv holds y0 (1 unit) and its output y1 (2): 3, and
+        # about 1.25 more of its in-flight slices at 2 workers (4.25
+        # measured). Block 2's conv holds y1 and its output y2 (1), since
+        # block 0's cache drops y0 once block 1 has read it: 3, and about
+        # 1.1 (4.10). Keeping y0 to the backward adds 1 to block 2's (5.10);
+        # keeping block 1's output alive for block 2's conv, 2 more.
+        assert forward_peak < 4.7 * unit
 
     def test_training_step_peak_in_block_outputs(self, monkeypatch):
         unit, _, peak = self.traced_step(monkeypatch)
-        # block 1's backward holds y0 (1 unit), its own y overwritten by
-        # the conv's output gradient (2), its incoming gradient, overwritten
-        # by dz (2), and its input gradient (1): 6, and about 2.3 more of
-        # slices, weights and smaller arrays (8.34 measured). Keeping block
-        # 2's y to its end and dz in a new
-        # array adds 3 (11.34); caching blocks 1 and 2's inputs as well, 3
-        # more.
-        assert peak < 8.8 * unit
+        # block 2's conv backward holds block 1's y (2 units), its own y
+        # overwritten by the conv's output gradient (1), and its input
+        # gradient (2): 5, and about 1.6 more of slices, weights and
+        # smaller arrays (6.58-6.75 measured). Block 1's backward holds the
+        # recomputed y0 (1), its y (2) and its incoming gradient (2),
+        # overwritten by dz and then by the conv's output gradient: 5, and
+        # y is freed before its input gradient (1) is allocated. Keeping y0
+        # from the forward and writing block 1's output gradient over its y
+        # made both 6 (8.11); keeping block 2's y to its end and dz in a new
+        # array, 3 more; caching blocks 1 and 2's inputs as well, 3 more.
+        assert peak < 7.2 * unit
 
     def test_second_backward_on_one_cache_is_refused(self):
         model = build(ArchConfig(self.LENGTH, 4, seed=2))
