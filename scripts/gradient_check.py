@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Finite-difference check of the end-to-end analytic gradient.
 
-Builds a small randomly configured model, runs one training-mode forward and
-backward pass, and compares the gradient of every tensor but the batch-norm
-moving statistics against central finite differences: the analytic one for a
-trained tensor, zero for one its layer does not train (the conv biases, and
-the cell tensors the zero state leaves out). Prints the worst relative error
-per tensor.
+Builds a small randomly sized model with the paper's three conv blocks, runs
+one training-mode forward and backward pass, and compares the gradient of
+every tensor but the batch-norm moving statistics against central finite
+differences: the analytic one for a trained tensor, zero for one its layer
+does not train (the conv biases, and the cell tensors the zero state leaves
+out). Prints the worst relative error per tensor.
 """
 
 import argparse
@@ -35,8 +35,8 @@ def main() -> int:
         num_classes=int(rng.integers(2, 5)),
         cell_kind=args.cell,
         hidden_size=3,
-        conv_filters=(4, 5),
-        conv_kernels=(4, 3),
+        conv_filters=(4, 5, 3),
+        conv_kernels=(4, 3, 2),
         dropout_rate=0.0,
         seed=args.seed,
     )

@@ -6,12 +6,12 @@ head with its cross-entropy loss.
 All layers operate on float64 batches. Backward passes return exact analytic
 gradients; the test suite checks each one against central finite differences.
 A conv block hands on its conv output y and a per-channel (a, b), never its
-output ReLU(a * y + b); its training backward overwrites y, or the gradient
-it is handed if the caller gives that up. Training runs the conv blocks one
-after the other over the whole batch, and recomputes block 0's y, one conv
-of a one-channel input, for the backward instead of keeping it; inference
-runs them depth first, each tile of positions through every block and the
-pooling.
+output ReLU(a * y + b); its training backward takes y out of its cache and
+writes the conv's output gradient over the gradient it is handed. Training
+runs the conv blocks one after the other over the whole batch, and
+recomputes block 0's y, one conv of a one-channel input, for the backward
+instead of keeping it; inference runs them depth first, each tile of
+positions through every block and the pooling.
 """
 
 from __future__ import annotations
@@ -87,27 +87,23 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray,
                      "inv_std": inv_std, "ab": ab}
 
 
-def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True,
-                        consume: bool = False):
+def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     """Gradients of the composed ReLU(BN(conv)) w.r.t. input and parameters,
-    from a training-mode cache and the block output's gradient grad_out,
-    which the pass consumes: grad_out only if consume.
+    from a training-mode cache and the block output's gradient grad_out.
 
     Includes the batch-statistics coupling terms of training-mode batch norm,
     with the statistics and (a, b) the forward ran with. Returns (grad_x,
     grads) with grads keyed by ConvBlock.TRAINED; grad_x is None unless
     input_grad. Two passes run over y's slices (tensor_core.slices at C
-    floats per position), as the pooling does. The first gates grad_out a
-    slice at a time by a * y + b > 0, the bits every _bn_relu reader sees,
-    into dz, so a broadcast view (the pooling's gradient) is never copied
-    whole. With consume, dz is written over grad_out, and the second pass
-    reads it back and writes the conv's output gradient over it, so y is
-    freed before conv1d_same_backward allocates the input gradient; else
-    the second gates grad_out again and writes that gradient over y. y is
-    taken out of the cache, so a cache serves one backward: a second raises
-    ValueError. The cache's x and relu go unchanged to conv1d_same_backward:
-    the block's input, or with relu = (a, b) the previous block's y, which
-    its kernel gradient rebuilds the input from.
+    floats per position), as the pooling does. The first gates grad_out,
+    which must be writable, a slice at a time by a * y + b > 0, the bits
+    every _bn_relu reader sees, into dz over grad_out; the second writes the
+    conv's output gradient over dz, so y is freed before
+    conv1d_same_backward allocates the input gradient. y is taken out of the
+    cache, so a cache serves one backward: a second raises ValueError. The
+    cache's x and relu go unchanged to conv1d_same_backward: the block's
+    input, or with relu = (a, b) the previous block's y, which its kernel
+    gradient rebuilds the input from.
     """
     block: ConvBlock = cache["block"]
     y, (a, b) = cache.get("y"), cache["ab"]
@@ -115,6 +111,8 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True,
         raise ValueError("this conv block cache was already used by a backward pass")
     if grad_out.shape != y.shape:
         raise ValueError(f"grad shape {grad_out.shape} != forward output shape {y.shape}")
+    if not grad_out.flags.writeable:
+        raise ValueError("grad_out must be writable: the backward writes over it")
     del cache["y"]
     # closed form: with n = B*L and x_hat = (y - mean) * inv_std, gamma's
     # gradient is sum(dz * x_hat) = inv_std * (sum(dz * y) - mean * sum(dz)),
@@ -126,13 +124,10 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True,
     n, chunks = y.shape[0] * y.shape[1], list(tensor_core.slices(y.shape, y.shape[2]))
     grad_y_dot, grad_beta = np.zeros(y.shape[2]), np.zeros(y.shape[2])
 
-    def gated(chunk):
+    def gate(chunk):
         z = np.multiply(y[chunk], a, out=np.empty(y[chunk].shape))
         z += b
-        return np.multiply(grad_out[chunk], z > 0, out=grad_out[chunk] if consume else z)
-
-    def gate(chunk):
-        dz = gated(chunk)
+        dz = np.multiply(grad_out[chunk], z > 0, out=grad_out[chunk])
         return np.einsum("blc,blc->c", dz, y[chunk]), dz.sum(axis=(0, 1))
 
     for part_dot, part_beta in tensor_core.ordered_map(gate, chunks):
@@ -143,16 +138,14 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True,
     shift = mean * c - grad_beta / n
 
     def couple(chunk):
-        dz = grad_out[chunk] if consume else gated(chunk)
-        yc = np.multiply(y[chunk], c, out=y[chunk])
-        dy = np.subtract(dz, yc, out=dz if consume else yc)
-        dy += shift
+        dz = grad_out[chunk]
+        dz -= np.multiply(y[chunk], c, out=y[chunk])
+        dz += shift
 
     for _ in tensor_core.ordered_map(couple, chunks):
         pass
-    dy = grad_out if consume else y
-    del y  # with consume, freed before the input gradient is allocated
-    grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, dy, input_grad,
+    del y  # freed before the input gradient is allocated
+    grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, grad_out, input_grad,
                                                 scale=a, relu=cache["relu"])
     return grad_x, {"kernels": grad_kernels, "bn_gamma": grad_gamma, "bn_beta": grad_beta}
 
@@ -236,19 +229,20 @@ def conv_branch_backward(caches, grad_pooled: np.ndarray) -> list[dict[str, np.n
     from conv_branch's training caches and the gradient of its pooled
     features. The blocks run last to first, each popping its cache off
     caches, which ends empty, so that a block's y is freed as soon as its
-    backward has used it, and each block but the last consumes the input
-    gradient the next block hands it, which nothing else reads. Just
-    before block 1's backward, block 0's y is recomputed, for block 0's
-    cache as its y and block 1's as its input: conv1d_same of the branch's
-    input, run over the forward's slices, so bitwise the forward's y. Block
-    0 computes no gradient for the branch's input, which nothing reads."""
+    backward has used it, and each block writes over the gradient it is
+    handed, which nothing else reads: the pooling's, or the input gradient
+    of the block after it. Just before block 1's backward, block 0's y is
+    recomputed, for block 0's cache as its y and block 1's as its input:
+    conv1d_same of the branch's input, run over the forward's slices, so
+    bitwise the forward's y. Block 0 computes no gradient for the branch's
+    input, which nothing reads."""
     grad = global_avg_pool_backward(grad_pooled, caches[-1]["y"].shape[1])
-    grads, last = [None] * len(caches), len(caches) - 1
+    grads = [None] * len(caches)
     for i in reversed(range(len(caches))):
         if i == 1:
             first = caches[0]
             first["y"] = caches[1]["x"] = conv1d_same(first["x"], first["block"].kernels)
-        grad, grads[i] = conv_block_backward(caches.pop(), grad, i > 0, consume=i < last)
+        grad, grads[i] = conv_block_backward(caches.pop(), grad, i > 0)
     return grads
 
 
@@ -387,9 +381,8 @@ def global_avg_pool(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def global_avg_pool_backward(grad_out: np.ndarray, length: int) -> np.ndarray:
-    """grad_out / L at every time position, as a read-only broadcast view."""
-    scaled = (grad_out / length)[..., None, :]
-    return np.broadcast_to(scaled, scaled.shape[:-2] + (length, scaled.shape[-1]))
+    """grad_out / L at every time position, as a new (B, L, C) array."""
+    return np.repeat((grad_out / length)[:, None, :], length, axis=1)
 
 
 def dropout(x: np.ndarray, rate: float, training: bool,

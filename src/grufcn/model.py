@@ -209,11 +209,11 @@ def forward(model: GruFcnModel, batch: np.ndarray, training: bool = False,
 def backward(model: GruFcnModel, cache, y_onehot: np.ndarray):
     """Mean cross-entropy loss and its gradients w.r.t. trainable_parameters(),
     keyed by manifest name, from a training-mode forward cache. A training
-    cache serves one backward, which consumes the conv blocks' caches to
-    free their activations as it goes, and each block but the last the
-    input gradient the next hands it, and recomputes block 0's conv output,
-    which the cache does not keep (layers.conv_branch_backward); a second
-    raises ValueError."""
+    cache serves one backward, which empties the conv blocks' caches to
+    free their activations as it goes, writes each block's output gradient
+    over the one it is handed, and recomputes block 0's conv output, which
+    the cache does not keep (layers.conv_branch_backward); a second raises
+    ValueError."""
     if "conv_caches" not in cache:
         raise ValueError("backward needs the cache of a training-mode forward pass; "
                          "an inference-mode pass keeps no backward state")

@@ -60,7 +60,7 @@ def _layer_instance_errors(seed):
     x = rng.normal(size=(2, 8, c_in))
     grad_out = rng.normal(size=(2, 8, c_out))
     _, cache = layers.conv_block_forward(block, x)
-    grad_x, grads = layers.conv_block_backward(cache, grad_out)
+    grad_x, grads = layers.conv_block_backward(cache, grad_out.copy())
 
     def conv_loss(arr, v):
         arr[...] = v

@@ -208,8 +208,8 @@ class TestConvBlock:
 
     def test_backward_leaves_its_inputs_untouched(self):
         # the block reads its input through a previous block's (a, b), as
-        # blocks 1 and 2 do; grad_out is writable, or the pooling's
-        # read-only broadcast view. The backward consumes y alone.
+        # blocks 1 and 2 do; grad_out is a plain gradient, or the pooling's.
+        # The backward uses up y and grad_out alone.
         rng = np.random.default_rng(7)
         block = make_conv_block(rng, 3, 2, 4)
         x, relu = rng.normal(size=(2, 6, 2)), (rng.normal(size=2), rng.normal(size=2))
@@ -218,9 +218,9 @@ class TestConvBlock:
             passes = []
             for _ in range(2):
                 _, cache = conv_block_forward(block, x, relu=relu)
-                inputs = (x, *relu, grad_out, *(getattr(block, f.name) for f in fields(block)))
+                inputs = (x, *relu, *(getattr(block, f.name) for f in fields(block)))
                 saved = [np.copy(a) for a in inputs]
-                passes.append(conv_block_backward(cache, grad_out))
+                passes.append(conv_block_backward(cache, grad_out.copy()))
                 assert "y" not in cache
                 assert cache["x"] is x and cache["relu"] is relu
                 assert all(np.array_equal(a, b) for a, b in zip(inputs, saved, strict=True))
@@ -228,32 +228,40 @@ class TestConvBlock:
             assert np.array_equal(grad_x, grad_x_again)
             assert all(np.array_equal(grads[k], grads_again[k]) for k in grads)
 
-    def test_consume_writes_the_output_gradient_over_grad_out(self):
-        # conv_branch_backward hands each block but the last the next
-        # block's input gradient, which nothing else reads, with consume:
-        # the pass writes dz over it, then the conv's output gradient (before
-        # the factor a), which a pass without writes over y instead. Both
-        # write bitwise the same output gradient and give the same gradients
+    def test_backward_writes_the_output_gradient_over_grad_out(self):
+        # conv_branch_backward hands each block a gradient nothing else
+        # reads, the pooling's or the next block's input gradient: the pass
+        # writes dz over it, then the conv's output gradient (before the
+        # factor a)
         rng = np.random.default_rng(7)
         block = make_conv_block(rng, 3, 2, 4)
         x, relu = rng.normal(size=(2, 6, 2)), (rng.normal(size=2), rng.normal(size=2))
-        grad_out = rng.normal(size=(2, 6, 4))
-        passes, written = [], []
-        for consume in (False, True):
+        for grad_out in (rng.normal(size=(2, 6, 4)),
+                         global_avg_pool_backward(rng.normal(size=(2, 4)), 6)):
             out, cache = block_output(block, x, relu=relu)
             assert 0 < np.count_nonzero(out) < out.size  # the gate passes some of grad_out
-            y = cache["y"]
-            x_hat = (y - cache["mean"]) * cache["inv_std"]
-            given = grad_out.copy()
-            passes.append(conv_block_backward(cache, given, consume=consume))
-            written.append(given if consume else y)
-        dz = grad_out * (out > 0)
-        expected = dz - dz.mean(axis=(0, 1)) - x_hat * (dz * x_hat).mean(axis=(0, 1))
-        np.testing.assert_allclose(written[0], expected, rtol=0, atol=1e-12)
-        assert np.array_equal(written[1], written[0])
-        (grad_x, grads), (grad_x_consumed, grads_consumed) = passes
-        assert np.array_equal(grad_x, grad_x_consumed)
-        assert all(np.array_equal(grads[k], grads_consumed[k]) for k in grads)
+            x_hat = (cache["y"] - cache["mean"]) * cache["inv_std"]
+            dz = grad_out * (out > 0)
+            conv_block_backward(cache, grad_out)
+            expected = dz - dz.mean(axis=(0, 1)) - x_hat * (dz * x_hat).mean(axis=(0, 1))
+            np.testing.assert_allclose(grad_out, expected, rtol=0, atol=1e-12)
+
+    def test_read_only_grad_out_is_refused_before_the_cache_is_used(self):
+        # the pass writes over grad_out, so a broadcast view is refused
+        # before y leaves the cache, which then still serves a backward
+        rng = np.random.default_rng(7)
+        block = make_conv_block(rng, 3, 2, 4)
+        x = rng.normal(size=(2, 6, 2))
+        _, cache = conv_block_forward(block, x)
+        read_only = np.broadcast_to(rng.normal(size=(2, 1, 4)), (2, 6, 4))
+        with pytest.raises(ValueError, match="must be writable"):
+            conv_block_backward(cache, read_only)
+        assert "y" in cache
+        grad_x, grads = conv_block_backward(cache, read_only.copy())
+        _, fresh = conv_block_forward(block, x)
+        grad_x_fresh, grads_fresh = conv_block_backward(fresh, read_only.copy())
+        assert np.array_equal(grad_x, grad_x_fresh)
+        assert all(np.array_equal(grads[k], grads_fresh[k]) for k in grads)
 
     def test_gamma_gradient_survives_a_large_mean(self):
         # gamma's gradient sum(dz * x_hat) is formed from sum(dz * y) and
@@ -346,7 +354,7 @@ class TestConvBlock:
             return f
 
         out, cache = block_output(block, x)
-        grad_x, grads = conv_block_backward(cache, grad_out)
+        grad_x, grads = conv_block_backward(cache, grad_out.copy())
 
         def set_x(v):
             x[...] = v
@@ -416,7 +424,7 @@ def training_pass(block, x, grad_out):
                     bn_moving_var=block.bn_moving_var.copy())
     out, cache = block_output(block, x)
     x_hat = (cache["y"] - cache["mean"]) * cache["inv_std"]
-    grad_x, grads = conv_block_backward(cache, grad_out)
+    grad_x, grads = conv_block_backward(cache, grad_out.copy())
     return {"out": out, "x_hat": x_hat, "moving_mean": block.bn_moving_mean,
             "moving_var": block.bn_moving_var, "grad_x": grad_x, **grads}
 
@@ -466,7 +474,7 @@ class TestChunkedTrainingBlock:
         block.bn_moving_mean[:] = rng.normal(size=3)
         block.bn_moving_var[:] = rng.uniform(0.5, 2.0, size=3)
         x = rng.normal(size=(5, 7, c_in)) * 3 + 1
-        # the last block's upstream gradient is the pooling's broadcast view
+        # the last block's upstream gradient is the pooling's, constant in time
         grad_out = (global_avg_pool_backward(rng.normal(size=(5, 3)), 7) if pooled
                     else rng.normal(size=(5, 7, 3)))
         one_chunk = training_pass(block, x, grad_out)
@@ -499,9 +507,9 @@ class TestChunkedTrainingBlock:
                 assert np.array_equal(other[name], value), name
 
     def test_pass_holds_one_block_sized_array_beyond_the_conv_backward(self):
-        # the 128 -> 256, k = 5 block: its conv output y, which the backward
-        # overwrites with the conv's output gradient, plus the kernel copy
-        # the scaled input gradient makes and chunk temporaries; an output
+        # the 128 -> 256, k = 5 block: its conv output y, while the backward
+        # writes the conv's output gradient over grad_out, plus the kernel
+        # copy the scaled input gradient makes and chunk temporaries; an output
         # array, a squared-deviation array, a dz * y product or a ReLU mask
         # would each add a block-sized array, or an eighth of one
         rng = np.random.default_rng(10)
@@ -730,6 +738,7 @@ class TestGlobalAvgPool:
         x = rng.normal(size=(2, 6, 3))
         grad_out = rng.normal(size=(2, 3))
         analytic = global_avg_pool_backward(grad_out, 6)
+        assert analytic.flags.owndata  # the last block's backward writes over it
         numeric = numerical_grad(
             lambda v: float(np.sum(v.mean(axis=1) * grad_out)), x.copy()
         )

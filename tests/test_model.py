@@ -470,9 +470,14 @@ class TestWorkers:
 
 class TestBackward:
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
-    def test_matches_finite_differences_end_to_end(self, kind):
+    @pytest.mark.parametrize("filters, kernels", [((4, 5), (4, 3)), ((4, 5, 3), (4, 3, 2))],
+                             ids=["2-blocks", "3-blocks"])
+    def test_matches_finite_differences_end_to_end(self, kind, filters, kernels):
+        # three blocks are the paper's depth: the middle block is handed the
+        # last block's input gradient, and y0 is recomputed just before its
+        # backward
         self.check_step(ArchConfig(12, 3, cell_kind=kind, hidden_size=3,
-                                   conv_filters=(4, 5), conv_kernels=(4, 3),
+                                   conv_filters=filters, conv_kernels=kernels,
                                    dropout_rate=0.0, seed=7))
 
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
@@ -657,16 +662,17 @@ class TestRebuiltBlockInputs:
 
     def test_training_step_peak_in_block_outputs(self, monkeypatch):
         unit, _, peak = self.traced_step(monkeypatch)
-        # block 2's conv backward holds block 1's y (2 units), its own y
-        # overwritten by the conv's output gradient (1), and its input
-        # gradient (2): 5, and about 1.6 more of slices, weights and
-        # smaller arrays (6.58-6.75 measured). Block 1's backward holds the
-        # recomputed y0 (1), its y (2) and its incoming gradient (2),
-        # overwritten by dz and then by the conv's output gradient: 5, and
-        # y is freed before its input gradient (1) is allocated. Keeping y0
-        # from the forward and writing block 1's output gradient over its y
-        # made both 6 (8.11); keeping block 2's y to its end and dz in a new
-        # array, 3 more; caching blocks 1 and 2's inputs as well, 3 more.
+        # block 2's conv backward holds block 1's y (2 units), the pooled
+        # gradient overwritten by the conv's output gradient (1), and its
+        # input gradient (2): 5, since its own y (1) is freed first, and
+        # about 1.6 more of slices, weights and smaller arrays (6.58-6.75
+        # measured). Block 1's backward holds the recomputed y0 (1), its y
+        # (2) and its incoming gradient (2), overwritten by dz and then by
+        # the conv's output gradient: 5, and y is freed before its input
+        # gradient (1) is allocated. Keeping y0 from the forward and writing
+        # block 1's output gradient over its y made both 6 (8.11); keeping
+        # block 2's y to its end and dz in a new array, 3 more; caching
+        # blocks 1 and 2's inputs as well, 3 more.
         assert peak < 7.2 * unit
 
     def test_second_backward_on_one_cache_is_refused(self):
