@@ -10,14 +10,14 @@ output ReLU(a * y + b); its training backward takes y out of its cache and
 writes the conv's output gradient over the gradient it is handed. Training
 runs the conv blocks one after the other over the whole batch, and
 recomputes block 0's y, one conv of a one-channel input, for the backward
-instead of keeping it; inference runs them depth first, each tile of
-positions through every block and the pooling.
+instead of keeping it. Both modes pool in global_avg_pool, which at
+inference runs the blocks depth first, a tile of positions at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -161,67 +161,18 @@ def conv_branch(blocks: list[ConvBlock], x: np.ndarray, training: bool):
     caches hold one block-sized array each, its y, but block 0's: once
     block 1 has read y0, both their caches drop it, and conv_branch_backward
     recomputes it, since a conv of the one-channel input is cheap (1/160 of
-    block 1's multiply-adds in the paper's model). Inference runs depth
-    first (_pooled_tiles), so no block-sized array exists.
+    block 1's multiply-adds in the paper's model). Both modes pool in
+    global_avg_pool, which at inference runs the blocks depth first.
     """
     if not training:
-        return _pooled_tiles(blocks, x), None
+        return global_avg_pool(x, None, blocks), None
     h, relu, caches = x, None, []
     for block in blocks:
         (h, relu), cache = conv_block_forward(block, h, relu)
         caches.append(cache)
         if len(caches) == 2:  # block 1 has read y0, which the backward recomputes
             del caches[0]["y"], cache["x"]
-    return global_avg_pool(h, *relu), caches
-
-
-def _pooled_tiles(blocks: list[ConvBlock], x: np.ndarray) -> np.ndarray:
-    """conv_branch's pooled features at inference, where batch norm is the
-    fixed per-channel map a = gamma / sqrt(moving var + eps), b = beta +
-    (bias - moving mean) * a, which folds the bias in. Each block's kernels
-    are prepared once. The tiles are tensor_core.slices of the last block's
-    (B, L) output positions, at the floats per position a tile holds at its
-    widest step: a block's input rows, its conv's scratch and its output
-    rows. Each tile runs in one pool thread: from its positions it widens
-    each earlier block's range by the later blocks' same_padding halos,
-    clipped to [0, L), runs each block's conv on the previous block's rows
-    read through ReLU(a * y + b) (tensor_core.correlate_slice, zero only
-    outside [0, L)), and returns its sum over time of the last block's
-    output. The sums are added in tile order and divided by L, so the
-    result depends on IM2COL_ELEMENTS alone, not on WORKERS.
-    """
-    length, steps, widest = x.shape[1], [], 1
-    for block in blocks:
-        k, c_in, c_out = block.kernels.shape
-        prepared = tensor_core.prepare_kernels(block.kernels)
-        _, _, cost, unit = prepared
-        widest = max(widest, c_in + -(-cost // unit) + c_out)
-        a = block.bn_gamma / np.sqrt(block.bn_moving_var + block.bn_epsilon)
-        steps.append((prepared, tensor_core.same_padding(k),
-                      (a, block.bn_beta + (block.bias - block.bn_moving_mean) * a)))
-
-    def tile(item):
-        series, positions = item
-        ranges = [(positions.start, min(positions.stop, length))]
-        for _, (left, right), _ in reversed(steps[1:]):
-            lo, hi = ranges[0]
-            ranges.insert(0, (max(lo - left, 0), min(hi + right, length)))
-        h, start, relu = x[series], 0, None  # h holds positions start onwards
-        for (lo, hi), (prepared, (left, _), ab) in zip(ranges, steps):
-            out = np.empty((len(h), hi - lo, prepared[1].shape[-1]))
-            h = tensor_core.correlate_slice(h, slice(None), lo - start, left, prepared, relu,
-                                            out)
-            start, relu = lo, ab
-        return tensor_core._bn_relu(h, *relu, h).sum(axis=1)
-
-    tiles = list(tensor_core.slices((len(x), length), widest))
-    pooled = np.zeros((len(x), blocks[-1].kernels.shape[2]))
-    # two queued tiles per thread keep it busy; all queued at once, 512 per
-    # HandOutlines chunk, their futures held about 0.6 MiB
-    parts = tensor_core.ordered_map(tile, tiles, ahead=2 * tensor_core.WORKERS)
-    for (series, _), part in zip(tiles, parts):
-        pooled[series] += part
-    return np.divide(pooled, length, out=pooled)
+    return global_avg_pool(h, relu), caches
 
 
 def conv_branch_backward(caches, grad_pooled: np.ndarray) -> list[dict[str, np.ndarray]]:
@@ -361,23 +312,58 @@ def _input_grads(x: np.ndarray, gates) -> dict[str, np.ndarray]:
 # Pooling, dropout, classification head
 # ---------------------------------------------------------------------------
 
-def global_avg_pool(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-channel mean over the time axis, (B, L, C) -> (B, C), of a conv
-    block's output ReLU(a * h + b), rebuilt by _bn_relu one tensor_core
-    slice at a time, at C floats per position, into a slice-sized scratch.
-    The slices run as in the blocks, and their sums are added in slice
-    order."""
-    if h.shape[1] == 0:
+def global_avg_pool(h: np.ndarray, relu: tuple[np.ndarray, np.ndarray] | None,
+                    blocks: Sequence[ConvBlock] = ()) -> np.ndarray:
+    """The conv branch's pooled (B, Cout) features: the mean over time, per
+    channel, of its last block's output ReLU(a * y + b). With no blocks, h
+    is that y and relu = (a, b). With blocks, h is their (B, L, Cin) input,
+    read through relu if given, which each block runs in inference mode:
+    batch norm is the fixed map a = gamma / sqrt(moving var + eps), b =
+    beta + (bias - moving mean) * a, which folds the bias in.
+
+    Tiles are tensor_core.slices of the (B, L) positions, at the most
+    floats per position a tile holds: h's C, or a block's input rows, its
+    conv's scratch and its output rows. Each tile runs in one pool thread:
+    it widens each earlier block's range by the later blocks' same_padding
+    halos, clipped to [0, L), runs each block's conv (correlate_slice, on
+    kernels prepared once) on the previous rows, and sums the last rows'
+    ReLU over time (_bn_relu): in place over a conv's tile output, or into
+    a scratch over h, which the backward still reads. The sums are added in
+    tile order and divided by L: the same at any WORKERS.
+    """
+    length, steps, widest = h.shape[1], [], h.shape[2]
+    if length == 0:
         raise ValueError("global_avg_pool needs at least one time position")
-    chunks = list(tensor_core.slices(h.shape, h.shape[2]))
+    for block in blocks:
+        k, c_in, c_out = block.kernels.shape
+        prepared = tensor_core.prepare_kernels(block.kernels)
+        widest = max(widest, c_in + -(-prepared[2] // prepared[3]) + c_out)
+        a = block.bn_gamma / np.sqrt(block.bn_moving_var + block.bn_epsilon)
+        steps.append((prepared, tensor_core.same_padding(k),
+                      (a, block.bn_beta + (block.bias - block.bn_moving_mean) * a)))
 
-    def time_sum(chunk):
-        return tensor_core._bn_relu(h[chunk], a, b, np.empty(h[chunk].shape)).sum(axis=1)
+    def tile(item):
+        series, positions = item
+        ranges = [(positions.start, min(positions.stop, length))]
+        for _, (left, right), _ in reversed(steps[1:]):
+            ranges.insert(0, (max(ranges[0][0] - left, 0), min(ranges[0][1] + right, length)))
+        rows, start, ab = h[series], 0, relu  # rows holds positions start onwards
+        for (lo, hi), (prepared, (left, _), folded) in zip(ranges, steps):
+            out = np.empty((len(rows), hi - lo, prepared[1].shape[-1]))
+            rows = tensor_core.correlate_slice(rows, slice(None), lo - start, left, prepared,
+                                               ab, out)
+            start, ab = lo, folded
+        rows = rows[:, ranges[-1][0] - start:ranges[-1][1] - start]
+        # a conv's own tile output takes the ReLU in place; h is the backward's y
+        return tensor_core._bn_relu(rows, *ab, rows if steps else np.empty(rows.shape)).sum(axis=1)
 
-    pooled = np.zeros((h.shape[0], h.shape[2]))
-    for (series, _), part in zip(chunks, tensor_core.ordered_map(time_sum, chunks)):
+    tiles = list(tensor_core.slices((len(h), length), widest))
+    pooled = np.zeros((len(h), blocks[-1].kernels.shape[2] if blocks else h.shape[2]))
+    # two queued tiles per thread keep it busy; all 512 of a HandOutlines chunk held 0.6 MiB
+    parts = tensor_core.ordered_map(tile, tiles, ahead=2 * tensor_core.WORKERS)
+    for (series, _), part in zip(tiles, parts):
         pooled[series] += part
-    return np.divide(pooled, h.shape[1], out=pooled)
+    return np.divide(pooled, length, out=pooled)
 
 
 def global_avg_pool_backward(grad_out: np.ndarray, length: int) -> np.ndarray:

@@ -102,8 +102,8 @@ def parameter_manifest(config: ArchConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 def parameter_count(config: ArchConfig) -> int:
     """Total element count over every allocated tensor, moving statistics
-    included."""
-    return sum(int(np.prod(shape)) for _, shape in parameter_manifest(config))
+    included, exact at any size (np.prod wraps at 2**63)."""
+    return sum(math.prod(shape) for _, shape in parameter_manifest(config))
 
 
 @dataclass

@@ -16,7 +16,7 @@ picks: im2col GEMMs, or Winograd F(4, k) GEMMs.
 A conv reads its input either as given or through a per-channel ReLU(a * x
 + b), the form in which a conv block hands on its output (_bn_relu). A
 training block's conv also returns its output's per-channel mean and
-variance, which each slice takes from the rows it has written (_fill).
+variance, which each slice takes from the rows it has written (_correlate).
 """
 
 from __future__ import annotations
@@ -262,38 +262,28 @@ def correlate_slice(x: np.ndarray, series: slice, start: int, left: int, prepare
 
 def _correlate(x: np.ndarray, kernels: np.ndarray, left: int,
                relu: tuple[np.ndarray, np.ndarray] | None = None, moments: bool = False):
-    """The (B, L, Cout) correlate_slice of the whole (B, L, Cin) input x,
-    run over slices(x.shape, cost, unit) as prepare_kernels sizes them: by
-    Winograd F(4, k) GEMMs if k <= 5 and Cin >= WINOGRAD_MIN_CHANNELS, else
-    by im2col GEMMs. With moments, as in _fill."""
+    """The (B, L, Cout) correlate_slice of the whole (B, L, Cin) input x, one
+    task per slice of slices(x.shape, cost, unit) as prepare_kernels sizes
+    them. With moments, (out, mean, var), out's per-channel mean and biased
+    variance (0 / 0 with no rows): each task reduces the rows it has just
+    written, still in cache, to (count, mean, sum of squared deviations),
+    merged in slice order by the pairwise update of Chan, Golub & LeVeque
+    (1979): the same at any WORKERS."""
     prepared = prepare_kernels(kernels)
     out = np.empty(x.shape[:2] + (kernels.shape[2],))
 
-    def run(item):
+    def task(item):
         series, positions = item
         # a slice is whole series or part of one series, so this view is contiguous
-        return correlate_slice(x, series, positions.start, left, prepared, relu,
-                               out[series, positions])
-
-    return _fill(out, run, slices(x.shape, *prepared[2:]), moments)
-
-
-def _fill(out: np.ndarray, run, items, moments: bool):
-    """out, once run(item), run as in ordered_map, has written and returned
-    each slice's rows of the (B, L, C) array out. With moments, (out, mean,
-    var), out's per-channel mean and biased variance (0 / 0 with no rows):
-    each worker reduces the rows it has just written, still in cache, to
-    (count, mean, sum of squared deviations), merged in slice order by the
-    pairwise update of Chan, Golub & LeVeque (1979): the same at any WORKERS."""
-    def task(item):
-        rows = run(item).reshape(-1, out.shape[2])
+        rows = correlate_slice(x, series, positions.start, left, prepared, relu,
+                               out[series, positions]).reshape(-1, out.shape[2])
         if moments:
             mean = rows.mean(axis=0)
             centred = rows - mean
             return len(rows), mean, np.einsum("nc,nc->c", centred, centred)
 
     count, mean, m2 = 0, np.zeros(out.shape[2]), np.zeros(out.shape[2])
-    for n, part_mean, part_m2 in filter(None, ordered_map(task, items)):
+    for n, part_mean, part_m2 in filter(None, ordered_map(task, slices(x.shape, *prepared[2:]))):
         delta = part_mean - mean
         mean = mean + delta * (n / (count + n))
         m2 = m2 + part_m2 + delta * (delta * (count * n / (count + n)))
@@ -313,7 +303,7 @@ def conv1d_same(x: np.ndarray, kernels: np.ndarray, *,
     array the block keeps, so the output itself never exists. With moments,
     returns (y, mean, var), y's per-channel batch mean and (biased) variance
     over its B * L positions, taken slice by slice as the slices are written
-    (_fill), so no pass over y is added.
+    (_correlate), so no pass over y is added.
     """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)

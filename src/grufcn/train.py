@@ -89,8 +89,9 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 def predict_proba(net: GruFcnModel, x: np.ndarray, chunk: int) -> np.ndarray:
     """Inference-mode class probabilities for every row of x, one forward
-    pass per chunk of at most chunk rows."""
-    chunk = max(1, chunk)
+    pass per chunk of at most chunk rows (chunk >= 1)."""
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
     return np.concatenate([model_mod.forward(net, x[start:start + chunk], training=False)[0]
                            for start in range(0, x.shape[0], chunk)])
 
@@ -108,6 +109,9 @@ def fit(net: GruFcnModel, dataset, run: TrainRun) -> TrainRun:
     """Train for run.epochs epochs of seeded-shuffle mini-batches; after each
     epoch run a full inference pass on the evaluation split and checkpoint
     whenever its loss improves."""
+    for name in ("train_batch", "eval_batch"):
+        if getattr(run, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(run, name)}")
     if dataset.train_x.shape[0] == 0:
         raise ValueError("training split is empty")
     if dataset.train_x.shape[1] != net.config.series_length:

@@ -600,6 +600,30 @@ class TestConvBranch:
             assert all(np.array_equal(p, passes[0]) for p in passes[1:])
             np.testing.assert_allclose(passes[0], expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("winograd", [False, True])
+    def test_inference_pools_what_training_pools(self, monkeypatch, winograd):
+        # with bn_momentum 0 the moving statistics are the batch's own (plus
+        # the bias), so inference folds batch norm into the (a, b) training
+        # ran with, and both calls of global_avg_pool compute one function:
+        # training's over the whole batch, inference's depth first in tiles
+        monkeypatch.setattr(tensor_core, "WINOGRAD_MIN_CHANNELS", 1 if winograd else 1 << 30)
+        rng = np.random.default_rng(24)
+        blocks = [make_conv_block(rng, 8, 1, 4), make_conv_block(rng, 5, 4, 6),
+                  make_conv_block(rng, 3, 6, 3)]
+        # tiles of 7 positions; the training convs' slices cut every series too
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 7 * tile_cost(blocks))
+        for block in blocks:
+            block.bn_momentum = 0.0
+            block.bn_gamma[:] = rng.normal(1.0, 0.5, block.bias.shape)
+            block.bn_beta[:] = rng.normal(0.0, 0.5, block.bias.shape)
+            assert np.all(block.bias != 0)
+        x = rng.normal(size=(4, 30, 1))
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tensor_core, "WORKERS", workers)
+            trained = conv_branch(blocks, x, True)[0]
+            np.testing.assert_allclose(conv_branch(blocks, x, False)[0], trained,
+                                       rtol=0, atol=1e-12)
+
     @pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
     def test_empty_training_batch_is_refused(self):
         # batch norm has no statistics over zero series, so the one training
@@ -706,15 +730,15 @@ class TestGlobalAvgPool:
 
     def test_constant_channel(self):
         x = np.full((2, 5, 3), 7.0)
-        assert np.allclose(global_avg_pool(x, np.ones(3), np.zeros(3)), 7.0)
+        assert np.allclose(global_avg_pool(x, (np.ones(3), np.zeros(3))), 7.0)
 
     def test_simple_mean(self):
         x = np.array([[[1.0], [2.0], [3.0]]])
-        assert np.allclose(global_avg_pool(x, np.ones(1), np.zeros(1)), 2.0)
+        assert np.allclose(global_avg_pool(x, (np.ones(1), np.zeros(1))), 2.0)
 
     def test_empty_length_rejected(self):
         with pytest.raises(ValueError):
-            global_avg_pool(np.zeros((1, 0, 3)), np.ones(3), np.zeros(3))
+            global_avg_pool(np.zeros((1, 0, 3)), (np.ones(3), np.zeros(3)))
 
     # floats per chunk of a (5, 7, 3) array: one position, three positions,
     # two whole series, and the whole array
@@ -727,7 +751,7 @@ class TestGlobalAvgPool:
         passes = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(tensor_core, "WORKERS", workers)
-            passes.append(global_avg_pool(h, a, b))
+            passes.append(global_avg_pool(h, (a, b)))
         assert all(np.array_equal(p, passes[0]) for p in passes[1:])
         if elements >= 7 * 3:  # whole series per chunk: numpy's own sums
             assert np.array_equal(passes[0], expected)

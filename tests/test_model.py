@@ -73,6 +73,13 @@ class TestParameterCounts:
             length, classes, kind, hidden, filters, kernels
         )
 
+    def test_count_is_exact_past_int64(self):
+        # two 2**32-filter blocks hold 5 * 2**64 kernel entries, where
+        # int64 products wrap
+        config = ArchConfig(series_length=10, num_classes=2, conv_filters=(2**32, 2**32, 4))
+        assert parameter_count(config) == 92233720497396777462
+        assert parameter_count(config) == closed_form_count(10, 2, filters=(2**32, 2**32, 4))
+
     def test_structural_count_matches_allocated_model(self):
         config = ArchConfig(50, 3)
         model = build(config)

@@ -159,6 +159,15 @@ class TestEvaluate:
         assert full[0] == pytest.approx(tiny[0], rel=1e-12)
         assert full[1] == tiny[1]
 
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_is_refused(self, chunk):
+        model = build(ArchConfig(24, 2, seed=0))
+        ds = make_synthetic_dataset()
+        with pytest.raises(ValueError, match=f"chunk must be at least 1, got {chunk}"):
+            train_mod.predict_proba(model, ds.test_x, chunk)
+        with pytest.raises(ValueError, match="chunk must be at least 1"):
+            evaluate(model, ds.test_x, ds.test_y, eval_batch=chunk)
+
     def test_oversized_eval_batch_is_capped(self):
         model = build(ArchConfig(24, 2, seed=0))
         ds = make_synthetic_dataset()
@@ -180,6 +189,22 @@ class TestFit:
         with pytest.raises(ValueError, match="dataset length 24 != model series length 23"):
             fit(model, make_synthetic_dataset(),
                 TrainRun(epochs=1, train_batch=4, eval_batch=4))
+
+    @pytest.mark.parametrize("field", ["train_batch", "eval_batch"])
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_batch_below_one_is_refused_before_any_work(self, monkeypatch, field, size):
+        # range(0, n, -1) is empty: such a run would train nothing and report a loss
+        model = build(ArchConfig(24, 2, seed=1))
+        before = {k: v.copy() for k, v in model.parameters().items()}
+        monkeypatch.setattr(train_mod.model_mod, "forward",
+                            lambda *args, **kwargs: pytest.fail("fit ran a forward pass"))
+        sizes = {"train_batch": 4, "eval_batch": 4, field: size}
+        run = TrainRun(epochs=2, **sizes)
+        with pytest.raises(ValueError, match=f"{field} must be at least 1, got {size}"):
+            fit(model, make_synthetic_dataset(), run)
+        assert run.history == []
+        for name, arr in model.parameters().items():
+            assert np.array_equal(arr, before[name]), name
 
     def test_zero_epochs_leaves_model_untouched(self):
         model = build(ArchConfig(24, 2, seed=1))
