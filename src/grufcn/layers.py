@@ -8,10 +8,12 @@ gradients; the test suite checks each one against central finite differences.
 A conv block hands on its conv output y and a per-channel (a, b), never its
 output ReLU(a * y + b); its training backward takes y out of its cache and
 writes the conv's output gradient over the gradient it is handed. Training
-runs the conv blocks one after the other over the whole batch, and
-recomputes block 0's y, one conv of a one-channel input, for the backward
-instead of keeping it. Both modes pool in global_avg_pool, which at
-inference runs the blocks depth first, a tile of positions at a time.
+runs the conv blocks one after the other over the whole batch, and keeps
+neither block 0's y, one conv of a one-channel input, which block 1's
+backward recomputes once its own y is freed, nor the last block's, which
+its backward recomputes a slice at a time from its input and two sums the
+pooling takes. Both modes pool in global_avg_pool, which at inference runs
+the blocks depth first, a tile of positions at a time.
 """
 
 from __future__ import annotations
@@ -89,39 +91,69 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray,
 
 def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     """Gradients of the composed ReLU(BN(conv)) w.r.t. input and parameters,
-    from a training-mode cache and the block output's gradient grad_out.
+    from a training-mode cache and the gradient of the block's output.
 
     Includes the batch-statistics coupling terms of training-mode batch norm,
     with the statistics and (a, b) the forward ran with. Returns (grad_x,
     grads) with grads keyed by ConvBlock.TRAINED; grad_x is None unless
-    input_grad. Two passes run over y's slices (tensor_core.slices at C
-    floats per position), as the pooling does. The first gates grad_out,
-    which must be writable, a slice at a time by a * y + b > 0, the bits
-    every _bn_relu reader sees, into dz over grad_out; the second writes the
-    conv's output gradient over dz, so y is freed before
-    conv1d_same_backward allocates the input gradient. y is taken out of the
-    cache, so a cache serves one backward: a second raises ValueError. The
-    cache's x and relu go unchanged to conv1d_same_backward: the block's
-    input, or with relu = (a, b) the previous block's y, which its kernel
-    gradient rebuilds the input from.
+    input_grad. A cache serves one backward, which takes y, or the last
+    block's pooled sums, out of it: a second raises ValueError. The cache's
+    relu goes unchanged to conv1d_same_backward, and so does its x, the
+    block's input or, with relu = (a, b), the previous block's y, from which
+    the kernel gradient rebuilds the input; x may be a function that
+    returns it, called only once y is freed. conv1d_same_backward applies
+    the factor a of the conv's output gradient (scale=a).
+
+    - A cache that holds y takes grad_out, the (B, L, Cout) gradient of
+      ReLU(a * y + b), and writes the conv's output gradient over it
+      (_output_grad), so grad_out must be writable.
+    - The last block's cache holds the pooled sums instead (conv_branch),
+      and takes grad_out, the (B, Cout) gradient of the pooled features;
+      the conv backward reads the output gradient a slice at a time from a
+      reader that recomputes y (_pooled_output_grad).
     """
     block: ConvBlock = cache["block"]
-    y, (a, b) = cache.get("y"), cache["ab"]
-    if y is None:
+    if "pool_sums" in cache:
+        grad_gamma, grad_beta, x, grad_y = _pooled_output_grad(cache, grad_out)
+    elif "y" in cache:
+        grad_gamma, grad_beta, x, grad_y = _output_grad(cache, grad_out)
+    else:
         raise ValueError("this conv block cache was already used by a backward pass")
+    grad_x, grad_kernels = conv1d_same_backward(x, block.kernels, grad_y, input_grad,
+                                                scale=cache["ab"][0], relu=cache["relu"])
+    return grad_x, {"kernels": grad_kernels, "bn_gamma": grad_gamma, "bn_beta": grad_beta}
+
+
+def _coupling(cache, grad_y_dot: np.ndarray, grad_beta: np.ndarray, n: int):
+    """(gamma's gradient, c, shift) from Σdz * y and Σdz over n positions.
+
+    With x_hat = (y - mean) * inv_std, gamma's gradient is sum(dz * x_hat)
+    = inv_std * (sum(dz * y) - mean * sum(dz)), and the conv's output
+    gradient is a * (dz - sum(dz)/n - x_hat * sum(dz * x_hat)/n) = a * (dz
+    - y * c + shift), with c = inv_std * sum(dz * x_hat)/n and shift = mean
+    * c - sum(dz)/n."""
+    mean, inv_std = cache["mean"], cache["inv_std"]
+    grad_gamma = inv_std * (grad_y_dot - mean * grad_beta)
+    c = inv_std * (grad_gamma / n)
+    return grad_gamma, c, mean * c - grad_beta / n
+
+
+def _output_grad(cache, grad_out: np.ndarray):
+    """(gamma's and beta's gradients, the block input, the conv's output
+    gradient before a), from a cache that holds y. Two passes run over y's
+    slices (tensor_core.slices at C floats per position), as the pooling
+    does. The first gates grad_out by a * y + b > 0, the bits every
+    _bn_relu reader sees, into dz over grad_out, and sums dz and dz * y; the
+    second writes dz - y * c + shift over dz. y is freed before the input is
+    fetched; a gate cached, or a new array for dz or dy, would each hold one
+    more block-sized array."""
+    y, (a, b) = cache["y"], cache["ab"]
     if grad_out.shape != y.shape:
         raise ValueError(f"grad shape {grad_out.shape} != forward output shape {y.shape}")
     if not grad_out.flags.writeable:
         raise ValueError("grad_out must be writable: the backward writes over it")
     del cache["y"]
-    # closed form: with n = B*L and x_hat = (y - mean) * inv_std, gamma's
-    # gradient is sum(dz * x_hat) = inv_std * (sum(dz * y) - mean * sum(dz)),
-    # and the conv's output gradient is a * (dz - sum(dz)/n - x_hat *
-    # sum(dz * x_hat)/n) = a * (dz - y * c + (mean * c - sum(dz)/n)) with
-    # c = inv_std * sum(dz * x_hat)/n; the conv backward applies a. Caching
-    # the gate, or a new array for dz or dy, would hold one more block-sized array
-    mean, inv_std = cache["mean"], cache["inv_std"]
-    n, chunks = y.shape[0] * y.shape[1], list(tensor_core.slices(y.shape, y.shape[2]))
+    chunks = list(tensor_core.slices(y.shape, y.shape[2]))
     grad_y_dot, grad_beta = np.zeros(y.shape[2]), np.zeros(y.shape[2])
 
     def gate(chunk):
@@ -133,9 +165,7 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     for part_dot, part_beta in tensor_core.ordered_map(gate, chunks):
         grad_y_dot += part_dot
         grad_beta += part_beta
-    grad_gamma = inv_std * (grad_y_dot - mean * grad_beta)
-    c = inv_std * (grad_gamma / n)
-    shift = mean * c - grad_beta / n
+    grad_gamma, c, shift = _coupling(cache, grad_y_dot, grad_beta, y.shape[0] * y.shape[1])
 
     def couple(chunk):
         dz = grad_out[chunk]
@@ -144,10 +174,50 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
 
     for _ in tensor_core.ordered_map(couple, chunks):
         pass
-    del y  # freed before the input gradient is allocated
-    grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, grad_out, input_grad,
-                                                scale=a, relu=cache["relu"])
-    return grad_x, {"kernels": grad_kernels, "bn_gamma": grad_gamma, "bn_beta": grad_beta}
+    del y
+    return grad_gamma, grad_beta, _block_input(cache), grad_out
+
+
+def _pooled_output_grad(cache, grad_pooled: np.ndarray):
+    """(gamma's and beta's gradients, the block input, a reader of the
+    conv's output gradient before a), from the last block's cache, which
+    holds the pooling's sums (S0, S1) instead of y. Its dz is grad_pooled /
+    L wherever the gate passes, so Σdz = Σ_b dz * S0 and Σdz * y = Σ_b dz *
+    S1 before any row is read. The reader recomputes the rows of y that
+    conv1d_same_backward asks for, with the forward's correlate_slice on the
+    block's input, and writes dz - y * c + shift over them: no block-sized
+    array of y or of its gradient exists."""
+    count, dot = cache["pool_sums"]
+    if grad_pooled.shape != count.shape:
+        raise ValueError(f"grad shape {grad_pooled.shape} != pooled shape {count.shape}")
+    del cache["pool_sums"]
+    x, (a, b), relu = _block_input(cache), cache["ab"], cache["relu"]
+    dz = grad_pooled / x.shape[1]
+    grad_beta, grad_y_dot = np.einsum("bc,bc->c", dz, count), np.einsum("bc,bc->c", dz, dot)
+    grad_gamma, c, shift = _coupling(cache, grad_y_dot, grad_beta, x.shape[0] * x.shape[1])
+    kernels = cache["block"].kernels
+    prepared, left = tensor_core.prepare_kernels(kernels), tensor_core.same_padding(len(kernels))[0]
+
+    def read(series, lo, hi):
+        passed = dz[series, None]  # dz at every position of a series the gate passes
+        rows = tensor_core.correlate_slice(x, series, lo, left, prepared, relu,
+                                           np.empty((len(passed), hi - lo, kernels.shape[2])))
+        scratch = np.multiply(rows, a)
+        scratch += b
+        gate = scratch > 0
+        np.multiply(rows, c, out=scratch)
+        rows = np.multiply(passed, gate, out=rows)
+        rows -= scratch
+        rows += shift
+        return rows
+
+    return grad_gamma, grad_beta, x, read
+
+
+def _block_input(cache) -> np.ndarray:
+    """The cache's x, called first if it is a function."""
+    x = cache["x"]
+    return x() if callable(x) else x
 
 
 def conv_branch(blocks: list[ConvBlock], x: np.ndarray, training: bool):
@@ -157,12 +227,16 @@ def conv_branch(blocks: list[ConvBlock], x: np.ndarray, training: bool):
     Training runs the whole batch through each block in turn, since batch
     norm takes its statistics over all of it before any block output can
     be read. Each block hands the next its conv output y and (a, b), which
-    the next conv and the pooling read through ReLU(a * y + b), and the
-    caches hold one block-sized array each, its y, but block 0's: once
-    block 1 has read y0, both their caches drop it, and conv_branch_backward
-    recomputes it, since a conv of the one-channel input is cheap (1/160 of
-    block 1's multiply-adds in the paper's model). Both modes pool in
-    global_avg_pool, which at inference runs the blocks depth first.
+    the next conv and the pooling read through ReLU(a * y + b). The caches
+    hold one block-sized array each, its y, but block 0's and the last
+    block's. Once block 1 has read y0, both their caches drop it, and block
+    1's backward recomputes it (conv_branch_backward), since a conv of the
+    one-channel input is cheap (1/160 of block 1's multiply-adds in the
+    paper's model).
+    The last block's cache keeps, instead of its y, the two (B, C) sums the
+    pooling takes as it reads y (global_avg_pool), and its backward
+    recomputes y a slice at a time. Both modes pool in global_avg_pool,
+    which at inference runs the blocks depth first.
     """
     if not training:
         return global_avg_pool(x, None, blocks), None
@@ -172,7 +246,9 @@ def conv_branch(blocks: list[ConvBlock], x: np.ndarray, training: bool):
         caches.append(cache)
         if len(caches) == 2:  # block 1 has read y0, which the backward recomputes
             del caches[0]["y"], cache["x"]
-    return global_avg_pool(h, relu), caches
+    pooled, caches[-1]["pool_sums"] = global_avg_pool(h, relu)
+    del caches[-1]["y"]
+    return pooled, caches
 
 
 def conv_branch_backward(caches, grad_pooled: np.ndarray) -> list[dict[str, np.ndarray]]:
@@ -180,19 +256,26 @@ def conv_branch_backward(caches, grad_pooled: np.ndarray) -> list[dict[str, np.n
     from conv_branch's training caches and the gradient of its pooled
     features. The blocks run last to first, each popping its cache off
     caches, which ends empty, so that a block's y is freed as soon as its
-    backward has used it, and each block writes over the gradient it is
-    handed, which nothing else reads: the pooling's, or the input gradient
-    of the block after it. Just before block 1's backward, block 0's y is
-    recomputed, for block 0's cache as its y and block 1's as its input:
-    conv1d_same of the branch's input, run over the forward's slices, so
-    bitwise the forward's y. Block 0 computes no gradient for the branch's
-    input, which nothing reads."""
-    grad = global_avg_pool_backward(grad_pooled, caches[-1]["y"].shape[1])
-    grads = [None] * len(caches)
+    backward has used it. The last block takes the pooled gradient itself;
+    each other block writes over the gradient it is handed, the input
+    gradient of the block after it, which nothing else reads. Block 1's
+    input is fetched once its y is freed: block 0's y, recomputed for
+    block 0's cache as its y and block 1's as its input, as conv1d_same of
+    the branch's input, run over the forward's slices, so bitwise the
+    forward's y. Block 0 computes no gradient for the branch's input,
+    which nothing reads."""
+    if len(caches) > 1:
+        first = caches[0]
+
+        def recompute():
+            # not through this module's conv1d_same, which the traced benchmark
+            # wraps: a block span takes its first conv child's label
+            first["y"] = tensor_core.conv1d_same(first["x"], first["block"].kernels)
+            return first["y"]
+
+        caches[1]["x"] = recompute
+    grad, grads = grad_pooled, [None] * len(caches)
     for i in reversed(range(len(caches))):
-        if i == 1:
-            first = caches[0]
-            first["y"] = caches[1]["x"] = conv1d_same(first["x"], first["block"].kernels)
         grad, grads[i] = conv_block_backward(caches.pop(), grad, i > 0)
     return grads
 
@@ -313,13 +396,17 @@ def _input_grads(x: np.ndarray, gates) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def global_avg_pool(h: np.ndarray, relu: tuple[np.ndarray, np.ndarray] | None,
-                    blocks: Sequence[ConvBlock] = ()) -> np.ndarray:
+                    blocks: Sequence[ConvBlock] = ()):
     """The conv branch's pooled (B, Cout) features: the mean over time, per
-    channel, of its last block's output ReLU(a * y + b). With no blocks, h
-    is that y and relu = (a, b). With blocks, h is their (B, L, Cin) input,
-    read through relu if given, which each block runs in inference mode:
-    batch norm is the fixed map a = gamma / sqrt(moving var + eps), b =
-    beta + (bias - moving mean) * a, which folds the bias in.
+    channel, of its last block's output ReLU(a * y + b).
+
+    With blocks (inference), h is their (B, L, Cin) input, read through relu
+    if given, which each block runs in inference mode: batch norm is the
+    fixed map a = gamma / sqrt(moving var + eps), b = beta + (bias - moving
+    mean) * a, which folds the bias in. With no blocks (training), h is that
+    y and relu = (a, b), and the pooling returns (pooled, (S0, S1)), the
+    (B, C) sums over time S0 = Σ[a * y + b > 0] and S1 = Σ[a * y + b > 0] * y
+    that the last block's backward reads instead of y.
 
     Tiles are tensor_core.slices of the (B, L) positions, at the most
     floats per position a tile holds: h's C, or a block's input rows, its
@@ -328,8 +415,8 @@ def global_avg_pool(h: np.ndarray, relu: tuple[np.ndarray, np.ndarray] | None,
     halos, clipped to [0, L), runs each block's conv (correlate_slice, on
     kernels prepared once) on the previous rows, and sums the last rows'
     ReLU over time (_bn_relu): in place over a conv's tile output, or into
-    a scratch over h, which the backward still reads. The sums are added in
-    tile order and divided by L: the same at any WORKERS.
+    a scratch over h, which it then reuses for S1. The sums are added in
+    tile order and the features divided by L: the same at any WORKERS.
     """
     length, steps, widest = h.shape[1], [], h.shape[2]
     if length == 0:
@@ -354,21 +441,23 @@ def global_avg_pool(h: np.ndarray, relu: tuple[np.ndarray, np.ndarray] | None,
                                                ab, out)
             start, ab = lo, folded
         rows = rows[:, ranges[-1][0] - start:ranges[-1][1] - start]
-        # a conv's own tile output takes the ReLU in place; h is the backward's y
-        return tensor_core._bn_relu(rows, *ab, rows if steps else np.empty(rows.shape)).sum(axis=1)
+        if steps:  # a conv's own tile output takes the ReLU in place
+            return (tensor_core._bn_relu(rows, *ab, rows).sum(axis=1),)
+        out = tensor_core._bn_relu(rows, *ab, np.empty(rows.shape))
+        pooled = out.sum(axis=1)
+        gate = np.greater(out, 0.0, out=out)  # 1.0 where the gate passes
+        return pooled, gate.sum(axis=1), np.multiply(gate, rows, out=gate).sum(axis=1)
 
     tiles = list(tensor_core.slices((len(h), length), widest))
-    pooled = np.zeros((len(h), blocks[-1].kernels.shape[2] if blocks else h.shape[2]))
+    sums = np.zeros((1 if blocks else 3, len(h),
+                     blocks[-1].kernels.shape[2] if blocks else h.shape[2]))
     # two queued tiles per thread keep it busy; all 512 of a HandOutlines chunk held 0.6 MiB
-    parts = tensor_core.ordered_map(tile, tiles, ahead=2 * tensor_core.WORKERS)
-    for (series, _), part in zip(tiles, parts):
-        pooled[series] += part
-    return np.divide(pooled, length, out=pooled)
-
-
-def global_avg_pool_backward(grad_out: np.ndarray, length: int) -> np.ndarray:
-    """grad_out / L at every time position, as a new (B, L, C) array."""
-    return np.repeat((grad_out / length)[:, None, :], length, axis=1)
+    for (series, _), parts in zip(tiles, tensor_core.ordered_map(
+            tile, tiles, ahead=2 * tensor_core.WORKERS)):
+        for total, part in zip(sums, parts):
+            total[series] += part
+    pooled = np.divide(sums[0], length, out=sums[0])
+    return pooled if blocks else (pooled, (sums[1], sums[2]))
 
 
 def dropout(x: np.ndarray, rate: float, training: bool,

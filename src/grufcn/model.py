@@ -211,9 +211,9 @@ def backward(model: GruFcnModel, cache, y_onehot: np.ndarray):
     keyed by manifest name, from a training-mode forward cache. A training
     cache serves one backward, which empties the conv blocks' caches to
     free their activations as it goes, writes each block's output gradient
-    over the one it is handed, and recomputes block 0's conv output, which
-    the cache does not keep (layers.conv_branch_backward); a second raises
-    ValueError."""
+    over the one it is handed, and recomputes the conv outputs the cache
+    does not keep, block 0's and the last block's
+    (layers.conv_branch_backward); a second raises ValueError."""
     if "conv_caches" not in cache:
         raise ValueError("backward needs the cache of a training-mode forward pass; "
                          "an inference-mode pass keeps no backward state")

@@ -210,6 +210,17 @@ def _winograd_matrices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a.T, b_t, g
 
 
+def _slice_cost(k: int, c_in: int, c_out: int) -> tuple[int, int]:
+    """(cost, unit): the floats one correlate_slice slice holds per unit
+    output positions, on the path prepare_kernels picks for (k, Cin, Cout)
+    kernels."""
+    if k <= 5 and c_in >= WINOGRAD_MIN_CHANNELS:
+        # per tile: v, m and the padded copy (4n + k - 1 <= 8n positions for n tiles)
+        return (k + 11) * c_in + (k + 3) * c_out, 4
+    # per position: its window, then its output row, which moments copies centred
+    return k * c_in + c_out, 1
+
+
 def prepare_kernels(kernels: np.ndarray):
     """(k, w, cost, unit): the (k, Cin, Cout) kernels as correlate_slice reads
     them, and the floats one of its slices holds per unit output positions.
@@ -218,13 +229,11 @@ def prepare_kernels(kernels: np.ndarray):
     Cout) im2col matrix, unit 1. A caller that runs many slices prepares its
     kernels once."""
     k, c_in, c_out = kernels.shape
-    if k <= 5 and c_in >= WINOGRAD_MIN_CHANNELS:
-        alpha = k + 3
+    cost, unit = _slice_cost(k, c_in, c_out)
+    if unit == 4:
         u = np.matmul(_winograd_matrices(k)[2], kernels.reshape(k, -1))
-        # per tile: v, m and the padded copy (4n + k - 1 <= 8n positions for n tiles)
-        return k, u.reshape(alpha, c_in, c_out), (alpha + 8) * c_in + alpha * c_out, 4
-    # per position: its window, then its output row, which moments copies centred
-    return k, kernels.reshape(k * c_in, c_out), k * c_in + c_out, 1
+        return k, u.reshape(k + 3, c_in, c_out), cost, unit
+    return k, kernels.reshape(k * c_in, c_out), cost, unit
 
 
 def correlate_slice(x: np.ndarray, series: slice, start: int, left: int, prepared,
@@ -319,49 +328,85 @@ def conv1d_same(x: np.ndarray, kernels: np.ndarray, *,
 
 
 def conv1d_same_backward(
-    x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray, input_grad: bool = True,
+    x: np.ndarray, kernels: np.ndarray, grad_out, input_grad: bool = True,
     *, scale: np.ndarray | None = None, relu: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients of conv1d_same w.r.t. its input (None unless input_grad) and
     its kernels; the bias gradient, grad_out's channel sums, is not computed.
 
-    x is the forward's (B, L, Cin) input, grad_out is (B, L, Cout). With a
-    pair of (Cin,) vectors relu = (a, b), x is instead what the forward read
-    its input from, ReLU(a * x + b) as in conv1d_same: each slice rebuilds
-    its input rows into the padded copy it makes anyway, so no input-sized
-    array exists. A (Cout,) scale, if given, multiplies each channel of
-    grad_out without a pass over it: the input gradient correlates
-    grad_out with the tap-reversed, transposed kernels times scale (a
-    kernel-sized copy) and mirrored padding, and reads no x. The kernel
-    gradient slices x at k * Cin floats per position, unlike the forward,
-    one GEMM per slice for all k taps, and scales its (Cout, k * Cin) sum.
+    x is the forward's (B, L, Cin) input. grad_out is the (B, L, Cout)
+    gradient of its output, or a reader of it: read(series, lo, hi)
+    returns a (S, hi - lo, Cout) array of grad_out[series, lo:hi], called
+    once per slice, with lo and hi the slice's positions widened by the
+    input gradient's k - 1 halo (if input_grad) and clipped to [0, L).
+    With a pair of (Cin,) vectors relu = (a, b), x is instead what the
+    forward read its input from, ReLU(a * x + b) as in conv1d_same: each
+    slice rebuilds its input rows into the padded copy it makes anyway, so
+    no input-sized array exists. A (Cout,) scale, if given, multiplies each
+    channel of grad_out without a pass over it: the input gradient
+    correlates grad_out with the tap-reversed, transposed kernels times
+    scale (prepared once, from a kernel-sized copy) and mirrored padding,
+    and the kernel gradient scales its (Cout, k * Cin) sum.
+
+    One walk over the slices of x does both, so a reader is called once
+    per slice: each slice adds the GEMM of its grad_out rows, transposed,
+    with its im2col of x (all k taps at once) to the kernel gradient, in
+    slice order, then writes its rows of the input gradient with
+    correlate_slice, in the pieces that slices cuts the slice into for
+    that scratch. The slices hold k * Cin floats per position, the im2col;
+    with a reader, also the rows it returns and, where wider than the
+    im2col, the scratch of the forward conv, which a reader that
+    recomputes the conv's output runs. So the result is the same at any
+    WORKERS, with or without the input gradient.
     """
     x = np.asarray(x, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
     k, c_in, c_out = kernels.shape
-    if x.ndim != 3 or grad_out.shape != (x.shape[0], x.shape[1], c_out):
-        raise ValueError(
-            f"grad shape {grad_out.shape} does not match forward output "
-            f"for input {x.shape} and {c_out} output channels"
-        )
     left, right = same_padding(k)
+    length = x.shape[1]
+    cost = k * c_in  # per position: the im2col
+    if callable(grad_out):
+        read = grad_out
+        # and the rows it returns, then the wider of the im2col and a recompute's scratch
+        forward_cost, forward_unit = _slice_cost(k, c_in, c_out)
+        cost = c_out + max(cost, -(-forward_cost // forward_unit))
+    else:
+        grad_out = np.asarray(grad_out, dtype=np.float64)
+        if x.ndim != 3 or grad_out.shape != (x.shape[0], length, c_out):
+            raise ValueError(
+                f"grad shape {grad_out.shape} does not match forward output "
+                f"for input {x.shape} and {c_out} output channels"
+            )
+
+        def read(series, lo, hi):
+            return grad_out[series, lo:hi]
     grad_x = None
     if input_grad:
         # grad_x[s] = sum_j (grad_out * scale)[s + left - j] @ kernels[j].T
         weights = kernels if scale is None else kernels * scale
-        grad_x = _correlate(grad_out, weights[::-1].transpose(0, 2, 1), right)
-        del weights  # a kernel-sized copy: the kernel gradient's slices set the peak
+        prepared = prepare_kernels(weights[::-1].transpose(0, 2, 1))
+        del weights  # the prepared copy is all the walk keeps
+        grad_x = np.empty(x.shape)
     # the kernel gradient is summed transposed: on one x86-64 core with
     # OpenBLAS 0.3.31, g.T @ cols ran at about 47 gflop/s where cols.T @ g
     # ran at 34-41 on the model's shapes
 
-    def product(item):
+    def step(item):
         series, positions = item
-        return grad_out[series, positions].reshape(-1, c_out).T @ _im2col(
+        start, stop = positions.start, positions.stop
+        lo, hi = (max(start - right, 0), min(stop + left, length)) if input_grad else (start, stop)
+        rows = read(series, lo, hi)
+        # a slice is whole series or part of one series, so these views are contiguous
+        product = rows[:, start - lo:stop - lo].reshape(-1, c_out).T @ _im2col(
             x, series, positions, k, left, relu)
+        if input_grad:  # in pieces of the slice, as slices cuts them for its own scratch
+            dest = grad_x[series, positions]
+            for part, span in slices(dest.shape, *prepared[2:]):
+                correlate_slice(rows, part, start - lo + span.start, right, prepared, None,
+                                dest[part, span])
+        return product
 
     grad_w_t = np.zeros((c_out, k * c_in))
-    for part in ordered_map(product, slices(x.shape, k * c_in), ahead=WORKERS):
+    for part in ordered_map(step, slices(x.shape, cost), ahead=WORKERS):
         grad_w_t += part
         del part  # so at most WORKERS products exist at once
     if scale is not None:

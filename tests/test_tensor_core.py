@@ -211,6 +211,42 @@ class TestConv1dSame:
         monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", rows * k * 2)
         assert_backward_matches_einsum(x, kernels, grad_out)
 
+    @pytest.mark.parametrize("elements", [1, 40, 200, 1 << 19])
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_reader_is_asked_once_per_slice_for_its_rows_and_halo(self, monkeypatch,
+                                                                   conv_path, elements,
+                                                                   input_grad):
+        # grad_out as a reader: one call per slice of the walk, for the
+        # slice's positions widened by the input gradient's halo (k - 1
+        # positions, clipped to [0, L)) if that gradient is computed; budgets
+        # of one position, two, a series or the batch. The gradients are the
+        # array's, but for the rounding of other slices, and the rows it
+        # returns are only read
+        rng = np.random.default_rng(19)
+        k, left, right = 4, *same_padding(4)
+        x, kernels = rng.normal(size=(3, 9, 2)), rng.normal(size=(k, 2, 3))
+        grad_out, scale = rng.normal(size=(3, 9, 3)), rng.normal(size=3)
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", elements)
+        calls, walks = [], []
+
+        def read(series, lo, hi):
+            calls.append((series, lo, hi))
+            return grad_out[series, lo:hi].copy()
+
+        slices = tensor_core.slices
+        monkeypatch.setattr(tensor_core, "slices",
+                            lambda *args: walks.append(list(slices(*args))) or walks[-1])
+        got = conv1d_same_backward(x, kernels, read, input_grad, scale=scale)
+        walk = walks[0]  # the walk's slices are cut first, then each slice's pieces
+        assert calls == [(series, max(p.start - right, 0), min(p.stop + left, 9)) if input_grad
+                         else (series, p.start, p.stop) for series, p in walk]
+        assert any(p.stop - p.start < 9 for _, p in walk) == (elements <= 40)
+        expected = conv1d_same_backward(x, kernels, grad_out, input_grad, scale=scale)
+        assert (got[0] is None) == (expected[0] is None) == (not input_grad)
+        for a, b in zip(got, expected, strict=True):
+            if a is not None:
+                assert max_rel_error(a, b) <= 1e-12
+
     def test_backward_memory_is_one_im2col_slice_beyond_its_gradients(self, monkeypatch):
         # the backward holds grad_x, the kernel gradient and, per worker, one
         # slice's scratch rows, padded copy and kernel-gradient product
@@ -469,8 +505,8 @@ class TestWorkers:
         return counts
 
     # 7 series of 9 positions: 54 floats per slice gives 7 one-series slices
-    # for the im2col forward and the kernel gradient, and 14 or 21 slices
-    # of part of a series for the rest; 30 gives 14 or 21 slices throughout
+    # for the backward's walk, sized by its im2col, and 14 or 21 slices of
+    # part of a series for the forward; 30 gives 14 or 21 slices throughout
     @pytest.mark.parametrize("elements", [30, 54])
     def test_conv_is_bitwise_the_same_at_every_worker_count(self, monkeypatch, conv_path,
                                                            elements):
@@ -486,8 +522,9 @@ class TestWorkers:
             monkeypatch.setattr(tensor_core, "WORKERS", workers)
             results.append((conv1d_same(x, kernels),
                             *conv1d_same_backward(x, kernels, grad_out, scale=scale)))
-        # forward, input gradient, kernel gradient per worker count
-        assert len(counts) == 9 and min(counts) >= 5
+        # forward and backward per worker count: the backward's one walk
+        # computes both of its gradients
+        assert len(counts) == 6 and min(counts) >= 5
         assert any(n % 2 for n in counts) and any(n % 3 for n in counts)
         for result in results[1:]:
             for got, expected in zip(result, results[0], strict=True):

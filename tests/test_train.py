@@ -184,6 +184,17 @@ class TestFit:
         with pytest.raises(ValueError, match="empty"):
             fit(model, empty, TrainRun(epochs=1, train_batch=4, eval_batch=4))
 
+    def test_rejects_empty_evaluation_split_before_any_work(self, monkeypatch):
+        # each epoch ends with an evaluation, which has nothing to score
+        model = build(ArchConfig(24, 2))
+        ds = make_synthetic_dataset()
+        empty = UcrDataset("empty", ds.train_x, ds.train_y, ds.test_x[:0], ds.test_y[:0],
+                           ds.label_map)
+        monkeypatch.setattr(train_mod.model_mod, "forward",
+                            lambda *args, **kwargs: pytest.fail("fit ran a forward pass"))
+        with pytest.raises(ValueError, match="evaluation split is empty"):
+            fit(model, empty, TrainRun(epochs=1, train_batch=4, eval_batch=4))
+
     def test_rejects_length_mismatch(self):
         model = build(ArchConfig(23, 2))
         with pytest.raises(ValueError, match="dataset length 24 != model series length 23"):
