@@ -16,6 +16,11 @@ in parsing shows on a line of its own:
 With ``--tensors`` it also prints one sha256 per tensor of each checkpoint
 (``gru final.ckpt conv0.bias: ...``), so a diff names the tensors that moved.
 
+Its first line names the kernel set that the OpenBLAS bundled in numpy's
+wheel picked for this CPU (``blas core: SkylakeX``), since the digests hold
+only for that set: two hosts that print different cores may round
+differently. It prints ``unknown`` where no such library names its core.
+
 It runs the ``grufcn`` of its own checkout with one BLAS thread, so running
 it in two checkouts and diffing the output compares them:
 
@@ -31,6 +36,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads: the digests depend on it
 
 import argparse
+import ctypes
 import hashlib
 import io
 import tempfile
@@ -40,6 +46,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
 import synth  # noqa: E402
 from grufcn.cli import main as grufcn  # noqa: E402
 from grufcn.data_ucr import make_dataset  # noqa: E402
@@ -55,6 +62,21 @@ RUNS = {  # cell -> (dataset, length, classes, n_train, n_test)
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def blas_core() -> str:
+    """The OpenBLAS core name, read through ctypes from the library in
+    numpy.libs: scipy-openblas wheels export it with a prefix and suffix,
+    other builds as openblas_get_corename."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
 
 
 def run(argv) -> str:
@@ -97,6 +119,7 @@ def main() -> int:
     parser.add_argument("--tensors", action="store_true",
                         help="also print one digest per checkpoint tensor")
     args = parser.parse_args()
+    print(f"blas core: {blas_core()}")
     for cell in [args.cell] if args.cell else sorted(RUNS):
         with tempfile.TemporaryDirectory() as tmp:
             for name, digest in digests(cell, Path(tmp), args.tensors).items():

@@ -84,8 +84,9 @@ def _run_settings(args):
 
 def cmd_train(args) -> int:
     _check_flags(args)
-    dataset = data_ucr.make_dataset(*_split_files(args))
-    epochs, train_batch, test_batch = _run_settings(args)
+    files = _split_files(args)
+    epochs, train_batch, test_batch = _run_settings(args)  # refuses before the splits parse
+    dataset = data_ucr.make_dataset(*files)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = model_mod.ArchConfig(series_length=dataset.series_length,

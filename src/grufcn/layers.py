@@ -11,9 +11,10 @@ writes the conv's output gradient over the gradient it is handed. Training
 runs the conv blocks one after the other over the whole batch, and keeps
 neither block 0's y, one conv of a one-channel input, which block 1's
 backward recomputes once its own y is freed, nor the last block's, which
-its backward recomputes a slice at a time from its input and two sums the
-pooling takes. Both modes pool in global_avg_pool, which at inference runs
-the blocks depth first, a tile of positions at a time.
+its conv backward recomputes a slice at a time and maps to its gradient
+with two sums the pooling takes. Both modes pool in global_avg_pool,
+which at inference runs the blocks depth first, a tile of positions at a
+time.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
       (_output_grad), so grad_out must be writable.
     - The last block's cache holds the pooled sums instead (conv_branch),
       and takes grad_out, the (B, Cout) gradient of the pooled features;
-      the conv backward reads the output gradient a slice at a time from a
-      reader that recomputes y (_pooled_output_grad).
+      the conv backward recomputes y a slice at a time and turns its rows
+      into the output gradient with a map (_pooled_output_grad).
     """
     block: ConvBlock = cache["block"]
     if "pool_sums" in cache:
@@ -179,39 +180,33 @@ def _output_grad(cache, grad_out: np.ndarray):
 
 
 def _pooled_output_grad(cache, grad_pooled: np.ndarray):
-    """(gamma's and beta's gradients, the block input, a reader of the
-    conv's output gradient before a), from the last block's cache, which
-    holds the pooling's sums (S0, S1) instead of y. Its dz is grad_pooled /
-    L wherever the gate passes, so Σdz = Σ_b dz * S0 and Σdz * y = Σ_b dz *
-    S1 before any row is read. The reader recomputes the rows of y that
-    conv1d_same_backward asks for, with the forward's correlate_slice on the
-    block's input, and writes dz - y * c + shift over them: no block-sized
-    array of y or of its gradient exists."""
+    """(gamma's and beta's gradients, the block input, a map of the conv's
+    output rows to their gradient before a), from the last block's cache,
+    which holds the pooling's sums (S0, S1) instead of y. Its dz is
+    grad_pooled / L wherever the gate passes, so Σdz = Σ_b dz * S0 and Σdz
+    * y = Σ_b dz * S1 before any row is read. conv1d_same_backward hands
+    the map the rows of y it recomputes, which it gates by a * y + b > 0
+    and turns in place into dz - y * c + shift: no block-sized array of y
+    or of its gradient exists."""
     count, dot = cache["pool_sums"]
     if grad_pooled.shape != count.shape:
         raise ValueError(f"grad shape {grad_pooled.shape} != pooled shape {count.shape}")
     del cache["pool_sums"]
-    x, (a, b), relu = _block_input(cache), cache["ab"], cache["relu"]
+    x, (a, b) = _block_input(cache), cache["ab"]
     dz = grad_pooled / x.shape[1]
     grad_beta, grad_y_dot = np.einsum("bc,bc->c", dz, count), np.einsum("bc,bc->c", dz, dot)
     grad_gamma, c, shift = _coupling(cache, grad_y_dot, grad_beta, x.shape[0] * x.shape[1])
-    kernels = cache["block"].kernels
-    prepared, left = tensor_core.prepare_kernels(kernels), tensor_core.same_padding(len(kernels))[0]
 
-    def read(series, lo, hi):
-        passed = dz[series, None]  # dz at every position of a series the gate passes
-        rows = tensor_core.correlate_slice(x, series, lo, left, prepared, relu,
-                                           np.empty((len(passed), hi - lo, kernels.shape[2])))
+    def of_output(rows, series):
         scratch = np.multiply(rows, a)
         scratch += b
         gate = scratch > 0
         np.multiply(rows, c, out=scratch)
-        rows = np.multiply(passed, gate, out=rows)
+        np.multiply(dz[series, None], gate, out=rows)  # dz at every position the gate passes
         rows -= scratch
         rows += shift
-        return rows
 
-    return grad_gamma, grad_beta, x, read
+    return grad_gamma, grad_beta, x, of_output
 
 
 def _block_input(cache) -> np.ndarray:

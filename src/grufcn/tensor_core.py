@@ -9,10 +9,11 @@ and the inference tiles that run every block on a few positions alike,
 walks the slices that `slices` cuts to IM2COL_ELEMENTS floats, on a pool
 of WORKERS threads, which the first such pass starts if WORKERS > 1. That
 changes no result: the slices depend on IM2COL_ELEMENTS alone, and their
-partial sums are added in slice order. A conv forward, its input gradient
-and each inference tile run one per-slice routine, correlate_slice, on
-kernels that prepare_kernels has transformed once for the path their shape
-picks: im2col GEMMs, or Winograd F(4, k) GEMMs.
+partial sums are added in slice order. A conv forward, its recompute in a
+backward, its input gradient and each inference tile run one per-slice
+routine, correlate_slice, on kernels that prepare_kernels has transformed
+once for the path their shape picks: im2col GEMMs, or Winograd F(4, k)
+GEMMs.
 A conv reads its input either as given or through a per-channel ReLU(a * x
 + b), the form in which a conv block hands on its output (_bn_relu). A
 training block's conv also returns its output's per-channel mean and
@@ -210,17 +211,6 @@ def _winograd_matrices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a.T, b_t, g
 
 
-def _slice_cost(k: int, c_in: int, c_out: int) -> tuple[int, int]:
-    """(cost, unit): the floats one correlate_slice slice holds per unit
-    output positions, on the path prepare_kernels picks for (k, Cin, Cout)
-    kernels."""
-    if k <= 5 and c_in >= WINOGRAD_MIN_CHANNELS:
-        # per tile: v, m and the padded copy (4n + k - 1 <= 8n positions for n tiles)
-        return (k + 11) * c_in + (k + 3) * c_out, 4
-    # per position: its window, then its output row, which moments copies centred
-    return k * c_in + c_out, 1
-
-
 def prepare_kernels(kernels: np.ndarray):
     """(k, w, cost, unit): the (k, Cin, Cout) kernels as correlate_slice reads
     them, and the floats one of its slices holds per unit output positions.
@@ -229,11 +219,13 @@ def prepare_kernels(kernels: np.ndarray):
     Cout) im2col matrix, unit 1. A caller that runs many slices prepares its
     kernels once."""
     k, c_in, c_out = kernels.shape
-    cost, unit = _slice_cost(k, c_in, c_out)
-    if unit == 4:
+    if k <= 5 and c_in >= WINOGRAD_MIN_CHANNELS:
+        alpha = k + 3
         u = np.matmul(_winograd_matrices(k)[2], kernels.reshape(k, -1))
-        return k, u.reshape(k + 3, c_in, c_out), cost, unit
-    return k, kernels.reshape(k * c_in, c_out), cost, unit
+        # per tile: v, m and the padded copy (4n + k - 1 <= 8n positions for n tiles)
+        return k, u.reshape(alpha, c_in, c_out), (alpha + 8) * c_in + alpha * c_out, 4
+    # per position: its window, then its output row, which moments copies centred
+    return k, kernels.reshape(k * c_in, c_out), k * c_in + c_out, 1
 
 
 def correlate_slice(x: np.ndarray, series: slice, start: int, left: int, prepared,
@@ -335,10 +327,13 @@ def conv1d_same_backward(
     its kernels; the bias gradient, grad_out's channel sums, is not computed.
 
     x is the forward's (B, L, Cin) input. grad_out is the (B, L, Cout)
-    gradient of its output, or a reader of it: read(series, lo, hi)
-    returns a (S, hi - lo, Cout) array of grad_out[series, lo:hi], called
-    once per slice, with lo and hi the slice's positions widened by the
-    input gradient's k - 1 halo (if input_grad) and clipped to [0, L).
+    gradient of its output y = conv1d_same(x, kernels, relu=relu), or a map
+    of_output(rows, series) that turns rows of y in place into the same
+    rows of grad_out. Then for each slice the walk recomputes y[series,
+    lo:hi] with the forward's correlate_slice, into a (S, hi - lo, Cout)
+    array that it hands to the map once, with lo and hi the slice's
+    positions widened by the input gradient's k - 1 halo (if input_grad)
+    and clipped to [0, L); neither y nor grad_out ever exists whole.
     With a pair of (Cin,) vectors relu = (a, b), x is instead what the
     forward read its input from, ReLU(a * x + b) as in conv1d_same: each
     slice rebuilds its input rows into the padded copy it makes anyway, so
@@ -348,16 +343,15 @@ def conv1d_same_backward(
     scale (prepared once, from a kernel-sized copy) and mirrored padding,
     and the kernel gradient scales its (Cout, k * Cin) sum.
 
-    One walk over the slices of x does both, so a reader is called once
-    per slice: each slice adds the GEMM of its grad_out rows, transposed,
+    One walk over the slices of x does both, so a map is called once per
+    slice: each slice adds the GEMM of its grad_out rows, transposed,
     with its im2col of x (all k taps at once) to the kernel gradient, in
     slice order, then writes its rows of the input gradient with
     correlate_slice, in the pieces that slices cuts the slice into for
     that scratch. The slices hold k * Cin floats per position, the im2col;
-    with a reader, also the rows it returns and, where wider than the
-    im2col, the scratch of the forward conv, which a reader that
-    recomputes the conv's output runs. So the result is the same at any
-    WORKERS, with or without the input gradient.
+    with a map, also the recomputed rows and, where wider than the im2col,
+    the forward conv's scratch. So the result is the same at any WORKERS,
+    with or without the input gradient.
     """
     x = np.asarray(x, dtype=np.float64)
     k, c_in, c_out = kernels.shape
@@ -365,10 +359,15 @@ def conv1d_same_backward(
     length = x.shape[1]
     cost = k * c_in  # per position: the im2col
     if callable(grad_out):
-        read = grad_out
-        # and the rows it returns, then the wider of the im2col and a recompute's scratch
-        forward_cost, forward_unit = _slice_cost(k, c_in, c_out)
-        cost = c_out + max(cost, -(-forward_cost // forward_unit))
+        of_output, forward = grad_out, prepare_kernels(kernels)
+        # and the recomputed rows, then the wider of the im2col and the forward's scratch
+        cost = c_out + max(cost, -(-forward[2] // forward[3]))
+
+        def read(series, lo, hi):
+            rows = correlate_slice(x, series, lo, left, forward, relu,
+                                   np.empty((len(x[series]), hi - lo, c_out)))
+            of_output(rows, series)
+            return rows
     else:
         grad_out = np.asarray(grad_out, dtype=np.float64)
         if x.ndim != 3 or grad_out.shape != (x.shape[0], length, c_out):

@@ -108,18 +108,18 @@ def evaluate(net: GruFcnModel, x: np.ndarray, y: np.ndarray,
 def fit(net: GruFcnModel, dataset, run: TrainRun) -> TrainRun:
     """Train for run.epochs epochs of seeded-shuffle mini-batches; after each
     epoch run a full inference pass on the evaluation split and checkpoint
-    whenever its loss improves. An empty split is refused before any work."""
+    whenever its loss improves. An empty split, or one of another length than
+    the model's, is refused before any work."""
     for name in ("train_batch", "eval_batch"):
         if getattr(run, name) < 1:
             raise ValueError(f"{name} must be at least 1, got {getattr(run, name)}")
     for split, x in (("training", dataset.train_x), ("evaluation", dataset.test_x)):
         if x.shape[0] == 0:
             raise ValueError(f"{split} split is empty")
-    if dataset.train_x.shape[1] != net.config.series_length:
-        raise ValueError(
-            f"dataset length {dataset.train_x.shape[1]} != model series length "
-            f"{net.config.series_length}"
-        )
+    for split, x in (("dataset", dataset.train_x), ("evaluation split", dataset.test_x)):
+        if x.shape[1] != net.config.series_length:
+            raise ValueError(f"{split} length {x.shape[1]} != model series length "
+                             f"{net.config.series_length}")
     n = dataset.train_x.shape[0]
     train_hot = one_hot(dataset.train_y, net.config.num_classes)
     adam = AdamState()

@@ -517,6 +517,24 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {given} needs {missing} as well\n"
         assert not out_dir.exists()
 
+    def test_unknown_dataset_under_root_is_refused_before_parsing(self, synthetic_splits,
+                                                                  tmp_path, monkeypatch,
+                                                                  capsys):
+        # both split files exist under --root, but no registry entry gives
+        # the run's settings: neither split is parsed
+        train, test = synthetic_splits
+        root = tmp_path / "archive"
+        root.mkdir()
+        (root / "Foo_TRAIN.tsv").write_bytes(train.read_bytes())
+        (root / "Foo_TEST.tsv").write_bytes(test.read_bytes())
+        monkeypatch.setattr(data_ucr, "load_split",
+                            lambda path: pytest.fail(f"{path} parsed before the refusal"))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--dataset", "Foo", "--root", str(root),
+                     "--out", str(out_dir)]) == 1
+        assert "unknown dataset 'Foo'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_diverging_run_is_one_error_line_without_traceback(self, synthetic_splits,
                                                                tmp_path):
         # the weights overflow within the first steps; the CLI runs as a

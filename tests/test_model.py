@@ -535,9 +535,9 @@ class TestBackward:
             assert_grad_close(grads[name], numeric, 1e-4, name)
 
     def test_first_block_input_gradient_is_skipped(self, monkeypatch):
-        # each block runs one conv backward, the last block's on a reader of
-        # its output gradient, and block 0's computes no gradient of the
-        # data, which no layer reads
+        # each block runs one conv backward, the last block's on a map of
+        # its output rows to their gradient, not an array, and block 0's
+        # computes no gradient of the data, which no layer reads
         model = build(ArchConfig(20, 2, dropout_rate=0.0, seed=1))
         x = np.random.default_rng(3).normal(size=(4, 20))
         _, cache = forward(model, x, training=True, rng=Rng(0))

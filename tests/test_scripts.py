@@ -38,7 +38,8 @@ def test_parity_script_prints_digests():
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    lines = result.stdout.splitlines()
+    core, *lines = result.stdout.splitlines()
+    assert re.fullmatch(r"blas core: \S+", core)  # the kernel set the digests hold for
     names = ["history.csv", "best.ckpt", "final.ckpt", "train stdout", "eval stdout",
              "split arrays"]
     assert [line.rsplit(": ", 1)[0] for line in lines] == [f"gru {n}" for n in names]
@@ -51,7 +52,9 @@ def test_parity_script_prints_tensor_digests():
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    names = [line.rsplit(": ", 1)[0] for line in result.stdout.splitlines()]
+    core, *lines = result.stdout.splitlines()
+    assert re.fullmatch(r"blas core: \S+", core)
+    names = [line.rsplit(": ", 1)[0] for line in lines]
     assert names[:6] == [f"gru {n}" for n in ("history.csv", "best.ckpt", "final.ckpt",
                                               "train stdout", "eval stdout", "split arrays")]
     tensors = [n for n in names[6:] if n.startswith("gru final.ckpt ")]

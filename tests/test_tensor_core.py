@@ -213,35 +213,49 @@ class TestConv1dSame:
 
     @pytest.mark.parametrize("elements", [1, 40, 200, 1 << 19])
     @pytest.mark.parametrize("input_grad", [True, False])
-    def test_reader_is_asked_once_per_slice_for_its_rows_and_halo(self, monkeypatch,
-                                                                   conv_path, elements,
-                                                                   input_grad):
-        # grad_out as a reader: one call per slice of the walk, for the
-        # slice's positions widened by the input gradient's halo (k - 1
-        # positions, clipped to [0, L)) if that gradient is computed; budgets
-        # of one position, two, a series or the batch. The gradients are the
-        # array's, but for the rounding of other slices, and the rows it
-        # returns are only read
+    def test_map_is_handed_the_outputs_rows_once_per_slice(self, monkeypatch, conv_path,
+                                                           elements, input_grad):
+        # grad_out as a map of the output's rows: one call per slice of the
+        # walk, with the conv's own rows at the slice's positions widened by
+        # the input gradient's halo (k - 1 positions, clipped to [0, L)) if
+        # that gradient is computed; budgets of one position, two, a series
+        # or the batch. On small integers im2col sums exactly, so its rows
+        # are bitwise the forward's; Winograd's tiles start where the slice
+        # does, so they round unlike the forward's. The gradients are the
+        # array's, but for the rounding of other slices
         rng = np.random.default_rng(19)
         k, left, right = 4, *same_padding(4)
-        x, kernels = rng.normal(size=(3, 9, 2)), rng.normal(size=(k, 2, 3))
-        grad_out, scale = rng.normal(size=(3, 9, 3)), rng.normal(size=3)
+        x = rng.integers(-3, 4, size=(3, 9, 2)).astype(float)
+        kernels = rng.integers(-3, 4, size=(k, 2, 3)).astype(float)
+        relu = rng.integers(-2, 3, size=2).astype(float), rng.integers(-2, 3, size=2).astype(float)
+        weight, shift, scale = rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal(size=3)
+        y = conv1d_same(x, kernels, relu=relu)
+        assert 0 < np.count_nonzero(y) < y.size
         monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", elements)
         calls, walks = [], []
 
-        def read(series, lo, hi):
-            calls.append((series, lo, hi))
-            return grad_out[series, lo:hi].copy()
+        def of_output(rows, series):
+            calls.append((series, rows.copy()))
+            rows *= weight[series, None]
+            rows += shift
 
         slices = tensor_core.slices
         monkeypatch.setattr(tensor_core, "slices",
                             lambda *args: walks.append(list(slices(*args))) or walks[-1])
-        got = conv1d_same_backward(x, kernels, read, input_grad, scale=scale)
+        got = conv1d_same_backward(x, kernels, of_output, input_grad, scale=scale, relu=relu)
         walk = walks[0]  # the walk's slices are cut first, then each slice's pieces
-        assert calls == [(series, max(p.start - right, 0), min(p.stop + left, 9)) if input_grad
-                         else (series, p.start, p.stop) for series, p in walk]
+        assert [series for series, _ in calls] == [series for series, _ in walk]
         assert any(p.stop - p.start < 9 for _, p in walk) == (elements <= 40)
-        expected = conv1d_same_backward(x, kernels, grad_out, input_grad, scale=scale)
+        for (series, p), (_, rows) in zip(walk, calls, strict=True):
+            lo, hi = (max(p.start - right, 0), min(p.stop + left, 9)) if input_grad else (
+                p.start, p.stop)
+            assert rows.shape == y[series, lo:hi].shape
+            if conv_path == "im2col":
+                assert np.array_equal(rows, y[series, lo:hi])
+            else:
+                assert max_rel_error(rows, y[series, lo:hi]) <= 1e-12
+        grad_out = y * weight[:, None] + shift
+        expected = conv1d_same_backward(x, kernels, grad_out, input_grad, scale=scale, relu=relu)
         assert (got[0] is None) == (expected[0] is None) == (not input_grad)
         for a, b in zip(got, expected, strict=True):
             if a is not None:

@@ -201,6 +201,19 @@ class TestFit:
             fit(model, make_synthetic_dataset(),
                 TrainRun(epochs=1, train_batch=4, eval_batch=4))
 
+    def test_rejects_evaluation_length_mismatch_before_any_work(self, monkeypatch):
+        # the training split fits the model, but the evaluation that ends
+        # each epoch could not run on the other
+        model = build(ArchConfig(24, 2))
+        ds = make_synthetic_dataset()
+        shorter = UcrDataset("shorter", ds.train_x, ds.train_y, ds.test_x[:, :20], ds.test_y,
+                             ds.label_map)
+        monkeypatch.setattr(train_mod.model_mod, "forward",
+                            lambda *args, **kwargs: pytest.fail("fit ran a forward pass"))
+        with pytest.raises(ValueError,
+                           match="evaluation split length 20 != model series length 24"):
+            fit(model, shorter, TrainRun(epochs=1, train_batch=4, eval_batch=4))
+
     @pytest.mark.parametrize("field", ["train_batch", "eval_batch"])
     @pytest.mark.parametrize("size", [0, -1])
     def test_batch_below_one_is_refused_before_any_work(self, monkeypatch, field, size):
