@@ -36,7 +36,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads: the digests depend on it
 
 import argparse
-import ctypes
 import hashlib
 import io
 import tempfile
@@ -46,11 +45,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-import numpy as np  # noqa: E402
 import synth  # noqa: E402
 from grufcn.cli import main as grufcn  # noqa: E402
 from grufcn.data_ucr import make_dataset  # noqa: E402
 from grufcn.model import load_checkpoint  # noqa: E402
+from grufcn.tensor_core import blas_core  # noqa: E402
 
 SEED = 3
 EPOCHS = 3
@@ -62,21 +61,6 @@ RUNS = {  # cell -> (dataset, length, classes, n_train, n_test)
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def blas_core() -> str:
-    """The OpenBLAS core name, read through ctypes from the library in
-    numpy.libs: scipy-openblas wheels export it with a prefix and suffix,
-    other builds as openblas_get_corename."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-            corename = getattr(lib, symbol, None)
-            if corename is not None:
-                corename.restype = ctypes.c_char_p
-                return corename().decode()
-    return "unknown"
 
 
 def run(argv) -> str:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data_ucr, metrics, model as model_mod, train as train_mod
+from . import data_ucr, metrics, model as model_mod, tensor_core, train as train_mod
 
 ROOT_ENV_VAR = "GRUFCN_UCR_ROOT"
 
@@ -116,6 +116,9 @@ def cmd_train(args) -> int:
         "final_test_error": test_error,
         "final_test_f1_macro": test_f1,
         "wall_clock_seconds": elapsed,
+        # the results are bitwise the same for one BLAS kernel set, at any worker count
+        "blas_core": tensor_core.blas_core(),
+        "workers": tensor_core.WORKERS,
     }
     model_mod.write_atomic(out_dir / "summary.json",
                            [(json.dumps(summary, indent=2) + "\n").encode("utf-8")])

@@ -404,14 +404,19 @@ def global_avg_pool(h: np.ndarray, relu: tuple[np.ndarray, np.ndarray] | None,
     that the last block's backward reads instead of y.
 
     Tiles are tensor_core.slices of the (B, L) positions, at the most
-    floats per position a tile holds: h's C, or a block's input rows, its
-    conv's scratch and its output rows. Each tile runs in one pool thread:
-    it widens each earlier block's range by the later blocks' same_padding
-    halos, clipped to [0, L), runs each block's conv (correlate_slice, on
-    kernels prepared once) on the previous rows, and sums the last rows'
-    ReLU over time (_bn_relu): in place over a conv's tile output, or into
-    a scratch over h, which it then reuses for S1. The sums are added in
-    tile order and the features divided by L: the same at any WORKERS.
+    floats per position a tile's step counts: h's C, or a block's input
+    rows, its conv's scratch and its output rows. Each tile runs in one
+    pool thread: it widens each earlier block's range by the later blocks'
+    same_padding halos, clipped to [0, L), runs each block's conv
+    (correlate_slice, on kernels prepared once) on the previous rows, and
+    sums the last rows' ReLU over time (_bn_relu): in place over a conv's
+    tile output, or into a scratch over h, which it then reuses for S1. The
+    sums are added in tile order and the features divided by L: the same
+    at any WORKERS. The tile hands each block's output rows over to the
+    next conv, which frees them once padded, as it frees its own scratch
+    after its last reader, so the count sizes the tiles but a running tile
+    holds less: 0.53 of IM2COL_ELEMENTS beyond the prepared kernels at
+    HandOutlines' shape.
     """
     length, steps, widest = h.shape[1], [], h.shape[2]
     if length == 0:
@@ -429,13 +434,14 @@ def global_avg_pool(h: np.ndarray, relu: tuple[np.ndarray, np.ndarray] | None,
         ranges = [(positions.start, min(positions.stop, length))]
         for _, (left, right), _ in reversed(steps[1:]):
             ranges.insert(0, (max(ranges[0][0] - left, 0), min(ranges[0][1] + right, length)))
-        rows, start, ab = h[series], 0, relu  # rows holds positions start onwards
+        # held is the only reference to the rows of positions start onwards,
+        # which the next conv drops once it has padded them
+        held, start, ab = [h[series]], 0, relu
         for (lo, hi), (prepared, (left, _), folded) in zip(ranges, steps):
-            out = np.empty((len(rows), hi - lo, prepared[1].shape[-1]))
-            rows = tensor_core.correlate_slice(rows, slice(None), lo - start, left, prepared,
-                                               ab, out)
+            held = [tensor_core.correlate_slice(held, slice(None), slice(lo - start, hi - start),
+                                                left, prepared, ab)]
             start, ab = lo, folded
-        rows = rows[:, ranges[-1][0] - start:ranges[-1][1] - start]
+        rows = held.pop()[:, ranges[-1][0] - start:ranges[-1][1] - start]
         if steps:  # a conv's own tile output takes the ReLU in place
             return (tensor_core._bn_relu(rows, *ab, rows).sum(axis=1),)
         out = tensor_core._bn_relu(rows, *ab, np.empty(rows.shape))

@@ -13,7 +13,8 @@ partial sums are added in slice order. A conv forward, its recompute in a
 backward, its input gradient and each inference tile run one per-slice
 routine, correlate_slice, on kernels that prepare_kernels has transformed
 once for the path their shape picks: im2col GEMMs, or Winograd F(4, k)
-GEMMs.
+GEMMs, and frees each scratch array after its last reader. The bits are
+those of one BLAS kernel set, which blas_core names.
 A conv reads its input either as given or through a per-channel ReLU(a * x
 + b), the form in which a conv block hands on its output (_bn_relu). A
 training block's conv also returns its output's per-channel mean and
@@ -56,6 +57,25 @@ def worker_count() -> int:
 
 
 WORKERS = worker_count()
+
+
+def blas_core() -> str:
+    """The kernel set that the OpenBLAS in numpy.libs picked for this CPU
+    (``SkylakeX``), which bitwise determinism holds for: scipy-openblas
+    wheels export its name with a prefix and suffix, other builds as
+    openblas_get_corename. ``unknown`` where no such library names it."""
+    import ctypes
+    from pathlib import Path
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
 
 
 @functools.cache
@@ -170,22 +190,23 @@ def _padded(x: np.ndarray, series: slice, positions: slice, k: int, left: int,
 
 
 def _windows(padded: np.ndarray, taps: int, step: int) -> np.ndarray:
-    """The read-only (S, n, taps, C) view of the (S, P, C) array padded whose
-    window i is rows i * step to i * step + taps - 1, for the n that fit."""
+    """The read-only (S, n, taps, C) view of the contiguous (S, P, C) array
+    padded whose window i is rows i * step to i * step + taps - 1, for the n
+    that fit. The view holds padded alive until it is dropped."""
     s0, s1, s2 = padded.strides
     n = (padded.shape[1] - taps) // step + 1
-    return np.lib.stride_tricks.as_strided(
-        padded, (padded.shape[0], n, taps, padded.shape[2]), (s0, step * s1, s1, s2),
-        writeable=False)
+    view = np.ndarray((padded.shape[0], n, taps, padded.shape[2]), padded.dtype,
+                      buffer=padded, strides=(s0, step * s1, s1, s2))
+    view.flags.writeable = False
+    return view
 
 
-def _im2col(x: np.ndarray, series: slice, positions: slice, k: int, left: int,
-            relu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Each covered (series, position) pair's window of the (B, L, Cin)
-    input x, zero-padded x[b, t - left + j, :] for taps j = 0..k-1, as a
-    row, tap-major; x is read through relu as in _padded."""
-    windows = _windows(_padded(x, series, positions, k, left, relu), k, 1)
-    cols = np.empty((windows.shape[0] * windows.shape[1], k * x.shape[2]))
+def _im2col(padded: np.ndarray, k: int) -> np.ndarray:
+    """The (S * n, k * C) im2col of the (S, n + k - 1, C) array padded: the
+    window of each of its n output positions, rows t to t + k - 1, as a
+    row, tap-major."""
+    windows = _windows(padded, k, 1)
+    cols = np.empty((windows.shape[0] * windows.shape[1], k * padded.shape[2]))
     np.copyto(cols.reshape(windows.shape), windows)
     return cols
 
@@ -213,46 +234,75 @@ def _winograd_matrices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def prepare_kernels(kernels: np.ndarray):
     """(k, w, cost, unit): the (k, Cin, Cout) kernels as correlate_slice reads
-    them, and the floats one of its slices holds per unit output positions.
-    With k <= 5 and Cin >= WINOGRAD_MIN_CHANNELS, w is the (k + 3, Cin, Cout)
-    G-transformed kernels of Winograd F(4, k), unit 4; else w is the (k * Cin,
-    Cout) im2col matrix, unit 1. A caller that runs many slices prepares its
-    kernels once."""
+    them, and the floats of scratch one of its slices counts per unit output
+    positions, which sizes the slices. With k <= 5 and Cin >=
+    WINOGRAD_MIN_CHANNELS, w is the (k + 3, Cin, Cout) G-transformed kernels
+    of Winograd F(4, k), unit 4; else w is the (k * Cin, Cout) im2col
+    matrix, unit 1. The cost counts every scratch array of the slice, though
+    correlate_slice frees each after its last reader, so fewer are live at
+    once. A caller that runs many slices prepares its kernels once."""
     k, c_in, c_out = kernels.shape
     if k <= 5 and c_in >= WINOGRAD_MIN_CHANNELS:
         alpha = k + 3
         u = np.matmul(_winograd_matrices(k)[2], kernels.reshape(k, -1))
-        # per tile: v, m and the padded copy (4n + k - 1 <= 8n positions for n tiles)
+        # per tile: v, m and the padded copy (4n + k - 1 <= 8n positions for n
+        # tiles), of which at most two are live at once
         return k, u.reshape(alpha, c_in, c_out), (alpha + 8) * c_in + alpha * c_out, 4
     # per position: its window, then its output row, which moments copies centred
     return k, kernels.reshape(k * c_in, c_out), k * c_in + c_out, 1
 
 
-def correlate_slice(x: np.ndarray, series: slice, start: int, left: int, prepared,
-                    relu: tuple[np.ndarray, np.ndarray] | None, dest: np.ndarray) -> np.ndarray:
-    """dest, a contiguous (S, n, Cout) array, filled with output positions
-    start to start + n of the correlation, without bias, of x[series], read
-    through relu as in _padded and zero outside x, with kernels as
-    prepare_kernels returned them: out[t] = sum_j x[t - left + j] @
-    kernels[j]. im2col: one (n x k * Cin) @ (k * Cin x Cout) GEMM. Winograd:
-    B^T on each tile of 4 outputs' k + 3 inputs, k + 3 (tiles x Cin) @ (Cin x
-    Cout) GEMMs, then A^T; the last tile's inputs may reach past start + n +
-    k - 1 - left, and its outputs past n are dropped. It starts no thread."""
+def correlate_slice(x: np.ndarray | list[np.ndarray], series: slice, positions: slice,
+                    left: int, prepared, relu: tuple[np.ndarray, np.ndarray] | None,
+                    dest: np.ndarray | None = None) -> np.ndarray:
+    """The (S, n, Cout) output positions positions.start to positions.start
+    + n of the correlation, without bias, of x[series], read through relu as
+    in _padded and zero outside x, with kernels as prepare_kernels returned
+    them: out[t] = sum_j x[t - left + j] @ kernels[j]. Given dest, a
+    contiguous (S, n, Cout) array, it fills and returns dest, and positions
+    may reach past n, as slices cuts them; else n spans positions, and the
+    output is a new array, allocated once the GEMMs have run. im2col: one
+    (n x k * Cin) @ (k * Cin x Cout) GEMM. Winograd: B^T on each tile of 4
+    outputs' k + 3 inputs, k + 3 (tiles x Cin) @ (Cin x Cout) GEMMs, then
+    A^T; the last tile's inputs may reach past positions.start + n + k - 1
+    - left, and its outputs past n are dropped. It starts no thread.
+
+    Each array is freed after its last reader: the padded copy, and the
+    windows view that holds it, once the im2col or B^T has read it, and
+    Winograd's v once its GEMMs have run. x may be a one-element list
+    holding the input, which correlate_slice empties, so that a caller that
+    keeps no other reference hands the input over and it is freed once
+    padded. So at most two of the input, the padded copy, the im2col or v,
+    m and the output are live at once."""
     k, w, _, unit = prepared
-    n, c_out = dest.shape[1], w.shape[-1]
-    positions = slice(start, start + -(-n // unit) * unit)
+    n = positions.stop - positions.start if dest is None else dest.shape[1]
+    c_out = w.shape[-1]
+    if isinstance(x, list):
+        x = x.pop()
+    padded = _padded(x, series, slice(positions.start, positions.start + -(-n // unit) * unit),
+                     k, left, relu)
+    del x
     if unit == 1:
-        np.matmul(_im2col(x, series, positions, k, left, relu), w, out=dest.reshape(-1, c_out))
+        cols = _im2col(padded, k)
+        del padded
+        if dest is None:
+            return np.matmul(cols, w).reshape(-1, n, c_out)
+        np.matmul(cols, w, out=dest.reshape(-1, c_out))
         return dest
     alpha = k + 3
     a_t, b_t, _ = _winograd_matrices(k)
-    windows = _windows(_padded(x, series, positions, k, left, relu), alpha, 4)
-    shape = windows.shape[:2]
-    count = shape[0] * shape[1]
-    v, m = np.empty((count, alpha, x.shape[2])), np.empty((count, alpha, c_out))
-    np.matmul(b_t, windows, out=v.reshape(shape + (alpha, x.shape[2])))
+    windows = _windows(padded, alpha, 4)
+    del padded
+    shape, c_in = windows.shape[:2], windows.shape[3]
+    v = np.empty((shape[0] * shape[1], alpha, c_in))
+    np.matmul(b_t, windows, out=v.reshape(shape + (alpha, c_in)))
+    del windows
+    m = np.empty((len(v), alpha, c_out))
     np.matmul(v.swapaxes(0, 1), w, out=m.swapaxes(0, 1))
-    # tile i's row j is output position start + 4i + j; the last may be cut
+    del v
+    if dest is None:
+        dest = np.empty((shape[0], n, c_out))
+    # tile i's row j is output position positions.start + 4i + j; the last may be cut
     products, full = m.reshape(shape + (alpha, c_out)), n // 4
     np.matmul(a_t, products[:, :full],
               out=dest[:, :4 * full].reshape(shape[:1] + (full, 4, c_out)))
@@ -276,7 +326,7 @@ def _correlate(x: np.ndarray, kernels: np.ndarray, left: int,
     def task(item):
         series, positions = item
         # a slice is whole series or part of one series, so this view is contiguous
-        rows = correlate_slice(x, series, positions.start, left, prepared, relu,
+        rows = correlate_slice(x, series, positions, left, prepared, relu,
                                out[series, positions]).reshape(-1, out.shape[2])
         if moments:
             mean = rows.mean(axis=0)
@@ -364,8 +414,7 @@ def conv1d_same_backward(
         cost = c_out + max(cost, -(-forward[2] // forward[3]))
 
         def read(series, lo, hi):
-            rows = correlate_slice(x, series, lo, left, forward, relu,
-                                   np.empty((len(x[series]), hi - lo, c_out)))
+            rows = correlate_slice(x, series, slice(lo, hi), left, forward, relu)
             of_output(rows, series)
             return rows
     else:
@@ -396,12 +445,13 @@ def conv1d_same_backward(
         rows = read(series, lo, hi)
         # a slice is whole series or part of one series, so these views are contiguous
         product = rows[:, start - lo:stop - lo].reshape(-1, c_out).T @ _im2col(
-            x, series, positions, k, left, relu)
+            _padded(x, series, positions, k, left, relu), k)
         if input_grad:  # in pieces of the slice, as slices cuts them for its own scratch
             dest = grad_x[series, positions]
+            shift = start - lo  # rows[:, shift] is position start
             for part, span in slices(dest.shape, *prepared[2:]):
-                correlate_slice(rows, part, start - lo + span.start, right, prepared, None,
-                                dest[part, span])
+                correlate_slice(rows, part, slice(shift + span.start, shift + span.stop), right,
+                                prepared, None, dest[part, span])
         return product
 
     grad_w_t = np.zeros((c_out, k * c_in))

@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import importlib
 import inspect
 import io
@@ -399,6 +400,9 @@ class TestTrain:
         assert summary["parameter_count"] == 265944 + 24 * 16 + 137 * 2
         assert 0.0 <= summary["final_test_error"] <= 1.0
         assert summary["wall_clock_seconds"] > 0
+        # the kernel set and worker count the results' bits hold for
+        assert summary["blas_core"] == tensor_core.blas_core()
+        assert summary["workers"] == tensor_core.WORKERS
         history = (out_dir / "history.csv").read_text().splitlines()
         assert history[0] == "epoch,lr,train_loss,eval_loss,eval_error"
         assert len(history) == 3
@@ -441,6 +445,14 @@ class TestTrain:
         assert run_train(synthetic_splits, run_b, seed=2) == 0
         capsys.readouterr()
         assert (run_a / "final.ckpt").read_bytes() != (run_b / "final.ckpt").read_bytes()
+
+    def test_blas_core_is_unknown_without_the_librarys_symbols(
+            self, synthetic_splits, tmp_path, capsys, monkeypatch):
+        # a library that exports neither name of the core getter
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+        assert run_train(synthetic_splits, tmp_path, epochs=0) == 0
+        capsys.readouterr()
+        assert json.loads((tmp_path / "summary.json").read_text())["blas_core"] == "unknown"
 
     def test_zero_epochs_still_writes_artifacts(self, synthetic_splits, tmp_path, capsys):
         out_dir = tmp_path / "run"

@@ -678,8 +678,8 @@ class TestRebuiltBlockInputs:
 
     # The step's block arrays peak at 4 units, at three moments. Block 2's
     # conv backward holds block 1's y (2) and its input gradient (2): it
-    # keeps no y of its own and reads its output gradient from a reader that
-    # recomputes y2 a slice at a time. Block 1's gate and couple passes
+    # keeps no y of its own, and recomputes y2 a slice at a time and maps
+    # its rows to their gradient. Block 1's gate and couple passes
     # hold its y (2) and its incoming gradient (2); its conv backward holds
     # that gradient, y0 (1), recomputed only once y is freed, and its input
     # gradient (1). Slices, kernels and smaller arrays add a fixed amount,

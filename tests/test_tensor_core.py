@@ -377,6 +377,49 @@ class TestWinograd:
         grad_out = rng.normal(size=(3, length, 3))
         assert_backward_matches_einsum(x, kernels, grad_out)
 
+    @pytest.mark.parametrize("taps, step", [(1, 1), (4, 1), (8, 4), (6, 4)])
+    def test_windows_are_the_strided_view(self, taps, step):
+        # the read-only view of window i, rows i * step onwards, built
+        # without as_strided
+        padded = np.random.default_rng(13).normal(size=(3, 17, 5))
+        windows = tensor_core._windows(padded, taps, step)
+        n = (17 - taps) // step + 1
+        s0, s1, s2 = padded.strides
+        strided = np.lib.stride_tricks.as_strided(padded, (3, n, taps, 5),
+                                                  (s0, step * s1, s1, s2), writeable=False)
+        assert (windows.shape, windows.strides) == (strided.shape, strided.strides)
+        assert np.array_equal(windows, strided)
+        assert np.array_equal(windows, np.stack(
+            [padded[:, i * step:i * step + taps] for i in range(n)], axis=1))
+        assert not windows.flags.writeable
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("start, stop", [(0, 11), (3, 6), (2, 9)])
+    def test_slice_without_dest_is_bitwise_the_slice_into_dest(self, conv_path, start, stop,
+                                                                relu):
+        # the output allocated after the GEMMs, and an input handed over in
+        # a one-element list, which the slice empties, give the bits of a
+        # given dest, with positions cut to it or reaching past it
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(3, 11, 4))
+        kernels = rng.normal(size=(5, 4, 6))
+        ab = (rng.normal(size=4), rng.normal(size=4)) if relu else None
+        prepared, left = tensor_core.prepare_kernels(kernels), same_padding(5)[0]
+        series, positions = slice(1, 3), slice(start, stop)
+        dest = np.empty((2, stop - start, 6))
+        into = tensor_core.correlate_slice(x, series, positions, left, prepared, ab, dest)
+        assert into is dest
+        rows = x if ab is None else np.maximum(x * ab[0] + ab[1], 0.0)
+        assert max_rel_error(dest, direct_conv(rows, kernels)[series, positions]) <= 1e-12
+        past = tensor_core.correlate_slice(x, series, slice(start, stop + 5), left, prepared,
+                                           ab, np.empty_like(dest))
+        fresh = tensor_core.correlate_slice(x, series, positions, left, prepared, ab)
+        held = [x[series]]
+        handed = tensor_core.correlate_slice(held, slice(None), positions, left, prepared, ab)
+        assert not held
+        for got in (past, fresh, handed):
+            assert got.shape == dest.shape and np.array_equal(got, dest)
+
     def test_model_blocks_take_the_winograd_path(self, monkeypatch):
         # block 0 (1 channel, k=8) stays im2col; blocks 1 and 2 run Winograd,
         # forward and input gradient
