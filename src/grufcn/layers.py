@@ -5,16 +5,18 @@ head with its cross-entropy loss.
 
 All layers operate on float64 batches. Backward passes return exact analytic
 gradients; the test suite checks each one against central finite differences.
-A conv block hands on its conv output y and a per-channel (a, b), never its
-output ReLU(a * y + b); its training backward takes y out of its cache and
-writes the conv's output gradient over the gradient it is handed. Training
-runs the conv blocks one after the other over the whole batch, and keeps
-neither block 0's y, one conv of a one-channel input, which block 1's
-backward recomputes once its own y is freed, nor the last block's, which
-its conv backward recomputes a slice at a time and maps to its gradient
-with two sums the pooling takes. Both modes pool in global_avg_pool,
-which at inference runs the blocks depth first, a tile of positions at a
-time.
+A conv block hands on its conv output y and a per-channel (a, b), never
+its output ReLU(a * y + b). Training runs the conv blocks one after the
+other over the whole batch. Each block's backward but the last's is handed
+the gradient of its output already gated by a * y + b > 0 and summed, by
+the conv backward of the block after it, which gates its input gradient as
+it writes it. Training keeps neither block 0's y, one conv of a one-channel
+input, which block 1's conv backward reads a slice at a time as a
+tensor_core.ConvRows and block 0's recomputes a slice at a time into its
+gradient, nor the last block's, which its conv backward recomputes a slice
+at a time and maps to its gradient with two sums the pooling takes. Both
+modes pool in global_avg_pool, which at inference runs the blocks depth
+first, a tile of positions at a time.
 """
 
 from __future__ import annotations
@@ -90,114 +92,114 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray,
                      "inv_std": inv_std, "ab": ab}
 
 
-def conv_block_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
+def conv_block_backward(cache, grad_out, input_grad: bool = True):
     """Gradients of the composed ReLU(BN(conv)) w.r.t. input and parameters,
     from a training-mode cache and the gradient of the block's output.
 
     Includes the batch-statistics coupling terms of training-mode batch norm,
     with the statistics and (a, b) the forward ran with. Returns (grad_x,
     grads) with grads keyed by ConvBlock.TRAINED; grad_x is None unless
-    input_grad. A cache serves one backward, which takes y, or the last
-    block's pooled sums, out of it: a second raises ValueError. The cache's
-    relu goes unchanged to conv1d_same_backward, and so does its x, the
-    block's input or, with relu = (a, b), the previous block's y, from which
-    the kernel gradient rebuilds the input; x may be a function that
-    returns it, called only once y is freed. conv1d_same_backward applies
-    the factor a of the conv's output gradient (scale=a).
+    input_grad. A cache serves one backward, which takes its batch
+    statistics, y and the last block's pooled sums out of it: a second
+    raises ValueError. The cache's x and relu go unchanged to
+    conv1d_same_backward, which applies the factor a of the conv's output
+    gradient (scale=a): x is the block's input, an array or a
+    tensor_core.ConvRows that recomputes block 0's y, and with relu = (a,
+    b) it is the previous block's y. With relu, grad_x is the triple that
+    conv1d_same_backward returns, the gated gradient of the previous block's
+    output and its sums, which that block's backward takes as its grad_out.
 
-    - A cache that holds y takes grad_out, the (B, L, Cout) gradient of
-      ReLU(a * y + b), and writes the conv's output gradient over it
-      (_output_grad), so grad_out must be writable.
-    - The last block's cache holds the pooled sums instead (conv_branch),
-      and takes grad_out, the (B, Cout) gradient of the pooled features;
-      the conv backward recomputes y a slice at a time and turns its rows
-      into the output gradient with a map (_pooled_output_grad).
+    - The last block's cache holds the pooled sums (conv_branch), and takes
+      grad_out, the (B, Cout) gradient of the pooled features
+      (_pooled_output_grad).
+    - Any other block takes the triple (dz, Σdz * y, Σdz): dz, the (B, L,
+      Cout) gradient of ReLU(a * y + b) gated by a * y + b > 0, and its
+      per-channel sums over every position, as the next block's conv
+      backward hands them on (_output_grad).
     """
     block: ConvBlock = cache["block"]
-    if "pool_sums" in cache:
-        grad_gamma, grad_beta, x, grad_y = _pooled_output_grad(cache, grad_out)
-    elif "y" in cache:
-        grad_gamma, grad_beta, x, grad_y = _output_grad(cache, grad_out)
-    else:
+    if "inv_std" not in cache:
         raise ValueError("this conv block cache was already used by a backward pass")
-    grad_x, grad_kernels = conv1d_same_backward(x, block.kernels, grad_y, input_grad,
+    output_grad = _pooled_output_grad if "pool_sums" in cache else _output_grad
+    grad_gamma, grad_beta, grad_y = output_grad(cache, grad_out)
+    grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, grad_y, input_grad,
                                                 scale=cache["ab"][0], relu=cache["relu"])
     return grad_x, {"kernels": grad_kernels, "bn_gamma": grad_gamma, "bn_beta": grad_beta}
 
 
 def _coupling(cache, grad_y_dot: np.ndarray, grad_beta: np.ndarray, n: int):
-    """(gamma's gradient, c, shift) from Σdz * y and Σdz over n positions.
+    """(gamma's gradient, c, shift) from Σdz * y and Σdz over n positions,
+    taking the batch statistics out of the cache.
 
     With x_hat = (y - mean) * inv_std, gamma's gradient is sum(dz * x_hat)
     = inv_std * (sum(dz * y) - mean * sum(dz)), and the conv's output
     gradient is a * (dz - sum(dz)/n - x_hat * sum(dz * x_hat)/n) = a * (dz
     - y * c + shift), with c = inv_std * sum(dz * x_hat)/n and shift = mean
     * c - sum(dz)/n."""
-    mean, inv_std = cache["mean"], cache["inv_std"]
+    mean, inv_std = cache.pop("mean"), cache.pop("inv_std")
     grad_gamma = inv_std * (grad_y_dot - mean * grad_beta)
     c = inv_std * (grad_gamma / n)
     return grad_gamma, c, mean * c - grad_beta / n
 
 
-def _output_grad(cache, grad_out: np.ndarray):
-    """(gamma's and beta's gradients, the block input, the conv's output
-    gradient before a), from a cache that holds y. Two passes run over y's
-    slices (tensor_core.slices at C floats per position), as the pooling
-    does. The first gates grad_out by a * y + b > 0, the bits every
-    _bn_relu reader sees, into dz over grad_out, and sums dz and dz * y; the
-    second writes dz - y * c + shift over dz. y is freed before the input is
-    fetched; a gate cached, or a new array for dz or dy, would each hold one
-    more block-sized array."""
-    y, (a, b) = cache["y"], cache["ab"]
-    if grad_out.shape != y.shape:
-        raise ValueError(f"grad shape {grad_out.shape} != forward output shape {y.shape}")
-    if not grad_out.flags.writeable:
+def _output_grad(cache, grad_out):
+    """(gamma's and beta's gradients, the conv's output gradient before a)
+    from the gated triple (dz, Σdz * y, Σdz), which needs no pass to gate
+    or sum. The output gradient is dz - y * c + shift (_coupling).
+
+    - A cache that holds y (block 1's) takes one pass over y's slices
+      (tensor_core.slices at C floats per position), as the pooling does,
+      which writes it over dz, so dz must be writable, and then frees y. As
+      a map of the conv's rows it would keep y (2 units at block 1) alive
+      beside dz and the conv's input gradient.
+    - Block 0's cache holds no y: the result is a map that turns the rows
+      of y that conv1d_same_backward recomputes in place into their
+      gradient, reading dz, which it leaves as it is."""
+    dz, grad_y_dot, grad_beta = grad_out
+    shape = cache["x"].shape[:2] + cache["block"].kernels.shape[2:]
+    if dz.shape != shape:
+        raise ValueError(f"grad shape {dz.shape} != forward output shape {shape}")
+    if "y" in cache and not dz.flags.writeable:
         raise ValueError("grad_out must be writable: the backward writes over it")
-    del cache["y"]
-    chunks = list(tensor_core.slices(y.shape, y.shape[2]))
-    grad_y_dot, grad_beta = np.zeros(y.shape[2]), np.zeros(y.shape[2])
+    grad_gamma, c, shift = _coupling(cache, grad_y_dot, grad_beta, shape[0] * shape[1])
+    if "y" not in cache:
+        def of_output(rows, series, positions):
+            np.multiply(rows, c, out=rows)
+            np.subtract(dz[series, positions], rows, out=rows)
+            rows += shift
 
-    def gate(chunk):
-        z = np.multiply(y[chunk], a, out=np.empty(y[chunk].shape))
-        z += b
-        dz = np.multiply(grad_out[chunk], z > 0, out=grad_out[chunk])
-        return np.einsum("blc,blc->c", dz, y[chunk]), dz.sum(axis=(0, 1))
-
-    for part_dot, part_beta in tensor_core.ordered_map(gate, chunks):
-        grad_y_dot += part_dot
-        grad_beta += part_beta
-    grad_gamma, c, shift = _coupling(cache, grad_y_dot, grad_beta, y.shape[0] * y.shape[1])
+        return grad_gamma, grad_beta, of_output
+    y = cache.pop("y")
 
     def couple(chunk):
-        dz = grad_out[chunk]
-        dz -= np.multiply(y[chunk], c, out=y[chunk])
-        dz += shift
+        part = dz[chunk]
+        part -= np.multiply(y[chunk], c, out=y[chunk])
+        part += shift
 
-    for _ in tensor_core.ordered_map(couple, chunks):
+    for _ in tensor_core.ordered_map(couple, list(tensor_core.slices(shape, shape[2]))):
         pass
-    del y
-    return grad_gamma, grad_beta, _block_input(cache), grad_out
+    return grad_gamma, grad_beta, dz
 
 
 def _pooled_output_grad(cache, grad_pooled: np.ndarray):
-    """(gamma's and beta's gradients, the block input, a map of the conv's
-    output rows to their gradient before a), from the last block's cache,
-    which holds the pooling's sums (S0, S1) instead of y. Its dz is
-    grad_pooled / L wherever the gate passes, so Σdz = Σ_b dz * S0 and Σdz
-    * y = Σ_b dz * S1 before any row is read. conv1d_same_backward hands
-    the map the rows of y it recomputes, which it gates by a * y + b > 0
-    and turns in place into dz - y * c + shift: no block-sized array of y
-    or of its gradient exists."""
+    """(gamma's and beta's gradients, a map of the conv's output rows to
+    their gradient before a), from the last block's cache, which holds the
+    pooling's sums (S0, S1) instead of y. Its dz is grad_pooled / L
+    wherever the gate passes, so Σdz = Σ_b dz * S0 and Σdz * y = Σ_b dz *
+    S1 before any row is read. conv1d_same_backward hands the map the rows
+    of y it recomputes, which it gates by a * y + b > 0 and turns in place
+    into dz - y * c + shift: no block-sized array of y or of its gradient
+    exists."""
     count, dot = cache["pool_sums"]
     if grad_pooled.shape != count.shape:
         raise ValueError(f"grad shape {grad_pooled.shape} != pooled shape {count.shape}")
     del cache["pool_sums"]
-    x, (a, b) = _block_input(cache), cache["ab"]
+    x, (a, b) = cache["x"], cache["ab"]
     dz = grad_pooled / x.shape[1]
     grad_beta, grad_y_dot = np.einsum("bc,bc->c", dz, count), np.einsum("bc,bc->c", dz, dot)
     grad_gamma, c, shift = _coupling(cache, grad_y_dot, grad_beta, x.shape[0] * x.shape[1])
 
-    def of_output(rows, series):
+    def of_output(rows, series, _):
         scratch = np.multiply(rows, a)
         scratch += b
         gate = scratch > 0
@@ -206,13 +208,7 @@ def _pooled_output_grad(cache, grad_pooled: np.ndarray):
         rows -= scratch
         rows += shift
 
-    return grad_gamma, grad_beta, x, of_output
-
-
-def _block_input(cache) -> np.ndarray:
-    """The cache's x, called first if it is a function."""
-    x = cache["x"]
-    return x() if callable(x) else x
+    return grad_gamma, grad_beta, of_output
 
 
 def conv_branch(blocks: list[ConvBlock], x: np.ndarray, training: bool):
@@ -224,10 +220,12 @@ def conv_branch(blocks: list[ConvBlock], x: np.ndarray, training: bool):
     be read. Each block hands the next its conv output y and (a, b), which
     the next conv and the pooling read through ReLU(a * y + b). The caches
     hold one block-sized array each, its y, but block 0's and the last
-    block's. Once block 1 has read y0, both their caches drop it, and block
-    1's backward recomputes it (conv_branch_backward), since a conv of the
-    one-channel input is cheap (1/160 of block 1's multiply-adds in the
-    paper's model).
+    block's. Once block 1 has read y0, block 0's cache drops it, and block
+    1's cache takes as its x a tensor_core.ConvRows of the branch input,
+    which recomputes the rows of y0 each slice of block 1's conv backward
+    reads, since a conv of the one-channel input is cheap (1/160 of block
+    1's multiply-adds in the paper's model); block 0's conv backward
+    recomputes its own rows likewise.
     The last block's cache keeps, instead of its y, the two (B, C) sums the
     pooling takes as it reads y (global_avg_pool), and its backward
     recomputes y a slice at a time. Both modes pool in global_avg_pool,
@@ -239,8 +237,9 @@ def conv_branch(blocks: list[ConvBlock], x: np.ndarray, training: bool):
     for block in blocks:
         (h, relu), cache = conv_block_forward(block, h, relu)
         caches.append(cache)
-        if len(caches) == 2:  # block 1 has read y0, which the backward recomputes
-            del caches[0]["y"], cache["x"]
+        if len(caches) == 2:  # block 1 has read y0, which its backward recomputes
+            del caches[0]["y"]
+            cache["x"] = tensor_core.ConvRows(caches[0]["x"], caches[0]["block"].kernels)
     pooled, caches[-1]["pool_sums"] = global_avg_pool(h, relu)
     del caches[-1]["y"]
     return pooled, caches
@@ -250,25 +249,14 @@ def conv_branch_backward(caches, grad_pooled: np.ndarray) -> list[dict[str, np.n
     """Each block's gradients, keyed by ConvBlock.TRAINED, in block order,
     from conv_branch's training caches and the gradient of its pooled
     features. The blocks run last to first, each popping its cache off
-    caches, which ends empty, so that a block's y is freed as soon as its
-    backward has used it. The last block takes the pooled gradient itself;
-    each other block writes over the gradient it is handed, the input
-    gradient of the block after it, which nothing else reads. Block 1's
-    input is fetched once its y is freed: block 0's y, recomputed for
-    block 0's cache as its y and block 1's as its input, as conv1d_same of
-    the branch's input, run over the forward's slices, so bitwise the
-    forward's y. Block 0 computes no gradient for the branch's input,
+    caches, which ends empty, so that a block's arrays are freed as soon as
+    its backward has used them. The last block takes the pooled gradient;
+    each other block takes the gated gradient the conv backward of the
+    block after it returns as its input gradient, which nothing else
+    reads. No block-sized array of y0 exists: block 1's conv backward
+    reads it a slice at a time, and block 0's recomputes its rows into
+    their gradient. Block 0 computes no gradient for the branch's input,
     which nothing reads."""
-    if len(caches) > 1:
-        first = caches[0]
-
-        def recompute():
-            # not through this module's conv1d_same, which the traced benchmark
-            # wraps: a block span takes its first conv child's label
-            first["y"] = tensor_core.conv1d_same(first["x"], first["block"].kernels)
-            return first["y"]
-
-        caches[1]["x"] = recompute
     grad, grads = grad_pooled, [None] * len(caches)
     for i in reversed(range(len(caches))):
         grad, grads[i] = conv_block_backward(caches.pop(), grad, i > 0)

@@ -16,9 +16,12 @@ once for the path their shape picks: im2col GEMMs, or Winograd F(4, k)
 GEMMs, and frees each scratch array after its last reader. The bits are
 those of one BLAS kernel set, which blas_core names.
 A conv reads its input either as given or through a per-channel ReLU(a * x
-+ b), the form in which a conv block hands on its output (_bn_relu). A
-training block's conv also returns its output's per-channel mean and
-variance, which each slice takes from the rows it has written (_correlate).
++ b), the form in which a conv block hands on its output (_bn_relu); its
+backward then gates the input gradient by a * x + b > 0 and sums it as each
+piece is written. A training block's conv also returns its output's
+per-channel mean and variance, which each slice takes from the rows it has
+written (_correlate). A conv backward reads its input from an array or from
+a ConvRows, a conv output that each slice recomputes as it reads it.
 """
 
 from __future__ import annotations
@@ -369,57 +372,91 @@ def conv1d_same(x: np.ndarray, kernels: np.ndarray, *,
     return _correlate(x, kernels, same_padding(k)[0], relu, moments)
 
 
+class ConvRows:
+    """The (B, L, Cout) output of conv1d_same(x, kernels, relu=relu), never
+    stored: indexing it with [series, lo:hi], 0 <= lo < hi <= L, recomputes
+    those rows with correlate_slice into a new array. It has an array's
+    shape and size, so that conv1d_same_backward reads it as its input as it
+    reads an array; prepared is the kernels as prepare_kernels returned
+    them."""
+
+    def __init__(self, x: np.ndarray, kernels: np.ndarray,
+                 relu: tuple[np.ndarray, np.ndarray] | None = None):
+        self.shape = x.shape[:2] + kernels.shape[2:]
+        self.size = math.prod(self.shape)
+        self.prepared = prepare_kernels(kernels)
+        self._x, self._left, self._relu = x, same_padding(kernels.shape[0])[0], relu
+
+    def __getitem__(self, index: tuple[slice, slice]) -> np.ndarray:
+        series, positions = index
+        return correlate_slice(self._x, series, positions, self._left, self.prepared,
+                               self._relu)
+
+
 def conv1d_same_backward(
-    x: np.ndarray, kernels: np.ndarray, grad_out, input_grad: bool = True,
+    x: np.ndarray | ConvRows, kernels: np.ndarray, grad_out, input_grad: bool = True,
     *, scale: np.ndarray | None = None, relu: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray | None, np.ndarray]:
+):
     """Gradients of conv1d_same w.r.t. its input (None unless input_grad) and
     its kernels; the bias gradient, grad_out's channel sums, is not computed.
 
-    x is the forward's (B, L, Cin) input. grad_out is the (B, L, Cout)
-    gradient of its output y = conv1d_same(x, kernels, relu=relu), or a map
-    of_output(rows, series) that turns rows of y in place into the same
-    rows of grad_out. Then for each slice the walk recomputes y[series,
-    lo:hi] with the forward's correlate_slice, into a (S, hi - lo, Cout)
-    array that it hands to the map once, with lo and hi the slice's
-    positions widened by the input gradient's k - 1 halo (if input_grad)
-    and clipped to [0, L); neither y nor grad_out ever exists whole.
+    x is the forward's (B, L, Cin) input, an array or a ConvRows that
+    recomputes its rows as each slice reads them. grad_out is the (B, L,
+    Cout) gradient of its output y = conv1d_same(x, kernels, relu=relu), or
+    a map of_output(rows, series, positions) that turns rows y[series,
+    positions] in place into the same rows of grad_out. Then for each slice
+    the walk recomputes y[series, lo:hi] with the forward's correlate_slice
+    and hands it to the map once, with lo and hi the slice's positions
+    widened by the input gradient's k - 1 halo (if input_grad) and clipped
+    to [0, L); neither y nor grad_out ever exists whole. A (Cout,) scale, if
+    given, multiplies each channel of grad_out without a pass over it: the
+    input gradient correlates grad_out with the tap-reversed, transposed
+    kernels times scale (prepared once, from a kernel-sized copy) and
+    mirrored padding, and the kernel gradient scales its (Cout, k * Cin)
+    sum.
+
     With a pair of (Cin,) vectors relu = (a, b), x is instead what the
     forward read its input from, ReLU(a * x + b) as in conv1d_same: each
     slice rebuilds its input rows into the padded copy it makes anyway, so
-    no input-sized array exists. A (Cout,) scale, if given, multiplies each
-    channel of grad_out without a pass over it: the input gradient
-    correlates grad_out with the tap-reversed, transposed kernels times
-    scale (prepared once, from a kernel-sized copy) and mirrored padding,
-    and the kernel gradient scales its (Cout, k * Cin) sum.
+    no input-sized array exists. The input gradient is then the form in
+    which a conv block's backward takes the gradient of its output: the
+    triple (dz, Σdz * x, Σdz), with dz the gradient of ReLU(a * x + b) gated
+    by a * x + b > 0, that is the gradient of a * x + b, and its per-channel
+    sums over every position.
 
-    One walk over the slices of x does both, so a map is called once per
-    slice: each slice adds the GEMM of its grad_out rows, transposed,
-    with its im2col of x (all k taps at once) to the kernel gradient, in
-    slice order, then writes its rows of the input gradient with
-    correlate_slice, in the pieces that slices cuts the slice into for
-    that scratch. The slices hold k * Cin floats per position, the im2col;
-    with a map, also the recomputed rows and, where wider than the im2col,
-    the forward conv's scratch. So the result is the same at any WORKERS,
-    with or without the input gradient.
+    One walk over the slices of x does both gradients, so a map is called
+    once per slice, and x's rows are read once per slice, its halo
+    included (only rows in [0, L) are asked of a ConvRows): each slice
+    adds the GEMM of its grad_out rows, transposed, with its im2col of x
+    (all k taps at once) to the kernel gradient, in slice order, then
+    writes its rows of the input gradient with correlate_slice, in the
+    pieces that slices cuts the slice into for that scratch. With relu,
+    the slice keeps its padded copy's > 0 bits, the gate, as a boolean and
+    frees the copy before the GEMM, and gates each input-gradient piece in
+    place as soon as it is written and sums it. The slices hold k * Cin
+    floats per position, the im2col; with a map, also the recomputed rows
+    and, where wider than the im2col, the forward conv's scratch. Every sum
+    is added in slice order, then piece order, so the result is the same at
+    any WORKERS, with or without the input gradient.
     """
-    x = np.asarray(x, dtype=np.float64)
+    if not isinstance(x, ConvRows):
+        x = np.asarray(x, dtype=np.float64)
     k, c_in, c_out = kernels.shape
     left, right = same_padding(k)
     length = x.shape[1]
     cost = k * c_in  # per position: the im2col
     if callable(grad_out):
-        of_output, forward = grad_out, prepare_kernels(kernels)
+        of_output, output = grad_out, ConvRows(x, kernels, relu)
         # and the recomputed rows, then the wider of the im2col and the forward's scratch
-        cost = c_out + max(cost, -(-forward[2] // forward[3]))
+        cost = c_out + max(cost, -(-output.prepared[2] // output.prepared[3]))
 
         def read(series, lo, hi):
-            rows = correlate_slice(x, series, slice(lo, hi), left, forward, relu)
-            of_output(rows, series)
+            rows = output[series, lo:hi]
+            of_output(rows, series, slice(lo, hi))
             return rows
     else:
         grad_out = np.asarray(grad_out, dtype=np.float64)
-        if x.ndim != 3 or grad_out.shape != (x.shape[0], length, c_out):
+        if len(x.shape) != 3 or grad_out.shape != (x.shape[0], length, c_out):
             raise ValueError(
                 f"grad shape {grad_out.shape} does not match forward output "
                 f"for input {x.shape} and {c_out} output channels"
@@ -427,7 +464,7 @@ def conv1d_same_backward(
 
         def read(series, lo, hi):
             return grad_out[series, lo:hi]
-    grad_x = None
+    grad_x, gated = None, input_grad and relu is not None
     if input_grad:
         # grad_x[s] = sum_j (grad_out * scale)[s + left - j] @ kernels[j].T
         weights = kernels if scale is None else kernels * scale
@@ -443,24 +480,37 @@ def conv1d_same_backward(
         start, stop = positions.start, positions.stop
         lo, hi = (max(start - right, 0), min(stop + left, length)) if input_grad else (start, stop)
         rows = read(series, lo, hi)
+        # x's rows that the slice reads, its halo included, which a ConvRows recomputes
+        first = max(start - left, 0)
+        inputs = x[series, first:min(stop + right, length)]
+        padded = _padded(inputs, slice(None), slice(start - first, stop - first), k, left, relu)
+        gate = padded[:, left:left + stop - start] > 0 if gated else None
+        cols = _im2col(padded, k)
+        del padded
         # a slice is whole series or part of one series, so these views are contiguous
-        product = rows[:, start - lo:stop - lo].reshape(-1, c_out).T @ _im2col(
-            _padded(x, series, positions, k, left, relu), k)
+        product = rows[:, start - lo:stop - lo].reshape(-1, c_out).T @ cols
+        del cols
+        sums = np.zeros((2, c_in))
         if input_grad:  # in pieces of the slice, as slices cuts them for its own scratch
-            dest = grad_x[series, positions]
+            dest, inputs = grad_x[series, positions], inputs[:, start - first:stop - first]
             shift = start - lo  # rows[:, shift] is position start
             for part, span in slices(dest.shape, *prepared[2:]):
-                correlate_slice(rows, part, slice(shift + span.start, shift + span.stop), right,
-                                prepared, None, dest[part, span])
-        return product
+                piece = correlate_slice(rows, part, slice(shift + span.start, shift + span.stop),
+                                        right, prepared, None, dest[part, span])
+                if gated:
+                    dx = np.multiply(piece, gate[part, span], out=piece)
+                    sums[0] += np.einsum("blc,blc->c", dx, inputs[part, span])
+                    sums[1] += dx.sum(axis=(0, 1))
+        return product, sums
 
-    grad_w_t = np.zeros((c_out, k * c_in))
-    for part in ordered_map(step, slices(x.shape, cost), ahead=WORKERS):
-        grad_w_t += part
-        del part  # so at most WORKERS products exist at once
+    grad_w_t, sums = np.zeros((c_out, k * c_in)), np.zeros((2, c_in))
+    for product, part_sums in ordered_map(step, slices(x.shape, cost), ahead=WORKERS):
+        grad_w_t += product
+        sums += part_sums
+        del product  # so at most WORKERS products exist at once
     if scale is not None:
         grad_w_t *= scale[:, None]
-    return grad_x, grad_w_t.T.reshape(kernels.shape)
+    return (grad_x, *sums) if gated else grad_x, grad_w_t.T.reshape(kernels.shape)
 
 
 def he_uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:

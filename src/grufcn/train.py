@@ -109,7 +109,9 @@ def fit(net: GruFcnModel, dataset, run: TrainRun) -> TrainRun:
     """Train for run.epochs epochs of seeded-shuffle mini-batches; after each
     epoch run a full inference pass on the evaluation split and checkpoint
     whenever its loss improves. An empty split, or one of another length than
-    the model's, is refused before any work."""
+    the model's, is refused before any work. A step whose loss or gradients
+    are not finite raises FloatingPointError before Adam writes them into
+    the weights (_check_finite)."""
     for name in ("train_batch", "eval_batch"):
         if getattr(run, name) < 1:
             raise ValueError(f"{name} must be at least 1, got {getattr(run, name)}")
@@ -135,7 +137,9 @@ def fit(net: GruFcnModel, dataset, run: TrainRun) -> TrainRun:
             _, cache = model_mod.forward(net, xb, training=True, rng=dropout_rng)
             loss, grads = model_mod.backward(net, cache, yb)
             losses.append(loss * len(idx))
-            adam_step(adam, net.trainable_parameters(), grads)
+            params = net.trainable_parameters()
+            _check_finite(loss, {name: grads[name] for name in params}, epoch, start)
+            adam_step(adam, params, grads)
             del cache, grads  # else they live through the next forward or the evaluation
         train_loss = sum(losses) / n
         eval_loss, eval_error = evaluate(
@@ -147,6 +151,21 @@ def fit(net: GruFcnModel, dataset, run: TrainRun) -> TrainRun:
             if run.best_checkpoint_path is not None:
                 save_checkpoint(net, run.best_checkpoint_path)
     return run
+
+
+def _check_finite(loss: float, grads: dict[str, np.ndarray], epoch: int, start: int) -> None:
+    """Raise FloatingPointError naming the epoch, the batch's first index in
+    the epoch's shuffled order and the first non-finite tensor: the loss,
+    else the first gradient, in the order of grads, that holds a NaN or an
+    infinity."""
+    if np.isfinite(loss):
+        bad = next((name for name, g in grads.items() if not np.all(np.isfinite(g))), None)
+        if bad is None:
+            return
+        what = f"the gradient of {bad}"
+    else:
+        what = "the loss"
+    raise FloatingPointError(f"epoch {epoch}, batch from index {start}: {what} is not finite")
 
 
 def write_history_csv(path, history: list[EpochRecord]) -> None:

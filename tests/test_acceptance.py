@@ -18,7 +18,7 @@ from grufcn.data_ucr import UcrDataset, find_split_files, make_dataset
 from grufcn.model import ArchConfig, build, forward, load_checkpoint, save_checkpoint
 from grufcn.tensor_core import Rng
 from grufcn.train import TrainRun, evaluate, fit
-from test_layers import make_conv_block, make_gru_cell, make_lstm_cell
+from test_layers import gated_grad, make_conv_block, make_gru_cell, make_lstm_cell
 from test_metrics import brute_force_wilcoxon
 
 LAYER_TOL = 1e-5
@@ -60,7 +60,7 @@ def _layer_instance_errors(seed):
     x = rng.normal(size=(2, 8, c_in))
     grad_out = rng.normal(size=(2, 8, c_out))
     _, cache = layers.conv_block_forward(block, x)
-    grad_x, grads = layers.conv_block_backward(cache, grad_out.copy())
+    grad_x, grads = layers.conv_block_backward(cache, gated_grad(cache, grad_out))
 
     def conv_loss(arr, v):
         arr[...] = v

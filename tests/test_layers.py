@@ -86,6 +86,16 @@ def pooled_grad(grad_pooled, length):
     return np.repeat((grad_pooled / length)[:, None, :], length, axis=1)
 
 
+def gated_grad(cache, grad_out):
+    """The form in which a block's backward takes the gradient of its output
+    from the next block's conv backward: grad_out gated by a * y + b > 0 as
+    a new, writable array dz, with its per-channel sums Σdz * y and Σdz,
+    formed from the y and (a, b) in a training cache."""
+    y, (a, b) = cache["y"], cache["ab"]
+    dz = grad_out * (y * a + b > 0)
+    return dz, np.einsum("blc,blc->c", dz, y), dz.sum(axis=(0, 1))
+
+
 def tile_cost(blocks):
     """The floats per position one inference tile holds at its widest step:
     a block's input rows, its conv's scratch (prepare_kernels' cost per unit
@@ -233,8 +243,9 @@ class TestConvBlock:
 
     def test_backward_leaves_its_inputs_untouched(self):
         # the block reads its input through a previous block's (a, b), as
-        # blocks 1 and 2 do; grad_out is a plain gradient, or the pooling's.
-        # The backward uses up y and grad_out alone.
+        # blocks 1 and 2 do; grad_out is a plain gradient, or the pooling's,
+        # gated. The backward uses up y and the gated gradient alone, and
+        # returns its input gradient gated and summed in turn
         rng = np.random.default_rng(7)
         block = make_conv_block(rng, 3, 2, 4)
         x, relu = rng.normal(size=(2, 6, 2)), (rng.normal(size=2), rng.normal(size=2))
@@ -245,19 +256,19 @@ class TestConvBlock:
                 _, cache = conv_block_forward(block, x, relu=relu)
                 inputs = (x, *relu, *(getattr(block, f.name) for f in fields(block)))
                 saved = [np.copy(a) for a in inputs]
-                passes.append(conv_block_backward(cache, grad_out.copy()))
+                passes.append(conv_block_backward(cache, gated_grad(cache, grad_out)))
                 assert "y" not in cache
                 assert cache["x"] is x and cache["relu"] is relu
                 assert all(np.array_equal(a, b) for a, b in zip(inputs, saved, strict=True))
             (grad_x, grads), (grad_x_again, grads_again) = passes
-            assert np.array_equal(grad_x, grad_x_again)
+            assert len(grad_x) == 3
+            assert all(np.array_equal(p, q) for p, q in zip(grad_x, grad_x_again, strict=True))
             assert all(np.array_equal(grads[k], grads_again[k]) for k in grads)
 
     def test_backward_writes_the_output_gradient_over_grad_out(self):
-        # conv_branch_backward hands each block a gradient nothing else
-        # reads, the pooling's or the next block's input gradient: the pass
-        # writes dz over it, then the conv's output gradient (before the
-        # factor a)
+        # conv_branch_backward hands block 1 a gradient nothing else reads,
+        # the next block's gated input gradient dz: its pass writes the
+        # conv's output gradient (before the factor a) over dz
         rng = np.random.default_rng(7)
         block = make_conv_block(rng, 3, 2, 4)
         x, relu = rng.normal(size=(2, 6, 2)), (rng.normal(size=2), rng.normal(size=2))
@@ -267,24 +278,27 @@ class TestConvBlock:
             assert 0 < np.count_nonzero(out) < out.size  # the gate passes some of grad_out
             x_hat = (cache["y"] - cache["mean"]) * cache["inv_std"]
             dz = grad_out * (out > 0)
-            conv_block_backward(cache, grad_out)
+            gated = gated_grad(cache, grad_out)
+            conv_block_backward(cache, gated)
             expected = dz - dz.mean(axis=(0, 1)) - x_hat * (dz * x_hat).mean(axis=(0, 1))
-            np.testing.assert_allclose(grad_out, expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gated[0], expected, rtol=0, atol=1e-12)
 
     def test_read_only_grad_out_is_refused_before_the_cache_is_used(self):
-        # the pass writes over grad_out, so a broadcast view is refused
-        # before y leaves the cache, which then still serves a backward
+        # the pass writes over the gated gradient dz, so a read-only dz is
+        # refused before y leaves the cache, which then still serves a
+        # backward
         rng = np.random.default_rng(7)
         block = make_conv_block(rng, 3, 2, 4)
         x = rng.normal(size=(2, 6, 2))
         _, cache = conv_block_forward(block, x)
-        read_only = np.broadcast_to(rng.normal(size=(2, 1, 4)), (2, 6, 4))
+        dz, *sums = gated_grad(cache, np.broadcast_to(rng.normal(size=(2, 1, 4)), (2, 6, 4)))
+        dz.flags.writeable = False
         with pytest.raises(ValueError, match="must be writable"):
-            conv_block_backward(cache, read_only)
+            conv_block_backward(cache, (dz, *sums))
         assert "y" in cache
-        grad_x, grads = conv_block_backward(cache, read_only.copy())
+        grad_x, grads = conv_block_backward(cache, (dz.copy(), *sums))
         _, fresh = conv_block_forward(block, x)
-        grad_x_fresh, grads_fresh = conv_block_backward(fresh, read_only.copy())
+        grad_x_fresh, grads_fresh = conv_block_backward(fresh, (dz.copy(), *sums))
         assert np.array_equal(grad_x, grad_x_fresh)
         assert all(np.array_equal(grads[k], grads_fresh[k]) for k in grads)
 
@@ -303,7 +317,7 @@ class TestConvBlock:
             assert np.all(np.abs(mean) >= 100 * y.std(axis=(0, 1)))
             x_hat = (y - mean) * inv_std
             dz = grad_out * (y * a + b > 0)
-            _, grads = conv_block_backward(cache, grad_out)
+            _, grads = conv_block_backward(cache, gated_grad(cache, grad_out))
             expected = (dz * x_hat).sum(axis=(0, 1))
             assert max_rel_error(grads["bn_gamma"], expected) <= 1e-12
 
@@ -331,7 +345,7 @@ class TestConvBlock:
         rng = np.random.default_rng(7)
         block = make_conv_block(rng, 3, 2, 4)
         _, cache = conv_block_forward(block, rng.normal(size=(2, 6, 2)))
-        grad_out = rng.normal(size=(2, 6, 4))
+        grad_out = gated_grad(cache, rng.normal(size=(2, 6, 4)))
         conv_block_backward(cache, grad_out)
         with pytest.raises(ValueError, match="already used by a backward pass"):
             conv_block_backward(cache, grad_out)
@@ -357,7 +371,7 @@ class TestConvBlock:
         block = make_conv_block(rng, 3, 2, 4)
         x = rng.normal(size=(2, 6, 2))
         out, cache = block_output(block, x)
-        grad_x, grads = conv_block_backward(cache, np.zeros_like(out))
+        grad_x, grads = conv_block_backward(cache, gated_grad(cache, np.zeros_like(out)))
         assert np.all(grad_x == 0)
         assert all(np.all(g == 0) for g in grads.values())
 
@@ -379,7 +393,7 @@ class TestConvBlock:
             return f
 
         out, cache = block_output(block, x)
-        grad_x, grads = conv_block_backward(cache, grad_out.copy())
+        grad_x, grads = conv_block_backward(cache, gated_grad(cache, grad_out))
 
         def set_x(v):
             x[...] = v
@@ -443,13 +457,14 @@ def assert_cell_matches_general(cell, step, backward, general, rng, batch, label
 
 
 def training_pass(block, x, grad_out):
-    """One training-mode forward and backward of a copy of block: the
-    output, x_hat, moving statistics and every gradient, by name."""
+    """One training-mode forward and backward of a copy of block, handed
+    grad_out gated (gated_grad): the output, x_hat, moving statistics and
+    every gradient, by name."""
     block = replace(block, bn_moving_mean=block.bn_moving_mean.copy(),
                     bn_moving_var=block.bn_moving_var.copy())
     out, cache = block_output(block, x)
     x_hat = (cache["y"] - cache["mean"]) * cache["inv_std"]
-    grad_x, grads = conv_block_backward(cache, grad_out.copy())
+    grad_x, grads = conv_block_backward(cache, gated_grad(cache, grad_out))
     return {"out": out, "x_hat": x_hat, "moving_mean": block.bn_moving_mean,
             "moving_var": block.bn_moving_var, "grad_x": grad_x, **grads}
 
@@ -533,19 +548,22 @@ class TestChunkedTrainingBlock:
 
     def test_pass_holds_one_block_sized_array_beyond_the_conv_backward(self):
         # the 128 -> 256, k = 5 block: its conv output y, while the backward
-        # writes the conv's output gradient over grad_out, plus the kernel
-        # copy the scaled input gradient makes and chunk temporaries; an output
-        # array, a squared-deviation array, a dz * y product or a ReLU mask
-        # would each add a block-sized array, or an eighth of one
+        # writes the conv's output gradient over the gated gradient it is
+        # handed, plus the kernel copy the scaled input gradient makes and
+        # chunk temporaries; an output array, a squared-deviation array, a
+        # dz * y product or a ReLU mask would each add a block-sized array,
+        # or an eighth of one. The gated gradient is formed, as grad_out
+        # is, before the step, from a forward whose y is the step's
         rng = np.random.default_rng(10)
         block = make_conv_block(rng, 5, 128, 256)
         x = rng.normal(size=(32, 176, 128))
         grad_out = rng.normal(size=(32, 176, 256))
         conv_peak = traced_peak(lambda: conv1d_same_backward(x, block.kernels, grad_out))
+        gated = gated_grad(conv_block_forward(block, x)[1], grad_out)
 
         def step():
             _, cache = conv_block_forward(block, x)
-            conv_block_backward(cache, grad_out)
+            conv_block_backward(cache, gated)
 
         bound = conv_peak + grad_out.nbytes + block.kernels.nbytes + (1 << 20)
         assert traced_peak(step) <= bound
@@ -597,6 +615,41 @@ class TestConvBranch:
                 assert_grad_close(grads[i][name], numerical_grad(f, arr.copy()), GRAD_TOL,
                                   f"block {i} {name}")
 
+    @pytest.mark.parametrize("length", [1, 2, 7])  # all below block 0's 8 taps
+    @pytest.mark.parametrize("elements", [1, 16])
+    def test_series_shorter_than_block_0s_kernel(self, monkeypatch, length, elements):
+        # block 1 reads y0 through a ConvRows and block 0 maps its recomputed
+        # rows to their gradient, on slices of one or a few positions whose
+        # halos reach past both ends of the series: the gradients match
+        # finite differences, are bitwise the same at 1, 2 and 3 workers, and
+        # every ConvRows is asked for rows in [0, L) alone
+        monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", elements)
+        rng = np.random.default_rng(27)
+        blocks = [make_conv_block(rng, 8, 1, 3), make_conv_block(rng, 5, 3, 4),
+                  make_conv_block(rng, 3, 4, 2)]
+        x, grad_pooled = rng.normal(size=(3, length, 1)), rng.normal(size=(3, 2))
+        reads, read = [], tensor_core.ConvRows.__getitem__
+        monkeypatch.setattr(tensor_core.ConvRows, "__getitem__",
+                            lambda rows, index: reads.append(index[1]) or read(rows, index))
+        passes = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tensor_core, "WORKERS", workers)
+            passes.append(conv_branch_backward(conv_branch(blocks, x, True)[1], grad_pooled))
+        for other in passes[1:]:
+            for grads, expected in zip(other, passes[0], strict=True):
+                assert all(np.array_equal(grads[k], expected[k]) for k in ConvBlock.TRAINED)
+        assert reads and all(0 <= p.start < p.stop <= length for p in reads)
+        monkeypatch.setattr(tensor_core, "WORKERS", 1)
+        for i, block in enumerate(blocks):
+            for name in ConvBlock.TRAINED:
+                arr = getattr(block, name)
+
+                def f(v, arr=arr):
+                    arr[...] = v
+                    return float(np.sum(conv_branch(blocks, x, True)[0] * grad_pooled))
+                assert_grad_close(passes[0][i][name], numerical_grad(f, arr.copy()), GRAD_TOL,
+                                  f"block {i} {name}")
+
     @staticmethod
     def last_block_pass(blocks, x, grad_pooled):
         """The last block's cache, from a training forward of the branch, and
@@ -609,17 +662,23 @@ class TestConvBranch:
     def array_last_block_backward(cache, grad_pooled):
         """The last block's backward as the whole-array formula gives it: y
         recomputed as one array, the pooled gradient broadcast over time,
-        then gated and coupled into the conv's output gradient."""
+        then gated and coupled into the conv's output gradient; the input
+        gradient, that of the materialized input ReLU(a' * x + b'), gated by
+        a' * x + b' > 0 and summed."""
         block, (a, b) = cache["block"], cache["ab"]
-        y = conv1d_same(cache["x"], block.kernels, relu=cache["relu"])
+        x, (a_in, b_in) = cache["x"], cache["relu"]
+        y = conv1d_same(x, block.kernels, relu=cache["relu"])
         dz = pooled_grad(grad_pooled, y.shape[1]) * (y * a + b > 0)
         mean, inv_std, n = cache["mean"], cache["inv_std"], y.shape[0] * y.shape[1]
         grad_beta = dz.sum(axis=(0, 1))
         grad_gamma = inv_std * ((dz * y).sum(axis=(0, 1)) - mean * grad_beta)
         c = inv_std * (grad_gamma / n)
         dy = dz - y * c + (mean * c - grad_beta / n)
-        grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, dy, scale=a,
-                                                    relu=cache["relu"])
+        z_in = x * a_in + b_in
+        grad_in, grad_kernels = conv1d_same_backward(np.maximum(z_in, 0.0), block.kernels, dy,
+                                                     scale=a)
+        dz_in = grad_in * (z_in > 0)
+        grad_x = dz_in, np.einsum("blc,blc->c", dz_in, x), dz_in.sum(axis=(0, 1))
         return grad_x, {"kernels": grad_kernels, "bn_gamma": grad_gamma, "bn_beta": grad_beta}
 
     @pytest.mark.parametrize("winograd", [False, True])
@@ -640,12 +699,14 @@ class TestConvBranch:
             for workers in (1, 2, 3):
                 monkeypatch.setattr(tensor_core, "WORKERS", workers)
                 cache, (grad_x, grads) = self.last_block_pass(blocks, x, grad_pooled)
-                passes.append({"x": grad_x, **grads})
+                passes.append({**dict(zip(("x", "x_dot", "x_sum"), grad_x, strict=True)),
+                               **grads})
             for other in passes[1:]:
                 for name, value in passes[0].items():
                     assert np.array_equal(other[name], value), (elements, name)
             expected_x, expected = self.array_last_block_backward(cache, grad_pooled)
-            for name, value in {"x": expected_x, **expected}.items():
+            for name, value in {**dict(zip(("x", "x_dot", "x_sum"), expected_x)),
+                                **expected}.items():
                 assert max_rel_error(passes[0][name], value) <= 1e-10, (elements, name)
 
     def test_last_block_reads_its_input_and_the_pooled_gradient_alone(self):

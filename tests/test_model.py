@@ -1,14 +1,16 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from gradcheck import assert_grad_close, numerical_grad
+from gradcheck import assert_grad_close, max_rel_error, numerical_grad
 from writers import set_checkpoint_value
 
 from grufcn import data_ucr, layers, tensor_core
@@ -27,6 +29,12 @@ from grufcn.model import (
     write_atomic,
 )
 from grufcn.tensor_core import Rng
+
+# scripts/step_memory.py, whose phase peaks the memory tests read
+_spec = importlib.util.spec_from_file_location(
+    "step_memory", Path(__file__).resolve().parent.parent / "scripts" / "step_memory.py")
+step_memory = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(step_memory)
 
 MISSING = object()  # header key to delete
 
@@ -535,9 +543,9 @@ class TestBackward:
             assert_grad_close(grads[name], numeric, 1e-4, name)
 
     def test_first_block_input_gradient_is_skipped(self, monkeypatch):
-        # each block runs one conv backward, the last block's on a map of
-        # its output rows to their gradient, not an array, and block 0's
-        # computes no gradient of the data, which no layer reads
+        # each block runs one conv backward, the last block's and block 0's
+        # on a map of their output rows to their gradient, not an array, and
+        # block 0's computes no gradient of the data, which no layer reads
         model = build(ArchConfig(20, 2, dropout_rate=0.0, seed=1))
         x = np.random.default_rng(3).normal(size=(4, 20))
         _, cache = forward(model, x, training=True, rng=Rng(0))
@@ -552,7 +560,7 @@ class TestBackward:
         monkeypatch.setattr(layers, "conv1d_same_backward", spy)
         backward(model, cache, np.eye(2)[[0, 1, 1, 0]])
         assert calls == [((3, 256, 128), True, False), ((5, 128, 256), False, False),
-                         ((8, 1, 128), False, True)]
+                         ((8, 1, 128), True, True)]
 
     def test_loss_decreases_along_negative_gradient(self):
         model = build(ArchConfig(20, 2, dropout_rate=0.0, seed=1))
@@ -576,8 +584,9 @@ class TestRebuiltBlockInputs:
     b) instead of its input, which the conv backward rebuilds from them
     and block i - 1's conv output y a slice at a time. Block 2's cache
     shares block 1's y and keeps no y of its own, only the pooling's sums;
-    block 0's y, one conv of a one-channel input, is kept by neither cache
-    but recomputed once block 1's backward has freed block 1's y."""
+    block 0's y, one conv of a one-channel input, is kept by neither cache:
+    block 1's holds a tensor_core.ConvRows of the branch input instead, and
+    each slice of its conv backward recomputes the rows of y0 it reads."""
 
     LENGTH = 40
 
@@ -587,24 +596,26 @@ class TestRebuiltBlockInputs:
         caches = forward(model, x, training=True, rng=Rng(0))[1]["conv_caches"]
         assert caches[0]["x"].shape == (3, self.LENGTH, 1) and caches[0]["relu"] is None
         assert [sorted(cache.keys() & {"x", "y", "pool_sums"}) for cache in caches] == [
-            ["x"], ["y"], ["pool_sums", "x"]]
+            ["x"], ["x", "y"], ["pool_sums", "x"]]
+        assert isinstance(caches[1]["x"], tensor_core.ConvRows)
+        assert caches[1]["x"].shape == (3, self.LENGTH, 128)
         assert caches[2]["x"] is caches[1]["y"]
         assert [s.shape for s in caches[2]["pool_sums"]] == [(3, 128)] * 2
         for prev, cache in zip(caches, caches[1:]):
             assert cache["relu"] is prev["ab"]
 
-    def test_backward_recomputes_block_0s_output_once(self, monkeypatch):
-        # at 64 floats per slice block 0's conv runs many slices on 2
-        # workers; the recompute runs the same ones, so its y0 is bitwise
-        # the forward's, and block 1's backward reads it as its input. The
-        # forward calls conv1d_same through layers, the recompute through
-        # tensor_core
+    def test_backward_reads_block_0s_output_a_slice_at_a_time(self, monkeypatch):
+        # at 64 floats per slice block 1's conv backward runs many slices on
+        # 2 workers; each recomputes the rows of y0 it reads, halo included
+        # and clipped to [0, L), through the ConvRows in block 1's cache,
+        # and those rows are the forward's y0 to within the rounding of a
+        # GEMM cut differently. The backward runs no whole conv
         monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", 64)
         monkeypatch.setattr(tensor_core, "WORKERS", 2)
         model = build(ArchConfig(self.LENGTH, 4, cell_kind="lstm", seed=9))
         rng = np.random.default_rng(4)
         x, y = rng.normal(size=(5, self.LENGTH)), np.eye(4)[[0, 3, 1, 2, 1]]
-        calls = []
+        calls, reads = [], []
         conv = layers.conv1d_same
 
         def spy(inputs, kernels, **kwargs):
@@ -619,11 +630,21 @@ class TestRebuiltBlockInputs:
         assert all(kernels is block.kernels for (kernels, _), block in zip(calls, model.blocks))
         y0 = calls[0][1]
         calls.clear()
+        read, rows_of_y0 = tensor_core.ConvRows.__getitem__, cache["conv_caches"][1]["x"]
+
+        def reader(rows, index):
+            out = read(rows, index)
+            if rows is rows_of_y0:
+                reads.append((index, out.copy()))
+            return out
+
+        monkeypatch.setattr(tensor_core.ConvRows, "__getitem__", reader)
         backward(model, cache, y)
-        assert len(calls) == 1
-        kernels, recomputed = calls[0]
-        assert kernels is model.blocks[0].kernels
-        assert np.array_equal(recomputed, y0)
+        assert calls == []
+        assert len(reads) == len(list(tensor_core.slices((5, self.LENGTH), 5 * 128)))
+        for (series, positions), rows in reads:
+            assert 0 <= positions.start < positions.stop <= self.LENGTH
+            assert max_rel_error(rows, y0[series, positions]) <= 1e-12
 
     def test_step_reads_the_forwards_gamma_and_beta(self, monkeypatch):
         # 64 floats per slice cut every series, so the rebuild reaches both
@@ -676,15 +697,18 @@ class TestRebuiltBlockInputs:
         # keeping block 1's output alive for block 2's conv, 2 more.
         assert forward_peak < 4.7 * unit
 
-    # The step's block arrays peak at 4 units, at three moments. Block 2's
+    # The step's block arrays peak at 4 units, at two moments. Block 2's
     # conv backward holds block 1's y (2) and its input gradient (2): it
     # keeps no y of its own, and recomputes y2 a slice at a time and maps
-    # its rows to their gradient. Block 1's gate and couple passes
-    # hold its y (2) and its incoming gradient (2); its conv backward holds
-    # that gradient, y0 (1), recomputed only once y is freed, and its input
-    # gradient (1). Slices, kernels and smaller arrays add a fixed amount,
-    # which at B = 32 outweighs a unit: 6.47 units measured at B = 32, 4.63
-    # at B = 128. The step peaked at 5 block arrays at two moments (6.63-6.75
+    # its rows to their gradient. Block 1's couple pass holds its y (2) and
+    # the gated gradient block 2 hands it (2). Block 1's conv backward holds
+    # that gradient (2) and its own input gradient (1), gated as it is
+    # written: it reads y0 a slice at a time, so no pass over y0 is left to
+    # gate it. Slices, kernels and smaller arrays add a fixed amount, which
+    # at B = 32 outweighs a unit: 5.82-5.91 units measured at B = 32, 4.49
+    # at B = 128. Block 1's conv backward made a third 4-unit moment (6.47
+    # and 4.63) when it held y0 whole, recomputed once block 1's y was
+    # freed; the step peaked at 5 block arrays at two moments (6.63-6.75
     # and 5.43-5.45) when block 2 kept y2 and was handed the pooled
     # gradient as a (B, L, C) array, and y0 was recomputed before block 1's
     # backward; at 6 (8.11 at B = 32) when the cache kept y0 and block 1's
@@ -693,11 +717,24 @@ class TestRebuiltBlockInputs:
     # inputs as well, 3 more.
     def test_training_step_peak_in_block_outputs(self, monkeypatch):
         unit, _, peak = self.traced_step(monkeypatch)
-        assert peak < 6.9 * unit
+        assert peak < 6.0 * unit
 
     def test_adiac_training_step_peak_in_block_outputs(self, monkeypatch):
         unit, _, peak = self.traced_step(monkeypatch, batch=128)
-        assert peak < 4.9 * unit
+        assert peak < 4.6 * unit
+
+    # the Coffee and Adiac shapes of the benchmark
+    @pytest.mark.parametrize("batch, length, classes, cell",
+                             [(28, 286, 2, "gru"), (128, 176, 37, "lstm")])
+    def test_block_1s_backward_peaks_below_block_2s_conv_backward(self, batch, length,
+                                                                  classes, cell):
+        # block 1's backward holds at most 4 units, and its conv backward 3:
+        # with y0 held whole beside block 1's output gradient and its input
+        # gradient, it peaked 2.9 and 3.2 MiB above block 2's conv backward
+        # (43.51 against 40.62 MiB at the Coffee shape), and set the step's
+        # peak
+        peaks = step_memory.phase_peaks(batch, length, classes, cell, workers=2)
+        assert peaks["conv1 backward"] < peaks["conv2 conv backward"] == peaks["step"]
 
     def test_second_backward_on_one_cache_is_refused(self):
         model = build(ArchConfig(self.LENGTH, 4, seed=2))

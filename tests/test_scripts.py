@@ -32,6 +32,27 @@ def test_gradient_check_script_passes(cell):
     assert f"cell={cell}" in result.stdout
 
 
+def test_step_memory_script_prints_every_phase():
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "step_memory.py"), "--batch", "3",
+         "--length", "12", "--cell", "lstm", "--classes", "3"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    header, *lines = result.stdout.splitlines()
+    assert header == "phase,peak_mib"
+    peaks = {name: float(mib) for name, mib in (line.split(",") for line in lines)}
+    assert list(peaks) == [
+        *(f"conv{i} forward" for i in range(3)),
+        *(f"conv{i} {phase}" for i in (2, 1, 0)
+          for phase in ("backward", "output grad", "conv backward")),
+        "step"]
+    assert all(0 < mib <= peaks["step"] for mib in peaks.values())
+
+
 def test_parity_script_prints_digests():
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "parity.py"), "--cell", "gru"],

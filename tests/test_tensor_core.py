@@ -55,6 +55,15 @@ IM2COL_BUDGETS = [
 WINOGRAD_SHAPES = [(3, 1), (5, 2), (4, 3), (5, 4), (3, 6), (4, 9), (2, 13), (1, 5), (5, 16)]
 
 
+def flat(gradients):
+    """conv1d_same_backward's result as a list of arrays: the input
+    gradient, or the three parts of the gated one, if any, then the kernel
+    gradient."""
+    grad_x, grad_kernels = gradients
+    parts = [] if grad_x is None else list(grad_x) if isinstance(grad_x, tuple) else [grad_x]
+    return [*parts, grad_kernels]
+
+
 def direct_conv(x, kernels):
     """conv1d_same as a sum over taps of GEMMs on shifted zero-padded copies."""
     k, length = kernels.shape[0], x.shape[1]
@@ -218,7 +227,7 @@ class TestConv1dSame:
         # grad_out as a map of the output's rows: one call per slice of the
         # walk, with the conv's own rows at the slice's positions widened by
         # the input gradient's halo (k - 1 positions, clipped to [0, L)) if
-        # that gradient is computed; budgets of one position, two, a series
+        # that gradient is computed, and those positions; budgets of one position, two, a series
         # or the batch. On small integers im2col sums exactly, so its rows
         # are bitwise the forward's; Winograd's tiles start where the slice
         # does, so they round unlike the forward's. The gradients are the
@@ -234,8 +243,8 @@ class TestConv1dSame:
         monkeypatch.setattr(tensor_core, "IM2COL_ELEMENTS", elements)
         calls, walks = [], []
 
-        def of_output(rows, series):
-            calls.append((series, rows.copy()))
+        def of_output(rows, series, positions):
+            calls.append((series, rows.copy(), positions))
             rows *= weight[series, None]
             rows += shift
 
@@ -244,11 +253,12 @@ class TestConv1dSame:
                             lambda *args: walks.append(list(slices(*args))) or walks[-1])
         got = conv1d_same_backward(x, kernels, of_output, input_grad, scale=scale, relu=relu)
         walk = walks[0]  # the walk's slices are cut first, then each slice's pieces
-        assert [series for series, _ in calls] == [series for series, _ in walk]
+        assert [series for series, _, _ in calls] == [series for series, _ in walk]
         assert any(p.stop - p.start < 9 for _, p in walk) == (elements <= 40)
-        for (series, p), (_, rows) in zip(walk, calls, strict=True):
+        for (series, p), (_, rows, positions) in zip(walk, calls, strict=True):
             lo, hi = (max(p.start - right, 0), min(p.stop + left, 9)) if input_grad else (
                 p.start, p.stop)
+            assert positions == slice(lo, hi)
             assert rows.shape == y[series, lo:hi].shape
             if conv_path == "im2col":
                 assert np.array_equal(rows, y[series, lo:hi])
@@ -257,9 +267,8 @@ class TestConv1dSame:
         grad_out = y * weight[:, None] + shift
         expected = conv1d_same_backward(x, kernels, grad_out, input_grad, scale=scale, relu=relu)
         assert (got[0] is None) == (expected[0] is None) == (not input_grad)
-        for a, b in zip(got, expected, strict=True):
-            if a is not None:
-                assert max_rel_error(a, b) <= 1e-12
+        for a, b in zip(flat(got), flat(expected), strict=True):
+            assert max_rel_error(a, b) <= 1e-12
 
     def test_backward_memory_is_one_im2col_slice_beyond_its_gradients(self, monkeypatch):
         # the backward holds grad_x, the kernel gradient and, per worker, one
@@ -672,7 +681,8 @@ class TestRebuiltInput:
     as ReLU(x * gamma + beta), rebuilt a slice at a time into the slice's
     padded copy; the output and gradients must be bitwise those of the
     materialized input, however the slices cut the series and however many
-    workers."""
+    workers, but that the input gradient comes gated by x * gamma + beta >
+    0, with its sums, as a conv block's backward takes it."""
 
     @pytest.mark.parametrize("c_in", [2, 40])  # the im2col and Winograd paths
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -712,6 +722,9 @@ class TestRebuiltInput:
         starts = {p.start for _, p in tensor_core.slices(x_hat.shape, k * 3)}
         assert (len(starts) > 1) == (positions < 9)
         expected = conv1d_same_backward(x, kernels, grad_out, scale=scale)
-        got = conv1d_same_backward(x_hat, kernels, grad_out, scale=scale, relu=(gamma, beta))
-        for a, b in zip(got, expected, strict=True):
-            assert np.array_equal(a, b)
+        (dz, dot, total), grad_kernels = conv1d_same_backward(x_hat, kernels, grad_out,
+                                                              scale=scale, relu=(gamma, beta))
+        assert np.array_equal(dz, expected[0] * (x > 0))
+        assert np.array_equal(grad_kernels, expected[1])
+        assert max_rel_error(dot, np.einsum("blc,blc->c", dz, x_hat)) <= 1e-12
+        assert max_rel_error(total, dz.sum(axis=(0, 1))) <= 1e-12

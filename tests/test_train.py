@@ -339,6 +339,33 @@ class TestFit:
                                                                 eval_batch=2)))
         assert two_steps <= one_step + moments + (1 << 18)
 
+    @pytest.mark.parametrize("bad", ["gradient", "loss"])
+    def test_non_finite_step_is_refused_before_adam(self, monkeypatch, bad):
+        # a NaN from the head reaches neither Adam's moments nor the trained
+        # weights (the forward has already moved the batch-norm moving
+        # statistics): fit names the epoch, the batch and the first
+        # non-finite tensor
+        model = build(ArchConfig(24, 2, seed=1))
+        before = {k: v.copy() for k, v in model.trainable_parameters().items()}
+        real_backward = train_mod.model_mod.backward
+
+        def poisoned(*args):
+            loss, grads = real_backward(*args)
+            if bad == "loss":
+                return float("nan"), grads
+            grads["head.W"][0, 0] = np.nan
+            grads["head.b"][0] = np.inf  # later in manifest order
+            return loss, grads
+
+        monkeypatch.setattr(train_mod.model_mod, "backward", poisoned)
+        monkeypatch.setattr(train_mod, "adam_step", lambda *args: pytest.fail("Adam ran"))
+        what = "the gradient of head.W" if bad == "gradient" else "the loss"
+        with pytest.raises(FloatingPointError,
+                           match=f"^epoch 0, batch from index 0: {what} is not finite$"):
+            fit(model, make_synthetic_dataset(), TrainRun(epochs=2, train_batch=4, eval_batch=4))
+        for name, arr in model.trainable_parameters().items():
+            assert np.array_equal(arr, before[name]), name
+
     def test_learns_separable_synthetic(self):
         model = build(ArchConfig(24, 2, seed=0))
         ds = make_synthetic_dataset(n_train=32, n_test=16)
