@@ -71,7 +71,6 @@ def phase_peaks(batch: int, length: int, classes: int = 2, cell: str = "gru",
         "conv_block_forward": lambda block, *_: f"conv{index[id(block)]} forward",
         "conv_block_backward": lambda cache, *_: f"conv{index[id(cache['block'])]} backward",
         "_output_grad": lambda cache, *_: f"conv{index[id(cache['block'])]} output grad",
-        "_pooled_output_grad": lambda cache, *_: f"conv{index[id(cache['block'])]} output grad",
         "conv1d_same_backward": lambda _, kernels, *__: f"conv{index[id(kernels)]} conv backward",
     }
     saved = {name: getattr(layers, name) for name in points}

@@ -5,18 +5,6 @@ head with its cross-entropy loss.
 
 All layers operate on float64 batches. Backward passes return exact analytic
 gradients; the test suite checks each one against central finite differences.
-A conv block hands on its conv output y and a per-channel (a, b), never
-its output ReLU(a * y + b). Training runs the conv blocks one after the
-other over the whole batch. Each block's backward but the last's is handed
-the gradient of its output already gated by a * y + b > 0 and summed, by
-the conv backward of the block after it, which gates its input gradient as
-it writes it. Training keeps neither block 0's y, one conv of a one-channel
-input, which block 1's conv backward reads a slice at a time as a
-tensor_core.ConvRows and block 0's recomputes a slice at a time into its
-gradient, nor the last block's, which its conv backward recomputes a slice
-at a time and maps to its gradient with two sums the pooling takes. Both
-modes pool in global_avg_pool, which at inference runs the blocks depth
-first, a tile of positions at a time.
 """
 
 from __future__ import annotations
@@ -62,21 +50,16 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray,
                        relu: tuple[np.ndarray, np.ndarray] | None = None):
     """ReLU(BN(conv(x))) in training mode for a (B, L, Cin) x, read as
     ReLU(a * x + b) if relu = (a, b) is given, as the previous block hands
-    it on. Returns ((y, (a, b)), cache): the block's output is ReLU(a * y +
-    b), which _bn_relu rebuilds wherever it is read, from the (B, L, Cout)
-    conv output y = conv1d_same(x, kernels, relu=relu), run without the
-    bias, and a pair of (Cout,) vectors (a, b). No output array is written.
+    it on. Returns ((y, (a, b)), cache): the (B, L, Cout) conv output y, run
+    without the bias, and a pair of (Cout,) vectors (a, b). The block's
+    output ReLU(a * y + b) is never written; its readers rebuild it
+    (tensor_core._bn_relu).
 
-    Batch statistics are taken over all batch and time positions per
-    channel, as the conv's slices write y (its moments); the moving
-    statistics are updated in place, and a = gamma / sqrt(var + eps), b =
-    beta - mean * a. The cache holds y, the only block-sized array, mean,
-    1 / sqrt(var + eps), (a, b), and x and relu as given. The batch
-    statistics must be finite, which any non-finite input or conv output,
-    or an empty batch, makes them fail. The bias, which the batch mean
-    would take away again, is never trained; only the moving mean, the
-    running mean of the biased conv output, adds it back. Inference runs no
-    block on its own (conv_branch).
+    Batch statistics are taken per channel over all batch and time
+    positions, as the conv writes y, and must be finite, which a non-finite
+    input or conv output, or an empty batch, fails; a = gamma / sqrt(var +
+    eps), b = beta - mean * a. The moving statistics, updated in place, are
+    those of the biased conv output. y is the cache's one block-sized array.
     """
     y, mean, var = conv1d_same(x, block.kernels, relu=relu, moments=True)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
@@ -94,118 +77,82 @@ def conv_block_forward(block: ConvBlock, x: np.ndarray,
 
 def conv_block_backward(cache, grad_out, input_grad: bool = True):
     """Gradients of the composed ReLU(BN(conv)) w.r.t. input and parameters,
-    from a training-mode cache and the gradient of the block's output.
-
-    Includes the batch-statistics coupling terms of training-mode batch norm,
-    with the statistics and (a, b) the forward ran with. Returns (grad_x,
-    grads) with grads keyed by ConvBlock.TRAINED; grad_x is None unless
-    input_grad. A cache serves one backward, which takes its batch
-    statistics, y and the last block's pooled sums out of it: a second
-    raises ValueError. The cache's x and relu go unchanged to
-    conv1d_same_backward, which applies the factor a of the conv's output
-    gradient (scale=a): x is the block's input, an array or a
-    tensor_core.ConvRows that recomputes block 0's y, and with relu = (a,
-    b) it is the previous block's y. With relu, grad_x is the triple that
-    conv1d_same_backward returns, the gated gradient of the previous block's
-    output and its sums, which that block's backward takes as its grad_out.
-
-    - The last block's cache holds the pooled sums (conv_branch), and takes
-      grad_out, the (B, Cout) gradient of the pooled features
-      (_pooled_output_grad).
-    - Any other block takes the triple (dz, Σdz * y, Σdz): dz, the (B, L,
-      Cout) gradient of ReLU(a * y + b) gated by a * y + b > 0, and its
-      per-channel sums over every position, as the next block's conv
-      backward hands them on (_output_grad).
-    """
+    batch norm's coupling terms included, from a training-mode cache and
+    the gradient of the block's output in _output_grad's form. Returns
+    (grad_x, grads) with grads keyed by ConvBlock.TRAINED; grad_x, None
+    unless input_grad, is in that form too if the block read its input
+    through relu. A cache serves one backward, which takes its batch
+    statistics, y and pooled sums out of it: a second raises ValueError.
+    conv1d_same_backward applies a, the conv output gradient's factor."""
     block: ConvBlock = cache["block"]
     if "inv_std" not in cache:
         raise ValueError("this conv block cache was already used by a backward pass")
-    output_grad = _pooled_output_grad if "pool_sums" in cache else _output_grad
-    grad_gamma, grad_beta, grad_y = output_grad(cache, grad_out)
+    grad_gamma, grad_beta, grad_y = _output_grad(cache, grad_out)
     grad_x, grad_kernels = conv1d_same_backward(cache["x"], block.kernels, grad_y, input_grad,
                                                 scale=cache["ab"][0], relu=cache["relu"])
     return grad_x, {"kernels": grad_kernels, "bn_gamma": grad_gamma, "bn_beta": grad_beta}
 
 
-def _coupling(cache, grad_y_dot: np.ndarray, grad_beta: np.ndarray, n: int):
-    """(gamma's gradient, c, shift) from Σdz * y and Σdz over n positions,
-    taking the batch statistics out of the cache.
+def _output_grad(cache, grad_out):
+    """(gamma's and beta's gradients, the conv's output gradient before the
+    factor a) from a cache and the gradient of its block's output, either
 
-    With x_hat = (y - mean) * inv_std, gamma's gradient is sum(dz * x_hat)
-    = inv_std * (sum(dz * y) - mean * sum(dz)), and the conv's output
-    gradient is a * (dz - sum(dz)/n - x_hat * sum(dz * x_hat)/n) = a * (dz
-    - y * c + shift), with c = inv_std * sum(dz * x_hat)/n and shift = mean
-    * c - sum(dz)/n."""
+    - the last block's (B, Cout) pooled gradient, where the cache holds the
+      pooling's sums (S0, S1): dz is grad_out / L wherever the gate a * y +
+      b > 0 passes, so Σdz = Σ_b dz * S0 and Σdz * y = Σ_b dz * S1;
+    - or the triple (dz, Σdz * y, Σdz) that the next block's conv backward
+      hands on: dz, the gated (B, L, Cout) gradient of ReLU(a * y + b), and
+      its per-channel sums.
+
+    With x_hat = (y - mean) * inv_std over n positions, the output gradient
+    is dz - Σdz/n - x_hat * Σ(dz * x_hat)/n = dz - y * c + shift. Block 1's
+    cache, which holds y, writes it over dz in one pass, so dz must be
+    writable, and frees y on return, before the conv backward, where a map
+    would keep y alive. Any other cache gets a map that turns the rows of y
+    that conv1d_same_backward recomputes into their gradient in place.
+    Nothing leaves the cache before the checks pass.
+    """
+    shape = cache["x"].shape[:2] + cache["block"].kernels.shape[2:]
+    n, pooled = shape[0] * shape[1], "pool_sums" in cache
+    if pooled:
+        count, dot = cache["pool_sums"]
+        if grad_out.shape != count.shape:
+            raise ValueError(f"grad shape {grad_out.shape} != pooled shape {count.shape}")
+        del cache["pool_sums"]
+        dz = grad_out / shape[1]
+        grad_beta, grad_y_dot = np.einsum("bc,bc->c", dz, count), np.einsum("bc,bc->c", dz, dot)
+    else:
+        dz, grad_y_dot, grad_beta = grad_out
+        if dz.shape != shape:
+            raise ValueError(f"grad shape {dz.shape} != forward output shape {shape}")
+        if "y" in cache and not dz.flags.writeable:
+            raise ValueError("grad_out must be writable: the backward writes over it")
     mean, inv_std = cache.pop("mean"), cache.pop("inv_std")
     grad_gamma = inv_std * (grad_y_dot - mean * grad_beta)
     c = inv_std * (grad_gamma / n)
-    return grad_gamma, c, mean * c - grad_beta / n
+    shift = mean * c - grad_beta / n
+    if "y" in cache:
+        y = cache.pop("y")
 
+        def couple(chunk):
+            part = dz[chunk]
+            part -= np.multiply(y[chunk], c, out=y[chunk])
+            part += shift
 
-def _output_grad(cache, grad_out):
-    """(gamma's and beta's gradients, the conv's output gradient before a)
-    from the gated triple (dz, Σdz * y, Σdz), which needs no pass to gate
-    or sum. The output gradient is dz - y * c + shift (_coupling).
+        for _ in tensor_core.ordered_map(couple, list(tensor_core.slices(shape, shape[2]))):
+            pass
+        return grad_gamma, grad_beta, dz
+    a, b = cache["ab"]
 
-    - A cache that holds y (block 1's) takes one pass over y's slices
-      (tensor_core.slices at C floats per position), as the pooling does,
-      which writes it over dz, so dz must be writable, and then frees y. As
-      a map of the conv's rows it would keep y (2 units at block 1) alive
-      beside dz and the conv's input gradient.
-    - Block 0's cache holds no y: the result is a map that turns the rows
-      of y that conv1d_same_backward recomputes in place into their
-      gradient, reading dz, which it leaves as it is."""
-    dz, grad_y_dot, grad_beta = grad_out
-    shape = cache["x"].shape[:2] + cache["block"].kernels.shape[2:]
-    if dz.shape != shape:
-        raise ValueError(f"grad shape {dz.shape} != forward output shape {shape}")
-    if "y" in cache and not dz.flags.writeable:
-        raise ValueError("grad_out must be writable: the backward writes over it")
-    grad_gamma, c, shift = _coupling(cache, grad_y_dot, grad_beta, shape[0] * shape[1])
-    if "y" not in cache:
-        def of_output(rows, series, positions):
-            np.multiply(rows, c, out=rows)
-            np.subtract(dz[series, positions], rows, out=rows)
-            rows += shift
-
-        return grad_gamma, grad_beta, of_output
-    y = cache.pop("y")
-
-    def couple(chunk):
-        part = dz[chunk]
-        part -= np.multiply(y[chunk], c, out=y[chunk])
-        part += shift
-
-    for _ in tensor_core.ordered_map(couple, list(tensor_core.slices(shape, shape[2]))):
-        pass
-    return grad_gamma, grad_beta, dz
-
-
-def _pooled_output_grad(cache, grad_pooled: np.ndarray):
-    """(gamma's and beta's gradients, a map of the conv's output rows to
-    their gradient before a), from the last block's cache, which holds the
-    pooling's sums (S0, S1) instead of y. Its dz is grad_pooled / L
-    wherever the gate passes, so Σdz = Σ_b dz * S0 and Σdz * y = Σ_b dz *
-    S1 before any row is read. conv1d_same_backward hands the map the rows
-    of y it recomputes, which it gates by a * y + b > 0 and turns in place
-    into dz - y * c + shift: no block-sized array of y or of its gradient
-    exists."""
-    count, dot = cache["pool_sums"]
-    if grad_pooled.shape != count.shape:
-        raise ValueError(f"grad shape {grad_pooled.shape} != pooled shape {count.shape}")
-    del cache["pool_sums"]
-    x, (a, b) = cache["x"], cache["ab"]
-    dz = grad_pooled / x.shape[1]
-    grad_beta, grad_y_dot = np.einsum("bc,bc->c", dz, count), np.einsum("bc,bc->c", dz, dot)
-    grad_gamma, c, shift = _coupling(cache, grad_y_dot, grad_beta, x.shape[0] * x.shape[1])
-
-    def of_output(rows, series, _):
-        scratch = np.multiply(rows, a)
-        scratch += b
-        gate = scratch > 0
-        np.multiply(rows, c, out=scratch)
-        np.multiply(dz[series, None], gate, out=rows)  # dz at every position the gate passes
-        rows -= scratch
+    def of_output(rows, series, positions):
+        if pooled:  # dz at every position the gate passes
+            gated = np.multiply(rows, a)
+            gated += b
+            np.multiply(dz[series, None], gated > 0, out=gated)
+        else:
+            gated = dz[series, positions]
+        np.multiply(rows, c, out=rows)
+        np.subtract(gated, rows, out=rows)
         rows += shift
 
     return grad_gamma, grad_beta, of_output
@@ -213,23 +160,17 @@ def _pooled_output_grad(cache, grad_pooled: np.ndarray):
 
 def conv_branch(blocks: list[ConvBlock], x: np.ndarray, training: bool):
     """Pooled (B, Cout) features of the blocks run in turn over a (B, L, Cin)
-    input, and in training mode the per-block caches (else None).
+    input, and in training mode the per-block caches (else None). Both
+    modes pool in global_avg_pool, which at inference runs the blocks.
 
     Training runs the whole batch through each block in turn, since batch
     norm takes its statistics over all of it before any block output can
-    be read. Each block hands the next its conv output y and (a, b), which
-    the next conv and the pooling read through ReLU(a * y + b). The caches
-    hold one block-sized array each, its y, but block 0's and the last
-    block's. Once block 1 has read y0, block 0's cache drops it, and block
-    1's cache takes as its x a tensor_core.ConvRows of the branch input,
-    which recomputes the rows of y0 each slice of block 1's conv backward
-    reads, since a conv of the one-channel input is cheap (1/160 of block
-    1's multiply-adds in the paper's model); block 0's conv backward
-    recomputes its own rows likewise.
-    The last block's cache keeps, instead of its y, the two (B, C) sums the
-    pooling takes as it reads y (global_avg_pool), and its backward
-    recomputes y a slice at a time. Both modes pool in global_avg_pool,
-    which at inference runs the blocks depth first.
+    be read. Of the blocks' y, the caches keep block 1's alone. Block 0's,
+    a conv of the one-channel input (1/160 of block 1's multiply-adds in
+    the paper's model), is dropped once block 1 has read it: block 1's
+    cache reads it as a tensor_core.ConvRows, and block 0's conv backward
+    recomputes its own rows. The last block's cache keeps the pooling's
+    sums instead, and its conv backward recomputes y.
     """
     if not training:
         return global_avg_pool(x, None, blocks), None
@@ -250,13 +191,9 @@ def conv_branch_backward(caches, grad_pooled: np.ndarray) -> list[dict[str, np.n
     from conv_branch's training caches and the gradient of its pooled
     features. The blocks run last to first, each popping its cache off
     caches, which ends empty, so that a block's arrays are freed as soon as
-    its backward has used them. The last block takes the pooled gradient;
-    each other block takes the gated gradient the conv backward of the
-    block after it returns as its input gradient, which nothing else
-    reads. No block-sized array of y0 exists: block 1's conv backward
-    reads it a slice at a time, and block 0's recomputes its rows into
-    their gradient. Block 0 computes no gradient for the branch's input,
-    which nothing reads."""
+    its backward has used them. Each block but the last takes the input
+    gradient the next block's backward returns, which nothing else reads;
+    block 0 computes none for the branch's input."""
     grad, grads = grad_pooled, [None] * len(caches)
     for i in reversed(range(len(caches))):
         grad, grads[i] = conv_block_backward(caches.pop(), grad, i > 0)
@@ -384,27 +321,19 @@ def global_avg_pool(h: np.ndarray, relu: tuple[np.ndarray, np.ndarray] | None,
     channel, of its last block's output ReLU(a * y + b).
 
     With blocks (inference), h is their (B, L, Cin) input, read through relu
-    if given, which each block runs in inference mode: batch norm is the
-    fixed map a = gamma / sqrt(moving var + eps), b = beta + (bias - moving
-    mean) * a, which folds the bias in. With no blocks (training), h is that
-    y and relu = (a, b), and the pooling returns (pooled, (S0, S1)), the
-    (B, C) sums over time S0 = Σ[a * y + b > 0] and S1 = Σ[a * y + b > 0] * y
-    that the last block's backward reads instead of y.
+    if given, and each block runs with batch norm folded into the fixed map
+    a = gamma / sqrt(moving var + eps), b = beta + (bias - moving mean) * a.
+    With no blocks (training), h is the last block's y and relu its (a, b),
+    and the pooling returns (pooled, (S0, S1)), the (B, C) sums over time S0
+    = Σ[a * y + b > 0] and S1 = Σ[a * y + b > 0] * y that the last block's
+    backward reads instead of y.
 
-    Tiles are tensor_core.slices of the (B, L) positions, at the most
-    floats per position a tile's step counts: h's C, or a block's input
-    rows, its conv's scratch and its output rows. Each tile runs in one
-    pool thread: it widens each earlier block's range by the later blocks'
-    same_padding halos, clipped to [0, L), runs each block's conv
-    (correlate_slice, on kernels prepared once) on the previous rows, and
-    sums the last rows' ReLU over time (_bn_relu): in place over a conv's
-    tile output, or into a scratch over h, which it then reuses for S1. The
-    sums are added in tile order and the features divided by L: the same
-    at any WORKERS. The tile hands each block's output rows over to the
-    next conv, which frees them once padded, as it frees its own scratch
-    after its last reader, so the count sizes the tiles but a running tile
-    holds less: 0.53 of IM2COL_ELEMENTS beyond the prepared kernels at
-    HandOutlines' shape.
+    Tiles are slices of the (B, L) positions, at the most floats per
+    position a tile's step counts: h's C, or a block's input rows, its
+    conv's scratch and its output rows. A tile widens each earlier block's
+    range by the later blocks' halos, clipped to [0, L), and hands each
+    block's output rows over to the next conv, which frees them once padded:
+    at HandOutlines' shape it holds 0.53 of IM2COL_ELEMENTS beyond kernels.
     """
     length, steps, widest = h.shape[1], [], h.shape[2]
     if length == 0:

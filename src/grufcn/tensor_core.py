@@ -1,27 +1,11 @@
-"""Dense float64 tensor primitives: same-padded 1D convolution and
-deterministic initializers.
+"""Dense float64 tensor primitives: same-padded 1D convolution, its
+backward, and deterministic initializers.
 
-Tensors are plain C-contiguous ``numpy.ndarray`` objects with dtype float64.
-Apart from the generators :func:`Rng` returns, whose draws advance their
-state, every function here returns the same result for the same inputs.
-Every pass that cuts an array into pieces, the conv's, the conv blocks'
-and the inference tiles that run every block on a few positions alike,
-walks the slices that `slices` cuts to IM2COL_ELEMENTS floats, on a pool
-of WORKERS threads, which the first such pass starts if WORKERS > 1. That
-changes no result: the slices depend on IM2COL_ELEMENTS alone, and their
-partial sums are added in slice order. A conv forward, its recompute in a
-backward, its input gradient and each inference tile run one per-slice
-routine, correlate_slice, on kernels that prepare_kernels has transformed
-once for the path their shape picks: im2col GEMMs, or Winograd F(4, k)
-GEMMs, and frees each scratch array after its last reader. The bits are
-those of one BLAS kernel set, which blas_core names.
-A conv reads its input either as given or through a per-channel ReLU(a * x
-+ b), the form in which a conv block hands on its output (_bn_relu); its
-backward then gates the input gradient by a * x + b > 0 and sums it as each
-piece is written. A training block's conv also returns its output's
-per-channel mean and variance, which each slice takes from the rows it has
-written (_correlate). A conv backward reads its input from an array or from
-a ConvRows, a conv output that each slice recomputes as it reads it.
+Tensors are C-contiguous float64 ``numpy.ndarray`` objects. Apart from the
+generators Rng returns, every function returns the same result for the same
+inputs: a pass that cuts an array into pieces walks the slices that `slices`
+cuts, on WORKERS threads (ordered_map), and adds its partial sums in slice
+order, so no result depends on WORKERS.
 """
 
 from __future__ import annotations
@@ -91,16 +75,14 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's thr
 
 
 def ordered_map(fn, items, ahead: int | None = None):
-    """Yield fn(item) for each item, in order, with fn running on WORKERS
-    pool threads at once, or in the calling thread if WORKERS is 1 or there
-    is one item, where a pool thread would only add a hand-off. Every item
-    is queued at once, so a thread that finishes one takes the next without
-    waiting for the caller, unless ahead is given: then item i + ahead is
-    queued only once the caller has taken result i and asks for the next,
-    so at most ahead results exist at a time if the caller drops each
+    """Yield fn(item) for each item, in order, with fn running under the
+    caller's numpy error handling on WORKERS pool threads, started on first
+    use, or in the calling thread if WORKERS is 1 or there is one item.
+    Every item is queued at once, unless ahead is given: then item i + ahead
+    is queued only once the caller has taken result i and asks for the
+    next, so at most ahead results exist at a time if the caller drops each
     before asking. Items not started when the caller stops are cancelled,
-    and those running are waited for. fn runs under the caller's numpy
-    floating-point error handling, which is kept per thread."""
+    and those running are waited for."""
     items = list(items)
     if WORKERS == 1 or len(items) == 1:
         yield from map(fn, items)
@@ -149,8 +131,7 @@ def slices(shape, cost: int, unit: int = 1):
     ...) shape in slices of whole series, or of one series' positions,
     that hold at most IM2COL_ELEMENTS floats at cost floats per unit
     positions (at least one unit). Slices hold whole units, so the last may
-    reach past L. Every pass that cuts a block-sized array into pieces
-    walks these slices."""
+    reach past L."""
     batch, length = shape[:2]
     span = -(-length // unit) * unit  # one series' positions in whole units
     rows = max(1, IM2COL_ELEMENTS // cost) * unit
@@ -162,10 +143,9 @@ def slices(shape, cost: int, unit: int = 1):
 
 def _bn_relu(h: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = max(h * a + b, 0) in three in-place passes: a conv block's
-    output, read from the array h it keeps and its per-channel (a, b). It is
-    the one code that writes that output, for the next conv and the pooling
-    alike, so both read the same bits; the backward's ReLU gate tests the
-    same h * a + b > 0."""
+    output, from the conv output h it keeps and its per-channel (a, b). The
+    next conv and the pooling both read that output through it, so they read
+    the same bits, and the backward's gate tests the same h * a + b > 0."""
     np.multiply(h, a, out=out)
     out += b
     return np.maximum(out, 0.0, out=out)
@@ -174,9 +154,9 @@ def _bn_relu(h: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np
 def _padded(x: np.ndarray, series: slice, positions: slice, k: int, left: int,
             relu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """x[series] from positions.start - left to positions.stop + k - 1 - left,
-    zero outside x; with relu = (a, b), _bn_relu of x there instead, so
-    bitwise a conv block's output. (np.pad makes the same array with
-    about three times the Python overhead, which every slice pays.)"""
+    zero outside x; with relu = (a, b), _bn_relu of x there instead. (np.pad
+    makes the same array with about three times the Python overhead, which
+    every slice pays.)"""
     lo, hi = positions.start - left, positions.stop + k - 1 - left
     part = x[series, max(lo, 0):min(hi, x.shape[1])]
     padded = np.empty((part.shape[0], hi - lo, x.shape[2]))
@@ -237,13 +217,11 @@ def _winograd_matrices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def prepare_kernels(kernels: np.ndarray):
     """(k, w, cost, unit): the (k, Cin, Cout) kernels as correlate_slice reads
-    them, and the floats of scratch one of its slices counts per unit output
-    positions, which sizes the slices. With k <= 5 and Cin >=
-    WINOGRAD_MIN_CHANNELS, w is the (k + 3, Cin, Cout) G-transformed kernels
-    of Winograd F(4, k), unit 4; else w is the (k * Cin, Cout) im2col
-    matrix, unit 1. The cost counts every scratch array of the slice, though
-    correlate_slice frees each after its last reader, so fewer are live at
-    once. A caller that runs many slices prepares its kernels once."""
+    them, transformed once for the many slices that read them, and the
+    floats of scratch one slice counts per unit output positions, which
+    sizes the slices. With k <= 5 and Cin >= WINOGRAD_MIN_CHANNELS, w is
+    the (k + 3, Cin, Cout) G-transformed kernels of Winograd F(4, k), unit
+    4; else w is the (k * Cin, Cout) im2col matrix, unit 1."""
     k, c_in, c_out = kernels.shape
     if k <= 5 and c_in >= WINOGRAD_MIN_CHANNELS:
         alpha = k + 3
@@ -258,25 +236,21 @@ def prepare_kernels(kernels: np.ndarray):
 def correlate_slice(x: np.ndarray | list[np.ndarray], series: slice, positions: slice,
                     left: int, prepared, relu: tuple[np.ndarray, np.ndarray] | None,
                     dest: np.ndarray | None = None) -> np.ndarray:
-    """The (S, n, Cout) output positions positions.start to positions.start
-    + n of the correlation, without bias, of x[series], read through relu as
-    in _padded and zero outside x, with kernels as prepare_kernels returned
-    them: out[t] = sum_j x[t - left + j] @ kernels[j]. Given dest, a
-    contiguous (S, n, Cout) array, it fills and returns dest, and positions
-    may reach past n, as slices cuts them; else n spans positions, and the
-    output is a new array, allocated once the GEMMs have run. im2col: one
-    (n x k * Cin) @ (k * Cin x Cout) GEMM. Winograd: B^T on each tile of 4
-    outputs' k + 3 inputs, k + 3 (tiles x Cin) @ (Cin x Cout) GEMMs, then
-    A^T; the last tile's inputs may reach past positions.start + n + k - 1
-    - left, and its outputs past n are dropped. It starts no thread.
+    """Output positions positions.start to positions.start + n of the
+    correlation of x[series], read as _padded reads it, with kernels as
+    prepare_kernels returned them: out[t] = sum_j x[t - left + j] @
+    kernels[j]; the one per-slice routine of every conv, which starts no
+    thread. Given dest, a contiguous (S, n, Cout) array, it fills and
+    returns dest, and positions may reach past n, as slices cuts them; else
+    n spans positions, and the output is allocated after the GEMMs.
 
-    Each array is freed after its last reader: the padded copy, and the
-    windows view that holds it, once the im2col or B^T has read it, and
-    Winograd's v once its GEMMs have run. x may be a one-element list
-    holding the input, which correlate_slice empties, so that a caller that
-    keeps no other reference hands the input over and it is freed once
-    padded. So at most two of the input, the padded copy, the im2col or v,
-    m and the output are live at once."""
+    im2col: one (n x k * Cin) @ (k * Cin x Cout) GEMM. Winograd: B^T on each
+    tile of 4 outputs from positions.start on, k + 3 (tiles x Cin) @ (Cin x
+    Cout) GEMMs, then A^T, dropping the last tile's outputs past n. Each
+    scratch array is freed after its last reader, so at most two of the
+    input, the padded copy, the im2col or v, m and the output are live at
+    once. x may be a one-element list, which correlate_slice empties: a
+    caller that keeps no other reference hands the input over."""
     k, w, _, unit = prepared
     n = positions.stop - positions.start if dest is None else dest.shape[1]
     c_out = w.shape[-1]
@@ -314,50 +288,19 @@ def correlate_slice(x: np.ndarray | list[np.ndarray], series: slice, positions: 
     return dest
 
 
-def _correlate(x: np.ndarray, kernels: np.ndarray, left: int,
-               relu: tuple[np.ndarray, np.ndarray] | None = None, moments: bool = False):
-    """The (B, L, Cout) correlate_slice of the whole (B, L, Cin) input x, one
-    task per slice of slices(x.shape, cost, unit) as prepare_kernels sizes
-    them. With moments, (out, mean, var), out's per-channel mean and biased
-    variance (0 / 0 with no rows): each task reduces the rows it has just
-    written, still in cache, to (count, mean, sum of squared deviations),
-    merged in slice order by the pairwise update of Chan, Golub & LeVeque
-    (1979): the same at any WORKERS."""
-    prepared = prepare_kernels(kernels)
-    out = np.empty(x.shape[:2] + (kernels.shape[2],))
-
-    def task(item):
-        series, positions = item
-        # a slice is whole series or part of one series, so this view is contiguous
-        rows = correlate_slice(x, series, positions, left, prepared, relu,
-                               out[series, positions]).reshape(-1, out.shape[2])
-        if moments:
-            mean = rows.mean(axis=0)
-            centred = rows - mean
-            return len(rows), mean, np.einsum("nc,nc->c", centred, centred)
-
-    count, mean, m2 = 0, np.zeros(out.shape[2]), np.zeros(out.shape[2])
-    for n, part_mean, part_m2 in filter(None, ordered_map(task, slices(x.shape, *prepared[2:]))):
-        delta = part_mean - mean
-        mean = mean + delta * (n / (count + n))
-        m2 = m2 + part_m2 + delta * (delta * (count * n / (count + n)))
-        count += n
-    return (out, mean, m2 / count) if moments else out
-
-
 def conv1d_same(x: np.ndarray, kernels: np.ndarray, *,
                 relu: tuple[np.ndarray, np.ndarray] | None = None, moments: bool = False):
-    """Stride-1 cross-correlation with zero "same" padding, and no bias: a
-    conv block folds its bias into batch norm's per-channel shift.
+    """The (B, L, Cout) stride-1 cross-correlation y of a (B, L, Cin) x with
+    (k, Cin, Cout) kernels, with zero "same" padding, no kernel flip and no
+    bias: a conv block folds its bias into batch norm's shift. With a pair
+    of (Cin,) vectors relu = (a, b), x is read as ReLU(a * x + b) (_padded).
 
-    x is (B, L, Cin), kernels is (k, Cin, Cout); returns the (B, L, Cout)
-    output y. No kernel flip is applied. With a pair of (Cin,) vectors relu
-    = (a, b), x is read as ReLU(a * x + b), rebuilt a slice at a time as in
-    conv1d_same_backward: the next conv reads a conv block's output from the
-    array the block keeps, so the output itself never exists. With moments,
-    returns (y, mean, var), y's per-channel batch mean and (biased) variance
-    over its B * L positions, taken slice by slice as the slices are written
-    (_correlate), so no pass over y is added.
+    One correlate_slice task per slice, as prepare_kernels sizes them. With
+    moments, returns (y, mean, var), y's per-channel mean and biased
+    variance (0 / 0 with no rows), with no pass over y: each task reduces
+    the rows it has just written, still in cache, to (count, mean, sum of
+    squared deviations), merged in slice order by the pairwise update of
+    Chan, Golub & LeVeque (1979).
     """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -366,19 +309,37 @@ def conv1d_same(x: np.ndarray, kernels: np.ndarray, *,
             f"conv1d_same expects (B,L,Cin) input and (k,Cin,Cout) kernels, "
             f"got {x.shape} and {kernels.shape}"
         )
-    k, c_in, _ = kernels.shape
+    k, c_in, c_out = kernels.shape
     if x.shape[2] != c_in:
         raise ValueError(f"input channels {x.shape[2]} != kernel channels {c_in}")
-    return _correlate(x, kernels, same_padding(k)[0], relu, moments)
+    left, prepared = same_padding(k)[0], prepare_kernels(kernels)
+    out = np.empty(x.shape[:2] + (c_out,))
+
+    def task(item):
+        series, positions = item
+        # a slice is whole series or part of one series, so this view is contiguous
+        rows = correlate_slice(x, series, positions, left, prepared, relu,
+                               out[series, positions]).reshape(-1, c_out)
+        if moments:
+            mean = rows.mean(axis=0)
+            centred = rows - mean
+            return len(rows), mean, np.einsum("nc,nc->c", centred, centred)
+
+    count, mean, m2 = 0, np.zeros(c_out), np.zeros(c_out)
+    for n, part_mean, part_m2 in filter(None, ordered_map(task, slices(x.shape, *prepared[2:]))):
+        delta = part_mean - mean
+        mean = mean + delta * (n / (count + n))
+        m2 = m2 + part_m2 + delta * (delta * (count * n / (count + n)))
+        count += n
+    return (out, mean, m2 / count) if moments else out
 
 
 class ConvRows:
     """The (B, L, Cout) output of conv1d_same(x, kernels, relu=relu), never
     stored: indexing it with [series, lo:hi], 0 <= lo < hi <= L, recomputes
-    those rows with correlate_slice into a new array. It has an array's
-    shape and size, so that conv1d_same_backward reads it as its input as it
-    reads an array; prepared is the kernels as prepare_kernels returned
-    them."""
+    those rows from the forward's tile grid, a multiple of the prepared
+    kernels' unit, so where BLAS rounds alike they are bitwise the forward's.
+    It has an array's shape and size, as conv1d_same_backward reads them."""
 
     def __init__(self, x: np.ndarray, kernels: np.ndarray,
                  relu: tuple[np.ndarray, np.ndarray] | None = None):
@@ -389,55 +350,34 @@ class ConvRows:
 
     def __getitem__(self, index: tuple[slice, slice]) -> np.ndarray:
         series, positions = index
-        return correlate_slice(self._x, series, positions, self._left, self.prepared,
-                               self._relu)
+        start = positions.start - positions.start % self.prepared[3]
+        return correlate_slice(self._x, series, slice(start, positions.stop), self._left,
+                               self.prepared, self._relu)[:, positions.start - start:]
 
 
 def conv1d_same_backward(
     x: np.ndarray | ConvRows, kernels: np.ndarray, grad_out, input_grad: bool = True,
     *, scale: np.ndarray | None = None, relu: tuple[np.ndarray, np.ndarray] | None = None,
 ):
-    """Gradients of conv1d_same w.r.t. its input (None unless input_grad) and
-    its kernels; the bias gradient, grad_out's channel sums, is not computed.
+    """Gradients of conv1d_same(x, kernels, relu=relu) w.r.t. its input
+    (None unless input_grad) and its kernels; not the bias's.
 
-    x is the forward's (B, L, Cin) input, an array or a ConvRows that
-    recomputes its rows as each slice reads them. grad_out is the (B, L,
-    Cout) gradient of its output y = conv1d_same(x, kernels, relu=relu), or
-    a map of_output(rows, series, positions) that turns rows y[series,
-    positions] in place into the same rows of grad_out. Then for each slice
-    the walk recomputes y[series, lo:hi] with the forward's correlate_slice
-    and hands it to the map once, with lo and hi the slice's positions
-    widened by the input gradient's k - 1 halo (if input_grad) and clipped
-    to [0, L); neither y nor grad_out ever exists whole. A (Cout,) scale, if
-    given, multiplies each channel of grad_out without a pass over it: the
-    input gradient correlates grad_out with the tap-reversed, transposed
-    kernels times scale (prepared once, from a kernel-sized copy) and
-    mirrored padding, and the kernel gradient scales its (Cout, k * Cin)
-    sum.
+    x is the forward's (B, L, Cin) input, an array or a ConvRows. grad_out
+    is the (B, L, Cout) gradient of the output y, or a map of_output(rows,
+    series, positions) that turns rows y[series, positions] in place into
+    grad_out's; then each slice recomputes y over its positions, widened by
+    the input gradient's k - 1 halo (if input_grad) and clipped to [0, L),
+    and hands it to the map once. A (Cout,) scale multiplies each channel
+    of grad_out, folded into the input gradient's prepared kernels and the
+    kernel gradient's sum. With relu, the input gradient is the triple (dz,
+    Σdz * x, Σdz) that a conv block's backward takes: each slice keeps the
+    gate a * x + b > 0 of the input rows it rebuilds, and gates and sums
+    each input-gradient piece as it is written.
 
-    With a pair of (Cin,) vectors relu = (a, b), x is instead what the
-    forward read its input from, ReLU(a * x + b) as in conv1d_same: each
-    slice rebuilds its input rows into the padded copy it makes anyway, so
-    no input-sized array exists. The input gradient is then the form in
-    which a conv block's backward takes the gradient of its output: the
-    triple (dz, Σdz * x, Σdz), with dz the gradient of ReLU(a * x + b) gated
-    by a * x + b > 0, that is the gradient of a * x + b, and its per-channel
-    sums over every position.
-
-    One walk over the slices of x does both gradients, so a map is called
-    once per slice, and x's rows are read once per slice, its halo
-    included (only rows in [0, L) are asked of a ConvRows): each slice
-    adds the GEMM of its grad_out rows, transposed, with its im2col of x
-    (all k taps at once) to the kernel gradient, in slice order, then
-    writes its rows of the input gradient with correlate_slice, in the
-    pieces that slices cuts the slice into for that scratch. With relu,
-    the slice keeps its padded copy's > 0 bits, the gate, as a boolean and
-    frees the copy before the GEMM, and gates each input-gradient piece in
-    place as soon as it is written and sums it. The slices hold k * Cin
-    floats per position, the im2col; with a map, also the recomputed rows
-    and, where wider than the im2col, the forward conv's scratch. Every sum
-    is added in slice order, then piece order, so the result is the same at
-    any WORKERS, with or without the input gradient.
+    One walk over the slices does both gradients, reading x's rows once per
+    slice: each slice adds its grad_out rows, transposed, times its im2col
+    of x to the kernel gradient, then writes its input-gradient rows with
+    correlate_slice, in the pieces slices cuts for that scratch.
     """
     if not isinstance(x, ConvRows):
         x = np.asarray(x, dtype=np.float64)

@@ -724,6 +724,30 @@ class TestConvBranch:
         with pytest.raises(ValueError, match="already used by a backward pass"):
             conv_block_backward(last, grad_pooled)
 
+    def test_refused_output_gradient_leaves_the_caches_usable(self):
+        # a pooled gradient of the wrong shape for the last block, a triple
+        # of the wrong shape for blocks 0 and 1, and a read-only dz for block
+        # 1 are each refused before anything leaves the cache, which then
+        # serves the branch's backward as a fresh cache does
+        rng = np.random.default_rng(27)
+        blocks = [make_conv_block(rng, 4, 1, 3), make_conv_block(rng, 3, 3, 4),
+                  make_conv_block(rng, 2, 4, 2)]
+        x, grad_pooled = rng.normal(size=(3, 10, 1)), rng.normal(size=(3, 2))
+        expected = conv_branch_backward(conv_branch(blocks, x, True)[1], grad_pooled)
+        read_only = np.ones((3, 10, 4))
+        read_only.flags.writeable = False
+        for i, grad_out, message in (
+                (2, np.ones((3, 3)), "pooled shape"),
+                (0, (np.ones((3, 10, 4)), np.ones(3), np.ones(3)), "forward output shape"),
+                (1, (np.ones((3, 9, 4)), np.ones(4), np.ones(4)), "forward output shape"),
+                (1, (read_only, np.ones(4), np.ones(4)), "must be writable")):
+            caches = conv_branch(blocks, x, True)[1]
+            with pytest.raises(ValueError, match=message):
+                conv_block_backward(caches[i], grad_out)
+            got = conv_branch_backward(caches, grad_pooled)
+            for grads, fresh in zip(got, expected, strict=True):
+                assert all(np.array_equal(grads[k], fresh[k]) for k in fresh), (i, message)
+
     @pytest.mark.parametrize("length", [1, 2, 3, 5, 7, 13, 40])
     @pytest.mark.parametrize("winograd", [False, True])
     def test_inference_tiles_match_the_unfolded_whole_batch(self, monkeypatch, length,

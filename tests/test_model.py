@@ -646,6 +646,44 @@ class TestRebuiltBlockInputs:
             assert 0 <= positions.start < positions.stop <= self.LENGTH
             assert max_rel_error(rows, y0[series, positions]) <= 1e-12
 
+    def test_recomputed_rows_are_bitwise_the_forwards(self, monkeypatch):
+        # at L = 1639 the conv backwards of blocks 1 and 2 cut every series
+        # into slices, some off the last block's Winograd tile grid of 4
+        # positions. Every row read through a ConvRows, y0's (block 1's input
+        # and block 0's recompute) and y2's, is still the forward's to the
+        # bit, since each read starts its tiles on the forward's grid
+        length = 1639
+        model = build(ArchConfig(length, 4, cell_kind="lstm", seed=9))
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(8, length)), np.eye(4)[rng.integers(0, 4, 8)]
+        outputs, owners, reads = {}, {}, []
+        conv, init = layers.conv1d_same, tensor_core.ConvRows.__init__
+        read = tensor_core.ConvRows.__getitem__
+
+        def spy(inputs, kernels, **kwargs):
+            out = conv(inputs, kernels, **kwargs)
+            outputs[id(kernels)] = np.copy(out[0])
+            return out
+
+        def spy_init(rows, inputs, kernels, relu=None):
+            init(rows, inputs, kernels, relu)
+            owners[id(rows)] = rows, kernels  # holds both, so that no id is reused
+
+        def reader(rows, index):
+            out = read(rows, index)
+            series, positions = index
+            expected = outputs[id(owners[id(rows)][1])][series, positions]
+            reads.append((positions, np.array_equal(out, expected)))
+            return out
+
+        monkeypatch.setattr(layers, "conv1d_same", spy)
+        monkeypatch.setattr(tensor_core.ConvRows, "__init__", spy_init)
+        monkeypatch.setattr(tensor_core.ConvRows, "__getitem__", reader)
+        _, cache = forward(model, x, training=True, rng=Rng(1))
+        backward(model, cache, y)
+        assert len(owners) == 3 and any(p.start % 4 for p, _ in reads)
+        assert [same for _, same in reads] == [True] * len(reads)
+
     def test_step_reads_the_forwards_gamma_and_beta(self, monkeypatch):
         # 64 floats per slice cut every series, so the rebuild reaches both
         # padding edges; every block's gamma and beta change between the

@@ -228,10 +228,9 @@ class TestConv1dSame:
         # walk, with the conv's own rows at the slice's positions widened by
         # the input gradient's halo (k - 1 positions, clipped to [0, L)) if
         # that gradient is computed, and those positions; budgets of one position, two, a series
-        # or the batch. On small integers im2col sums exactly, so its rows
-        # are bitwise the forward's; Winograd's tiles start where the slice
-        # does, so they round unlike the forward's. The gradients are the
-        # array's, but for the rounding of other slices
+        # or the batch. The rows are bitwise the forward's: im2col sums small
+        # integers exactly, and Winograd's tiles start on the forward's grid.
+        # The gradients are the array's, but for the rounding of other slices
         rng = np.random.default_rng(19)
         k, left, right = 4, *same_padding(4)
         x = rng.integers(-3, 4, size=(3, 9, 2)).astype(float)
@@ -259,11 +258,7 @@ class TestConv1dSame:
             lo, hi = (max(p.start - right, 0), min(p.stop + left, 9)) if input_grad else (
                 p.start, p.stop)
             assert positions == slice(lo, hi)
-            assert rows.shape == y[series, lo:hi].shape
-            if conv_path == "im2col":
-                assert np.array_equal(rows, y[series, lo:hi])
-            else:
-                assert max_rel_error(rows, y[series, lo:hi]) <= 1e-12
+            assert np.array_equal(rows, y[series, lo:hi])
         grad_out = y * weight[:, None] + shift
         expected = conv1d_same_backward(x, kernels, grad_out, input_grad, scale=scale, relu=relu)
         assert (got[0] is None) == (expected[0] is None) == (not input_grad)
